@@ -466,12 +466,6 @@ class DegreeZeroAlgebra:
     def dim(self) -> int:
         return len(self.generators)
 
-    def flat_layout(self):
-        return list(self._layout)
-
-    def flattened_generators(self) -> list[list[Fraction]]:
-        return [g.flatten(self._layout) for g in self.generators]
-
 
 def adjoin_g0(symbol: GradedLieAlgebra, g0: DegreeZeroAlgebra, names=None) -> GradedLieAlgebra:
     """The graded algebra on symbol + g0 with [f, v] = f(v) for f in g0."""

@@ -1,17 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Every matrix here carries ``fractions.Fraction`` entries and every result is
-exact; there is no tolerance anywhere in this module.  Elimination is
-fraction-free (Bareiss) on row-scaled integer data, followed by an exact
-division pass that produces the reduced row echelon form.  Pivots are always
-the first nonzero entry in column order, which makes every returned basis
+exact; there is no tolerance anywhere in this module.  Elimination is one
+sparse Gauss-Jordan reduction, ``rref``, that works on the nonzero entries
+only.  Pivots are always the first nonzero entry in column order; the
+reduced row echelon form is unique, which makes every returned basis
 deterministic (bit-exact across runs).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = list[Fraction]
@@ -111,81 +110,55 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
-def _scaled_integer_rows(rows: list[Vector]) -> list[list[int]]:
-    # Row scaling changes neither row space, nullspace nor solution sets of
-    # augmented systems, and lets Bareiss run on plain integers.
-    out = []
-    for row in rows:
-        mult = 1
-        for x in row:
-            if x:
-                mult = lcm(mult, x.denominator)
-        ints = [int(x * mult) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
-
-
-def _bareiss_echelon(rows: list[list[int]], cols: int) -> tuple[list[int], list[list[int]]]:
-    """Fraction-free forward elimination; returns (pivot columns, echelon rows).
-
-    The usual Bareiss divisibility argument survives skipped (pivotless)
-    columns; the division by the previous pivot stays exact.  The divmod
-    check guards that invariant rather than trusting it.
-    """
-    m = len(rows)
-    pivots: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(cols):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        prow = rows[r]
-        for i in range(r + 1, m):
-            row_i = rows[i]
-            f = row_i[c]
-            for j in range(c + 1, cols):
-                num = row_i[j] * piv - f * prow[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination lost exact divisibility")
-                row_i[j] = q
-            row_i[c] = 0
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return pivots, rows[:r]
+class InternalConsistencyError(RuntimeError):
+    """An engine self-check failed; results cannot be trusted."""
 
 
 def rref(matrix: RatMatrix) -> tuple[tuple[int, ...], list[Vector]]:
-    """Reduced row echelon form: (pivot columns, nonzero reduced rows)."""
-    ints = _scaled_integer_rows(matrix.dense_rows())
-    pivots, echelon = _bareiss_echelon(ints, matrix.cols)
-    rows = [[Fraction(v) for v in row] for row in echelon]
-    for r in reversed(range(len(pivots))):
-        c = pivots[r]
-        piv = rows[r][c]
-        if piv != 1:
-            rows[r] = [x / piv for x in rows[r]]
-        for r2 in range(r):
-            f = rows[r2][c]
+    """Reduced row echelon form: (pivot columns, nonzero reduced rows).
+
+    Sparse Gauss-Jordan on column -> value dictionaries.  Rows are taken in
+    order and reduced against the pivot rows found so far; a row that keeps
+    an entry becomes a pivot row at its leading column and is eliminated
+    from the earlier pivot rows, so every pivot row stays fully reduced.
+    """
+    pending: dict[int, dict[int, Fraction]] = {}
+    for (r, c), value in matrix._entries.items():
+        pending.setdefault(r, {})[c] = value
+    reduced: dict[int, dict[int, Fraction]] = {}
+    for r in sorted(pending):
+        row = pending[r]
+        # pivot rows vanish at each other's pivots, so one pass suffices
+        for c in [c for c in row if c in reduced]:
+            _axpy(row, -row[c], reduced[c])
+        if not row:
+            continue
+        p = min(row)
+        inverse = 1 / row[p]
+        row = {c: value * inverse for c, value in row.items()}
+        for other in reduced.values():
+            f = other.get(p)
             if f:
-                rows[r2] = [a - f * b for a, b in zip(rows[r2], rows[r])]
-    return tuple(pivots), rows
+                _axpy(other, -f, row)
+        reduced[p] = row
+    pivots = tuple(sorted(reduced))
+    rows = []
+    for p in pivots:
+        dense = [Fraction(0)] * matrix.cols
+        for c, value in reduced[p].items():
+            dense[c] = value
+        rows.append(dense)
+    return pivots, rows
+
+
+def _axpy(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]) -> None:
+    """row += factor * other, dropping the entries that cancel."""
+    for c, value in other.items():
+        x = row.get(c, 0) + factor * value
+        if x:
+            row[c] = x
+        else:
+            del row[c]
 
 
 def rank(matrix: RatMatrix) -> int:
@@ -208,10 +181,12 @@ def nullspace(matrix: RatMatrix) -> list[Vector]:
         for r, pc in enumerate(pivots):
             v[pc] = -rows[r][fc]
         basis.append(v)
-    # rank-nullity and exactness, asserted on every call.
-    assert len(basis) == matrix.cols - len(pivots)
+    # rank-nullity and exactness, checked on every call.
+    if len(basis) != matrix.cols - len(pivots):
+        raise InternalConsistencyError("nullspace: basis size breaks rank-nullity")
     for v in basis:
-        assert not any(matrix.matvec(v))
+        if any(matrix.matvec(v)):
+            raise InternalConsistencyError("nullspace: basis vector is not in the kernel")
     return basis
 
 
@@ -236,7 +211,8 @@ def solve(matrix: RatMatrix, rhs: Sequence) -> Vector | None:
     x = [Fraction(0)] * matrix.cols
     for r, pc in enumerate(pivots):
         x[pc] = rows[r][matrix.cols]
-    assert matrix.matvec(x) == [_frac(v) for v in rhs]
+    if matrix.matvec(x) != [_frac(v) for v in rhs]:
+        raise InternalConsistencyError("solve: solution does not satisfy the system")
     return x
 
 
@@ -251,32 +227,6 @@ def column_complement(matrix: RatMatrix) -> list[int]:
     pivots, _ = rref(matrix.transpose())
     covered = set(pivots)
     return [i for i in range(matrix.rows) if i not in covered]
-
-
-def determinant(matrix: RatMatrix) -> Fraction:
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant of a non-square matrix")
-    rows = matrix.dense_rows()
-    n = matrix.rows
-    det = Fraction(1)
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            det = -det
-        piv = rows[c][c]
-        det *= piv
-        for i in range(c + 1, n):
-            f = rows[i][c] / piv
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
 
 
 def vectors_rank(vectors: Sequence[Sequence], length: int | None = None) -> int:
@@ -304,3 +254,26 @@ def express_in_basis(vectors: Sequence[Sequence], target: Sequence) -> Vector | 
             if value:
                 mat.set(r, c, value)
     return solve(mat, list(target))
+
+
+def pivot_columns(rows: Sequence[Sequence]) -> tuple[int, ...]:
+    """Column of the leading nonzero entry of each row of an echelon basis."""
+    return tuple(next(c for c, x in enumerate(row) if x) for row in rows)
+
+
+def echelon_coordinates(rows: Sequence[Sequence], pivots: Sequence[int],
+                        target: Sequence) -> Vector | None:
+    """Coordinates of `target` over reduced echelon rows, or None if outside their span.
+
+    Row r is the only one with a nonzero entry (a 1) at pivots[r], so the
+    coordinates are the target's entries at the pivots; an exact
+    reconstruction decides whether the target lies in the span at all.
+    """
+    coords = [_frac(target[c]) for c in pivots]
+    rebuilt = [Fraction(0)] * len(target)
+    for x, row in zip(coords, rows):
+        if x:
+            for c, value in enumerate(row):
+                if value:
+                    rebuilt[c] += x * value
+    return coords if rebuilt == list(target) else None

@@ -1,4 +1,4 @@
-"""Spencer operator matrices and normalization-condition data.
+r"""Spencer operator matrices and normalization-condition data.
 
 For each degree k the operator maps
 
@@ -263,5 +263,8 @@ def normalization_report(system: SpencerSystem) -> NormalizationReport:
         dim_complement=len(complement),
         complement_indices=complement,
     )
-    assert report.dim_target == report.dim_image + report.dim_complement
+    if report.dim_target != report.dim_image + report.dim_complement:
+        raise linalg.InternalConsistencyError(
+            f"normalization at k={system.k}: dim target != dim image + dim complement"
+        )
     return report

@@ -38,12 +38,8 @@ from .algebra import (
     map_layout,
     tower_dims,
 )
-from .linalg import RatMatrix
+from .linalg import InternalConsistencyError, RatMatrix
 from .normalization import SpencerSystem, build_spencer
-
-
-class InternalConsistencyError(RuntimeError):
-    """An engine self-check failed; results cannot be trusted."""
 
 
 def leibniz_system(symbol: GradedLieAlgebra, g_bases, degree: int):
@@ -194,15 +190,6 @@ class ProlongationResult:
 
     def graded_dimensions(self):
         return [(d, self.dims[d]) for d in sorted(self.dims)]
-
-    def dimension_of(self, degree: int):
-        if degree in self.dims:
-            return self.dims[degree]
-        if degree > 0 and self.terminated:
-            return 0
-        if degree < 0:
-            return 0
-        return None  # truncated run, degree beyond the cutoff
 
 
 def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = 10,
@@ -388,6 +375,8 @@ def _nonneg_table(symbol, g_bases, g0, terminated):
     flat_bases = {
         D: [f.flatten(layouts[D]) for f in g_bases[D]] for D in range(1, kmax + 1)
     }
+    # every degree basis is in reduced echelon form (_normalize_map_basis)
+    pivots = {D: linalg.pivot_columns(flat_bases[D]) for D in flat_bases}
     upper = 2 * kmax if terminated else kmax
     for D in range(1, upper + 1):
         for k in range(max(0, D - kmax), D // 2 + 1):
@@ -400,7 +389,7 @@ def _nonneg_table(symbol, g_bases, g0, terminated):
                     blocks = _pair_map_blocks(symbol, g_bases, dims, table, k, s, l, t)
                     if D <= kmax:
                         flat = GradedLinearMap(D, blocks).flatten(layouts[D])
-                        coords = linalg.express_in_basis(flat_bases[D], flat)
+                        coords = linalg.echelon_coordinates(flat_bases[D], pivots[D], flat)
                         if coords is None:
                             raise InternalConsistencyError(
                                 f"bracket of degrees ({k}, {l}) escaped the degree-{D} basis"

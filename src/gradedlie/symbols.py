@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg, prolongation
+from . import diagnostics, linalg, prolongation
 from .algebra import (
     BasisElement,
     DegreeZeroAlgebra,
@@ -56,10 +56,8 @@ class EuclideanForm:
             for q in range(p + 1, n):
                 if entries[p][q] != entries[q][p]:
                     raise ValueError("the form must be symmetric")
-        for k in range(1, n + 1):
-            minor = RatMatrix.from_rows([row[:k] for row in entries[:k]], k)
-            if linalg.determinant(minor) <= 0:
-                raise ValueError("the form must be positive definite")
+        if diagnostics.symmetric_signature(entries) != (n, 0):
+            raise ValueError("the form must be positive definite")
         object.__setattr__(self, "entries", entries)
 
     @property

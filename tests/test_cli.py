@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 from fractions import Fraction
 
@@ -216,6 +219,17 @@ def test_reports_are_byte_identical_across_corpus(corpus_dir, tmp_path):
     doc = json.loads((tmp_path / "cartan-25-a.json").read_text())
     assert doc["total_dimension"] == 14
     assert doc["diagnostics"]["killing_signature"] == [8, 6]
+
+
+def test_reports_match_benchmark_golden_digests(corpus_dir):
+    # the digests were made from the seed code, so this pins every report byte
+    golden = json.loads((corpus_dir.parent / "perfbench" / "golden.json").read_text())
+    for path in sorted(corpus_dir.glob("*.json")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["prolong", str(path)]) == 0, path.name
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == golden[path.stem], path.name
 
 
 def test_report_rationals_reparse_exactly(corpus_dir, tmp_path):

@@ -1,15 +1,24 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradedlie
+from gradedlie import linalg
+from gradedlie.diagnostics import symmetric_signature
 from gradedlie.linalg import (
+    InternalConsistencyError,
     RatMatrix,
     column_complement,
-    determinant,
+    echelon_coordinates,
     express_in_basis,
     nullspace,
+    pivot_columns,
     rank,
     rref,
     solve,
@@ -20,7 +29,7 @@ F = Fraction
 
 
 def naive_reduce(rows):
-    """Independent plain Gauss-Jordan over Fractions (no Bareiss), for cross-checks."""
+    """Independent dense Gauss-Jordan over Fractions, for cross-checks."""
     rows = [list(map(Fraction, r)) for r in rows]
     if not rows:
         return [], []
@@ -111,10 +120,13 @@ def test_column_complement_reads_nonpivot_coordinates():
     assert column_complement(mat) == [1, 2]
 
 
-def test_determinant():
-    assert determinant(RatMatrix.from_rows([[2, 1], [1, 2]])) == F(3)
-    assert determinant(RatMatrix.from_rows([[1, 2], [2, 4]])) == F(0)
-    assert determinant(RatMatrix.from_rows([[0, 1], [1, 0]])) == F(-1)
+def test_invertibility_and_signature_of_small_forms():
+    assert rank(RatMatrix.from_rows([[2, 1], [1, 2]])) == 2
+    assert symmetric_signature([[2, 1], [1, 2]]) == (2, 0)
+    assert rank(RatMatrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert symmetric_signature([[1, 2], [2, 4]]) == (1, 0)
+    assert rank(RatMatrix.from_rows([[0, 1], [1, 0]])) == 2
+    assert symmetric_signature([[0, 1], [1, 0]]) == (1, 1)
 
 
 def test_express_in_basis():
@@ -123,6 +135,16 @@ def test_express_in_basis():
     assert express_in_basis(basis, [F(0), F(0), F(1)]) is None
     assert express_in_basis([], [F(0), F(0)]) == []
     assert express_in_basis([], [F(1), F(0)]) is None
+
+
+def test_echelon_coordinates():
+    basis = [[F(1), F(0), F(2), F(0)], [F(0), F(0), F(0), F(1)]]
+    pivots = pivot_columns(basis)
+    assert pivots == (0, 3)
+    assert echelon_coordinates(basis, pivots, [F(3), F(0), F(6), F(-1)]) == [F(3), F(-1)]
+    assert echelon_coordinates(basis, pivots, [F(0), F(1), F(0), F(0)]) is None
+    assert echelon_coordinates(basis, pivots, [F(1), F(0), F(0), F(0)]) is None
+    assert echelon_coordinates([], (), [F(0), F(0)]) == []
 
 
 def test_vectors_rank():
@@ -143,7 +165,7 @@ def test_degenerate_shapes():
 
 
 def test_hilbert_matrix_exactness():
-    # dense ill-conditioned input stresses the fraction-free elimination
+    # dense ill-conditioned input stresses exact elimination
     n = 7
     hilbert = RatMatrix.from_rows(
         [[F(1, i + j + 1) for j in range(n)] for i in range(n)], n
@@ -153,10 +175,9 @@ def test_hilbert_matrix_exactness():
     ones = [F(1)] * n
     b = hilbert.matvec(ones)
     assert solve(hilbert, b) == ones
-    sympy = pytest.importorskip("sympy")
-    expected = sympy.Rational(sympy.Matrix(n, n, lambda i, j: sympy.Rational(1, i + j + 1)).det())
-    det = determinant(hilbert)
-    assert sympy.Rational(det.numerator, det.denominator) == expected
+    identity = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    assert rref(hilbert) == (tuple(range(n)), identity)
+    assert symmetric_signature(hilbert.dense_rows()) == (n, 0)
 
 
 @settings(max_examples=60)
@@ -210,3 +231,84 @@ def test_against_sympy(mat):
     assert len(theirs) == len(ours)
     for v in ours:
         assert sm * sympy.Matrix(v) == sympy.zeros(mat.rows, 1)
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=8):
+    """Mostly-zero matrices with zero columns, zero rows and repeated rows."""
+    nrows = draw(st.integers(min_value=0, max_value=max_dim))
+    ncols = draw(st.integers(min_value=0, max_value=max_dim))
+    zero = st.just(F(0))
+    entry = st.one_of(zero, zero, zero, fractions_st)  # at least three quarters zero
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=max(ncols - 1, 0))))
+    for r in range(nrows):
+        if draw(st.booleans()) and r:
+            # a scaled copy of an earlier row keeps the rank below the row count
+            scale = draw(fractions_st)
+            src = draw(st.integers(min_value=0, max_value=r - 1))
+            rows[r] = [scale * x for x in rows[src]]
+        for c in zero_cols:
+            if c < ncols:
+                rows[r][c] = F(0)
+    return RatMatrix.from_rows(rows, ncols)
+
+
+def sympy_rref(mat):
+    sympy = pytest.importorskip("sympy")
+    reduced, pivots = sympy.Matrix(
+        mat.rows, mat.cols, lambda r, c: sympy.Rational(mat.get(r, c))
+    ).rref()
+    rows = [
+        [F(int(reduced[r, c].p), int(reduced[r, c].q)) for c in range(mat.cols)]
+        for r in range(len(pivots))
+    ]
+    return tuple(pivots), rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_rref_matches_dense_and_sympy_oracles(mat):
+    ours = rref(mat)
+    pivots, rows = naive_reduce(mat.dense_rows())
+    assert ours == (tuple(pivots), rows)
+    if mat.rows and mat.cols:
+        assert ours == sympy_rref(mat)
+
+
+def corrupted_rref(matrix):
+    """The true echelon form with one entry changed: a kernel-level fault."""
+    pivots, rows = rref(matrix)
+    rows = [list(row) for row in rows]
+    rows[0][-1] += 1
+    return pivots, rows
+
+
+def test_self_checks_raise_on_corrupted_elimination(monkeypatch):
+    monkeypatch.setattr(linalg, "rref", corrupted_rref)
+    with pytest.raises(InternalConsistencyError, match="nullspace"):
+        nullspace(RatMatrix.from_rows([[1, 2]]))
+    with pytest.raises(InternalConsistencyError, match="solve"):
+        solve(RatMatrix.from_rows([[1, 0], [0, 1]]), [F(1), F(1)])
+
+
+def test_self_checks_survive_optimized_mode():
+    script = """
+from gradedlie import linalg
+from gradedlie.linalg import InternalConsistencyError, RatMatrix
+from test_linalg import corrupted_rref
+
+linalg.rref = corrupted_rref
+for call in (lambda: linalg.nullspace(RatMatrix.from_rows([[1, 2]])),
+             lambda: linalg.solve(RatMatrix.from_rows([[1, 0], [0, 1]]), [1, 1])):
+    try:
+        call()
+    except InternalConsistencyError as exc:
+        print("raised:", exc)
+"""
+    paths = [Path(gradedlie.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("raised:") == 2, done.stdout

@@ -203,8 +203,8 @@ def test_truncated_run_reports_as_such(eta3, lambda_g0):
     assert not result.terminated
     assert result.vanishing_degree is None
     assert result.total_dimension is None
-    assert result.dimension_of(1) == 2
-    assert result.dimension_of(2) is None
+    assert result.dims[1] == 2
+    assert 2 not in result.dims
 
 
 def test_determinism(eta3, lambda_g0):

@@ -108,6 +108,10 @@ def test_euclidean_form_validation():
         EuclideanForm([[1, 2], [0, 1]])
     with pytest.raises(ValueError, match="positive definite"):
         EuclideanForm([[1, 0], [0, -1]])
+    with pytest.raises(ValueError, match="positive definite"):
+        EuclideanForm([[1, 0], [0, 0]])  # semidefinite
+    with pytest.raises(ValueError, match="positive definite"):
+        EuclideanForm([[1, 2], [2, 1]])  # indefinite, positive first minor
     with pytest.raises(ValueError, match="square"):
         EuclideanForm([[1, 0]])
 

@@ -3,13 +3,11 @@
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from gradedlie import diagnostics, prolongation, specfile  # noqa: E402
-from gradedlie.normalization import normalization_report  # noqa: E402
 
 
 def main() -> int:
@@ -21,20 +19,16 @@ def main() -> int:
     if not files:
         print(f"no corpus files under {corpus}", file=sys.stderr)
         return 1
-    header = f"{'name':<16} {'dims':<32} {'term':<5} {'total':<6} {'ss':<6} {'N_k':<12} {'sec':>6}"
+    header = f"{'name':<16} {'dims':<32} {'term':<5} {'total':<6} {'ss':<6} {'N_k':<12}"
     print(header)
     print("-" * len(header))
     for path in files:
         spec = specfile.parse_spec(specfile.load_document(path.read_text()))
         symbol = specfile.build_symbol(spec)
         g0 = specfile.build_g0(spec, symbol)
-        start = time.perf_counter()
         result = prolongation.universal_prolongation(symbol, g0, max_degree=spec.max_degree)
-        elapsed = time.perf_counter() - start
         dims = ",".join(str(d) for _, d in result.graded_dimensions())
-        complements = ",".join(
-            str(normalization_report(s).dim_complement) for s in result.spencer_systems
-        )
+        complements = ",".join(str(report.dim_complement) for report in result.normalization)
         semisimple = "-"
         total = "-"
         if result.terminated:
@@ -42,7 +36,7 @@ def main() -> int:
             semisimple = str(diagnostics.is_semisimple(result.algebra))
         print(
             f"{spec.name:<16} {dims:<32} {str(result.terminated):<5} {total:<6} "
-            f"{semisimple:<6} {complements:<12} {elapsed:>6.2f}"
+            f"{semisimple:<6} {complements:<12}"
         )
     return 0
 

@@ -33,9 +33,7 @@ from .prolongation import (
     InternalConsistencyError,
     ProlongationResult,
     check_transitivity,
-    extend_brackets,
     prolong_step,
-    spencer_kernel,
     universal_prolongation,
 )
 from .symbols import (
@@ -73,7 +71,6 @@ __all__ = [
     "column_complement",
     "custom_g0",
     "degree_zero_derivations",
-    "extend_brackets",
     "fingerprint",
     "free_nilpotent",
     "graded_pairing_check",
@@ -87,6 +84,5 @@ __all__ = [
     "prolong_step",
     "rank",
     "solve",
-    "spencer_kernel",
     "universal_prolongation",
 ]

@@ -54,7 +54,6 @@ class GradedLieAlgebra:
             if clean:
                 table[(a, b)] = clean
         self._table = table
-        self._index = {e.name: i for i, e in enumerate(basis)}
         by_degree: dict[int, list[int]] = {}
         for i, e in enumerate(basis):
             by_degree.setdefault(e.degree, []).append(i)
@@ -86,9 +85,6 @@ class GradedLieAlgebra:
 
     def position_in_degree(self, index: int) -> int:
         return self._positions[index]
-
-    def index_of(self, name: str) -> int:
-        return self._index[name]
 
     @property
     def depth(self) -> int:
@@ -218,7 +214,9 @@ def check_validity(algebra: GradedLieAlgebra) -> ValidityReport:
         if not jacobi_ok:
             break
 
-    nilpotent_ok = _negative_part_nilpotent(algebra)
+    # with every bracket graded, C^k(m) lies in degrees <= -k, so the negative
+    # part is nilpotent; the lower central series only decides the rest
+    nilpotent_ok = grading_ok or _negative_part_nilpotent(algebra)
     return ValidityReport(grading_ok, grading_witness, jacobi_ok, jacobi_witness, nilpotent_ok)
 
 
@@ -341,9 +339,6 @@ class GradedLinearMap:
         if pos != len(flat):
             raise ValueError("flattened vector does not match layout")
         return cls(degree, blocks)
-
-    def is_zero(self) -> bool:
-        return all(not any(col) for cols in self.blocks.values() for col in cols)
 
     def __eq__(self, other) -> bool:
         return (

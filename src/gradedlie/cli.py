@@ -7,12 +7,12 @@ Exit codes: 0 success, 1 validation failure, 2 parse or usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from . import diagnostics, prolongation, specfile
 from .algebra import check_fundamental, check_validity
-from .normalization import normalization_report
 from .specfile import SpecError, format_rational
 
 EXIT_OK = 0
@@ -95,9 +95,8 @@ def cmd_prolong(args) -> int:
     spec, symbol, g0 = _load_validated(args.file)
     max_degree = args.max_degree if args.max_degree is not None else spec.max_degree
     result = prolongation.universal_prolongation(symbol, g0, max_degree=max_degree)
-    reports = [normalization_report(system) for system in result.spencer_systems]
     diag = diagnostics.fingerprint(result.algebra) if result.terminated else None
-    document = _report_document(spec.name, g0, result, reports, diag)
+    document = _report_document(spec.name, g0, result, diag)
     if args.format == "structured":
         text = specfile.dump_document(document)
     else:
@@ -118,7 +117,7 @@ def cmd_free(args) -> int:
     return EXIT_OK
 
 
-def _report_document(name, g0, result, reports, diag) -> dict:
+def _report_document(name, g0, result, diag) -> dict:
     algebra = result.algebra
     degrees = sorted(result.dims)
     constants = []
@@ -149,17 +148,7 @@ def _report_document(name, g0, result, reports, diag) -> dict:
         "total_dimension": result.total_dimension,
         "basis": [{"name": e.name, "degree": e.degree} for e in algebra.basis],
         "structure_constants": constants,
-        "normalization": [
-            {
-                "k": rep.k,
-                "dim_target": rep.dim_target,
-                "dim_image": rep.dim_image,
-                "dim_kernel": rep.dim_kernel,
-                "dim_complement": rep.dim_complement,
-                "complement_indices": list(rep.complement_indices),
-            }
-            for rep in reports
-        ],
+        "normalization": [dataclasses.asdict(rep) for rep in result.normalization],
         "diagnostics": diag,
     }
 

@@ -6,6 +6,12 @@ sparse Gauss-Jordan reduction, ``rref``, that works on the nonzero entries
 only.  Pivots are always the first nonzero entry in column order; the
 reduced row echelon form is unique, which makes every returned basis
 deterministic (bit-exact across runs).
+
+``rref`` returns an ``Echelon``, the pair ``(pivots, rows)`` that also
+records ``kept``: rows are reduced in input order, so a row is kept exactly
+when it is not in the span of the rows before it.  The rank, the kernel and
+a coordinate complement of the column space (the rows not kept) all come
+from one ``Echelon``, so a matrix that needs all three is eliminated once.
 """
 
 from __future__ import annotations
@@ -114,8 +120,56 @@ class InternalConsistencyError(RuntimeError):
     """An engine self-check failed; results cannot be trusted."""
 
 
-def rref(matrix: RatMatrix) -> tuple[tuple[int, ...], list[Vector]]:
-    """Reduced row echelon form: (pivot columns, nonzero reduced rows).
+class Echelon(tuple):
+    """Reduced row echelon form ``(pivots, rows)`` of ``matrix``, with ``kept``,
+    the input rows (ascending) that produced a pivot."""
+
+    def __new__(cls, pivots, rows, kept, matrix):
+        echelon = super().__new__(cls, (pivots, rows))
+        echelon.kept, echelon.matrix = kept, matrix
+        return echelon
+
+    @property
+    def rank(self) -> int:
+        return len(self[0])
+
+    def nullspace(self) -> list[Vector]:
+        """Basis of ker A, echelon-normalized and ordered by free column.
+
+        Each basis vector carries a 1 at its free coordinate and zeros at the
+        free coordinates of the other vectors.
+        """
+        matrix = self.matrix
+        pivots, rows = self
+        pivot_set = set(pivots)
+        free = [c for c in range(matrix.cols) if c not in pivot_set]
+        basis = []
+        for fc in free:
+            v = [Fraction(0)] * matrix.cols
+            v[fc] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                v[pc] = -rows[r][fc]
+            basis.append(v)
+        # rank-nullity and exactness, checked on every call.
+        if len(basis) != matrix.cols - len(pivots):
+            raise InternalConsistencyError("nullspace: basis size breaks rank-nullity")
+        for v in basis:
+            if any(matrix.matvec(v)):
+                raise InternalConsistencyError("nullspace: basis vector is not in the kernel")
+        return basis
+
+    def complement(self) -> list[int]:
+        """Coordinates whose standard basis vectors complete the column space.
+
+        The kept rows span the row space, so the rows not kept index a
+        complement of the column space: exactly rows - rank coordinates.
+        """
+        kept = set(self.kept)
+        return [i for i in range(self.matrix.rows) if i not in kept]
+
+
+def rref(matrix: RatMatrix) -> Echelon:
+    """Reduced row echelon form of `matrix`, with the rows that were kept.
 
     Sparse Gauss-Jordan on column -> value dictionaries.  Rows are taken in
     order and reduced against the pivot rows found so far; a row that keeps
@@ -126,6 +180,7 @@ def rref(matrix: RatMatrix) -> tuple[tuple[int, ...], list[Vector]]:
     for (r, c), value in matrix._entries.items():
         pending.setdefault(r, {})[c] = value
     reduced: dict[int, dict[int, Fraction]] = {}
+    kept = []
     for r in sorted(pending):
         row = pending[r]
         # pivot rows vanish at each other's pivots, so one pass suffices
@@ -133,6 +188,7 @@ def rref(matrix: RatMatrix) -> tuple[tuple[int, ...], list[Vector]]:
             _axpy(row, -row[c], reduced[c])
         if not row:
             continue
+        kept.append(r)
         p = min(row)
         inverse = 1 / row[p]
         row = {c: value * inverse for c, value in row.items()}
@@ -148,7 +204,7 @@ def rref(matrix: RatMatrix) -> tuple[tuple[int, ...], list[Vector]]:
         for c, value in reduced[p].items():
             dense[c] = value
         rows.append(dense)
-    return pivots, rows
+    return Echelon(pivots, rows, tuple(kept), matrix)
 
 
 def _axpy(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]) -> None:
@@ -162,32 +218,11 @@ def _axpy(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]
 
 
 def rank(matrix: RatMatrix) -> int:
-    return len(rref(matrix)[0])
+    return rref(matrix).rank
 
 
 def nullspace(matrix: RatMatrix) -> list[Vector]:
-    """Basis of ker A, echelon-normalized and ordered by free column.
-
-    Each basis vector carries a 1 at its free coordinate and zeros at the
-    free coordinates of the other vectors.
-    """
-    pivots, rows = rref(matrix)
-    pivot_set = set(pivots)
-    free = [c for c in range(matrix.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * matrix.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(v)
-    # rank-nullity and exactness, checked on every call.
-    if len(basis) != matrix.cols - len(pivots):
-        raise InternalConsistencyError("nullspace: basis size breaks rank-nullity")
-    for v in basis:
-        if any(matrix.matvec(v)):
-            raise InternalConsistencyError("nullspace: basis vector is not in the kernel")
-    return basis
+    return rref(matrix).nullspace()
 
 
 def solve(matrix: RatMatrix, rhs: Sequence) -> Vector | None:
@@ -217,16 +252,7 @@ def solve(matrix: RatMatrix, rhs: Sequence) -> Vector | None:
 
 
 def column_complement(matrix: RatMatrix) -> list[int]:
-    """Coordinates whose standard basis vectors complete the column space.
-
-    Row-reducing the transposed matrix marks one coordinate per echelon
-    pivot; the remaining coordinates index a standard-basis complement of
-    the column space inside the target space.  The result has exactly
-    rows - rank(A) entries and is deterministic.
-    """
-    pivots, _ = rref(matrix.transpose())
-    covered = set(pivots)
-    return [i for i in range(matrix.rows) if i not in covered]
+    return rref(matrix).complement()
 
 
 def vectors_rank(vectors: Sequence[Sequence], length: int | None = None) -> int:

@@ -11,7 +11,8 @@ into the structure-function target space
     + (sum over 0<=i<k of Hom(g^-1 (x) g^i, g^{k-1})).
 
 Its kernel is the next prolongation space; the image inside the target space
-determines the normalization complement.  Row and column orderings are fixed
+determines the normalization complement.  Both come from one elimination of
+the matrix, ``SpencerSystem.echelon``.  Row and column orderings are fixed
 (blocks ascending, domain index outer, target coordinate inner) so that the
 matrix, and everything derived from it, is deterministic.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .algebra import GradedLieAlgebra, tower_dims
@@ -56,6 +58,11 @@ class SpencerSystem:
     domain_layout: tuple[DomainBlock, ...]
     target_layout: tuple[TargetBlock, ...]
     matrix: RatMatrix
+
+    @cached_property
+    def echelon(self) -> linalg.Echelon:
+        """The one elimination of the matrix: its kernel, rank and complement."""
+        return linalg.rref(self.matrix)
 
     @property
     def domain_dim(self) -> int:
@@ -249,17 +256,17 @@ class NormalizationReport:
 def normalization_report(system: SpencerSystem) -> NormalizationReport:
     """Rank data of the Spencer matrix plus a canonical complement.
 
-    The complement is the coordinate one delivered by column_complement;
+    The complement is the target coordinates of the rows that elimination
+    did not keep (Echelon.complement); the kept rows span the row space, so
     the splitting dim target = dim image + dim complement is exact.
     """
-    image = linalg.rank(system.matrix)
-    kernel = system.domain_dim - image
-    complement = tuple(linalg.column_complement(system.matrix))
+    echelon = system.echelon
+    complement = tuple(echelon.complement())
     report = NormalizationReport(
         k=system.k,
         dim_target=system.target_dim,
-        dim_image=image,
-        dim_kernel=kernel,
+        dim_image=echelon.rank,
+        dim_kernel=system.domain_dim - echelon.rank,
         dim_complement=len(complement),
         complement_indices=complement,
     )

@@ -39,7 +39,12 @@ from .algebra import (
     tower_dims,
 )
 from .linalg import InternalConsistencyError, RatMatrix
-from .normalization import SpencerSystem, build_spencer
+from .normalization import (
+    NormalizationReport,
+    SpencerSystem,
+    build_spencer,
+    normalization_report,
+)
 
 
 def leibniz_system(symbol: GradedLieAlgebra, g_bases, degree: int):
@@ -143,29 +148,21 @@ def prolong_step(symbol: GradedLieAlgebra, g_bases):
     return leibniz_maps(symbol, g_bases, len(g_bases))
 
 
-def spencer_kernel(symbol: GradedLieAlgebra, g_bases, k: int):
+def spencer_kernel_from_system(system: SpencerSystem):
     """Kernel of the degree-k Spencer operator, as degree-(k+1) maps.
 
     Kernel elements provably vanish on the non-negative domain blocks; this
-    is asserted on every element rather than assumed.
+    is checked on every element rather than assumed.
     """
-    system = build_spencer(symbol, g_bases, k)
-    maps, _ = spencer_kernel_from_system(symbol, g_bases, system)
-    return maps
-
-
-def spencer_kernel_from_system(symbol, g_bases, system: SpencerSystem):
-    vectors = linalg.nullspace(system.matrix)
     negative = []
-    for v in vectors:
+    for v in system.echelon.nullspace():
         neg, pos = system.split_domain_vector(v)
         if any(pos):
             raise InternalConsistencyError(
                 f"Spencer kernel element at k={system.k} has a nonzero non-negative block"
             )
         negative.append(neg)
-    layout = system.negative_map_layout()
-    return _normalize_map_basis(negative, system.k + 1, layout), vectors
+    return _normalize_map_basis(negative, system.k + 1, system.negative_map_layout())
 
 
 @dataclass
@@ -185,7 +182,7 @@ class ProlongationResult:
     vanishing_degree: int | None
     max_degree: int
     algebra: GradedLieAlgebra
-    spencer_systems: tuple[SpencerSystem, ...]
+    normalization: tuple[NormalizationReport, ...]
     total_dimension: int | None
 
     def graded_dimensions(self):
@@ -197,11 +194,13 @@ def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = 10,
     """Compute the full prolongation of (symbol, g0) up to max_degree.
 
     Stops at the first empty degree (terminated, with the vanishing degree
-    recorded) or at max_degree (truncated).  With cross_check on, every
-    degree is recomputed through the Spencer kernel and compared, kernel
-    elements are checked to vanish on non-negative blocks, the assembled
-    algebra of a terminated run must pass check_validity, and transitivity
-    must hold; failures raise InternalConsistencyError.
+    recorded) or at max_degree (truncated).  Each degree's Spencer matrix is
+    eliminated once and gives that degree's normalization report.  With
+    cross_check on, every degree is recomputed through the Spencer kernel
+    and compared, kernel elements are checked to vanish on non-negative
+    blocks, the assembled algebra of a terminated run must pass
+    check_validity, and transitivity must hold; failures raise
+    InternalConsistencyError.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -214,21 +213,17 @@ def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = 10,
         g0 = DegreeZeroAlgebra(symbol, g0)
 
     g_bases: list[list[GradedLinearMap]] = [list(g0.generators)]
-    systems: list[SpencerSystem] = []
+    reports: list[NormalizationReport] = []
     terminated = False
     vanishing = None
     for d in range(1, max_degree + 1):
         new_basis = prolong_step(symbol, g_bases)
         system = build_spencer(symbol, g_bases, d - 1)
-        systems.append(system)
-        if cross_check:
-            kernel_maps, _ = spencer_kernel_from_system(symbol, g_bases, system)
-            if len(kernel_maps) != len(new_basis) or any(
-                a != b for a, b in zip(kernel_maps, new_basis)
-            ):
-                raise InternalConsistencyError(
-                    f"Spencer kernel disagrees with the pairwise constraint route at degree {d}"
-                )
+        if cross_check and spencer_kernel_from_system(system) != new_basis:
+            raise InternalConsistencyError(
+                f"Spencer kernel disagrees with the pairwise constraint route at degree {d}"
+            )
+        reports.append(normalization_report(system))
         if not new_basis:
             terminated = True
             vanishing = d
@@ -249,7 +244,7 @@ def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = 10,
         vanishing_degree=vanishing,
         max_degree=max_degree,
         algebra=algebra,
-        spencer_systems=tuple(systems),
+        normalization=tuple(reports),
         total_dimension=total,
     )
     if cross_check:
@@ -401,16 +396,6 @@ def _nonneg_table(symbol, g_bases, g0, terminated):
                                 f"bracket of degrees ({k}, {l}) is nonzero beyond the vanishing degree"
                             )
     return table
-
-
-def extend_brackets(result: ProlongationResult):
-    """Recompute the non-negative structure-constant table of a result.
-
-    Keys are (k, s, l, t) for the s-th degree-k and t-th degree-l basis
-    elements with (k, s) lexicographically before (l, t); values are exact
-    coordinates over the degree k+l basis.
-    """
-    return _nonneg_table(result.symbol, result.bases, result.g0, result.terminated)
 
 
 def _assemble(symbol, g_bases, table) -> GradedLieAlgebra:

@@ -154,10 +154,7 @@ def parse_spec(doc: dict) -> AlgebraSpec:
         raw = _expect(g0, "lines", list, "g0")
         if len(raw) != 2:
             raise SpecError("exactly two line vectors required", "g0.lines")
-        payload["lines"] = [
-            [parse_rational(v, f"g0.lines[{i}][{j}]") for j, v in enumerate(line)]
-            for i, line in enumerate(raw)
-        ]
+        payload["lines"] = _parse_matrix(raw, "g0.lines")
     elif mode == "span":
         raw = _expect(g0, "maps", list, "g0")
         payload["maps"] = [_parse_matrix(mat, f"g0.maps[{i}]") for i, mat in enumerate(raw)]

@@ -15,6 +15,7 @@ from gradedlie import (
     custom_g0,
     degree_zero_derivations,
 )
+from gradedlie import algebra as algebra_module
 from gradedlie.algebra import derivation_violation
 
 from conftest import make_eta3
@@ -65,6 +66,16 @@ def test_grading_violation_reported():
     assert report.grading_witness == ("X1", "X2")
     # [X1, X2] = X1 also makes the lower central series stabilize
     assert not report.nilpotent_ok
+
+
+def test_graded_algebra_skips_the_lower_central_series(example5_result, monkeypatch):
+    # a graded bracket already makes the negative part nilpotent
+    def boom(algebra):
+        raise AssertionError("lower central series computed for a graded algebra")
+
+    monkeypatch.setattr(algebra_module, "_negative_part_nilpotent", boom)
+    report = check_validity(example5_result.algebra)
+    assert report.ok and report.nilpotent_ok
 
 
 def test_jacobi_violation_reported():

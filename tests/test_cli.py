@@ -2,9 +2,13 @@ import contextlib
 import hashlib
 import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedlie import cli, prolongation, specfile
 from gradedlie.specfile import SpecError, format_rational, parse_rational
@@ -167,6 +171,66 @@ def test_float_coefficient_is_a_parse_error(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["check", str(path)]) == 2
+
+
+def test_non_list_line_vector_is_a_parse_error(corpus_dir, tmp_path, capsys):
+    doc = json.loads((corpus_dir / "ode2-point.json").read_text())
+    doc["g0"]["lines"] = [[1, 0], 5]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["prolong", str(path)]) == 2
+    assert "g0.lines[1]" in capsys.readouterr().err
+
+
+CORPUS_DOCS = {
+    path.stem: json.loads(path.read_text())
+    for path in sorted((Path(__file__).resolve().parents[1] / "corpus").glob("*.json"))
+}
+MUTANT_VALUES = [None, -1, 1.5, "x", [], {}, True, "1/0", [[1, 0], [0, 1]]]
+
+
+def _paths(node, prefix=()):
+    """Every key or index path inside a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = json.loads(json.dumps(CORPUS_DOCS[draw(st.sampled_from(sorted(CORPUS_DOCS)))]))
+    *parents, last = draw(st.sampled_from(list(_paths(doc))))
+    node = doc
+    for key in parents:
+        node = node[key]
+    if isinstance(node, dict) and draw(st.booleans()):
+        del node[last]
+    else:
+        node[last] = draw(st.sampled_from(MUTANT_VALUES))
+    # keep every run short: cap the cutoff at 2 wherever the document sets it
+    options = doc.setdefault("options", {})
+    if isinstance(options, dict):
+        cutoff = options.get("max_degree", 10)
+        if type(cutoff) is int and cutoff > 2:
+            options["max_degree"] = 2
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_keep_the_exit_code_contract(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["prolong", str(path)])
+    assert code in (0, 1, 2, 3)
 
 
 def test_free_round_trips_through_check(tmp_path):

@@ -12,6 +12,7 @@ import gradedlie
 from gradedlie import linalg
 from gradedlie.diagnostics import symmetric_signature
 from gradedlie.linalg import (
+    Echelon,
     InternalConsistencyError,
     RatMatrix,
     column_complement,
@@ -276,12 +277,28 @@ def test_rref_matches_dense_and_sympy_oracles(mat):
         assert ours == sympy_rref(mat)
 
 
+def complement_by_transpose(mat):
+    """Reference complement: the coordinates that are not pivots of rref(A^T)."""
+    pivots, _ = rref(mat.transpose())
+    return [i for i in range(mat.rows) if i not in set(pivots)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_column_complement_is_the_rows_elimination_did_not_keep(mat):
+    echelon = rref(mat)
+    assert column_complement(mat) == complement_by_transpose(mat)
+    kept = [[mat.get(r, c) for c in range(mat.cols)] for r in echelon.kept]
+    assert len(kept) == echelon.rank == vectors_rank(kept, mat.cols)
+
+
 def corrupted_rref(matrix):
     """The true echelon form with one entry changed: a kernel-level fault."""
-    pivots, rows = rref(matrix)
+    echelon = rref(matrix)
+    pivots, rows = echelon
     rows = [list(row) for row in rows]
     rows[0][-1] += 1
-    return pivots, rows
+    return Echelon(pivots, rows, echelon.kept, matrix)
 
 
 def test_self_checks_raise_on_corrupted_elimination(monkeypatch):

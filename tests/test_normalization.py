@@ -1,10 +1,15 @@
 from fractions import Fraction
 
+import pytest
+
 from gradedlie import (
     abelian,
     build_spencer,
+    linalg,
     normalization_report,
     orthogonal_derivations,
+    specfile,
+    universal_prolongation,
 )
 from gradedlie.linalg import RatMatrix
 from gradedlie.normalization import DomainBlock, SpencerSystem, TargetBlock
@@ -86,7 +91,31 @@ def test_degree_zero_operator_matches_classical_spencer():
 
 
 def test_splitting_is_exact_on_every_example5_degree(example5_result):
-    for system in example5_result.spencer_systems:
-        report = normalization_report(system)
+    for report in example5_result.normalization:
         assert report.dim_target == report.dim_image + report.dim_complement
-        assert report.dim_kernel == example5_result.dims.get(system.k + 1, 0)
+        assert report.dim_kernel == example5_result.dims.get(report.k + 1, 0)
+
+
+@pytest.mark.parametrize("name", ["cartan-25", "contact-n1"])
+def test_each_spencer_matrix_is_eliminated_once(corpus_dir, monkeypatch, name):
+    spec = specfile.parse_spec(specfile.load_document((corpus_dir / f"{name}.json").read_text()))
+    symbol = specfile.build_symbol(spec)
+    g0 = specfile.build_g0(spec, symbol)
+    eliminated = []
+    real_rref = linalg.rref
+
+    def recording_rref(matrix):
+        eliminated.append(matrix)
+        return real_rref(matrix)
+
+    monkeypatch.setattr(linalg, "rref", recording_rref)
+    result = universal_prolongation(symbol, g0, max_degree=spec.max_degree)
+    monkeypatch.undo()
+
+    bases = [list(b) for b in result.bases]
+    assert [report.k for report in result.normalization] == list(range(len(result.normalization)))
+    for k in range(len(result.normalization)):
+        matrix = build_spencer(symbol, bases[: k + 1], k).matrix
+        transpose = matrix.transpose()
+        assert sum(m == matrix for m in eliminated) == 1, f"{name} at k={k}"
+        assert not any(m == transpose for m in eliminated), f"{name} at k={k}"

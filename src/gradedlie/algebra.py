@@ -433,28 +433,33 @@ class DegreeZeroAlgebra:
         self.generators = tuple(generators)
         dims = symbol.dims_by_degree()
         self._layout = map_layout(dims, 0)
-        flats = [g.flatten(self._layout) for g in self.generators]
-        if flats and linalg.vectors_rank(flats) != len(flats):
-            raise ValueError("degree-zero generators are linearly dependent")
         for idx, gen in enumerate(self.generators):
             if gen.degree != 0:
                 raise ValueError(f"generator {idx + 1} does not have degree 0")
+        flats = [g.flatten(self._layout) for g in self.generators]
+        pairs = [(s, t) for s in range(len(flats)) for t in range(s + 1, len(flats))]
+        comms = [
+            commutator_deg0(self.generators[s], self.generators[t]).flatten(self._layout)
+            for s, t in pairs
+        ]
+        try:
+            coordinates = linalg.express_in_basis(flats, comms)
+        except ValueError:
+            raise ValueError("degree-zero generators are linearly dependent") from None
+        for idx, gen in enumerate(self.generators):
             witness = derivation_violation(symbol, gen)
             if witness is not None:
                 raise ValueError(
                     f"generator {idx + 1} is not a derivation: Leibniz fails on pair {witness}"
                 )
         structure = {}
-        for s in range(len(self.generators)):
-            for t in range(s + 1, len(self.generators)):
-                comm = commutator_deg0(self.generators[s], self.generators[t])
-                coords = linalg.express_in_basis(flats, comm.flatten(self._layout))
-                if coords is None:
-                    raise ValueError(
-                        f"span not closed under commutator: [generator {s + 1}, generator {t + 1}] "
-                        "lies outside the span"
-                    )
-                structure[(s, t)] = tuple(coords)
+        for (s, t), coords in zip(pairs, coordinates):
+            if coords is None:
+                raise ValueError(
+                    f"span not closed under commutator: [generator {s + 1}, generator {t + 1}] "
+                    "lies outside the span"
+                )
+            structure[(s, t)] = tuple(coords)
         self.structure_constants = structure
 
     @property

@@ -114,11 +114,14 @@ def is_semisimple(algebra: GradedLieAlgebra) -> bool:
 
 def graded_pairing_check(algebra: GradedLieAlgebra) -> bool:
     """k(g^i, g^j) = 0 whenever i + j != 0; a structure-constant self-test."""
-    data = killing_form(algebra)
-    for (a, b), value in data.matrix.items():
-        if value and algebra.degree_of(a) + algebra.degree_of(b) != 0:
-            return False
-    return True
+    return _graded_pairing_ok(algebra, killing_form(algebra))
+
+
+def _graded_pairing_ok(algebra: GradedLieAlgebra, data: KillingData) -> bool:
+    return not any(
+        value and algebra.degree_of(a) + algebra.degree_of(b) != 0
+        for (a, b), value in data.matrix.items()
+    )
 
 
 def center(algebra: GradedLieAlgebra):
@@ -145,5 +148,5 @@ def fingerprint(algebra: GradedLieAlgebra) -> dict:
         "killing_nondegenerate": data.nondegenerate,
         "semisimple": data.nondegenerate,
         "center_dimension": len(center(algebra)),
-        "graded_pairing_ok": graded_pairing_check(algebra),
+        "graded_pairing_ok": _graded_pairing_ok(algebra, data),
     }

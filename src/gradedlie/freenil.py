@@ -93,6 +93,23 @@ def _poly_commutator(p, q) -> dict[tuple[int, ...], Fraction]:
     return {w: c for w, c in out.items() if c}
 
 
+_ESCAPED = "bracket of Hall elements escaped the Hall span"
+
+
+def _word_vector(poly, words) -> list[Fraction]:
+    """Coefficients of `poly` over the indexed words.
+
+    A word outside the index appears in no Hall expansion of this degree, so
+    the polynomial is outside their span.
+    """
+    vector = [Fraction(0)] * len(words)
+    for word, coeff in poly.items():
+        if word not in words:
+            raise ArithmeticError(_ESCAPED)
+        vector[words[word]] = coeff
+    return vector
+
+
 def free_nilpotent(r: int, mu: int) -> GradedLieAlgebra:
     """Free nilpotent graded Lie algebra on r generators of step mu.
 
@@ -108,52 +125,32 @@ def free_nilpotent(r: int, mu: int) -> GradedLieAlgebra:
 
     cache: dict = {}
     expansions = [_expand(tree, cache) for _, tree in ordered]
-    # per-degree word index and flattened Hall expansions, for exact solving
-    word_index: dict[int, dict[tuple[int, ...], int]] = {}
-    hall_columns: dict[int, list[list[Fraction]]] = {}
     members: dict[int, list[int]] = {}
-    for idx, (d, _) in enumerate(ordered):
-        members.setdefault(d, []).append(idx)
-    for d, idxs in members.items():
-        seen: dict[tuple[int, ...], int] = {}
-        for idx in idxs:
-            for word in expansions[idx]:
-                if word not in seen:
-                    seen[word] = len(seen)
-        word_index[d] = seen
-        cols = []
-        for idx in idxs:
-            col = [Fraction(0)] * len(seen)
-            for word, coeff in expansions[idx].items():
-                col[seen[word]] = coeff
-            cols.append(col)
-        hall_columns[d] = cols
-
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(len(ordered)):
-        da = ordered[a][0]
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for a, (da, _) in enumerate(ordered):
+        members.setdefault(da, []).append(a)
         for b in range(a + 1, len(ordered)):
             d = da + ordered[b][0]
-            if d > mu:
-                continue
-            comm = _poly_commutator(expansions[a], expansions[b])
-            index = dict(word_index[d])
-            for word in comm:
-                if word not in index:
-                    index[word] = len(index)
-            target = [Fraction(0)] * len(index)
-            for word, coeff in comm.items():
-                target[index[word]] = coeff
-            cols = []
-            for col in hall_columns[d]:
-                padded = list(col) + [Fraction(0)] * (len(index) - len(col))
-                cols.append(padded)
-            coords = linalg.express_in_basis(cols, target)
+            if d <= mu:
+                pairs.setdefault(d, []).append((a, b))
+
+    # one exact solve per degree: every commutator landing in degree d is
+    # expressed over the Hall expansions of degree d in a single batch
+    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for d, degree_pairs in sorted(pairs.items()):
+        words: dict[tuple[int, ...], int] = {}
+        for idx in members[d]:
+            for word in expansions[idx]:
+                words.setdefault(word, len(words))
+        hall = [_word_vector(expansions[idx], words) for idx in members[d]]
+        targets = [
+            _word_vector(_poly_commutator(expansions[a], expansions[b]), words)
+            for a, b in degree_pairs
+        ]
+        for (a, b), coords in zip(degree_pairs, linalg.express_in_basis(hall, targets)):
             if coords is None:
-                raise ArithmeticError("bracket of Hall elements escaped the Hall span")
-            terms = {
-                members[d][t]: value for t, value in enumerate(coords) if value
-            }
+                raise ArithmeticError(_ESCAPED)
+            terms = {members[d][t]: value for t, value in enumerate(coords) if value}
             if terms:
                 brackets[(a, b)] = terms
     return GradedLieAlgebra(basis, brackets)

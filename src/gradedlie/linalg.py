@@ -12,6 +12,10 @@ records ``kept``: rows are reduced in input order, so a row is kept exactly
 when it is not in the span of the rows before it.  The rank, the kernel and
 a coordinate complement of the column space (the rows not kept) all come
 from one ``Echelon``, so a matrix that needs all three is eliminated once.
+
+``express_in_basis`` is the one way to take coordinates over a basis: it
+eliminates the basis once and then expresses any number of targets, each
+checked by exact reconstruction.
 """
 
 from __future__ import annotations
@@ -265,41 +269,43 @@ def vectors_rank(vectors: Sequence[Sequence], length: int | None = None) -> int:
     return rank(RatMatrix.from_rows(vectors, length))
 
 
-def express_in_basis(vectors: Sequence[Sequence], target: Sequence) -> Vector | None:
-    """Coordinates of `target` over `vectors`, or None if outside their span."""
-    if not vectors:
-        return [] if not any(_frac(t) for t in target) else None
-    length = len(vectors[0])
-    if len(target) != length:
-        raise ValueError("target length does not match basis vectors")
-    mat = RatMatrix(length, len(vectors))
-    for c, vec in enumerate(vectors):
-        if len(vec) != length:
-            raise ValueError("basis vectors of unequal length")
-        for r, value in enumerate(vec):
-            if value:
-                mat.set(r, c, value)
-    return solve(mat, list(target))
+def express_in_basis(vectors: Sequence[Sequence],
+                     targets: Iterable[Sequence]) -> list[Vector | None]:
+    """Coordinates of each target over the independent `vectors`, or None
+    for a target outside their span.
 
-
-def pivot_columns(rows: Sequence[Sequence]) -> tuple[int, ...]:
-    """Column of the leading nonzero entry of each row of an echelon basis."""
-    return tuple(next(c for c, x in enumerate(row) if x) for row in rows)
-
-
-def echelon_coordinates(rows: Sequence[Sequence], pivots: Sequence[int],
-                        target: Sequence) -> Vector | None:
-    """Coordinates of `target` over reduced echelon rows, or None if outside their span.
-
-    Row r is the only one with a nonzero entry (a 1) at pivots[r], so the
-    coordinates are the target's entries at the pivots; an exact
-    reconstruction decides whether the target lies in the span at all.
+    The vectors are eliminated once beside a unit matrix (rref of [B | I]),
+    so each echelon row also records which combination of the vectors it
+    is.  A target's coordinates are its entries at the pivots pushed through
+    those combinations; an exact reconstruction from the vectors decides
+    whether the target lies in the span at all.  Dependent vectors raise
+    ValueError.
     """
-    coords = [_frac(target[c]) for c in pivots]
-    rebuilt = [Fraction(0)] * len(target)
-    for x, row in zip(coords, rows):
-        if x:
-            for c, value in enumerate(row):
-                if value:
-                    rebuilt[c] += x * value
-    return coords if rebuilt == list(target) else None
+    if not vectors:
+        return [None if any(_frac(x) for x in target) else [] for target in targets]
+    m, n = len(vectors), len(vectors[0])
+    if any(len(vec) != n for vec in vectors):
+        raise ValueError("basis vectors of unequal length")
+    sparse = [[(c, _frac(x)) for c, x in enumerate(vec) if x] for vec in vectors]
+    entries = [((i, c), x) for i, vec in enumerate(sparse) for c, x in vec]
+    pivots, rows = rref(RatMatrix(m, n + m, entries + [((i, n + i), 1) for i in range(m)]))
+    if pivots[-1] >= n:
+        raise ValueError("basis vectors are linearly dependent")
+    combos = [[(i, x) for i, x in enumerate(row[n:]) if x] for row in rows]
+    out = []
+    for target in targets:
+        if len(target) != n:
+            raise ValueError("target length does not match basis vectors")
+        target = [_frac(x) for x in target]
+        coords = [Fraction(0)] * m
+        for p, combo in zip(pivots, combos):
+            if target[p]:
+                for i, y in combo:
+                    coords[i] += target[p] * y
+        rebuilt = [Fraction(0)] * n
+        for x, vec in zip(coords, sparse):
+            if x:
+                for c, y in vec:
+                    rebuilt[c] += x * y
+        out.append(coords if rebuilt == target else None)
+    return out

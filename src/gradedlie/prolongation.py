@@ -270,29 +270,17 @@ def check_transitivity(result: ProlongationResult) -> TransitivityReport:
     coefficients of a nonzero combination vanishing on g^-1.
     """
     dims = result.dims
-    n1 = dims.get(-1, 0)
     for k in range(1, len(result.bases)):
         base = result.bases[k]
         if not base:
             continue
-        width = n1 * dims.get(k - 1, 0)
-        rows = []
-        for f in base:
-            block = f.blocks.get(-1)
-            if block is None:
-                rows.append([Fraction(0)] * width)
-            else:
-                row = []
-                for colv in block:
-                    row.extend(colv)
-                rows.append(row)
-        if width == 0 or linalg.vectors_rank(rows, width) < len(base):
-            if width == 0:
-                witness = tuple([Fraction(1)] + [Fraction(0)] * (len(base) - 1))
-            else:
-                kernel = linalg.nullspace(RatMatrix.from_rows(rows, width).transpose())
-                witness = tuple(kernel[0])
-            return TransitivityReport(False, k, witness)
+        n1, below = dims.get(-1, 0), dims.get(k - 1, 0)
+        # one row per map, its degree -1 block; the left kernel of these
+        # rows holds the combinations that vanish on g^-1
+        rows = [f.flatten([(-1, n1, below)]) for f in base]
+        kernel = linalg.nullspace(RatMatrix.from_rows(rows, n1 * below).transpose())
+        if kernel:
+            return TransitivityReport(False, k, tuple(kernel[0]))
     return TransitivityReport(True, None, None)
 
 
@@ -366,14 +354,12 @@ def _nonneg_table(symbol, g_bases, g0, terminated):
     for (s, t), coords in g0.structure_constants.items():
         table[(0, s, 0, t)] = tuple(coords)
 
-    layouts = {D: map_layout(dims, D) for D in range(1, kmax + 1)}
-    flat_bases = {
-        D: [f.flatten(layouts[D]) for f in g_bases[D]] for D in range(1, kmax + 1)
-    }
-    # every degree basis is in reduced echelon form (_normalize_map_basis)
-    pivots = {D: linalg.pivot_columns(flat_bases[D]) for D in flat_bases}
     upper = 2 * kmax if terminated else kmax
     for D in range(1, upper + 1):
+        # a degree-D bracket recurses only into entries of degree below D,
+        # so the brackets of one degree are collected and expressed together
+        layout = map_layout(dims, D)
+        keys, flats = [], []
         for k in range(max(0, D - kmax), D // 2 + 1):
             l = D - k
             if l > kmax:
@@ -383,18 +369,21 @@ def _nonneg_table(symbol, g_bases, g0, terminated):
                 for t in range(start, len(g_bases[l])):
                     blocks = _pair_map_blocks(symbol, g_bases, dims, table, k, s, l, t)
                     if D <= kmax:
-                        flat = GradedLinearMap(D, blocks).flatten(layouts[D])
-                        coords = linalg.echelon_coordinates(flat_bases[D], pivots[D], flat)
-                        if coords is None:
-                            raise InternalConsistencyError(
-                                f"bracket of degrees ({k}, {l}) escaped the degree-{D} basis"
-                            )
-                        table[(k, s, l, t)] = tuple(coords)
-                    else:
-                        if any(any(col) for cols in blocks.values() for col in cols):
-                            raise InternalConsistencyError(
-                                f"bracket of degrees ({k}, {l}) is nonzero beyond the vanishing degree"
-                            )
+                        keys.append((k, s, l, t))
+                        flats.append(GradedLinearMap(D, blocks).flatten(layout))
+                    elif any(any(col) for cols in blocks.values() for col in cols):
+                        raise InternalConsistencyError(
+                            f"bracket of degrees ({k}, {l}) is nonzero beyond the vanishing degree"
+                        )
+        if not keys:
+            continue
+        basis = [f.flatten(layout) for f in g_bases[D]]
+        for key, coords in zip(keys, linalg.express_in_basis(basis, flats)):
+            if coords is None:
+                raise InternalConsistencyError(
+                    f"bracket of degrees ({key[0]}, {key[2]}) escaped the degree-{D} basis"
+                )
+            table[key] = tuple(coords)
     return table
 
 

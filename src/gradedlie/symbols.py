@@ -263,11 +263,6 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
                 f"map {idx + 1} must be square over the full basis or over the degree -1 basis"
             )
     layout = map_layout(symbol.dims_by_degree(), 0)
-    independent: list[GradedLinearMap] = []
-    flats: list[list[Fraction]] = []
-    for f in converted:
-        flat = f.flatten(layout)
-        if linalg.vectors_rank(flats + [flat]) > len(flats):
-            independent.append(f)
-            flats.append(flat)
-    return DegreeZeroAlgebra(symbol, independent)
+    matrix = RatMatrix.from_rows([f.flatten(layout) for f in converted], layout_offsets(layout)[1])
+    # rows are reduced in order, so the kept rows are the first independent subset
+    return DegreeZeroAlgebra(symbol, [converted[i] for i in linalg.rref(matrix).kept])

@@ -182,6 +182,26 @@ def test_non_list_line_vector_is_a_parse_error(corpus_dir, tmp_path, capsys):
     assert "g0.lines[1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", [
+    ("schema_version",),
+    ("options", "max_degree"),
+    ("algebra", "basis", 0, "degree"),
+])
+def test_bool_is_not_an_integer(corpus_dir, tmp_path, capsys, path):
+    doc = json.loads((corpus_dir / "ode2-point.json").read_text())
+    doc.setdefault("options", {})
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = True
+    spec = tmp_path / "doc.json"
+    spec.write_text(json.dumps(doc))
+    assert cli.main(["prolong", str(spec), "--format", "table"]) == 2
+    captured = capsys.readouterr()
+    assert f"field {path[-1]!r} has the wrong type" in captured.err
+    assert "True" not in captured.out
+
+
 CORPUS_DOCS = {
     path.stem: json.loads(path.read_text())
     for path in sorted((Path(__file__).resolve().parents[1] / "corpus").glob("*.json"))

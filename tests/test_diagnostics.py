@@ -17,7 +17,7 @@ from gradedlie import (
     killing_form,
     universal_prolongation,
 )
-from gradedlie import linalg
+from gradedlie import diagnostics, linalg
 from gradedlie.diagnostics import symmetric_signature
 from gradedlie.linalg import RatMatrix
 
@@ -91,15 +91,15 @@ def make_sl3():
 
     flat = [[m[i][j] for i in range(3) for j in range(3)] for m in mats]
     basis = [BasisElement(name, deg) for name, _, deg in entries]
+    pairs = [(a, b) for a in range(8) for b in range(a + 1, 8)]
+    comms = [comm(mats[a], mats[b]) for a, b in pairs]
     table = {}
-    for a in range(8):
-        for b in range(a + 1, 8):
-            c = comm(mats[a], mats[b])
-            coords = linalg.express_in_basis(flat, [c[i][j] for i in range(3) for j in range(3)])
-            assert coords is not None
-            terms = {t: v for t, v in enumerate(coords) if v}
-            if terms:
-                table[(a, b)] = terms
+    for pair, coords in zip(pairs, linalg.express_in_basis(
+            flat, [[c[i][j] for i in range(3) for j in range(3)] for c in comms])):
+        assert coords is not None
+        terms = {t: v for t, v in enumerate(coords) if v}
+        if terms:
+            table[pair] = terms
     return GradedLieAlgebra(basis, table)
 
 
@@ -184,14 +184,14 @@ def test_m25_prolongation_matches_split_octonion_derivations(m25):
                 )
         return out
 
+    pairs = [(a, b) for a in range(14) for b in range(a + 1, 14)]
     table = {}
-    for a in range(14):
-        for b in range(a + 1, 14):
-            coords = linalg.express_in_basis(derivations, comm_flat(mats[a], mats[b]))
-            assert coords is not None
-            terms = {t: v for t, v in enumerate(coords) if v}
-            if terms:
-                table[(a, b)] = terms
+    for pair, coords in zip(pairs, linalg.express_in_basis(
+            derivations, [comm_flat(mats[a], mats[b]) for a, b in pairs])):
+        assert coords is not None
+        terms = {t: v for t, v in enumerate(coords) if v}
+        if terms:
+            table[pair] = terms
     reference = GradedLieAlgebra(basis, table)
     ref_data = killing_form(reference)
     assert ref_data.nondegenerate
@@ -209,6 +209,22 @@ def test_graded_pairing_across_corpus(corpus_results):
             assert graded_pairing_check(result.algebra), name
             checked.append(name)
     assert checked
+
+
+def test_fingerprint_computes_one_killing_form(example5_result, monkeypatch):
+    calls = []
+    real_killing_form = diagnostics.killing_form
+
+    def counting_killing_form(algebra):
+        calls.append(algebra)
+        return real_killing_form(algebra)
+
+    monkeypatch.setattr(diagnostics, "killing_form", counting_killing_form)
+    algebra = example5_result.algebra
+    data = fingerprint(algebra)
+    assert len(calls) == 1
+    assert data["graded_pairing_ok"] is True
+    assert data["killing_signature"] == [5, 3]
 
 
 @settings(max_examples=20)

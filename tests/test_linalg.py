@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradedlie
@@ -16,10 +16,8 @@ from gradedlie.linalg import (
     InternalConsistencyError,
     RatMatrix,
     column_complement,
-    echelon_coordinates,
     express_in_basis,
     nullspace,
-    pivot_columns,
     rank,
     rref,
     solve,
@@ -132,20 +130,26 @@ def test_invertibility_and_signature_of_small_forms():
 
 def test_express_in_basis():
     basis = [[F(1), F(1), F(0)], [F(0), F(1), F(1)]]
-    assert express_in_basis(basis, [F(1), F(3), F(2)]) == [F(1), F(2)]
-    assert express_in_basis(basis, [F(0), F(0), F(1)]) is None
-    assert express_in_basis([], [F(0), F(0)]) == []
-    assert express_in_basis([], [F(1), F(0)]) is None
+    assert express_in_basis(basis, [[F(1), F(3), F(2)], [F(0), F(0), F(1)]]) == [[F(1), F(2)], None]
+    assert express_in_basis([], [[F(0), F(0)], [F(1), F(0)]]) == [[], None]
+    # a basis already in reduced echelon form: coordinates are the pivot entries
+    echelon = [[F(1), F(0), F(2), F(0)], [F(0), F(0), F(0), F(1)]]
+    assert express_in_basis(echelon, [
+        [F(3), F(0), F(6), F(-1)],
+        [F(0), F(1), F(0), F(0)],
+        [F(1), F(0), F(0), F(0)],
+    ]) == [[F(3), F(-1)], None, None]
+    assert express_in_basis(basis, []) == []
 
 
-def test_echelon_coordinates():
-    basis = [[F(1), F(0), F(2), F(0)], [F(0), F(0), F(0), F(1)]]
-    pivots = pivot_columns(basis)
-    assert pivots == (0, 3)
-    assert echelon_coordinates(basis, pivots, [F(3), F(0), F(6), F(-1)]) == [F(3), F(-1)]
-    assert echelon_coordinates(basis, pivots, [F(0), F(1), F(0), F(0)]) is None
-    assert echelon_coordinates(basis, pivots, [F(1), F(0), F(0), F(0)]) is None
-    assert echelon_coordinates([], (), [F(0), F(0)]) == []
+def test_express_in_basis_rejects_dependent_vectors_and_bad_shapes():
+    # the basis is checked even when there is nothing to express
+    with pytest.raises(ValueError, match="dependent"):
+        express_in_basis([[F(0), F(0)]], [])
+    with pytest.raises(ValueError, match="unequal"):
+        express_in_basis([[F(1), F(0)], [F(1)]], [])
+    with pytest.raises(ValueError, match="target length"):
+        express_in_basis([[F(1), F(0)]], [[F(1)]])
 
 
 def test_vectors_rank():
@@ -290,6 +294,57 @@ def test_column_complement_is_the_rows_elimination_did_not_keep(mat):
     assert column_complement(mat) == complement_by_transpose(mat)
     kept = [[mat.get(r, c) for c in range(mat.cols)] for r in echelon.kept]
     assert len(kept) == echelon.rank == vectors_rank(kept, mat.cols)
+
+
+@st.composite
+def bases_with_targets(draw):
+    """Rows of a sparse matrix as the basis (often dependent), with targets
+    inside their span and random targets that are mostly outside it."""
+    mat = draw(sparse_matrices())
+    vectors = mat.dense_rows()
+    combos = draw(st.lists(st.lists(fractions_st, min_size=mat.rows, max_size=mat.rows), max_size=3))
+    inside = [
+        [sum((x * vec[c] for x, vec in zip(combo, vectors)), F(0)) for c in range(mat.cols)]
+        for combo in combos
+    ]
+    entry = st.one_of(st.just(F(0)), fractions_st)
+    outside = draw(st.lists(st.lists(entry, min_size=mat.cols, max_size=mat.cols), max_size=3))
+    return mat, inside + outside
+
+
+def sympy_coordinates(basis, target):
+    """Coordinates of target over the independent basis by sympy's exact solve."""
+    sympy = pytest.importorskip("sympy")
+    if not basis:
+        return None if any(target) else []
+    columns = sympy.Matrix(len(target), len(basis), lambda r, c: sympy.Rational(basis[c][r]))
+    try:
+        solution, params = columns.gauss_jordan_solve(sympy.Matrix([sympy.Rational(x) for x in target]))
+    except ValueError:  # the system has no solution
+        return None
+    assert params.shape[0] == 0
+    return [F(int(x.p), int(x.q)) for x in solution]
+
+
+@settings(max_examples=100, deadline=None)
+@given(bases_with_targets())
+@example((RatMatrix(0, 0), [[], []]))
+@example((RatMatrix(0, 2), [[F(0), F(0)], [F(1), F(0)]]))
+@example((RatMatrix.from_rows([[1, 2], [2, 4]]), [[F(1), F(2)]]))
+def test_express_in_basis_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    mat, targets = case
+    vectors = mat.dense_rows()
+    independent = []
+    if mat.rows and mat.cols:
+        rows = sympy.Matrix(mat.rows, mat.cols, lambda r, c: sympy.Rational(mat.get(r, c)))
+        independent = list(rows.T.rref()[1])
+    if len(independent) < mat.rows:
+        with pytest.raises(ValueError, match="dependent"):
+            express_in_basis(vectors, targets)
+    basis = [vectors[i] for i in independent]
+    ours = express_in_basis(basis, targets)
+    assert ours == [sympy_coordinates(basis, target) for target in targets]
 
 
 def corrupted_rref(matrix):

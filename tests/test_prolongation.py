@@ -60,8 +60,7 @@ def test_example5_second_and_third_prolongation(eta3, lambda_g0, example5_result
     layout1 = map_layout(dims, 1)
     computed1 = flatten_all(list(bases[1]), layout1)
     lam11, lam21 = reference_g1_maps()
-    c11 = linalg.express_in_basis(computed1, lam11.flatten(layout1))
-    c21 = linalg.express_in_basis(computed1, lam21.flatten(layout1))
+    c11, c21 = linalg.express_in_basis(computed1, [lam11.flatten(layout1), lam21.flatten(layout1)])
     assert c11 is not None and c21 is not None
     reference_g2 = GradedLinearMap(
         2, {-1: [c21, [-x for x in c11]], -2: [[F(2), F(0)]]}
@@ -143,8 +142,7 @@ def test_example5_assembled_table(eta3, lambda_g0, example5_result):
     layout1 = map_layout(dims, 1)
     computed1 = flatten_all(list(result.bases[1]), layout1)
     lam11, lam21 = reference_g1_maps()
-    c11 = linalg.express_in_basis(computed1, lam11.flatten(layout1))
-    c21 = linalg.express_in_basis(computed1, lam21.flatten(layout1))
+    c11, c21 = linalg.express_in_basis(computed1, [lam11.flatten(layout1), lam21.flatten(layout1)])
 
     def global_vec(degree, coords):
         vec = [F(0)] * algebra.dim
@@ -163,7 +161,7 @@ def test_example5_assembled_table(eta3, lambda_g0, example5_result):
     dims2 = map_layout(dims, 2)
     computed2 = flatten_all(list(result.bases[2]), dims2)
     reference_g2 = GradedLinearMap(2, {-1: [c21, [-x for x in c11]], -2: [[F(2), F(0)]]})
-    c_lam = linalg.express_in_basis(computed2, reference_g2.flatten(dims2))
+    c_lam = linalg.express_in_basis(computed2, [reference_g2.flatten(dims2)])[0]
     v_lam = global_vec(2, c_lam)
 
     assert algebra.bracket(v11, v21) == [2 * x for x in v_lam]

@@ -134,7 +134,7 @@ def test_standard_lines_induced_degree_minus_two_action(eta3):
         [g.blocks[-1][0][0], g.blocks[-1][0][1], g.blocks[-1][1][0], g.blocks[-1][1][1]]
         for g in g0.generators
     ]
-    coords = linalg.express_in_basis(rows, [F(1), F(0), F(0), F(1)])
+    coords = linalg.express_in_basis(rows, [[F(1), F(0), F(0), F(1)]])[0]
     assert coords is not None
     x3_action = sum(
         (c * g.blocks[-2][0][0] for c, g in zip(coords, g0.generators)), F(0)
@@ -194,6 +194,38 @@ def test_custom_g0_drops_dependent_maps(eta3):
     doubled = [[2, 0, 0], [0, 2, 0], [0, 0, 4]]
     g0 = custom_g0(eta3, [LAMBDA_1, doubled, LAMBDA_2])
     assert g0.dim == 2
+
+
+def test_custom_g0_keeps_the_first_independent_maps_in_order(eta3):
+    zero = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    total = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(LAMBDA_1, LAMBDA_2)]
+    g0 = custom_g0(eta3, [LAMBDA_2, zero, LAMBDA_2, [[1, 0], [0, 1]], total, LAMBDA_1])
+    expected = [custom_g0(eta3, [m]).generators[0] for m in (LAMBDA_2, LAMBDA_1)]
+    assert [g.blocks for g in g0.generators] == [g.blocks for g in expected]
+
+
+def test_structure_constants_take_one_elimination_per_basis(monkeypatch):
+    eliminated = []
+    real_rref = linalg.rref
+
+    def recording_rref(matrix):
+        eliminated.append(matrix)
+        return real_rref(matrix)
+
+    monkeypatch.setattr(linalg, "rref", recording_rref)
+    symbol = free_nilpotent(3, 2)
+    # degree 2 only: 3 Hall brackets, one batch
+    assert len(eliminated) == 1
+    eliminated.clear()
+    g0 = degree_zero_derivations(symbol)
+    # fundamentality (one deeper degree), the Leibniz kernel, its echelon
+    # basis, and one batch for all 36 commutators of gl(3)
+    assert g0.dim == 9 and len(g0.structure_constants) == 36
+    assert len(eliminated) == 4
+    eliminated.clear()
+    # degrees 2 and 3: one batch each
+    assert free_nilpotent(3, 3).dim == 14
+    assert len(eliminated) == 2
 
 
 def test_custom_g0_rejects_non_derivation(eta3):

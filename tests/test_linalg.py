@@ -132,14 +132,20 @@ def test_express_in_basis():
     basis = [[F(1), F(1), F(0)], [F(0), F(1), F(1)]]
     assert express_in_basis(basis, [[F(1), F(3), F(2)], [F(0), F(0), F(1)]]) == [[F(1), F(2)], None]
     assert express_in_basis([], [[F(0), F(0)], [F(1), F(0)]]) == [[], None]
+    assert express_in_basis(basis, []) == []
+
+
+def test_echelon_coordinates():
     # a basis already in reduced echelon form: coordinates are the pivot entries
-    echelon = [[F(1), F(0), F(2), F(0)], [F(0), F(0), F(0), F(1)]]
-    assert express_in_basis(echelon, [
+    basis = [[F(1), F(0), F(2), F(0)], [F(0), F(0), F(0), F(1)]]
+    pivots, _ = rref(RatMatrix.from_rows(basis))
+    assert pivots == (0, 3)
+    assert express_in_basis(basis, [
         [F(3), F(0), F(6), F(-1)],
         [F(0), F(1), F(0), F(0)],
         [F(1), F(0), F(0), F(0)],
     ]) == [[F(3), F(-1)], None, None]
-    assert express_in_basis(basis, []) == []
+    assert express_in_basis([], [[F(0), F(0)]]) == [[]]
 
 
 def test_express_in_basis_rejects_dependent_vectors_and_bad_shapes():

@@ -399,20 +399,28 @@ def commutator_deg0(f: GradedLinearMap, g: GradedLinearMap) -> GradedLinearMap:
 def derivation_violation(symbol: GradedLieAlgebra, f: GradedLinearMap):
     """First basis pair where the Leibniz rule fails, or None."""
     n = symbol.dim
+    images = []  # f(e_a) as a sparse coordinate dictionary
     for a in range(n):
         i = symbol.degree_of(a)
-        fa = symbol.scatter(i, f.image_of_basis(i, symbol.position_in_degree(a)))
+        image = f.image_of_basis(i, symbol.position_in_degree(a))
+        targets = symbol.indices_of_degree(i)
+        if len(image) != len(targets):
+            raise ValueError("coordinate count does not match degree dimension")
+        images.append({c: value for c, value in zip(targets, image) if value})
+    for a in range(n):
         for b in range(a + 1, n):
-            j = symbol.degree_of(b)
-            fb = symbol.scatter(j, f.image_of_basis(j, symbol.position_in_degree(b)))
-            lhs = [Fraction(0)] * n
-            for c, value in symbol.bracket_basis(a, b).items():
-                dc = symbol.degree_of(c)
-                img = symbol.scatter(dc, f.image_of_basis(dc, symbol.position_in_degree(c)))
-                lhs = [x + value * y for x, y in zip(lhs, img)]
-            rhs1 = symbol.bracket(fa, symbol.unit_vector(b))
-            rhs2 = symbol.bracket(symbol.unit_vector(a), fb)
-            if any(l - r1 - r2 for l, r1, r2 in zip(lhs, rhs1, rhs2)):
+            # f([e_a, e_b]) - [f(e_a), e_b] - [e_a, f(e_b)]
+            acc: dict[int, Fraction] = {}
+            for c, v in symbol.bracket_basis(a, b).items():
+                for u, w in images[c].items():
+                    acc[u] = acc.get(u, Fraction(0)) + v * w
+            for c, v in images[a].items():
+                for u, w in symbol.bracket_basis(c, b).items():
+                    acc[u] = acc.get(u, Fraction(0)) - v * w
+            for c, v in images[b].items():
+                for u, w in symbol.bracket_basis(a, c).items():
+                    acc[u] = acc.get(u, Fraction(0)) - v * w
+            if any(acc.values()):
                 return (symbol.basis[a].name, symbol.basis[b].name)
     return None
 

@@ -1,7 +1,8 @@
 """Command line front end: check, prolong and free subcommands.
 
-Exit codes: 0 success, 1 validation failure, 2 parse or usage error,
-3 internal consistency failure.
+Exit codes: 0 success, 1 validation failure, 2 parse, usage or file error
+(unreadable or undecodable input, unwritable output), 3 internal
+consistency failure.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except prolongation.InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -72,7 +76,11 @@ def main(argv=None) -> int:
 
 def _load_validated(path: str):
     """Parse, build and validate (symbol, g0); ValueError on math failures."""
-    spec = specfile.parse_spec(specfile.load_document(Path(path).read_text()))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"not UTF-8 text ({exc.reason} at byte {exc.start})", path) from None
+    spec = specfile.parse_spec(specfile.load_document(text))
     symbol = specfile.build_symbol(spec)
     report = check_validity(symbol)
     if not report.ok:

@@ -11,14 +11,17 @@ the degree-(d-1) Spencer operator is the same space by a different route
 blocks); the engine computes both and insists they agree, which makes every
 run a self-test of the whole constraint assembly.
 
-Brackets between non-negative degrees follow the recursion
+The assembled algebra starts from the symbol's brackets, [f, v] = f(v)
+for every computed map f and the degree-zero commutator table.  A bracket
+[x, y] of two non-negative elements of total degree D is the map
 
-    [f1, f2] v = [f1(v), f2] + [f1, f2(v)],
+    v -> [[x, y], v] = [x, [y, v]] - [y, [x, v]]
 
-seeded by the degree-zero commutator table, and [f, v] = f(v) ties the
-non-negative part to the symbol.  The assembled structure constants are
-returned as a single graded Lie algebra and checked for the Jacobi identity
-whenever the prolongation terminates.
+on the symbol (the Jacobi identity), whose right side only meets brackets of
+total degree below D; the brackets of one degree are expressed over the
+degree-D basis together.  The structure constants are returned as a single
+graded Lie algebra and checked for the Jacobi identity whenever the
+prolongation terminates.
 """
 
 from __future__ import annotations
@@ -230,8 +233,7 @@ def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = 10,
             break
         g_bases.append(new_basis)
 
-    table = _nonneg_table(symbol, g_bases, g0, terminated)
-    algebra = _assemble(symbol, g_bases, table)
+    algebra = _assemble(symbol, g_bases, g0, terminated)
     dims = tower_dims(symbol, g_bases)
     total = algebra.dim if terminated else None
 
@@ -284,152 +286,79 @@ def check_transitivity(result: ProlongationResult) -> TransitivityReport:
     return TransitivityReport(True, None, None)
 
 
-def _table_bracket(dims, table, p, s, q, t):
-    """Coordinates of [B_{p,s}, B_{q,t}] over the degree p+q basis."""
-    out_dim = dims.get(p + q, 0)
-    if out_dim == 0:
-        return [Fraction(0)] * 0
-    if p < q or (p == q and s < t):
-        return list(table[(p, s, q, t)])
-    if p == q and s == t:
-        return [Fraction(0)] * out_dim
-    return [-x for x in table[(q, t, p, s)]]
+def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
+    """The symbol plus the computed tower as one graded Lie algebra.
 
-
-def _pair_map_blocks(symbol, g_bases, dims, table, k, s, l, t):
-    """[B_{k,s}, B_{l,t}] as blocks of a degree k+l map on the symbol."""
-    D = k + l
-    f1 = g_bases[k][s]
-    f2 = g_bases[l][t]
-    blocks = {}
-    for i in sorted(d for d in dims if d < 0):
-        out_dim = dims.get(i + D, 0)
-        cols = []
-        for a in range(dims[i]):
-            vec = [Fraction(0)] * out_dim
-            # [f1(e_a), f2]
-            block1 = f1.blocks.get(i)
-            if block1 is not None:
-                left = block1[a]
-                p = i + k
-                if p < 0:
-                    img = f2.apply(p, left)
-                    for u, value in enumerate(img):
-                        vec[u] -= value  # [w, f2] = -f2(w) for w in the symbol
-                else:
-                    for sp, value in enumerate(left):
-                        if value:
-                            for u, entry in enumerate(_table_bracket(dims, table, p, sp, l, t)):
-                                vec[u] += value * entry
-            # [f1, f2(e_a)]
-            block2 = f2.blocks.get(i)
-            if block2 is not None:
-                right = block2[a]
-                q = i + l
-                if q < 0:
-                    img = f1.apply(q, right)
-                    for u, value in enumerate(img):
-                        vec[u] += value  # [f1, w] = f1(w)
-                else:
-                    for sq, value in enumerate(right):
-                        if value:
-                            for u, entry in enumerate(_table_bracket(dims, table, k, s, q, sq)):
-                                vec[u] += value * entry
-            cols.append(vec)
-        blocks[i] = cols
-    return blocks
-
-
-def _nonneg_table(symbol, g_bases, g0, terminated):
-    """Structure constants among the non-negative degrees.
-
-    Computed bottom-up in the total degree so that every recursive bracket
-    lands on an already known entry.  When the prolongation terminated,
-    pairs whose total degree exceeds the top computed degree are verified to
-    vanish on every representable component.
+    The brackets go straight into one sparse dict, seeded and then filled
+    degree by degree as the module docstring describes.  When the
+    prolongation terminated, pairs whose total degree exceeds the top
+    computed degree must act as zero on the symbol.
     """
     dims = tower_dims(symbol, g_bases)
     kmax = len(g_bases) - 1
-    table: dict[tuple[int, int, int, int], tuple[Fraction, ...]] = {}
-    for (s, t), coords in g0.structure_constants.items():
-        table[(0, s, 0, t)] = tuple(coords)
-
-    upper = 2 * kmax if terminated else kmax
-    for D in range(1, upper + 1):
-        # a degree-D bracket recurses only into entries of degree below D,
-        # so the brackets of one degree are collected and expressed together
-        layout = map_layout(dims, D)
-        keys, flats = [], []
-        for k in range(max(0, D - kmax), D // 2 + 1):
-            l = D - k
-            if l > kmax:
-                continue
-            for s in range(len(g_bases[k])):
-                start = s + 1 if k == l else 0
-                for t in range(start, len(g_bases[l])):
-                    blocks = _pair_map_blocks(symbol, g_bases, dims, table, k, s, l, t)
-                    if D <= kmax:
-                        keys.append((k, s, l, t))
-                        flats.append(GradedLinearMap(D, blocks).flatten(layout))
-                    elif any(any(col) for cols in blocks.values() for col in cols):
-                        raise InternalConsistencyError(
-                            f"bracket of degrees ({k}, {l}) is nonzero beyond the vanishing degree"
-                        )
-        if not keys:
-            continue
-        basis = [f.flatten(layout) for f in g_bases[D]]
-        for key, coords in zip(keys, linalg.express_in_basis(basis, flats)):
-            if coords is None:
-                raise InternalConsistencyError(
-                    f"bracket of degrees ({key[0]}, {key[2]}) escaped the degree-{D} basis"
-                )
-            table[key] = tuple(coords)
-    return table
-
-
-def _assemble(symbol, g_bases, table) -> GradedLieAlgebra:
-    n = symbol.dim
-    dims = tower_dims(symbol, g_bases)
     used = {e.name for e in symbol.basis}
     elements = list(symbol.basis)
-    offsets = {}
-    position = n
+    indices = {d: symbol.indices_of_degree(d) for d in dims if d < 0}
     for k, base in enumerate(g_bases):
-        offsets[k] = position
+        indices[k] = range(len(elements), len(elements) + len(base))
         for j in range(len(base)):
             name = f"g{k}_{j + 1}"
             while name in used:
                 name += "_"
             used.add(name)
             elements.append(BasisElement(name, k))
-        position += len(base)
+    position = {g: pos for idx in indices.values() for pos, g in enumerate(idx)}
 
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for pair in symbol.bracket_pairs():
-        brackets[pair] = symbol.bracket_basis(*pair)
+    def sparse(degree, coords):
+        return {indices[degree][u]: value for u, value in enumerate(coords) if value}
 
-    def global_target(degree, t):
-        if degree < 0:
-            return symbol.indices_of_degree(degree)[t]
-        return offsets[degree] + t
+    brackets = {pair: symbol.bracket_basis(*pair) for pair in symbol.bracket_pairs()}
+    for k, base in enumerate(g_bases):
+        for f, x in zip(base, indices[k]):
+            for i, cols in f.blocks.items():
+                for v, col in zip(indices[i], cols):
+                    brackets[(v, x)] = sparse(i + k, [-value for value in col])  # [v, f] = -f(v)
+    for (s, t), coords in g0.structure_constants.items():
+        brackets[(indices[0][s], indices[0][t])] = sparse(0, coords)
 
-    for a in range(n):
-        i = symbol.degree_of(a)
-        pos = symbol.position_in_degree(a)
-        for k, base in enumerate(g_bases):
-            for j, f in enumerate(base):
-                block = f.blocks.get(i)
-                if block is None:
-                    continue
-                terms = {}
-                for t, value in enumerate(block[pos]):
-                    if value:
-                        terms[global_target(i + k, t)] = -value  # [v, f] = -f(v)
-                if terms:
-                    brackets[(a, offsets[k] + j)] = terms
+    def bracket(a, b):
+        if a < b:
+            return brackets.get((a, b), {})
+        return {c: -value for c, value in brackets.get((b, a), {}).items()}
 
-    for (k, s, l, t), coords in table.items():
-        terms = {global_target(k + l, u): value for u, value in enumerate(coords) if value}
-        if terms:
-            brackets[(offsets[k] + s, offsets[l] + t)] = terms
+    for D in range(1, (2 * kmax if terminated else kmax) + 1):
+        layout = map_layout(dims, D)
+        offsets, ncols = layout_offsets(layout)
+        pairs, flats = [], []
+        for k in range(max(0, D - kmax), D // 2 + 1):
+            for x in indices[k]:
+                for y in indices[D - k]:
+                    if x >= y:
+                        continue
+                    flat = [Fraction(0)] * ncols
+                    for i, _, tgt in layout:
+                        for pos, v in enumerate(indices[i]):
+                            # [[x, y], v] = [x, [y, v]] - [y, [x, v]]
+                            base = offsets[i] + pos * tgt
+                            for left, right, sign in ((x, y, 1), (y, x, -1)):
+                                for c, p in bracket(right, v).items():
+                                    for e, q in bracket(left, c).items():
+                                        flat[base + position[e]] += sign * p * q
+                    if D <= kmax:
+                        pairs.append((x, y))
+                        flats.append(flat)
+                    elif any(flat):
+                        raise InternalConsistencyError(
+                            f"bracket of degrees ({k}, {D - k}) is nonzero beyond the vanishing degree"
+                        )
+        if not pairs:
+            continue
+        basis = [f.flatten(layout) for f in g_bases[D]]
+        for (x, y), coords in zip(pairs, linalg.express_in_basis(basis, flats)):
+            if coords is None:
+                raise InternalConsistencyError(
+                    f"bracket of degrees ({elements[x].degree}, {elements[y].degree}) "
+                    f"escaped the degree-{D} basis"
+                )
+            brackets[(x, y)] = sparse(D, coords)
     return GradedLieAlgebra(elements, brackets)

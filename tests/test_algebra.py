@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from gradedlie import (
     check_validity,
     custom_g0,
     degree_zero_derivations,
+    free_nilpotent,
 )
 from gradedlie import algebra as algebra_module
 from gradedlie.algebra import derivation_violation
@@ -154,6 +156,45 @@ def test_derivation_violation_witness(eta3):
     assert derivation_violation(eta3, bad) == ("X1", "X2")
     good = GradedLinearMap(0, {-1: [[F(1), F(0)], [F(0), F(1)]], -2: [[F(2)]]})
     assert derivation_violation(eta3, good) is None
+
+
+def dense_derivation_violation(symbol, f):
+    """Reference: the Leibniz rule checked with dense brackets of full vectors."""
+    n = symbol.dim
+
+    def image(a):
+        i = symbol.degree_of(a)
+        return symbol.scatter(i, f.image_of_basis(i, symbol.position_in_degree(a)))
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            lhs = [F(0)] * n
+            for c, value in symbol.bracket_basis(a, b).items():
+                lhs = [x + value * y for x, y in zip(lhs, image(c))]
+            rhs1 = symbol.bracket(image(a), symbol.unit_vector(b))
+            rhs2 = symbol.bracket(symbol.unit_vector(a), image(b))
+            if any(l - r1 - r2 for l, r1, r2 in zip(lhs, rhs1, rhs2)):
+                return (symbol.basis[a].name, symbol.basis[b].name)
+    return None
+
+
+def test_derivation_violation_matches_dense_reference():
+    symbol = free_nilpotent(3, 3)
+    rng = random.Random(0)
+    maps = list(degree_zero_derivations(symbol).generators)
+    count = len(maps)
+    for gen in maps[:count]:
+        for _ in range(4):
+            blocks = {i: [list(col) for col in cols] for i, cols in gen.blocks.items()}
+            for _ in range(rng.randint(1, 2)):
+                cols = blocks[rng.choice(sorted(blocks))]
+                col = cols[rng.randrange(len(cols))]
+                col[rng.randrange(len(col))] += F(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+            maps.append(GradedLinearMap(0, blocks))
+    witnesses = [derivation_violation(symbol, f) for f in maps]
+    assert witnesses == [dense_derivation_violation(symbol, f) for f in maps]
+    assert witnesses[:count] == [None] * count
+    assert None not in witnesses[count:] and len(set(witnesses[count:])) > 5
 
 
 def test_custom_g0_keeps_given_generators(eta3, lambda_g0):

@@ -1,5 +1,7 @@
 import contextlib
 import hashlib
+import importlib
+import importlib.util
 import io
 import json
 import tempfile
@@ -316,6 +318,22 @@ def test_reports_match_benchmark_golden_digests(corpus_dir):
         assert digest == golden[path.stem], path.name
 
 
+def test_traced_benchmark_names_resolve(corpus_dir):
+    # the traced benchmark rebinds these module attributes by name, so
+    # removing or renaming one breaks the traced run
+    path = corpus_dir.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{module}.{name}"
+        for module, names in tracer.TRACED.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"gradedlie.{module}"), name, None))
+    ]
+    assert missing == []
+
+
 def test_report_rationals_reparse_exactly(corpus_dir, tmp_path):
     out = tmp_path / "report.json"
     cli.main(["prolong", str(corpus_dir / "ode2-point.json"), "--out", str(out)])
@@ -350,6 +368,26 @@ def test_max_degree_flag_overrides_file_option(corpus_dir, tmp_path):
     ])
     doc = json.loads(out.read_text())
     assert doc["degrees"] == [-1, 0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "prolong-out", "free-out"])
+def test_file_errors_are_one_line_exit_two(corpus_dir, tmp_path, capsys, case):
+    spec = str(corpus_dir / "ode2-point.json")
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    unwritable = str(tmp_path / "missing-dir" / "out.json")
+    argv = {
+        "missing": ["check", str(tmp_path / "missing.json")],
+        "directory": ["check", str(corpus_dir)],
+        "not-utf8": ["check", str(undecodable)],
+        "prolong-out": ["prolong", spec, "--out", unwritable],
+        "free-out": ["free", "2", "2", "--out", unwritable],
+    }[case]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
 
 
 def test_internal_failure_maps_to_exit_three(corpus_dir, monkeypatch, capsys):

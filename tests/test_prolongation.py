@@ -16,7 +16,12 @@ from gradedlie import (
 )
 from gradedlie import linalg
 from gradedlie.algebra import map_layout, tower_dims
-from gradedlie.prolongation import leibniz_system, spencer_kernel_from_system
+from gradedlie.prolongation import (
+    InternalConsistencyError,
+    _assemble,
+    leibniz_system,
+    spencer_kernel_from_system,
+)
 from gradedlie.symbols import EuclideanForm
 
 F = Fraction
@@ -284,3 +289,20 @@ def test_rejects_invalid_inputs(eta3):
     split = GradedLieAlgebra([BasisElement("X1", -1), BasisElement("X2", -2)], {})
     with pytest.raises(ValueError, match="fundamental"):
         universal_prolongation(split, custom_g0(split, []))
+
+
+def test_assemble_rejects_brackets_beyond_the_vanishing_degree(corpus_results):
+    # contact-n1 is of infinite type: its truncated tower taken as terminated
+    # has brackets that do not vanish above the top computed degree
+    _, symbol, g0, result = corpus_results["contact-n1"]
+    assert not result.terminated
+    with pytest.raises(InternalConsistencyError, match="nonzero beyond the vanishing degree"):
+        _assemble(symbol, [list(b) for b in result.bases], g0, True)
+
+
+def test_assemble_rejects_brackets_that_escape_the_basis(corpus_results):
+    # with one degree-1 map of cartan-25 kept, g0 does not preserve its span
+    _, symbol, g0, result = corpus_results["cartan-25"]
+    cut = [list(result.bases[0]), list(result.bases[1][:1])]
+    with pytest.raises(InternalConsistencyError, match="escaped the degree-1 basis"):
+        _assemble(symbol, cut, g0, False)

@@ -137,14 +137,6 @@ class GradedLieAlgebra:
     def component(self, vector, degree: int) -> list[Fraction]:
         return [vector[i] for i in self._by_degree.get(degree, ())]
 
-    def ad(self, index: int) -> RatMatrix:
-        """Matrix of ad(e_index) acting on coordinate vectors."""
-        out = RatMatrix(self.dim, self.dim)
-        for b in range(self.dim):
-            for c, value in self.bracket_basis(index, b).items():
-                out.set(c, b, value)
-        return out
-
 
 @dataclass
 class ValidityReport:

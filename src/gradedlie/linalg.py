@@ -7,15 +7,18 @@ only.  Pivots are always the first nonzero entry in column order; the
 reduced row echelon form is unique, which makes every returned basis
 deterministic (bit-exact across runs).
 
-``rref`` returns an ``Echelon``, the pair ``(pivots, rows)`` that also
-records ``kept``: rows are reduced in input order, so a row is kept exactly
-when it is not in the span of the rows before it.  The rank, the kernel and
-a coordinate complement of the column space (the rows not kept) all come
-from one ``Echelon``, so a matrix that needs all three is eliminated once.
+``rref`` returns an ``Echelon``: the pivots, the reduced pivot rows kept
+as the sparse ``{column: value}`` dicts the elimination works on, and
+``kept``: rows are reduced in input order, so a row is kept exactly when it
+is not in the span of the rows before it.  The rank, the kernel (read off a
+column index of the sparse rows) and a coordinate complement of the column
+space (the rows not kept) all come from one ``Echelon``, so a matrix that
+needs all three is eliminated once.  Dense rows are built only when a
+caller unpacks ``pivots, rows = rref(m)`` or reads ``Echelon.rows``.
 
 ``express_in_basis`` is the one way to take coordinates over a basis: it
-eliminates the basis once and then expresses any number of targets, each
-checked by exact reconstruction.
+eliminates the basis once and then expresses any number of dense or sparse
+targets, each checked by an exact sparse reconstruction.
 """
 
 from __future__ import annotations
@@ -124,43 +127,59 @@ class InternalConsistencyError(RuntimeError):
     """An engine self-check failed; results cannot be trusted."""
 
 
-class Echelon(tuple):
-    """Reduced row echelon form ``(pivots, rows)`` of ``matrix``, with ``kept``,
-    the input rows (ascending) that produced a pivot."""
+class Echelon:
+    """Reduced row echelon form of ``matrix``.
 
-    def __new__(cls, pivots, rows, kept, matrix):
-        echelon = super().__new__(cls, (pivots, rows))
-        echelon.kept, echelon.matrix = kept, matrix
-        return echelon
+    ``pivots`` ascend; ``pivot_rows`` are the reduced rows in pivot order as
+    sparse ``{column: value}`` dicts; ``kept`` are the input rows (ascending)
+    that produced a pivot.  Dense ``rows`` are built only on demand, and
+    ``pivots, rows = rref(m)`` unpacks to them.
+    """
+
+    def __init__(self, pivots, pivot_rows, kept, matrix):
+        self.pivots, self.pivot_rows, self.kept, self.matrix = pivots, pivot_rows, kept, matrix
+
+    def __iter__(self):
+        return iter((self.pivots, self.rows))
+
+    @property
+    def rows(self) -> list[Vector]:
+        return [_dense(row, self.matrix.cols) for row in self.pivot_rows]
 
     @property
     def rank(self) -> int:
-        return len(self[0])
+        return len(self.pivots)
 
     def nullspace(self) -> list[Vector]:
         """Basis of ker A, echelon-normalized and ordered by free column.
 
         Each basis vector carries a 1 at its free coordinate and zeros at the
-        free coordinates of the other vectors.
+        free coordinates of the other vectors; its pivot coordinates are read
+        off a column index of the sparse pivot rows.
         """
         matrix = self.matrix
-        pivots, rows = self
-        pivot_set = set(pivots)
-        free = [c for c in range(matrix.cols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [Fraction(0)] * matrix.cols
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -rows[r][fc]
-            basis.append(v)
-        # rank-nullity and exactness, checked on every call.
-        if len(basis) != matrix.cols - len(pivots):
+        by_column: dict[int, list[tuple[int, Fraction]]] = {}
+        for p, row in zip(self.pivots, self.pivot_rows):
+            for c, value in row.items():
+                if c != p:
+                    by_column.setdefault(c, []).append((p, -value))
+        pivot_set = set(self.pivots)
+        basis = [dict([*by_column.get(fc, ()), (fc, Fraction(1))])
+                 for fc in range(matrix.cols) if fc not in pivot_set]
+        # rank-nullity and exactness, checked on every call; A v = 0 goes
+        # through a column index of A, so it costs the support of v
+        if len(basis) != matrix.cols - len(self.pivots):
             raise InternalConsistencyError("nullspace: basis size breaks rank-nullity")
+        columns: dict[int, dict[int, Fraction]] = {}
+        for (r, c), value in matrix._entries.items():
+            columns.setdefault(c, {})[r] = value
         for v in basis:
-            if any(matrix.matvec(v)):
+            image: dict[int, Fraction] = {}
+            for c, x in v.items():
+                _axpy(image, x, columns.get(c, {}))
+            if image:
                 raise InternalConsistencyError("nullspace: basis vector is not in the kernel")
-        return basis
+        return [_dense(v, matrix.cols) for v in basis]
 
     def complement(self) -> list[int]:
         """Coordinates whose standard basis vectors complete the column space.
@@ -170,6 +189,13 @@ class Echelon(tuple):
         """
         kept = set(self.kept)
         return [i for i in range(self.matrix.rows) if i not in kept]
+
+
+def _dense(row: dict[int, Fraction], length: int) -> Vector:
+    dense = [Fraction(0)] * length
+    for c, value in row.items():
+        dense[c] = value
+    return dense
 
 
 def rref(matrix: RatMatrix) -> Echelon:
@@ -202,13 +228,7 @@ def rref(matrix: RatMatrix) -> Echelon:
                 _axpy(other, -f, row)
         reduced[p] = row
     pivots = tuple(sorted(reduced))
-    rows = []
-    for p in pivots:
-        dense = [Fraction(0)] * matrix.cols
-        for c, value in reduced[p].items():
-            dense[c] = value
-        rows.append(dense)
-    return Echelon(pivots, rows, tuple(kept), matrix)
+    return Echelon(pivots, tuple(reduced[p] for p in pivots), tuple(kept), matrix)
 
 
 def _axpy(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]) -> None:
@@ -244,12 +264,12 @@ def solve(matrix: RatMatrix, rhs: Sequence) -> Vector | None:
         value = _frac(value)
         if value:
             aug._entries[(r, matrix.cols)] = value
-    pivots, rows = rref(aug)
-    if pivots and pivots[-1] == matrix.cols:
+    echelon = rref(aug)
+    if echelon.pivots and echelon.pivots[-1] == matrix.cols:
         return None
     x = [Fraction(0)] * matrix.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][matrix.cols]
+    for pc, row in zip(echelon.pivots, echelon.pivot_rows):
+        x[pc] = row.get(matrix.cols, x[pc])
     if matrix.matvec(x) != [_frac(v) for v in rhs]:
         raise InternalConsistencyError("solve: solution does not satisfy the system")
     return x
@@ -269,43 +289,45 @@ def vectors_rank(vectors: Sequence[Sequence], length: int | None = None) -> int:
     return rank(RatMatrix.from_rows(vectors, length))
 
 
-def express_in_basis(vectors: Sequence[Sequence],
-                     targets: Iterable[Sequence]) -> list[Vector | None]:
+def express_in_basis(vectors: Sequence[Sequence], targets: Iterable) -> list:
     """Coordinates of each target over the independent `vectors`, or None
     for a target outside their span.
 
-    The vectors are eliminated once beside a unit matrix (rref of [B | I]),
-    so each echelon row also records which combination of the vectors it
-    is.  A target's coordinates are its entries at the pivots pushed through
-    those combinations; an exact reconstruction from the vectors decides
-    whether the target lies in the span at all.  Dependent vectors raise
-    ValueError.
+    A target is a dense sequence or a sparse ``{column: value}`` dict, and
+    its coordinates come back in the same form: a list with one entry per
+    vector, or a ``{vector index: value}`` dict of the nonzero ones.  The
+    vectors are eliminated once beside a unit matrix (rref of [B | I]), so
+    each sparse echelon row also records which combination of the vectors
+    it is.  A target's coordinates are its entries at the pivots pushed
+    through those combinations; an exact sparse reconstruction from the
+    vectors decides whether the target lies in the span at all.  Dependent
+    vectors raise ValueError.
     """
-    if not vectors:
-        return [None if any(_frac(x) for x in target) else [] for target in targets]
-    m, n = len(vectors), len(vectors[0])
+    m = len(vectors)
+    n = len(vectors[0]) if vectors else 0
     if any(len(vec) != n for vec in vectors):
         raise ValueError("basis vectors of unequal length")
-    sparse = [[(c, _frac(x)) for c, x in enumerate(vec) if x] for vec in vectors]
-    entries = [((i, c), x) for i, vec in enumerate(sparse) for c, x in vec]
-    pivots, rows = rref(RatMatrix(m, n + m, entries + [((i, n + i), 1) for i in range(m)]))
-    if pivots[-1] >= n:
+    sparse = [{c: _frac(x) for c, x in enumerate(vec) if x} for vec in vectors]
+    entries = [((i, c), x) for i, vec in enumerate(sparse) for c, x in vec.items()]
+    echelon = rref(RatMatrix(m, n + m, entries + [((i, n + i), 1) for i in range(m)]))
+    if echelon.pivots and echelon.pivots[-1] >= n:
         raise ValueError("basis vectors are linearly dependent")
-    combos = [[(i, x) for i, x in enumerate(row[n:]) if x] for row in rows]
+    combos = {p: {c - n: x for c, x in row.items() if c >= n}
+              for p, row in zip(echelon.pivots, echelon.pivot_rows)}
     out = []
     for target in targets:
-        if len(target) != n:
+        dense = not isinstance(target, dict)
+        if dense and vectors and len(target) != n:
             raise ValueError("target length does not match basis vectors")
-        target = [_frac(x) for x in target]
-        coords = [Fraction(0)] * m
-        for p, combo in zip(pivots, combos):
-            if target[p]:
-                for i, y in combo:
-                    coords[i] += target[p] * y
-        rebuilt = [Fraction(0)] * n
-        for x, vec in zip(coords, sparse):
-            if x:
-                for c, y in vec:
-                    rebuilt[c] += x * y
-        out.append(coords if rebuilt == target else None)
+        target = {c: _frac(x) for c, x in (enumerate(target) if dense else target.items()) if x}
+        coords: dict[int, Fraction] = {}
+        for p, x in target.items():
+            _axpy(coords, x, combos.get(p, {}))
+        rebuilt: dict[int, Fraction] = {}
+        for i, x in coords.items():
+            _axpy(rebuilt, x, sparse[i])
+        if rebuilt != target:
+            out.append(None)
+        else:
+            out.append(_dense(coords, m) if dense else coords)
     return out

@@ -11,16 +11,23 @@ into the structure-function target space
     + (sum over 0<=i<k of Hom(g^-1 (x) g^i, g^{k-1})).
 
 Its kernel is the next prolongation space; the image inside the target space
-determines the normalization complement.  Both come from one elimination of
-the matrix, ``SpencerSystem.echelon``.  Row and column orderings are fixed
-(blocks ascending, domain index outer, target coordinate inner) so that the
-matrix, and everything derived from it, is deterministic.
+determines the normalization complement.  Row and column orderings are fixed
+(blocks ascending, domain index outer, target coordinate inner), and in them
+the matrix is block diagonal; it is never built or eliminated whole.  The
+negative block N holds the tensor and wedge rows against the i < 0 columns.
+The rest, Hom(g^-1 (x) g^i, g^{k-1}) against Hom(g^i, g^k), has the single
+term [v1, f(v2)] = -f(v2)(v1): it is I (x) R up to a row interleaving (Van
+Loan, "The ubiquitous Kronecker product", 2000), one copy of the restriction
+matrix R (rows (v1, u), columns t, entries -g_k[t](v1)[u]) per basis element
+v2 of degrees 0..k-1, row (v1, v2, u) being row (v1, u) of copy v2.  Each
+block is eliminated once: the kernel is ker N exactly when R has full column
+rank, the image has dimension rank N + copies * rank R, and the complement is
+the rows of N and, in every copy, of R that elimination did not keep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
@@ -57,12 +64,18 @@ class SpencerSystem:
     k: int
     domain_layout: tuple[DomainBlock, ...]
     target_layout: tuple[TargetBlock, ...]
-    matrix: RatMatrix
+    negative: RatMatrix     # N: tensor and wedge rows against the "neg" columns
+    restriction: RatMatrix  # R: rows (v1, u), columns t, entries -g_k[t](v1)[u]
 
     @cached_property
-    def echelon(self) -> linalg.Echelon:
-        """The one elimination of the matrix: its kernel, rank and complement."""
-        return linalg.rref(self.matrix)
+    def negative_echelon(self) -> linalg.Echelon:
+        """The one elimination of N: the kernel, its rank and complement."""
+        return linalg.rref(self.negative)
+
+    @cached_property
+    def restriction_echelon(self) -> linalg.Echelon:
+        """The one elimination of R, shared by all of its copies."""
+        return linalg.rref(self.restriction)
 
     @property
     def domain_dim(self) -> int:
@@ -72,35 +85,45 @@ class SpencerSystem:
     def target_dim(self) -> int:
         return sum(b.size for b in self.target_layout)
 
+    @property
+    def copies(self) -> int:
+        """Number of copies of R in the non-negative part."""
+        return sum(b.size // self.restriction.rows for b in self.target_layout if b.kind == "pos")
+
+    def restriction_rows(self):
+        """(target row, copy, row of R) for every non-negative target row, ascending."""
+        rows = self.restriction.rows
+        row, copy = self.negative.rows, 0
+        for block in self.target_layout:
+            if block.kind == "pos":
+                copies, dv = block.size // rows, block.dim_value
+                for a1 in range(rows // dv):
+                    for t2 in range(copies):
+                        for u in range(dv):
+                            yield row, copy + t2, a1 * dv + u
+                            row += 1
+                copy += copies
+
+    @property
+    def matrix(self) -> RatMatrix:
+        """The whole operator, N beside the copies of R, assembled on demand for inspection."""
+        entries = dict(self.negative.items())
+        by_row: dict[int, list] = {}
+        for (r, t), value in self.restriction.items():
+            by_row.setdefault(r, []).append((t, value))
+        width = self.restriction.cols
+        for row, copy, r in self.restriction_rows():
+            for t, value in by_row.get(r, ()):
+                entries[(row, self.negative.cols + copy * width + t)] = value
+        return RatMatrix(self.target_dim, self.domain_dim, entries)
+
     def negative_map_layout(self) -> list[tuple[int, int, int]]:
-        return [
-            (b.degree, b.dim_domain, b.dim_target)
-            for b in self.domain_layout
-            if b.kind == "neg"
-        ]
-
-    def split_domain_vector(self, vector):
-        """(negative-block part, positive-block part) of a domain vector."""
-        negative, positive = [], []
-        pos = 0
-        for block in self.domain_layout:
-            chunk = vector[pos:pos + block.size]
-            pos += block.size
-            (negative if block.kind == "neg" else positive).extend(chunk)
-        return negative, positive
-
-
-def _column_offsets(layout):
-    offsets = {}
-    pos = 0
-    for block in layout:
-        offsets[(block.kind, block.degree)] = pos
-        pos += block.size
-    return offsets, pos
+        """The map_layout of N's columns."""
+        return [(b.degree, b.dim_domain, b.dim_target) for b in self.domain_layout if b.kind == "neg"]
 
 
 def build_spencer(symbol: GradedLieAlgebra, g_bases, k: int) -> SpencerSystem:
-    """Assemble the degree-k Spencer matrix over the computed tower.
+    """The degree-k Spencer operator over the computed tower, as N and R.
 
     g_bases[l] is the computed basis of the degree-l part (g_bases[0] the
     degree-zero generators); levels up to k must be present.
@@ -108,139 +131,80 @@ def build_spencer(symbol: GradedLieAlgebra, g_bases, k: int) -> SpencerSystem:
     if k < 0 or k >= len(g_bases):
         raise ValueError("Spencer degree outside the computed range")
     dims = tower_dims(symbol, g_bases)
-    n1 = dims.get(-1, 0)
+    n1, dv, dk = dims.get(-1, 0), dims.get(k - 1, 0), dims.get(k, 0)
     neg_degrees = sorted(d for d in dims if d < 0)
 
-    domain: list[DomainBlock] = []
+    domain, offsets, ncols = [], {}, 0  # offsets[i]: first column of the block on g^i
     for i in neg_degrees:
-        tgt = dims.get(i + k + 1, 0)
-        if dims[i] and tgt:
-            domain.append(DomainBlock("neg", i, dims[i], tgt))
-    for i in range(0, k):
-        if dims.get(i, 0) and dims.get(k, 0):
-            domain.append(DomainBlock("pos", i, dims[i], dims[k]))
-    domain_tuple = tuple(domain)
-    col_offsets, ncols = _column_offsets(domain_tuple)
+        if dims[i] and dims.get(i + k + 1, 0):
+            domain.append(DomainBlock("neg", i, dims[i], dims[i + k + 1]))
+            offsets[i], ncols = ncols, ncols + domain[-1].size
+    domain += [DomainBlock("pos", i, dims[i], dk) for i in range(k) if dims.get(i, 0) and dk]
 
-    target: list[TargetBlock] = []
-    for i in neg_degrees:
-        if i == -1:
-            continue
-        value_dim = dims.get(i + k, 0)
-        if dims[i] and n1 and value_dim:
-            target.append(TargetBlock("tensor", i, n1 * dims[i], value_dim))
-    wedge_pairs = n1 * (n1 - 1) // 2
-    wedge_value = dims.get(k - 1, 0)
-    if wedge_pairs and wedge_value:
-        target.append(TargetBlock("wedge", -1, wedge_pairs, wedge_value))
-    for i in range(0, k):
-        value_dim = dims.get(k - 1, 0)
-        if n1 and dims.get(i, 0) and value_dim:
-            target.append(TargetBlock("pos", i, n1 * dims[i], value_dim))
-    target_tuple = tuple(target)
-    nrows = sum(b.size for b in target_tuple)
+    target = [TargetBlock("tensor", i, n1 * dims[i], dims[i + k])
+              for i in neg_degrees if i != -1 and n1 and dims[i] and dims.get(i + k, 0)]
+    if n1 > 1 and dv:
+        target.append(TargetBlock("wedge", -1, n1 * (n1 - 1) // 2, dv))
+    target += [TargetBlock("pos", i, n1 * dims[i], dv) for i in range(k) if n1 and dims.get(i, 0) and dv]
 
-    matrix = RatMatrix(nrows, ncols)
-
-    def col_neg(i, a, t, tgt_dim):
-        return col_offsets[("neg", i)] + a * tgt_dim + t
-
-    def col_pos(i, a, t):
-        return col_offsets[("pos", i)] + a * dims[k] + t
-
-    row_base = 0
     top = symbol.indices_of_degree(-1)
-    for block in target_tuple:
-        if block.kind == "tensor":
-            i = block.degree
-            tgt_deg = i + k
-            for a1 in top:
-                for a2 in symbol.indices_of_degree(i):
-                    _emit_negative_pair_rows(
-                        symbol, g_bases, dims, matrix, row_base,
-                        a1, a2, k, col_offsets, col_neg, tgt_deg,
-                    )
-                    row_base += block.dim_value
-        elif block.kind == "wedge":
-            for p in range(n1):
-                for q in range(p + 1, n1):
-                    _emit_negative_pair_rows(
-                        symbol, g_bases, dims, matrix, row_base,
-                        top[p], top[q], k, col_offsets, col_neg, k - 1,
-                    )
-                    row_base += block.dim_value
-        else:  # pos: value is [v1, f(v2)] = -f(v2)(v1) for v2 in the level-i basis
-            i = block.degree
-            for a1 in top:
-                v1_pos = symbol.position_in_degree(a1)
-                for t2 in range(dims[i]):
-                    for t in range(dims[k]):
-                        action = g_bases[k][t].image_of_basis(-1, v1_pos)
-                        col = col_pos(i, t2, t)
-                        for u, value in enumerate(action):
-                            if value:
-                                matrix.add_to(row_base + u, col, -value)
-                    row_base += block.dim_value
-    return SpencerSystem(k, domain_tuple, target_tuple, matrix)
+    pairs = [(a1, a2) for b in target if b.kind == "tensor"
+             for a1 in top for a2 in symbol.indices_of_degree(b.degree)]
+    pairs += [(top[p], top[q]) for b in target if b.kind == "wedge"
+              for p in range(n1) for q in range(p + 1, n1)]
+    negative = RatMatrix(sum(b.size for b in target if b.kind != "pos"), ncols)
+    row_base = 0
+    for a1, a2 in pairs:
+        _emit_negative_pair_rows(symbol, g_bases, dims, negative, row_base, a1, a2, k, offsets)
+        row_base += dims[symbol.degree_of(a2) + k]
+
+    # R: the value [v1, f(v2)] = -f(v2)(v1) of the non-negative rows
+    restriction = RatMatrix(n1 * dv, dk) if k else RatMatrix(0, 0)
+    for t, f in enumerate(g_bases[k] if k and dv else ()):
+        for a1 in range(n1):
+            for u, value in enumerate(f.image_of_basis(-1, a1)):
+                if value:
+                    restriction.set(a1 * dv + u, t, -value)
+    return SpencerSystem(k, tuple(domain), tuple(target), negative, restriction)
 
 
-def _emit_negative_pair_rows(symbol, g_bases, dims, matrix, row_base,
-                             a1, a2, k, col_offsets, col_neg, tgt_deg):
+def _emit_negative_pair_rows(symbol, g_bases, dims, matrix, row_base, a1, a2, k, offsets):
     """Rows of [f(v1), v2] + [v1, f(v2)] - f([v1, v2]) for v1 = e_a1, v2 = e_a2.
 
-    v1 has degree -1; the value lives in the degree tgt_deg component and
-    every term is linear in the unknown blocks of f.
+    v1 has degree -1; the value lives in degree deg(v2) + k and every term
+    is linear in the unknown blocks of f.
     """
     i2 = symbol.degree_of(a2)
     a1_pos = symbol.position_in_degree(a1)
     a2_pos = symbol.position_in_degree(a2)
-    value_dim = dims.get(tgt_deg, 0)
-    if not value_dim:
-        return
+
+    def col(i, a, t):
+        return offsets[i] + a * dims[i + k + 1] + t
 
     # [f(v1), v2]: f(v1) has degree k, expand over the degree-k basis.
-    tgt1 = dims.get(k, 0)
-    if tgt1 and ("neg", -1) in col_offsets:
-        for t in range(tgt1):
-            col = col_neg(-1, a1_pos, t, tgt1)
-            action = g_bases[k][t].apply(i2, _unit(dims[i2], a2_pos))
-            for u, value in enumerate(action):
+    if -1 in offsets:
+        for t, f in enumerate(g_bases[k]):
+            for u, value in enumerate(f.image_of_basis(i2, a2_pos)):
                 if value:
-                    matrix.add_to(row_base + u, col, value)
+                    matrix.add_to(row_base + u, col(-1, a1_pos, t), value)
 
     # [v1, f(v2)] = -[f(v2), v1]: f(v2) has degree i2 + k + 1.
     mid = i2 + k + 1
-    tgt2 = dims.get(mid, 0)
-    if tgt2 and ("neg", i2) in col_offsets:
-        if mid < 0:
-            for t, g in enumerate(symbol.indices_of_degree(mid)):
-                col = col_neg(i2, a2_pos, t, tgt2)
-                for c, value in symbol.bracket_basis(g, a1).items():
-                    u = symbol.position_in_degree(c)
-                    matrix.add_to(row_base + u, col, -value)
-        else:
-            for t in range(tgt2):
-                col = col_neg(i2, a2_pos, t, tgt2)
-                action = g_bases[mid][t].apply(-1, _unit(dims[-1], a1_pos))
-                for u, value in enumerate(action):
-                    if value:
-                        matrix.add_to(row_base + u, col, -value)
+    if i2 in offsets and mid < 0:
+        for t, g in enumerate(symbol.indices_of_degree(mid)):
+            for c, value in symbol.bracket_basis(g, a1).items():
+                matrix.add_to(row_base + symbol.position_in_degree(c), col(i2, a2_pos, t), -value)
+    elif i2 in offsets:
+        for t, f in enumerate(g_bases[mid]):
+            for u, value in enumerate(f.image_of_basis(-1, a1_pos)):
+                if value:
+                    matrix.add_to(row_base + u, col(i2, a2_pos, t), -value)
 
     # -f([v1, v2]): the bracket has degree i2 - 1.
-    low = i2 - 1
-    tgt3 = dims.get(low + k + 1, 0)
-    if tgt3 and ("neg", low) in col_offsets:
+    if i2 - 1 in offsets:
         for c, value in symbol.bracket_basis(a1, a2).items():
-            c_pos = symbol.position_in_degree(c)
-            for t in range(tgt3):
-                col = col_neg(low, c_pos, t, tgt3)
-                matrix.add_to(row_base + t, col, -value)
-
-
-def _unit(size, position):
-    v = [Fraction(0)] * size
-    v[position] = Fraction(1)
-    return v
+            for t in range(dims[i2 + k]):
+                matrix.add_to(row_base + t, col(i2 - 1, symbol.position_in_degree(c), t), -value)
 
 
 @dataclass(frozen=True)
@@ -254,19 +218,24 @@ class NormalizationReport:
 
 
 def normalization_report(system: SpencerSystem) -> NormalizationReport:
-    """Rank data of the Spencer matrix plus a canonical complement.
+    """Rank data of the Spencer operator plus a canonical complement.
 
     The complement is the target coordinates of the rows that elimination
-    did not keep (Echelon.complement); the kept rows span the row space, so
-    the splitting dim target = dim image + dim complement is exact.
+    did not keep: N's (Echelon.complement) and, in every copy, R's.  The
+    kept rows span the row space, so the splitting dim target = dim image
+    + dim complement is exact.
     """
-    echelon = system.echelon
-    complement = tuple(echelon.complement())
+    negative, restriction = system.negative_echelon, system.restriction_echelon
+    kept = set(restriction.kept)
+    complement = tuple(negative.complement()) + tuple(
+        row for row, _, r in system.restriction_rows() if r not in kept
+    )
+    image = negative.rank + system.copies * restriction.rank
     report = NormalizationReport(
         k=system.k,
         dim_target=system.target_dim,
-        dim_image=echelon.rank,
-        dim_kernel=system.domain_dim - echelon.rank,
+        dim_image=image,
+        dim_kernel=system.domain_dim - image,
         dim_complement=len(complement),
         complement_indices=complement,
     )

@@ -154,18 +154,30 @@ def prolong_step(symbol: GradedLieAlgebra, g_bases):
 def spencer_kernel_from_system(system: SpencerSystem):
     """Kernel of the degree-k Spencer operator, as degree-(k+1) maps.
 
-    Kernel elements provably vanish on the non-negative domain blocks; this
-    is checked on every element rather than assumed.
+    Kernel elements provably vanish on the non-negative domain blocks, that
+    is, R has full column rank; this is checked rather than assumed.  The
+    kernel is then the kernel of the negative block N.
     """
-    negative = []
-    for v in system.echelon.nullspace():
-        neg, pos = system.split_domain_vector(v)
-        if any(pos):
-            raise InternalConsistencyError(
-                f"Spencer kernel element at k={system.k} has a nonzero non-negative block"
-            )
-        negative.append(neg)
-    return _normalize_map_basis(negative, system.k + 1, system.negative_map_layout())
+    if system.domain_dim > system.negative.cols and system.restriction_echelon.rank < system.restriction.cols:
+        raise InternalConsistencyError(
+            f"Spencer kernel element at k={system.k} has a nonzero non-negative block"
+        )
+    layout = system.negative_map_layout()
+    return _normalize_map_basis(system.negative_echelon.nullspace(), system.k + 1, layout)
+
+
+def _disagreement(degree, leibniz, spencer, layout) -> str:
+    """The cross-check failure, naming a basis map of one route that is not
+    in the span of the other route's basis, with its flattened coordinates."""
+    message = f"Spencer kernel disagrees with the pairwise constraint route at degree {degree}"
+    for route, maps, other in (("pairwise constraint", leibniz, spencer),
+                               ("Spencer kernel", spencer, leibniz)):
+        flats = [f.flatten(layout) for f in maps]
+        for flat, coords in zip(flats, linalg.express_in_basis([g.flatten(layout) for g in other], flats)):
+            if coords is None:
+                witness = ", ".join(map(str, flat))
+                return f"{message}: the {route} map [{witness}] is not in the span of the other route"
+    return message
 
 
 @dataclass
@@ -222,10 +234,9 @@ def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = 10,
     for d in range(1, max_degree + 1):
         new_basis = prolong_step(symbol, g_bases)
         system = build_spencer(symbol, g_bases, d - 1)
-        if cross_check and spencer_kernel_from_system(system) != new_basis:
-            raise InternalConsistencyError(
-                f"Spencer kernel disagrees with the pairwise constraint route at degree {d}"
-            )
+        kernel = spencer_kernel_from_system(system) if cross_check else new_basis
+        if kernel != new_basis:
+            raise InternalConsistencyError(_disagreement(d, new_basis, kernel, system.negative_map_layout()))
         reports.append(normalization_report(system))
         if not new_basis:
             terminated = True
@@ -269,7 +280,10 @@ def check_transitivity(result: ProlongationResult) -> TransitivityReport:
 
     For each computed degree k >= 1 the restriction-to-degree -1 map on the
     basis span must have full rank; a failing degree comes with the
-    coefficients of a nonzero combination vanishing on g^-1.
+    coefficients of a nonzero combination vanishing on g^-1.  The stacked
+    degree -1 blocks are -R of the degree-k Spencer operator, so this is the
+    question its full-column-rank check asks; it is asked again of the
+    result itself, including the top degree, which no Spencer system covers.
     """
     dims = result.dims
     for k in range(1, len(result.bases)):
@@ -328,14 +342,14 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
 
     for D in range(1, (2 * kmax if terminated else kmax) + 1):
         layout = map_layout(dims, D)
-        offsets, ncols = layout_offsets(layout)
+        offsets, _ = layout_offsets(layout)
         pairs, flats = [], []
         for k in range(max(0, D - kmax), D // 2 + 1):
             for x in indices[k]:
                 for y in indices[D - k]:
                     if x >= y:
                         continue
-                    flat = [Fraction(0)] * ncols
+                    flat = {}
                     for i, _, tgt in layout:
                         for pos, v in enumerate(indices[i]):
                             # [[x, y], v] = [x, [y, v]] - [y, [x, v]]
@@ -343,11 +357,12 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
                             for left, right, sign in ((x, y, 1), (y, x, -1)):
                                 for c, p in bracket(right, v).items():
                                     for e, q in bracket(left, c).items():
-                                        flat[base + position[e]] += sign * p * q
+                                        col = base + position[e]
+                                        flat[col] = flat.get(col, 0) + sign * p * q
                     if D <= kmax:
                         pairs.append((x, y))
                         flats.append(flat)
-                    elif any(flat):
+                    elif any(flat.values()):
                         raise InternalConsistencyError(
                             f"bracket of degrees ({k}, {D - k}) is nonzero beyond the vanishing degree"
                         )
@@ -360,5 +375,5 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
                     f"bracket of degrees ({elements[x].degree}, {elements[y].degree}) "
                     f"escaped the degree-{D} basis"
                 )
-            brackets[(x, y)] = sparse(D, coords)
+            brackets[(x, y)] = {indices[D][u]: value for u, value in coords.items()}
     return GradedLieAlgebra(elements, brackets)

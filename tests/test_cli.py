@@ -397,3 +397,15 @@ def test_internal_failure_maps_to_exit_three(corpus_dir, monkeypatch, capsys):
     monkeypatch.setattr(cli.prolongation, "universal_prolongation", boom)
     assert cli.main(["prolong", str(corpus_dir / "ode2-point.json")]) == 3
     assert "synthetic" in capsys.readouterr().err
+
+
+def test_unwritable_out_fails_before_computing(corpus_dir, tmp_path, monkeypatch, capsys):
+    def computed(*args, **kwargs):
+        raise AssertionError("the prolongation ran before the output path was checked")
+
+    monkeypatch.setattr(cli.prolongation, "universal_prolongation", computed)
+    out = str(tmp_path / "missing-dir" / "out.json")
+    assert cli.main(["prolong", str(corpus_dir / "ode2-point.json"), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error:") and out in err
+    assert len(err.splitlines()) == 1

@@ -133,6 +133,10 @@ def test_express_in_basis():
     assert express_in_basis(basis, [[F(1), F(3), F(2)], [F(0), F(0), F(1)]]) == [[F(1), F(2)], None]
     assert express_in_basis([], [[F(0), F(0)], [F(1), F(0)]]) == [[], None]
     assert express_in_basis(basis, []) == []
+    # sparse targets: zero entries are ignored, coordinates come back sparse
+    assert express_in_basis(basis, [{0: F(1), 1: F(3), 2: F(2)}, {2: F(1)}, {}, {1: F(0)}]) == [
+        {0: F(1), 1: F(2)}, None, {}, {}]
+    assert express_in_basis([], [{}, {0: F(1)}]) == [{}, None]
 
 
 def test_echelon_coordinates():
@@ -187,7 +191,8 @@ def test_hilbert_matrix_exactness():
     b = hilbert.matvec(ones)
     assert solve(hilbert, b) == ones
     identity = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-    assert rref(hilbert) == (tuple(range(n)), identity)
+    echelon = rref(hilbert)
+    assert (echelon.pivots, echelon.rows) == (tuple(range(n)), identity)
     assert symmetric_signature(hilbert.dense_rows()) == (n, 0)
 
 
@@ -205,7 +210,8 @@ def test_rank_nullity_and_exact_kernel(mat):
 def test_results_are_deterministic(mat):
     again = RatMatrix.from_rows(mat.dense_rows(), mat.cols)
     assert nullspace(mat) == nullspace(again)
-    assert rref(mat) == rref(again)
+    ours, theirs = rref(mat), rref(again)
+    assert (ours.pivots, ours.rows) == (theirs.pivots, theirs.rows)
 
 
 @settings(max_examples=40)
@@ -265,6 +271,10 @@ def sparse_matrices(draw, max_dim=8):
     return RatMatrix.from_rows(rows, ncols)
 
 
+def _dense_dict(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
 def sympy_rref(mat):
     sympy = pytest.importorskip("sympy")
     reduced, pivots = sympy.Matrix(
@@ -280,9 +290,12 @@ def sympy_rref(mat):
 @settings(max_examples=150, deadline=None)
 @given(sparse_matrices())
 def test_rref_matches_dense_and_sympy_oracles(mat):
-    ours = rref(mat)
+    echelon = rref(mat)
+    ours = (echelon.pivots, echelon.rows)
     pivots, rows = naive_reduce(mat.dense_rows())
     assert ours == (tuple(pivots), rows)
+    assert tuple(echelon) == ours  # pivots, rows = rref(m) unpacks to dense rows
+    assert [_dense_dict(row) for row in rows] == list(echelon.pivot_rows)
     if mat.rows and mat.cols:
         assert ours == sympy_rref(mat)
 
@@ -345,21 +358,29 @@ def test_express_in_basis_matches_sympy(case):
     if mat.rows and mat.cols:
         rows = sympy.Matrix(mat.rows, mat.cols, lambda r, c: sympy.Rational(mat.get(r, c)))
         independent = list(rows.T.rref()[1])
+    sparse_targets = [_dense_dict(target) for target in targets]
     if len(independent) < mat.rows:
         with pytest.raises(ValueError, match="dependent"):
             express_in_basis(vectors, targets)
+        with pytest.raises(ValueError, match="dependent"):
+            express_in_basis(vectors, sparse_targets)
     basis = [vectors[i] for i in independent]
     ours = express_in_basis(basis, targets)
     assert ours == [sympy_coordinates(basis, target) for target in targets]
+    # sparse targets give the same coordinates as sparse dicts
+    assert express_in_basis(basis, sparse_targets) == [
+        None if coords is None else _dense_dict(coords) for coords in ours
+    ]
 
 
 def corrupted_rref(matrix):
-    """The true echelon form with one entry changed: a kernel-level fault."""
+    """The true echelon form with one entry of its sparse pivot rows changed:
+    a kernel-level fault."""
     echelon = rref(matrix)
-    pivots, rows = echelon
-    rows = [list(row) for row in rows]
-    rows[0][-1] += 1
-    return Echelon(pivots, rows, echelon.kept, matrix)
+    rows = [dict(row) for row in echelon.pivot_rows]
+    last = matrix.cols - 1
+    rows[0][last] = rows[0].get(last, 0) + 1
+    return Echelon(echelon.pivots, tuple(rows), echelon.kept, matrix)
 
 
 def test_self_checks_raise_on_corrupted_elimination(monkeypatch):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +14,13 @@ from gradedlie import (
 )
 from gradedlie.linalg import RatMatrix
 from gradedlie.normalization import DomainBlock, SpencerSystem, TargetBlock
+from gradedlie.prolongation import _normalize_map_basis, spencer_kernel_from_system
 from gradedlie.symbols import EuclideanForm
 
 F = Fraction
+
+ROOT = Path(__file__).resolve().parents[1]
+INSTANCES = sorted((ROOT / "corpus").glob("*.json")) + sorted((ROOT / "perfbench" / "specs").glob("*.json"))
 
 
 def identity_form(n):
@@ -61,7 +66,8 @@ def test_zero_matrix_system_complement_is_everything():
         k=0,
         domain_layout=(DomainBlock("neg", -1, 1, 2),),
         target_layout=(TargetBlock("wedge", -1, 1, 3),),
-        matrix=RatMatrix(3, 2),
+        negative=RatMatrix(3, 2),
+        restriction=RatMatrix(0, 0),
     )
     report = normalization_report(system)
     assert report.dim_complement == report.dim_target == 3
@@ -108,14 +114,71 @@ def test_each_spencer_matrix_is_eliminated_once(corpus_dir, monkeypatch, name):
         eliminated.append(matrix)
         return real_rref(matrix)
 
+    def no_full_matrix(system):
+        raise AssertionError("the whole Spencer matrix was assembled")
+
     monkeypatch.setattr(linalg, "rref", recording_rref)
+    monkeypatch.setattr(SpencerSystem, "matrix", property(no_full_matrix))
     result = universal_prolongation(symbol, g0, max_degree=spec.max_degree)
     monkeypatch.undo()
 
     bases = [list(b) for b in result.bases]
     assert [report.k for report in result.normalization] == list(range(len(result.normalization)))
+    split = 0
     for k in range(len(result.normalization)):
-        matrix = build_spencer(symbol, bases[: k + 1], k).matrix
-        transpose = matrix.transpose()
-        assert sum(m == matrix for m in eliminated) == 1, f"{name} at k={k}"
-        assert not any(m == transpose for m in eliminated), f"{name} at k={k}"
+        system = build_spencer(symbol, bases[: k + 1], k)
+        # each block once: N for the kernel, R (with all its copies) for the check
+        for block in (system.negative, system.restriction):
+            assert sum(m == block for m in eliminated) == 1, f"{name} at k={k}"
+        matrix = system.matrix
+        assert not any(m == matrix.transpose() for m in eliminated), f"{name} at k={k}"
+        if matrix != system.negative:  # the operator has a non-negative part
+            assert not any(m == matrix for m in eliminated), f"{name} at k={k}"
+            split += 1
+    assert split
+
+
+def whole_operator(symbol, bases, system):
+    """Reference assembly of the whole operator: N, then the non-negative rows
+    [v1, f(v2)] = -f(v2)(v1) written block by block, pair by pair."""
+    k, n1 = system.k, symbol.dim_of_degree(-1)
+    entries = dict(system.negative.items())
+    offsets, col = {}, system.negative.cols
+    for block in system.domain_layout:
+        if block.kind == "pos":
+            offsets[block.degree], col = col, col + block.size
+    row = system.negative.rows
+    for block in system.target_layout:
+        if block.kind != "pos":
+            continue
+        for a1 in range(n1):
+            for t2 in range(len(bases[block.degree])):
+                for t, f in enumerate(bases[k]):
+                    for u, value in enumerate(f.image_of_basis(-1, a1)):
+                        if value:
+                            entries[(row + u, offsets[block.degree] + t2 * len(bases[k]) + t)] = -value
+                row += block.dim_value
+    return RatMatrix(system.target_dim, system.domain_dim, entries)
+
+
+@pytest.mark.parametrize("path", INSTANCES, ids=lambda path: path.stem)
+def test_split_elimination_matches_the_whole_matrix(path):
+    # oracle for the block elimination: rref of the whole operator
+    spec = specfile.parse_spec(specfile.load_document(path.read_text()))
+    symbol = specfile.build_symbol(spec)
+    result = universal_prolongation(symbol, specfile.build_g0(spec, symbol), max_degree=spec.max_degree)
+    bases = [list(b) for b in result.bases]
+    for report in result.normalization:
+        k = report.k
+        system = build_spencer(symbol, bases[: k + 1], k)
+        matrix = whole_operator(symbol, bases, system)
+        assert system.matrix == matrix, f"k={k}"
+        whole = linalg.rref(matrix)
+        assert whole.rank == report.dim_image, f"k={k}"
+        assert tuple(whole.complement()) == report.complement_indices, f"k={k}"
+        kernel = whole.nullspace()
+        width = system.negative.cols
+        assert not any(x for v in kernel for x in v[width:]), f"k={k}"
+        negative = [v[:width] for v in kernel]
+        maps = _normalize_map_basis(negative, k + 1, system.negative_map_layout())
+        assert maps == spencer_kernel_from_system(system), f"k={k}"

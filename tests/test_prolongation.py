@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,11 +11,12 @@ from gradedlie import (
     check_transitivity,
     check_validity,
     degree_zero_derivations,
+    heisenberg,
     orthogonal_derivations,
     prolong_step,
     universal_prolongation,
 )
-from gradedlie import linalg
+from gradedlie import linalg, prolongation
 from gradedlie.algebra import map_layout, tower_dims
 from gradedlie.prolongation import (
     InternalConsistencyError,
@@ -94,7 +96,7 @@ def test_spencer_kernel_nonnegative_blocks_vanish_raw():
         system = build_spencer(m, g_bases[: k + 1], k)
         assert any(block.kind == "pos" for block in system.domain_layout)
         for vector in linalg.nullspace(system.matrix):
-            _, positive = system.split_domain_vector(vector)
+            positive = vector[system.negative.cols:]  # the non-negative blocks come last
             assert not any(positive)
 
 
@@ -306,3 +308,53 @@ def test_assemble_rejects_brackets_that_escape_the_basis(corpus_results):
     cut = [list(result.bases[0]), list(result.bases[1][:1])]
     with pytest.raises(InternalConsistencyError, match="escaped the degree-1 basis"):
         _assemble(symbol, cut, g0, False)
+
+
+def contact_dimension(n, k):
+    """Monomials of weight k + 2 in 2n variables of weight 1 and one of weight 2."""
+    w = k + 2
+    return sum(comb(2 * n - 1 + w - 2 * j, w - 2 * j) for j in range(w // 2 + 1))
+
+
+@pytest.mark.parametrize("n, max_degree", [(1, 4), (2, 2), (3, 1)])
+def test_contact_algebra_matches_its_closed_form(n, max_degree):
+    # contact vector fields in 2n + 1 variables (Tanaka 1970), independent of both routes
+    m = heisenberg(n)
+    result = universal_prolongation(m, degree_zero_derivations(m), max_degree=max_degree)
+    assert not result.terminated
+    degrees = range(-2, max_degree + 1)
+    assert [result.dims[k] for k in degrees] == [contact_dimension(n, k) for k in degrees]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_vector_fields_match_their_closed_form(n):
+    # all vector fields on R^n: abelian(n) with gl(n), dim g^k = n C(n + k, k + 1)
+    m = abelian(n)
+    result = universal_prolongation(m, degree_zero_derivations(m), max_degree=3)
+    assert not result.terminated
+    assert [result.dims[k] for k in range(-1, 4)] == [n * comb(n + k, k + 1) for k in range(-1, 4)]
+
+
+def test_route_disagreement_names_the_witness(eta3, lambda_g0, monkeypatch):
+    real = prolongation.spencer_kernel_from_system
+    monkeypatch.setattr(prolongation, "spencer_kernel_from_system", lambda system: real(system)[1:])
+    with pytest.raises(InternalConsistencyError) as failure:
+        universal_prolongation(eta3, lambda_g0)
+    missing = prolong_step(eta3, [list(lambda_g0.generators)])[0]
+    coordinates = missing.flatten(map_layout(tower_dims(eta3, [lambda_g0.generators]), 1))
+    message = str(failure.value)
+    assert "at degree 1" in message
+    assert "the pairwise constraint map" in message
+    assert "[" + ", ".join(map(str, coordinates)) + "]" in message
+
+
+def test_spencer_kernel_rejects_a_restriction_without_full_column_rank():
+    m = heisenberg(1)
+    result = universal_prolongation(m, degree_zero_derivations(m), max_degree=2)
+    bases = [list(b) for b in result.bases[:2]]
+    bases[1].append(bases[1][0])  # a repeated degree-1 map: two equal columns of R
+    system = build_spencer(m, bases, 1)
+    # the whole operator then has a kernel element with a nonzero non-negative block
+    assert any(any(v[system.negative.cols:]) for v in linalg.nullspace(system.matrix))
+    with pytest.raises(InternalConsistencyError, match="nonzero non-negative block"):
+        spencer_kernel_from_system(system)

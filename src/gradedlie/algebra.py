@@ -2,7 +2,15 @@
 
 The same type houses the nilpotent symbol (negative degrees only), the
 extended algebra obtained by adjoining a degree-zero derivation subalgebra,
-and the fully assembled prolongation with positive degrees.
+and the fully assembled prolongation with positive degrees.  Brackets are
+stored once per index pair a < b as sparse coordinate dicts; the checks read
+that table in place and apply antisymmetry as a sign, without copies.
+
+Degree-homogeneous linear maps (GradedLinearMap) store every block as sparse
+columns, {target position: Fraction} dicts, beside the block shapes; dense
+columns are built only on demand.  Degree-zero commutators are composed on
+the nonzeros of those columns, and a degree-zero algebra keeps its
+commutator table in sparse generator coordinates.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ class GradedLieAlgebra:
             for c, value in terms.items():
                 if not 0 <= c < n:
                     raise ValueError(f"bracket target {c} out of range")
-                value = Fraction(value)
+                value = value if isinstance(value, Fraction) else Fraction(value)
                 if value:
                     clean[c] = value
             if clean:
@@ -106,37 +114,6 @@ class GradedLieAlgebra:
         flipped = self._table.get((b, a), {})
         return {c: -v for c, v in flipped.items()}
 
-    def bracket(self, x, y) -> list[Fraction]:
-        """Bracket of two coordinate vectors over the full basis."""
-        n = self.dim
-        if len(x) != n or len(y) != n:
-            raise ValueError("coordinate vectors must match the basis dimension")
-        out = [Fraction(0)] * n
-        for (a, b), terms in self._table.items():
-            coeff = x[a] * y[b] - x[b] * y[a]
-            if coeff:
-                for c, value in terms.items():
-                    out[c] += coeff * value
-        return out
-
-    def unit_vector(self, index: int) -> list[Fraction]:
-        v = [Fraction(0)] * self.dim
-        v[index] = Fraction(1)
-        return v
-
-    def scatter(self, degree: int, coords) -> list[Fraction]:
-        """Place coordinates over the degree component into a full vector."""
-        idx = self._by_degree.get(degree, ())
-        if len(coords) != len(idx):
-            raise ValueError("coordinate count does not match degree dimension")
-        v = [Fraction(0)] * self.dim
-        for pos, value in zip(idx, coords):
-            v[pos] = Fraction(value)
-        return v
-
-    def component(self, vector, degree: int) -> list[Fraction]:
-        return [vector[i] for i in self._by_degree.get(degree, ())]
-
 
 @dataclass
 class ValidityReport:
@@ -179,21 +156,20 @@ def check_validity(algebra: GradedLieAlgebra) -> ValidityReport:
 
     jacobi_ok, jacobi_witness = True, None
     n = algebra.dim
+    table = algebra._table
     for a in range(n):
         for b in range(a + 1, n):
-            ab = algebra.bracket_basis(a, b)
+            ab = table.get((a, b), {})
             for c in range(b + 1, n):
+                # [[a, b], c] + [[b, c], a] + [[c, a], b], with [c, a] = -[a, c]
                 acc: dict[int, Fraction] = {}
                 for t, v in ab.items():
-                    for u, w in algebra.bracket_basis(t, c).items():
-                        acc[u] = acc.get(u, Fraction(0)) + v * w
-                for t, v in algebra.bracket_basis(b, c).items():
-                    for u, w in algebra.bracket_basis(t, a).items():
-                        acc[u] = acc.get(u, Fraction(0)) + v * w
-                for t, v in algebra.bracket_basis(c, a).items():
-                    for u, w in algebra.bracket_basis(t, b).items():
-                        acc[u] = acc.get(u, Fraction(0)) + v * w
-                if any(acc.values()):
+                    _add_bracket(acc, algebra, t, c, v)
+                for t, v in table.get((b, c), {}).items():
+                    _add_bracket(acc, algebra, t, a, v)
+                for t, v in table.get((a, c), {}).items():
+                    _add_bracket(acc, algebra, t, b, -v)
+                if acc:
                     jacobi_ok = False
                     jacobi_witness = (
                         algebra.basis[a].name,
@@ -212,24 +188,33 @@ def check_validity(algebra: GradedLieAlgebra) -> ValidityReport:
     return ValidityReport(grading_ok, grading_witness, jacobi_ok, jacobi_witness, nilpotent_ok)
 
 
+def _add_bracket(acc: dict[int, Fraction], algebra: GradedLieAlgebra, x: int, y: int, factor) -> None:
+    """acc += factor * [e_x, e_y], read from the stored table without a copy."""
+    if x < y:
+        linalg.axpy(acc, factor, algebra._table.get((x, y), {}))
+    elif x > y:
+        linalg.axpy(acc, -factor, algebra._table.get((y, x), {}))
+
+
 def _negative_part_nilpotent(algebra: GradedLieAlgebra) -> bool:
     negative = [i for i in range(algebra.dim) if algebra.degree_of(i) < 0]
     if not negative:
         return True
-    current = [algebra.unit_vector(i) for i in negative]
+    current = [{i: Fraction(1)} for i in negative]
     previous_rank = len(current)
     for _ in range(algebra.dim + 1):
         produced = []
         for a in negative:
-            ea = algebra.unit_vector(a)
             for v in current:
-                w = algebra.bracket(ea, v)
-                if any(w):
+                w: dict[int, Fraction] = {}
+                for c, x in v.items():
+                    _add_bracket(w, algebra, a, c, x)
+                if w:
                     produced.append(w)
         if not produced:
             return True
-        _, rows = linalg.rref(RatMatrix.from_rows(produced, algebra.dim))
-        current = rows
+        entries = [((r, c), x) for r, w in enumerate(produced) for c, x in w.items()]
+        current = linalg.rref(RatMatrix(len(produced), algebra.dim, entries)).pivot_rows
         if len(current) >= previous_rank:
             return False
         previous_rank = len(current)
@@ -254,14 +239,10 @@ def check_fundamental(symbol: GradedLieAlgebra) -> bool:
         want = dims.get(degree, 0)
         if want == 0:
             continue
-        spanning = []
-        for a in top:
-            ea = symbol.unit_vector(a)
-            for b in symbol.indices_of_degree(degree + 1):
-                w = symbol.bracket(ea, symbol.unit_vector(b))
-                if any(w):
-                    spanning.append(w)
-        if linalg.vectors_rank(spanning, symbol.dim) < want:
+        spanning = [w for a in top for b in symbol.indices_of_degree(degree + 1)
+                    if (w := symbol.bracket_basis(a, b))]
+        entries = [((r, c), x) for r, w in enumerate(spanning) for c, x in w.items()]
+        if not spanning or linalg.rank(RatMatrix(len(spanning), symbol.dim, entries)) < want:
             return False
     return True
 
@@ -273,75 +254,84 @@ def check_fundamental(symbol: GradedLieAlgebra) -> bool:
 class GradedLinearMap:
     """A degree-k map, one block per graded component of the domain.
 
-    blocks[i][a] is the image, as a coordinate vector over the degree i+k
-    basis, of the a-th basis vector of degree i.  For elements of the
-    prolongation only negative domain degrees occur; Spencer-operator domain
-    elements may also carry blocks on non-negative degrees.
+    Blocks are stored sparsely: columns[i][a] is the image of the a-th basis
+    vector of degree i, a {position in degree i+k: Fraction} dict of its
+    nonzero coordinates, and shapes[i] is the block's (dim domain, dim
+    target).  The constructor takes dense blocks (blocks[i][a] a coordinate
+    vector over the degree i+k basis) and converts them once; engine code
+    builds maps from sparse columns with from_columns, which converts
+    nothing.  image_of_basis gives one dense column on demand.  For elements
+    of the prolongation only negative domain degrees occur; Spencer-operator
+    domain elements may also carry blocks on non-negative degrees.
     """
 
-    __slots__ = ("degree", "blocks")
+    __slots__ = ("degree", "columns", "shapes")
 
     def __init__(self, degree: int, blocks):
-        self.degree = degree
-        self.blocks = {
-            i: tuple(tuple(Fraction(v) for v in col) for col in cols)
-            for i, cols in blocks.items()
-        }
-
-    def image_of_basis(self, i: int, a: int) -> tuple[Fraction, ...]:
-        block = self.blocks.get(i)
-        if block is None:
-            raise KeyError(f"map has no block on degree {i}")
-        return block[a]
-
-    def apply(self, i: int, coords) -> list[Fraction]:
-        """Image of a degree-i coordinate vector, as degree i+k coordinates."""
-        block = self.blocks.get(i)
-        if block is None or not block:
-            return []
-        out = [Fraction(0)] * len(block[0])
-        for a, value in enumerate(coords):
-            if value:
-                col = block[a]
-                for t, entry in enumerate(col):
-                    out[t] += value * entry
-        return out
-
-    def flatten(self, layout) -> list[Fraction]:
-        flat = []
-        for i, dom, tgt in layout:
-            block = self.blocks.get(i)
-            for a in range(dom):
-                if block is None:
-                    flat.extend([Fraction(0)] * tgt)
-                else:
-                    flat.extend(block[a])
-        return flat
+        columns, shapes = {}, {}
+        for i, cols in blocks.items():
+            cols = [list(col) for col in cols]
+            width = len(cols[0]) if cols else 0
+            if any(len(col) != width for col in cols):
+                raise ValueError(f"columns of the block on degree {i} differ in length")
+            columns[i] = tuple({t: Fraction(v) for t, v in enumerate(col) if v} for col in cols)
+            shapes[i] = (len(cols), width)
+        self.degree, self.columns, self.shapes = degree, columns, shapes
 
     @classmethod
-    def from_flat(cls, degree: int, layout, flat) -> "GradedLinearMap":
-        blocks = {}
-        pos = 0
+    def from_columns(cls, degree: int, columns, shapes) -> "GradedLinearMap":
+        """A map from sparse columns holding nonzero Fractions only, taken as they are."""
+        f = cls.__new__(cls)
+        f.degree, f.columns, f.shapes = degree, columns, shapes
+        return f
+
+    def image_of_basis(self, i: int, a: int) -> tuple[Fraction, ...]:
+        """The dense image of the a-th basis vector of degree i."""
+        if i not in self.columns:
+            raise KeyError(f"map has no block on degree {i}")
+        col = self.columns[i][a]
+        return tuple(col.get(t, Fraction(0)) for t in range(self.shapes[i][1]))
+
+    def flat_entries(self, layout) -> dict[int, Fraction]:
+        """Nonzero coordinates of the map flattened over `layout` (blocks in
+        layout order, domain index outer, target coordinate inner)."""
+        flat, pos = {}, 0
         for i, dom, tgt in layout:
-            cols = []
-            for _ in range(dom):
-                cols.append(tuple(flat[pos:pos + tgt]))
-                pos += tgt
-            blocks[i] = tuple(cols)
-        if pos != len(flat):
-            raise ValueError("flattened vector does not match layout")
-        return cls(degree, blocks)
+            for a, col in enumerate(self.columns.get(i, ())):
+                base = pos + a * tgt
+                for t, value in col.items():
+                    flat[base + t] = value
+            pos += dom * tgt
+        return flat
+
+    def flatten(self, layout) -> list[Fraction]:
+        return linalg.dense(self.flat_entries(layout), sum(dom * tgt for _, dom, tgt in layout))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GradedLinearMap)
             and self.degree == other.degree
-            and self.blocks == other.blocks
+            and self.shapes == other.shapes
+            and self.columns == other.columns
         )
 
     def __repr__(self) -> str:
-        shape = {i: (len(cols), len(cols[0]) if cols else 0) for i, cols in sorted(self.blocks.items())}
-        return f"GradedLinearMap(degree={self.degree}, blocks={shape})"
+        return f"GradedLinearMap(degree={self.degree}, blocks={dict(sorted(self.shapes.items()))})"
+
+
+def maps_from_rows(degree: int, layout, rows) -> list[GradedLinearMap]:
+    """One degree-`degree` map per sparse {column: value} row flattened over
+    `layout`, the inverse of GradedLinearMap.flat_entries."""
+    where = [(i, a, t) for i, dom, tgt in layout for a in range(dom) for t in range(tgt)]
+    shapes = {i: (dom, tgt) for i, dom, tgt in layout}
+    maps = []
+    for row in rows:
+        columns = {i: tuple({} for _ in range(dom)) for i, dom, _ in layout}
+        for c, value in row.items():
+            i, a, t = where[c]
+            columns[i][a][t] = value
+        maps.append(GradedLinearMap.from_columns(degree, columns, shapes))
+    return maps
 
 
 def map_layout(dims: dict[int, int], degree: int) -> list[tuple[int, int, int]]:
@@ -374,18 +364,22 @@ def tower_dims(symbol: GradedLieAlgebra, g_bases) -> dict[int, int]:
 
 
 def commutator_deg0(f: GradedLinearMap, g: GradedLinearMap) -> GradedLinearMap:
-    """Commutator of two degree-0 maps, blockwise f g - g f."""
+    """Commutator of two degree-0 maps, blockwise f g - g f on sparse columns."""
     if f.degree != 0 or g.degree != 0:
         raise ValueError("commutator_deg0 expects degree-0 maps")
-    blocks = {}
-    for i in f.blocks:
+    columns = {}
+    for i, f_cols in f.columns.items():
+        g_cols = g.columns[i]
         cols = []
-        for a in range(len(f.blocks[i])):
-            fg = f.apply(i, g.image_of_basis(i, a))
-            gf = g.apply(i, f.image_of_basis(i, a))
-            cols.append([x - y for x, y in zip(fg, gf)])
-        blocks[i] = cols
-    return GradedLinearMap(0, blocks)
+        for f_col, g_col in zip(f_cols, g_cols):
+            col: dict[int, Fraction] = {}
+            for t, x in g_col.items():
+                linalg.axpy(col, x, f_cols[t])
+            for t, x in f_col.items():
+                linalg.axpy(col, -x, g_cols[t])
+            cols.append(col)
+        columns[i] = tuple(cols)
+    return GradedLinearMap.from_columns(0, columns, dict(f.shapes))
 
 
 def derivation_violation(symbol: GradedLieAlgebra, f: GradedLinearMap):
@@ -394,25 +388,24 @@ def derivation_violation(symbol: GradedLieAlgebra, f: GradedLinearMap):
     images = []  # f(e_a) as a sparse coordinate dictionary
     for a in range(n):
         i = symbol.degree_of(a)
-        image = f.image_of_basis(i, symbol.position_in_degree(a))
+        if i not in f.columns:
+            raise KeyError(f"map has no block on degree {i}")
         targets = symbol.indices_of_degree(i)
-        if len(image) != len(targets):
+        if f.shapes[i][1] != len(targets):
             raise ValueError("coordinate count does not match degree dimension")
-        images.append({c: value for c, value in zip(targets, image) if value})
+        col = f.columns[i][symbol.position_in_degree(a)]
+        images.append({targets[t]: value for t, value in col.items()})
     for a in range(n):
         for b in range(a + 1, n):
             # f([e_a, e_b]) - [f(e_a), e_b] - [e_a, f(e_b)]
             acc: dict[int, Fraction] = {}
-            for c, v in symbol.bracket_basis(a, b).items():
-                for u, w in images[c].items():
-                    acc[u] = acc.get(u, Fraction(0)) + v * w
+            for c, v in symbol._table.get((a, b), {}).items():
+                linalg.axpy(acc, v, images[c])
             for c, v in images[a].items():
-                for u, w in symbol.bracket_basis(c, b).items():
-                    acc[u] = acc.get(u, Fraction(0)) - v * w
+                _add_bracket(acc, symbol, c, b, -v)
             for c, v in images[b].items():
-                for u, w in symbol.bracket_basis(a, c).items():
-                    acc[u] = acc.get(u, Fraction(0)) - v * w
-            if any(acc.values()):
+                _add_bracket(acc, symbol, a, c, -v)
+            if acc:
                 return (symbol.basis[a].name, symbol.basis[b].name)
     return None
 
@@ -423,7 +416,8 @@ class DegreeZeroAlgebra:
     Generators are independent degree-0 maps carrying the action on all of
     the symbol.  Construction verifies the Leibniz rule on every basis pair,
     linear independence, and closure of the span under commutators; the
-    commutator table in generator coordinates is recorded for later use.
+    commutator table is recorded as structure_constants[(s, t)], the sparse
+    {generator index: value} coordinates of [generator s, generator t].
     """
 
     def __init__(self, symbol: GradedLieAlgebra, generators):
@@ -431,15 +425,14 @@ class DegreeZeroAlgebra:
             raise ValueError("the symbol must carry negative degrees only")
         self.symbol = symbol
         self.generators = tuple(generators)
-        dims = symbol.dims_by_degree()
-        self._layout = map_layout(dims, 0)
+        self._layout = map_layout(symbol.dims_by_degree(), 0)
         for idx, gen in enumerate(self.generators):
             if gen.degree != 0:
                 raise ValueError(f"generator {idx + 1} does not have degree 0")
         flats = [g.flatten(self._layout) for g in self.generators]
         pairs = [(s, t) for s in range(len(flats)) for t in range(s + 1, len(flats))]
         comms = [
-            commutator_deg0(self.generators[s], self.generators[t]).flatten(self._layout)
+            commutator_deg0(self.generators[s], self.generators[t]).flat_entries(self._layout)
             for s, t in pairs
         ]
         try:
@@ -452,19 +445,35 @@ class DegreeZeroAlgebra:
                 raise ValueError(
                     f"generator {idx + 1} is not a derivation: Leibniz fails on pair {witness}"
                 )
-        structure = {}
         for (s, t), coords in zip(pairs, coordinates):
             if coords is None:
                 raise ValueError(
                     f"span not closed under commutator: [generator {s + 1}, generator {t + 1}] "
                     "lies outside the span"
                 )
-            structure[(s, t)] = tuple(coords)
-        self.structure_constants = structure
+        self.structure_constants = dict(zip(pairs, coordinates))
 
     @property
     def dim(self) -> int:
         return len(self.generators)
+
+
+def seed_brackets(symbol: GradedLieAlgebra, g_bases, g0: DegreeZeroAlgebra, indices) -> dict:
+    """The brackets an algebra on the symbol and a tower of maps starts
+    from, keyed by index pairs a < b: the symbol's, [v, f] = -f(v) for every
+    map f of degree k in g_bases[k] (g_bases[0] the g0 generators) and the g0
+    commutator table; indices[d] lists the basis indices of degree d."""
+    brackets = {pair: symbol.bracket_basis(*pair) for pair in symbol.bracket_pairs()}
+    for k, base in enumerate(g_bases):
+        for f, x in zip(base, indices[k]):
+            for i in symbol.degrees:
+                for v, col in zip(indices[i], f.columns.get(i, ())):
+                    if col:  # [v, f] = -f(v)
+                        brackets[(v, x)] = {indices[i + k][t]: -value for t, value in col.items()}
+    for (s, t), coords in g0.structure_constants.items():
+        if coords:
+            brackets[(indices[0][s], indices[0][t])] = {indices[0][u]: x for u, x in coords.items()}
+    return brackets
 
 
 def adjoin_g0(symbol: GradedLieAlgebra, g0: DegreeZeroAlgebra, names=None) -> GradedLieAlgebra:
@@ -482,22 +491,6 @@ def adjoin_g0(symbol: GradedLieAlgebra, g0: DegreeZeroAlgebra, names=None) -> Gr
             raise ValueError(f"name {name!r} collides with a symbol basis name")
         used.add(name)
     basis = list(symbol.basis) + [BasisElement(name, 0) for name in names]
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for pair in symbol.bracket_pairs():
-        brackets[pair] = symbol.bracket_basis(*pair)
-    for a in range(n):
-        i = symbol.degree_of(a)
-        pos = symbol.position_in_degree(a)
-        for j, gen in enumerate(g0.generators):
-            image = gen.image_of_basis(i, pos)
-            terms = {}
-            for t, value in zip(symbol.indices_of_degree(i), image):
-                if value:
-                    terms[t] = -value  # stored orientation [v, f] = -f(v)
-            if terms:
-                brackets[(a, n + j)] = terms
-    for (s, t), coords in g0.structure_constants.items():
-        terms = {n + u: value for u, value in enumerate(coords) if value}
-        if terms:
-            brackets[(n + s, n + t)] = terms
-    return GradedLieAlgebra(basis, brackets)
+    indices = {d: symbol.indices_of_degree(d) for d in symbol.degrees}
+    indices[0] = range(n, n + g0.dim)
+    return GradedLieAlgebra(basis, seed_brackets(symbol, [g0.generators], g0, indices))

@@ -127,12 +127,9 @@ def _graded_pairing_ok(algebra: GradedLieAlgebra, data: KillingData) -> bool:
 def center(algebra: GradedLieAlgebra):
     """Basis of the center, from the stacked adjoint conditions."""
     n = algebra.dim
-    matrix = RatMatrix(n * n, n)
-    for a in range(n):
-        for b in range(n):
-            for c, value in algebra.bracket_basis(a, b).items():
-                matrix.add_to(b * n + c, a, value)
-    return linalg.nullspace(matrix)
+    entries = [((b * n + c, a), value) for a in range(n) for b in range(n)
+               for c, value in algebra.bracket_basis(a, b).items()]
+    return linalg.nullspace(RatMatrix(n * n, n, entries))
 
 
 def fingerprint(algebra: GradedLieAlgebra) -> dict:

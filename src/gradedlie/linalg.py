@@ -76,9 +76,6 @@ class RatMatrix:
         else:
             self._entries.pop((r, c), None)
 
-    def add_to(self, r: int, c: int, value) -> None:
-        self.set(r, c, self.get(r, c) + _frac(value))
-
     def get(self, r: int, c: int) -> Fraction:
         self._check(r, c)
         return self._entries.get((r, c), Fraction(0))
@@ -95,12 +92,6 @@ class RatMatrix:
         for (r, c), value in self._entries.items():
             rows[r][c] = value
         return rows
-
-    def transpose(self) -> "RatMatrix":
-        out = RatMatrix(self.cols, self.rows)
-        for (r, c), value in self._entries.items():
-            out._entries[(c, r)] = value
-        return out
 
     def matvec(self, vector: Sequence) -> Vector:
         if len(vector) != self.cols:
@@ -144,18 +135,19 @@ class Echelon:
 
     @property
     def rows(self) -> list[Vector]:
-        return [_dense(row, self.matrix.cols) for row in self.pivot_rows]
+        return [dense(row, self.matrix.cols) for row in self.pivot_rows]
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def nullspace(self) -> list[Vector]:
+    def nullspace(self, sparse: bool = False) -> list:
         """Basis of ker A, echelon-normalized and ordered by free column.
 
         Each basis vector carries a 1 at its free coordinate and zeros at the
         free coordinates of the other vectors; its pivot coordinates are read
-        off a column index of the sparse pivot rows.
+        off a column index of the sparse pivot rows.  The vectors are dense,
+        or sparse {column: value} dicts when `sparse` is set.
         """
         matrix = self.matrix
         by_column: dict[int, list[tuple[int, Fraction]]] = {}
@@ -176,10 +168,10 @@ class Echelon:
         for v in basis:
             image: dict[int, Fraction] = {}
             for c, x in v.items():
-                _axpy(image, x, columns.get(c, {}))
+                axpy(image, x, columns.get(c, {}))
             if image:
                 raise InternalConsistencyError("nullspace: basis vector is not in the kernel")
-        return [_dense(v, matrix.cols) for v in basis]
+        return basis if sparse else [dense(v, matrix.cols) for v in basis]
 
     def complement(self) -> list[int]:
         """Coordinates whose standard basis vectors complete the column space.
@@ -191,11 +183,12 @@ class Echelon:
         return [i for i in range(self.matrix.rows) if i not in kept]
 
 
-def _dense(row: dict[int, Fraction], length: int) -> Vector:
-    dense = [Fraction(0)] * length
+def dense(row: dict[int, Fraction], length: int) -> Vector:
+    """The sparse {column: value} row as a list of `length` Fractions."""
+    out = [Fraction(0)] * length
     for c, value in row.items():
-        dense[c] = value
-    return dense
+        out[c] = value
+    return out
 
 
 def rref(matrix: RatMatrix) -> Echelon:
@@ -215,7 +208,7 @@ def rref(matrix: RatMatrix) -> Echelon:
         row = pending[r]
         # pivot rows vanish at each other's pivots, so one pass suffices
         for c in [c for c in row if c in reduced]:
-            _axpy(row, -row[c], reduced[c])
+            axpy(row, -row[c], reduced[c])
         if not row:
             continue
         kept.append(r)
@@ -225,13 +218,13 @@ def rref(matrix: RatMatrix) -> Echelon:
         for other in reduced.values():
             f = other.get(p)
             if f:
-                _axpy(other, -f, row)
+                axpy(other, -f, row)
         reduced[p] = row
     pivots = tuple(sorted(reduced))
     return Echelon(pivots, tuple(reduced[p] for p in pivots), tuple(kept), matrix)
 
 
-def _axpy(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]) -> None:
+def axpy(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]) -> None:
     """row += factor * other, dropping the entries that cancel."""
     for c, value in other.items():
         x = row.get(c, 0) + factor * value
@@ -245,34 +238,42 @@ def rank(matrix: RatMatrix) -> int:
     return rref(matrix).rank
 
 
-def nullspace(matrix: RatMatrix) -> list[Vector]:
-    return rref(matrix).nullspace()
+def nullspace(matrix: RatMatrix, sparse: bool = False) -> list:
+    return rref(matrix).nullspace(sparse)
 
 
 def solve(matrix: RatMatrix, rhs: Sequence) -> Vector | None:
-    """Solve A x = b exactly; None when inconsistent.
-
-    With free variables the solution with zero free coordinates is returned,
-    so the result is deterministic.
-    """
+    """Solve A x = b exactly; None when inconsistent (see solve_many)."""
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    aug = RatMatrix(matrix.rows, matrix.cols + 1)
-    for (r, c), value in matrix._entries.items():
-        aug._entries[(r, c)] = value
-    for r, value in enumerate(rhs):
-        value = _frac(value)
-        if value:
-            aug._entries[(r, matrix.cols)] = value
-    echelon = rref(aug)
-    if echelon.pivots and echelon.pivots[-1] == matrix.cols:
-        return None
-    x = [Fraction(0)] * matrix.cols
-    for pc, row in zip(echelon.pivots, echelon.pivot_rows):
-        x[pc] = row.get(matrix.cols, x[pc])
-    if matrix.matvec(x) != [_frac(v) for v in rhs]:
-        raise InternalConsistencyError("solve: solution does not satisfy the system")
-    return x
+    return solve_many(matrix, [dict(enumerate(rhs))])[0]
+
+
+def solve_many(matrix: RatMatrix, rhs: Sequence[dict]) -> list[Vector | None]:
+    """Solve A x = b exactly for each sparse {row: value} right-hand side,
+    eliminating [A | b_1 ... b_m] once; None for an inconsistent b.
+
+    With free variables the solution with zero free coordinates is returned,
+    so the result is deterministic.  A right-hand side is inconsistent
+    exactly when a reduced row without an entry in A has one in its column.
+    """
+    n = matrix.cols
+    entries = list(matrix._entries.items())
+    entries += [((r, n + j), value) for j, b in enumerate(rhs) for r, value in b.items()]
+    echelon = rref(RatMatrix(matrix.rows, n + len(rhs), entries))
+    solutions = []
+    for j, b in enumerate(rhs):
+        if any(p >= n and n + j in row for p, row in zip(echelon.pivots, echelon.pivot_rows)):
+            solutions.append(None)
+            continue
+        x = [Fraction(0)] * n
+        for p, row in zip(echelon.pivots, echelon.pivot_rows):
+            if p < n:
+                x[p] = row.get(n + j, x[p])
+        if matrix.matvec(x) != dense({r: _frac(v) for r, v in b.items()}, matrix.rows):
+            raise InternalConsistencyError("solve: solution does not satisfy the system")
+        solutions.append(x)
+    return solutions
 
 
 def column_complement(matrix: RatMatrix) -> list[int]:
@@ -316,18 +317,18 @@ def express_in_basis(vectors: Sequence[Sequence], targets: Iterable) -> list:
               for p, row in zip(echelon.pivots, echelon.pivot_rows)}
     out = []
     for target in targets:
-        dense = not isinstance(target, dict)
-        if dense and vectors and len(target) != n:
+        is_dense = not isinstance(target, dict)
+        if is_dense and vectors and len(target) != n:
             raise ValueError("target length does not match basis vectors")
-        target = {c: _frac(x) for c, x in (enumerate(target) if dense else target.items()) if x}
+        target = {c: _frac(x) for c, x in (enumerate(target) if is_dense else target.items()) if x}
         coords: dict[int, Fraction] = {}
         for p, x in target.items():
-            _axpy(coords, x, combos.get(p, {}))
+            axpy(coords, x, combos.get(p, {}))
         rebuilt: dict[int, Fraction] = {}
         for i, x in coords.items():
-            _axpy(rebuilt, x, sparse[i])
+            axpy(rebuilt, x, sparse[i])
         if rebuilt != target:
             out.append(None)
         else:
-            out.append(_dense(coords, m) if dense else coords)
+            out.append(dense(coords, m) if is_dense else coords)
     return out

@@ -27,6 +27,7 @@ the rows of N and, in every copy, of R that elimination did not keep.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -152,27 +153,26 @@ def build_spencer(symbol: GradedLieAlgebra, g_bases, k: int) -> SpencerSystem:
              for a1 in top for a2 in symbol.indices_of_degree(b.degree)]
     pairs += [(top[p], top[q]) for b in target if b.kind == "wedge"
               for p in range(n1) for q in range(p + 1, n1)]
-    negative = RatMatrix(sum(b.size for b in target if b.kind != "pos"), ncols)
+    terms = defaultdict(int)  # {(row, column): value} of N
     row_base = 0
     for a1, a2 in pairs:
-        _emit_negative_pair_rows(symbol, g_bases, dims, negative, row_base, a1, a2, k, offsets)
+        _emit_negative_pair_rows(symbol, g_bases, dims, terms, row_base, a1, a2, k, offsets)
         row_base += dims[symbol.degree_of(a2) + k]
+    negative = RatMatrix(sum(b.size for b in target if b.kind != "pos"), ncols, terms)
 
     # R: the value [v1, f(v2)] = -f(v2)(v1) of the non-negative rows
-    restriction = RatMatrix(n1 * dv, dk) if k else RatMatrix(0, 0)
-    for t, f in enumerate(g_bases[k] if k and dv else ()):
-        for a1 in range(n1):
-            for u, value in enumerate(f.image_of_basis(-1, a1)):
-                if value:
-                    restriction.set(a1 * dv + u, t, -value)
+    entries = [((a1 * dv + u, t), -value) for t, f in enumerate(g_bases[k] if k and dv else ())
+               for a1, col in enumerate(f.columns[-1]) for u, value in col.items()]
+    restriction = RatMatrix(n1 * dv, dk, entries) if k else RatMatrix(0, 0)
     return SpencerSystem(k, tuple(domain), tuple(target), negative, restriction)
 
 
-def _emit_negative_pair_rows(symbol, g_bases, dims, matrix, row_base, a1, a2, k, offsets):
+def _emit_negative_pair_rows(symbol, g_bases, dims, terms, row_base, a1, a2, k, offsets):
     """Rows of [f(v1), v2] + [v1, f(v2)] - f([v1, v2]) for v1 = e_a1, v2 = e_a2.
 
     v1 has degree -1; the value lives in degree deg(v2) + k and every term
-    is linear in the unknown blocks of f.
+    is linear in the unknown blocks of f; the terms are added into the
+    {(row, column): value} dict `terms`.
     """
     i2 = symbol.degree_of(a2)
     a1_pos = symbol.position_in_degree(a1)
@@ -184,27 +184,25 @@ def _emit_negative_pair_rows(symbol, g_bases, dims, matrix, row_base, a1, a2, k,
     # [f(v1), v2]: f(v1) has degree k, expand over the degree-k basis.
     if -1 in offsets:
         for t, f in enumerate(g_bases[k]):
-            for u, value in enumerate(f.image_of_basis(i2, a2_pos)):
-                if value:
-                    matrix.add_to(row_base + u, col(-1, a1_pos, t), value)
+            for u, value in f.columns[i2][a2_pos].items():
+                terms[(row_base + u, col(-1, a1_pos, t))] += value
 
     # [v1, f(v2)] = -[f(v2), v1]: f(v2) has degree i2 + k + 1.
     mid = i2 + k + 1
     if i2 in offsets and mid < 0:
         for t, g in enumerate(symbol.indices_of_degree(mid)):
             for c, value in symbol.bracket_basis(g, a1).items():
-                matrix.add_to(row_base + symbol.position_in_degree(c), col(i2, a2_pos, t), -value)
+                terms[(row_base + symbol.position_in_degree(c), col(i2, a2_pos, t))] -= value
     elif i2 in offsets:
         for t, f in enumerate(g_bases[mid]):
-            for u, value in enumerate(f.image_of_basis(-1, a1_pos)):
-                if value:
-                    matrix.add_to(row_base + u, col(i2, a2_pos, t), -value)
+            for u, value in f.columns[-1][a1_pos].items():
+                terms[(row_base + u, col(i2, a2_pos, t))] -= value
 
     # -f([v1, v2]): the bracket has degree i2 - 1.
     if i2 - 1 in offsets:
         for c, value in symbol.bracket_basis(a1, a2).items():
             for t in range(dims[i2 + k]):
-                matrix.add_to(row_base + t, col(i2 - 1, symbol.position_in_degree(c), t), -value)
+                terms[(row_base + t, col(i2 - 1, symbol.position_in_degree(c), t))] -= value
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ prolongation terminates.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +40,8 @@ from .algebra import (
     check_validity,
     layout_offsets,
     map_layout,
+    maps_from_rows,
+    seed_brackets,
     tower_dims,
 )
 from .linalg import InternalConsistencyError, RatMatrix
@@ -76,7 +79,7 @@ def leibniz_system(symbol: GradedLieAlgebra, g_bases, degree: int):
                 row_specs.append((a, b, t_deg, nrows))
                 nrows += count
 
-    matrix = RatMatrix(nrows, ncols)
+    terms = defaultdict(int)  # {(row, column): value}
     for a, b, t_deg, row_base in row_specs:
         i = symbol.degree_of(a)
         j = symbol.degree_of(b)
@@ -89,20 +92,21 @@ def leibniz_system(symbol: GradedLieAlgebra, g_bases, degree: int):
             for c, value in symbol.bracket_basis(a, b).items():
                 pos_c = symbol.position_in_degree(c)
                 for t in range(block_target[low]):
-                    matrix.add_to(row_base + t, col(low, pos_c, t), value)
+                    terms[(row_base + t, col(low, pos_c, t))] += value
 
         # - [f(e_a), e_b], with f(e_a) expanded over the degree i+degree basis
-        _emit_side(symbol, g_bases, dims, matrix, row_base,
+        _emit_side(symbol, g_bases, dims, terms, row_base,
                    i, pos_a, b, degree, col, block_target, Fraction(-1))
         # - [e_a, f(e_b)] = + [f(e_b), e_a]
-        _emit_side(symbol, g_bases, dims, matrix, row_base,
+        _emit_side(symbol, g_bases, dims, terms, row_base,
                    j, pos_b, a, degree, col, block_target, Fraction(1))
-    return layout, matrix
+    return layout, RatMatrix(nrows, ncols, terms)
 
 
-def _emit_side(symbol, g_bases, dims, matrix, row_base,
+def _emit_side(symbol, g_bases, dims, terms, row_base,
                dom_deg, dom_pos, other, degree, col, block_target, sign):
-    """Rows of sign * [f(e_dom), e_other] for the unknown block on dom_deg."""
+    """Rows of sign * [f(e_dom), e_other] for the unknown block on dom_deg,
+    added into the {(row, column): value} dict `terms`."""
     if dom_deg not in block_target:
         return
     mid = dom_deg + degree
@@ -112,32 +116,32 @@ def _emit_side(symbol, g_bases, dims, matrix, row_base,
             column = col(dom_deg, dom_pos, t)
             for c, value in symbol.bracket_basis(g, other).items():
                 u = symbol.position_in_degree(c)
-                matrix.add_to(row_base + u, column, sign * value)
+                terms[(row_base + u, column)] += sign * value
     else:
         other_deg = symbol.degree_of(other)
         other_pos = symbol.position_in_degree(other)
         for t in range(count):
             column = col(dom_deg, dom_pos, t)
-            block = g_bases[mid][t].blocks.get(other_deg)
+            block = g_bases[mid][t].columns.get(other_deg)
             if block is None:
                 continue
-            for u, value in enumerate(block[other_pos]):
-                if value:
-                    matrix.add_to(row_base + u, column, sign * value)
+            for u, value in block[other_pos].items():
+                terms[(row_base + u, column)] += sign * value
 
 
 def _normalize_map_basis(vectors, degree, layout):
-    """Reduced echelon form of the span, one map per reduced row."""
+    """Echelon basis of the span of sparse flattened maps, one map per reduced row."""
     if not vectors:
         return []
-    _, rows = linalg.rref(RatMatrix.from_rows(vectors))
-    return [GradedLinearMap.from_flat(degree, layout, row) for row in rows]
+    entries = [((r, c), x) for r, v in enumerate(vectors) for c, x in v.items()]
+    echelon = linalg.rref(RatMatrix(len(vectors), layout_offsets(layout)[1], entries))
+    return maps_from_rows(degree, layout, echelon.pivot_rows)
 
 
 def leibniz_maps(symbol: GradedLieAlgebra, g_bases, degree: int):
     """Basis of degree-`degree` maps satisfying the Leibniz identity."""
     layout, matrix = leibniz_system(symbol, g_bases, degree)
-    return _normalize_map_basis(linalg.nullspace(matrix), degree, layout)
+    return _normalize_map_basis(linalg.nullspace(matrix, sparse=True), degree, layout)
 
 
 def prolong_step(symbol: GradedLieAlgebra, g_bases):
@@ -163,7 +167,7 @@ def spencer_kernel_from_system(system: SpencerSystem):
             f"Spencer kernel element at k={system.k} has a nonzero non-negative block"
         )
     layout = system.negative_map_layout()
-    return _normalize_map_basis(system.negative_echelon.nullspace(), system.k + 1, layout)
+    return _normalize_map_basis(system.negative_echelon.nullspace(sparse=True), system.k + 1, layout)
 
 
 def _disagreement(degree, leibniz, spencer, layout) -> str:
@@ -172,10 +176,10 @@ def _disagreement(degree, leibniz, spencer, layout) -> str:
     message = f"Spencer kernel disagrees with the pairwise constraint route at degree {degree}"
     for route, maps, other in (("pairwise constraint", leibniz, spencer),
                                ("Spencer kernel", spencer, leibniz)):
-        flats = [f.flatten(layout) for f in maps]
-        for flat, coords in zip(flats, linalg.express_in_basis([g.flatten(layout) for g in other], flats)):
+        flats = [f.flat_entries(layout) for f in maps]
+        for f, coords in zip(maps, linalg.express_in_basis([g.flatten(layout) for g in other], flats)):
             if coords is None:
-                witness = ", ".join(map(str, flat))
+                witness = ", ".join(map(str, f.flatten(layout)))
                 return f"{message}: the {route} map [{witness}] is not in the span of the other route"
     return message
 
@@ -291,10 +295,10 @@ def check_transitivity(result: ProlongationResult) -> TransitivityReport:
         if not base:
             continue
         n1, below = dims.get(-1, 0), dims.get(k - 1, 0)
-        # one row per map, its degree -1 block; the left kernel of these
-        # rows holds the combinations that vanish on g^-1
-        rows = [f.flatten([(-1, n1, below)]) for f in base]
-        kernel = linalg.nullspace(RatMatrix.from_rows(rows, n1 * below).transpose())
+        # one column per map, its degree -1 block; the kernel holds the
+        # combinations that vanish on g^-1
+        entries = [((c, t), x) for t, f in enumerate(base) for c, x in f.flat_entries([(-1, n1, below)]).items()]
+        kernel = linalg.nullspace(RatMatrix(n1 * below, len(base), entries))
         if kernel:
             return TransitivityReport(False, k, tuple(kernel[0]))
     return TransitivityReport(True, None, None)
@@ -322,23 +326,12 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
             used.add(name)
             elements.append(BasisElement(name, k))
     position = {g: pos for idx in indices.values() for pos, g in enumerate(idx)}
-
-    def sparse(degree, coords):
-        return {indices[degree][u]: value for u, value in enumerate(coords) if value}
-
-    brackets = {pair: symbol.bracket_basis(*pair) for pair in symbol.bracket_pairs()}
-    for k, base in enumerate(g_bases):
-        for f, x in zip(base, indices[k]):
-            for i, cols in f.blocks.items():
-                for v, col in zip(indices[i], cols):
-                    brackets[(v, x)] = sparse(i + k, [-value for value in col])  # [v, f] = -f(v)
-    for (s, t), coords in g0.structure_constants.items():
-        brackets[(indices[0][s], indices[0][t])] = sparse(0, coords)
+    brackets = seed_brackets(symbol, g_bases, g0, indices)
+    empty: dict[int, Fraction] = {}
 
     def bracket(a, b):
-        if a < b:
-            return brackets.get((a, b), {})
-        return {c: -value for c, value in brackets.get((b, a), {}).items()}
+        """[e_a, e_b] as a sign and the stored dict, without a copy."""
+        return (1, brackets.get((a, b), empty)) if a < b else (-1, brackets.get((b, a), empty))
 
     for D in range(1, (2 * kmax if terminated else kmax) + 1):
         layout = map_layout(dims, D)
@@ -355,10 +348,13 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
                             # [[x, y], v] = [x, [y, v]] - [y, [x, v]]
                             base = offsets[i] + pos * tgt
                             for left, right, sign in ((x, y, 1), (y, x, -1)):
-                                for c, p in bracket(right, v).items():
-                                    for e, q in bracket(left, c).items():
+                                sign_rv, right_v = bracket(right, v)
+                                for c, p in right_v.items():
+                                    sign_lc, left_c = bracket(left, c)
+                                    factor = p if sign * sign_rv * sign_lc > 0 else -p
+                                    for e, q in left_c.items():
                                         col = base + position[e]
-                                        flat[col] = flat.get(col, 0) + sign * p * q
+                                        flat[col] = flat.get(col, 0) + factor * q
                     if D <= kmax:
                         pairs.append((x, y))
                         flats.append(flat)

@@ -89,14 +89,8 @@ def _require_fundamental_symbol(symbol: GradedLieAlgebra) -> None:
 
 
 def _with_extra_rows(matrix: RatMatrix, extra_rows) -> RatMatrix:
-    extra_rows = [list(row) for row in extra_rows]
-    out = RatMatrix(matrix.rows + len(extra_rows), matrix.cols)
-    for key, value in matrix.items():
-        out.set(*key, value)
-    for k, row in enumerate(extra_rows):
-        for c, value in enumerate(row):
-            out.set(matrix.rows + k, c, value)
-    return out
+    extra = [((matrix.rows + k, c), x) for k, row in enumerate(extra_rows) for c, x in enumerate(row)]
+    return RatMatrix(matrix.rows + len(extra_rows), matrix.cols, matrix.items() + extra)
 
 
 def degree_zero_derivations(symbol: GradedLieAlgebra) -> DegreeZeroAlgebra:
@@ -131,7 +125,7 @@ def orthogonal_derivations(symbol: GradedLieAlgebra, form: EuclideanForm) -> Deg
                 row[off + p * n1 + s] += q[s][r]
             extra.append(row)
     full = _with_extra_rows(matrix, extra)
-    maps = prolongation._normalize_map_basis(linalg.nullspace(full), 0, layout)
+    maps = prolongation._normalize_map_basis(linalg.nullspace(full, sparse=True), 0, layout)
     return DegreeZeroAlgebra(symbol, maps)
 
 
@@ -161,65 +155,68 @@ def line_preserving_derivations(symbol: GradedLieAlgebra, lines: LinePair) -> De
                 row[off + a * 2 + 1] -= v[a] * v[0]
         extra.append(row)
     full = _with_extra_rows(matrix, extra)
-    maps = prolongation._normalize_map_basis(linalg.nullspace(full), 0, layout)
+    maps = prolongation._normalize_map_basis(linalg.nullspace(full, sparse=True), 0, layout)
     return DegreeZeroAlgebra(symbol, maps)
 
 
-def extend_top_block(symbol: GradedLieAlgebra, block_rows) -> GradedLinearMap:
-    """Extend a degree -1 block to a grading-preserving derivation.
+def extend_top_blocks(symbol: GradedLieAlgebra, top_blocks) -> list[GradedLinearMap]:
+    """Extend degree -1 blocks to grading-preserving derivations.
 
     The deeper blocks are forced degree by degree through the Leibniz rule
-    applied to brackets with the degree -1 part; a fundamental symbol admits
-    at most one extension, and none at all when the block is incompatible
-    with the relations, which raises ValueError.
+    applied to brackets with the degree -1 part: the unknown block B on
+    degree d satisfies B [e_a, e_b] = [f(e_a), e_b] + [e_a, f(e_b)] for a of
+    degree -1 and b of degree d + 1.  These equations depend on the symbol
+    alone, so each degree is eliminated once, every block bringing its own
+    right-hand side.  Blocks are lists of rows of Fractions.  A fundamental
+    symbol admits at most one extension, and none at all when a block is
+    incompatible with the relations, which raises ValueError naming the
+    degree for the first such block.
     """
     n1 = symbol.dim_of_degree(-1)
-    rows = [list(map(Fraction, row)) for row in block_rows]
-    if len(rows) != n1 or any(len(row) != n1 for row in rows):
-        raise ValueError("the block must be square of the degree -1 dimension")
-    blocks = {-1: [[rows[s][a] for s in range(n1)] for a in range(n1)]}
+    columns = []  # per block: degree -> sparse columns, as in GradedLinearMap
+    for rows in top_blocks:
+        if len(rows) != n1 or any(len(row) != n1 for row in rows):
+            raise ValueError("the block must be square of the degree -1 dimension")
+        columns.append({-1: tuple({s: rows[s][a] for s in range(n1) if rows[s][a]} for a in range(n1))})
     top = symbol.indices_of_degree(-1)
+    failed: dict[int, int] = {}  # block -> first degree it does not extend to
     for degree in range(-2, -symbol.depth - 1, -1):
-        dim = symbol.dim_of_degree(degree)
-        if dim == 0:
-            blocks[degree] = []
-            continue
-        partial = GradedLinearMap(0, blocks)
-        equations = []
+        position = {c: s for s, c in enumerate(symbol.indices_of_degree(degree))}
+        up = symbol.indices_of_degree(degree + 1)
+        dim = len(position)
+
+        def in_degree(terms):
+            return {position[c]: x for c, x in terms.items() if c in position}
+
+        pairs = [(p, q, in_degree(w)) for p, a in enumerate(top) for q, b in enumerate(up)
+                 if (w := symbol.bracket_basis(a, b))]
+        # rows (pair, t) of B w = value over the unknown entries B[t][s], column t * dim + s
+        entries = [((r * dim + t, t * dim + s), x)
+                   for r, (_, _, w) in enumerate(pairs) for t in range(dim) for s, x in w.items()]
         rhs = []
-        for a in top:
-            ea = symbol.unit_vector(a)
-            fa = symbol.scatter(-1, partial.image_of_basis(-1, symbol.position_in_degree(a)))
-            for b in symbol.indices_of_degree(degree + 1):
-                w = symbol.bracket(ea, symbol.unit_vector(b))
-                if not any(w):
-                    continue
-                fb = symbol.scatter(
-                    degree + 1,
-                    partial.image_of_basis(degree + 1, symbol.position_in_degree(b)),
-                )
-                value = [
-                    x + y
-                    for x, y in zip(symbol.bracket(fa, symbol.unit_vector(b)), symbol.bracket(ea, fb))
-                ]
-                w_coords = symbol.component(w, degree)
-                value_coords = symbol.component(value, degree)
-                # rows of B . w = value over the unknown entries B[t][s]
-                for t in range(dim):
-                    row = [Fraction(0)] * (dim * dim)
-                    for s in range(dim):
-                        row[t * dim + s] = w_coords[s]
-                    equations.append(row)
-                    rhs.append(value_coords[t])
-        solution = linalg.solve(RatMatrix.from_rows(equations, dim * dim), rhs)
-        if solution is None:
-            raise ValueError(
-                f"the degree -1 block does not extend to a derivation at degree {degree}"
-            )
-        blocks[degree] = [
-            [solution[t * dim + s] for t in range(dim)] for s in range(dim)
-        ]
-    return GradedLinearMap(0, blocks)
+        for cols in columns:
+            value = {}
+            for r, (p, q, _) in enumerate(pairs):
+                acc: dict[int, Fraction] = {}
+                for u, x in cols[-1][p].items():
+                    linalg.axpy(acc, x, symbol.bracket_basis(top[u], up[q]))
+                for u, x in cols[degree + 1][q].items():
+                    linalg.axpy(acc, x, symbol.bracket_basis(top[p], up[u]))
+                value.update((r * dim + t, x) for t, x in in_degree(acc).items())
+            rhs.append(value)
+        solutions = linalg.solve_many(RatMatrix(len(pairs) * dim, dim * dim, entries), rhs)
+        for j, (cols, x) in enumerate(zip(columns, solutions)):
+            if x is None:
+                failed.setdefault(j, degree)
+                x = [Fraction(0)] * (dim * dim)  # carried on as zero; the others go on
+            cols[degree] = tuple({t: x[t * dim + s] for t in range(dim) if x[t * dim + s]}
+                                 for s in range(dim))
+    if failed:
+        raise ValueError(
+            f"the degree -1 block does not extend to a derivation at degree {failed[min(failed)]}"
+        )
+    shapes = {d: (symbol.dim_of_degree(d),) * 2 for d in range(-1, -symbol.depth - 1, -1)}
+    return [GradedLinearMap.from_columns(0, cols, shapes) for cols in columns]
 
 
 def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
@@ -227,42 +224,50 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
 
     Accepts GradedLinearMap instances, full square matrices over the whole
     symbol basis (must be block-diagonal in the grading), or square degree -1
-    blocks which are extended through the relations.  Dependent entries are
-    dropped (first independent subset wins) so the returned basis stays in
-    the user's coordinates; derivation and closure failures raise ValueError
-    naming the witness.
+    blocks which are extended through the relations, all of them together.
+    Dependent entries are dropped (first independent subset wins) so the
+    returned basis stays in the user's coordinates; extension, derivation
+    and closure failures raise ValueError naming the witness.
     """
     n = symbol.dim
     n1 = symbol.dim_of_degree(-1)
-    converted = []
+    converted, tops = [], []  # tops: (slot in converted, degree -1 block)
     for idx, item in enumerate(maps):
-        if isinstance(item, GradedLinearMap):
-            converted.append(item)
-            continue
-        rows = [list(map(Fraction, row)) for row in item]
-        if len(rows) == n and all(len(row) == n for row in rows):
-            blocks = {}
-            for degree in symbol.degrees:
-                members = symbol.indices_of_degree(degree)
-                cols = []
-                for b in members:
-                    cols.append([rows[c][b] for c in members])
-                blocks[degree] = cols
-            for c in range(n):
-                for b in range(n):
-                    if rows[c][b] and symbol.degree_of(c) != symbol.degree_of(b):
-                        raise ValueError(
-                            f"map {idx + 1} is not grading-preserving: entry ({c}, {b}) "
-                            "links different degrees"
-                        )
-            converted.append(GradedLinearMap(0, blocks))
-        elif len(rows) == n1 and all(len(row) == n1 for row in rows):
-            converted.append(extend_top_block(symbol, rows))
-        else:
-            raise ValueError(
-                f"map {idx + 1} must be square over the full basis or over the degree -1 basis"
-            )
+        try:
+            if isinstance(item, GradedLinearMap):
+                converted.append(item)
+                continue
+            rows = [list(map(Fraction, row)) for row in item]
+            if len(rows) == n and all(len(row) == n for row in rows):
+                columns = {}  # column b of a block: the entries rows[c][b] of its degree
+                for degree in symbol.degrees:
+                    members = symbol.indices_of_degree(degree)
+                    columns[degree] = tuple({t: rows[c][b] for t, c in enumerate(members) if rows[c][b]}
+                                            for b in members)
+                for c in range(n):
+                    for b in range(n):
+                        if rows[c][b] and symbol.degree_of(c) != symbol.degree_of(b):
+                            raise ValueError(
+                                f"map {idx + 1} is not grading-preserving: entry ({c}, {b}) "
+                                "links different degrees"
+                            )
+                shapes = {d: (len(cols),) * 2 for d, cols in columns.items()}
+                converted.append(GradedLinearMap.from_columns(0, columns, shapes))
+            elif len(rows) == n1 and all(len(row) == n1 for row in rows):
+                tops.append((len(converted), rows))
+                converted.append(None)
+            else:
+                raise ValueError(
+                    f"map {idx + 1} must be square over the full basis or over the degree -1 basis"
+                )
+        except ValueError:
+            # a block before the bad entry that does not extend fails first
+            extend_top_blocks(symbol, [rows for _, rows in tops])
+            raise
+    for (slot, _), f in zip(tops, extend_top_blocks(symbol, [rows for _, rows in tops])):
+        converted[slot] = f
     layout = map_layout(symbol.dims_by_degree(), 0)
-    matrix = RatMatrix.from_rows([f.flatten(layout) for f in converted], layout_offsets(layout)[1])
+    entries = [((r, c), x) for r, f in enumerate(converted) for c, x in f.flat_entries(layout).items()]
+    matrix = RatMatrix(len(converted), layout_offsets(layout)[1], entries)
     # rows are reduced in order, so the kept rows are the first independent subset
     return DegreeZeroAlgebra(symbol, [converted[i] for i in linalg.rref(matrix).kept])

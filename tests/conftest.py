@@ -19,6 +19,26 @@ LAMBDA_1 = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
 LAMBDA_2 = [[1, 0, 0], [0, -1, 0], [0, 0, 0]]
 
 
+def bracket(algebra, x, y):
+    """Bracket of two coordinate vectors over the full basis of `algebra`."""
+    n = algebra.dim
+    if len(x) != n or len(y) != n:
+        raise ValueError("coordinate vectors must match the basis dimension")
+    out = [Fraction(0)] * n
+    for a, b in algebra.bracket_pairs():
+        coeff = x[a] * y[b] - x[b] * y[a]
+        if coeff:
+            for c, value in algebra.bracket_basis(a, b).items():
+                out[c] += coeff * value
+    return out
+
+
+def unit_vector(algebra, index):
+    v = [Fraction(0)] * algebra.dim
+    v[index] = Fraction(1)
+    return v
+
+
 def make_eta3() -> GradedLieAlgebra:
     return GradedLieAlgebra(
         [BasisElement("X1", -1), BasisElement("X2", -1), BasisElement("X3", -2)],

@@ -21,6 +21,8 @@ from gradedlie import diagnostics, linalg
 from gradedlie.diagnostics import symmetric_signature
 from gradedlie.linalg import RatMatrix
 
+from conftest import bracket
+
 F = Fraction
 
 coeffs_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -241,7 +243,7 @@ def test_killing_form_invariance(xs, ys, zs):
     def kappa(u, v):
         return sum(rows[i][j] * u[i] * v[j] for i in range(8) for j in range(8))
 
-    assert kappa(algebra.bracket(xs, ys), zs) == kappa(xs, algebra.bracket(ys, zs))
+    assert kappa(bracket(algebra, xs, ys), zs) == kappa(xs, bracket(algebra, ys, zs))
 
 
 def test_free_nilpotent_killing_is_zero():

@@ -300,9 +300,13 @@ def test_rref_matches_dense_and_sympy_oracles(mat):
         assert ours == sympy_rref(mat)
 
 
+def transpose(mat):
+    return RatMatrix(mat.cols, mat.rows, [((c, r), x) for (r, c), x in mat.items()])
+
+
 def complement_by_transpose(mat):
     """Reference complement: the coordinates that are not pivots of rref(A^T)."""
-    pivots, _ = rref(mat.transpose())
+    pivots, _ = rref(transpose(mat))
     return [i for i in range(mat.rows) if i not in set(pivots)]
 
 

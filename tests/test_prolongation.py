@@ -26,6 +26,8 @@ from gradedlie.prolongation import (
 )
 from gradedlie.symbols import EuclideanForm
 
+from conftest import bracket
+
 F = Fraction
 
 
@@ -171,14 +173,14 @@ def test_example5_assembled_table(eta3, lambda_g0, example5_result):
     c_lam = linalg.express_in_basis(computed2, [reference_g2.flatten(dims2)])[0]
     v_lam = global_vec(2, c_lam)
 
-    assert algebra.bracket(v11, v21) == [2 * x for x in v_lam]
+    assert bracket(algebra, v11, v21) == [2 * x for x in v_lam]
     # weight relations under the degree-zero part
-    assert algebra.bracket(v11, lam10) == v11
-    assert algebra.bracket(v11, lam20) == v11
-    assert algebra.bracket(v21, lam10) == v21
-    assert algebra.bracket(v21, lam20) == [-x for x in v21]
+    assert bracket(algebra, v11, lam10) == v11
+    assert bracket(algebra, v11, lam20) == v11
+    assert bracket(algebra, v21, lam10) == v21
+    assert bracket(algebra, v21, lam20) == [-x for x in v21]
     # [f, f] = 0
-    assert algebra.bracket(v11, v11) == [F(0)] * algebra.dim
+    assert bracket(algebra, v11, v11) == [F(0)] * algebra.dim
 
     # the table entries of the pairs (g0_1, g0_2) and (g1_1, g1_2), read
     # through the assembled algebra

@@ -19,7 +19,7 @@ from gradedlie import (
 from gradedlie import linalg
 from gradedlie.algebra import map_layout
 
-from conftest import LAMBDA_1, LAMBDA_2
+from conftest import LAMBDA_1, LAMBDA_2, bracket, unit_vector
 
 F = Fraction
 
@@ -49,9 +49,9 @@ def test_heisenberg_presets():
         assert m.dims_by_degree() == {-1: 2 * n, -2: 1}
         assert check_validity(m).ok
         assert check_fundamental(m)
-        z = m.unit_vector(2 * n)
+        z = unit_vector(m, 2 * n)
         for i in range(n):
-            assert m.bracket(m.unit_vector(i), m.unit_vector(n + i)) == z
+            assert bracket(m, unit_vector(m, i), unit_vector(m, n + i)) == z
 
 
 def test_abelian_preset():
@@ -131,13 +131,13 @@ def test_standard_lines_induced_degree_minus_two_action(eta3):
     g0 = line_preserving_derivations(eta3, LinePair([1, 0], [0, 1]))
     # the member acting as the identity on degree -1 must scale X3 by 2
     rows = [
-        [g.blocks[-1][0][0], g.blocks[-1][0][1], g.blocks[-1][1][0], g.blocks[-1][1][1]]
+        [*g.image_of_basis(-1, 0), *g.image_of_basis(-1, 1)]
         for g in g0.generators
     ]
     coords = linalg.express_in_basis(rows, [[F(1), F(0), F(0), F(1)]])[0]
     assert coords is not None
     x3_action = sum(
-        (c * g.blocks[-2][0][0] for c, g in zip(coords, g0.generators)), F(0)
+        (c * g.image_of_basis(-2, 0)[0] for c, g in zip(coords, g0.generators)), F(0)
     )
     assert x3_action == F(2)
 
@@ -187,7 +187,7 @@ def test_custom_g0_empty(eta3):
 def test_custom_g0_grading_element_from_top_block(eta3):
     g0 = custom_g0(eta3, [[[1, 0], [0, 1]]])
     assert g0.dim == 1
-    assert g0.generators[0].blocks[-2][0][0] == F(2)
+    assert g0.generators[0].image_of_basis(-2, 0)[0] == F(2)
 
 
 def test_custom_g0_drops_dependent_maps(eta3):
@@ -201,7 +201,7 @@ def test_custom_g0_keeps_the_first_independent_maps_in_order(eta3):
     total = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(LAMBDA_1, LAMBDA_2)]
     g0 = custom_g0(eta3, [LAMBDA_2, zero, LAMBDA_2, [[1, 0], [0, 1]], total, LAMBDA_1])
     expected = [custom_g0(eta3, [m]).generators[0] for m in (LAMBDA_2, LAMBDA_1)]
-    assert [g.blocks for g in g0.generators] == [g.blocks for g in expected]
+    assert list(g0.generators) == expected
 
 
 def test_structure_constants_take_one_elimination_per_basis(monkeypatch):
@@ -253,3 +253,37 @@ def test_degree_zero_derivations_requires_fundamental():
     )
     with pytest.raises(ValueError, match="fundamental"):
         degree_zero_derivations(split)
+
+
+def test_custom_g0_eliminates_each_degree_once(monkeypatch):
+    symbol = free_nilpotent(2, 4)
+    tops = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]]]
+    one_by_one = [custom_g0(symbol, [top]).generators[0] for top in tops]
+    eliminated = []
+    real_rref = linalg.rref
+
+    def recording_rref(matrix):
+        eliminated.append(matrix)
+        return real_rref(matrix)
+
+    monkeypatch.setattr(linalg, "rref", recording_rref)
+    g0 = custom_g0(symbol, tops)
+    # degrees -2, -3 and -4 once each for all four blocks, then the
+    # independent subset and the commutator table; block by block took 14
+    assert len(eliminated) == 5
+    assert list(g0.generators) == one_by_one
+    for top, f in zip(tops, g0.generators):
+        assert [list(f.image_of_basis(-1, a)) for a in range(2)] == [[top[s][a] for s in range(2)] for a in range(2)]
+
+
+def test_first_block_that_does_not_extend_is_reported_first():
+    m = heisenberg(2)
+    good = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    bad = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    with pytest.raises(ValueError, match="extend to a derivation at degree -2"):
+        custom_g0(m, [good, bad, good])
+    # the block comes before a malformed entry, so its failure is reported
+    with pytest.raises(ValueError, match="extend"):
+        custom_g0(m, [bad, [[1]]])
+    with pytest.raises(ValueError, match="map 2 must be square"):
+        custom_g0(m, [good, [[1]]])

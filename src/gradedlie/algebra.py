@@ -56,7 +56,7 @@ class GradedLieAlgebra:
             for c, value in terms.items():
                 if not 0 <= c < n:
                     raise ValueError(f"bracket target {c} out of range")
-                value = value if isinstance(value, Fraction) else Fraction(value)
+                value = linalg._frac(value)
                 if value:
                     clean[c] = value
             if clean:
@@ -157,10 +157,16 @@ def check_validity(algebra: GradedLieAlgebra) -> ValidityReport:
     jacobi_ok, jacobi_witness = True, None
     n = algebra.dim
     table = algebra._table
+    degree = [e.degree for e in algebra.basis]
+    # with every bracket graded, a triple whose degrees sum to a degree
+    # without basis elements has all three double brackets zero
+    occupied = set(algebra.degrees) if grading_ok else None
     for a in range(n):
         for b in range(a + 1, n):
             ab = table.get((a, b), {})
             for c in range(b + 1, n):
+                if occupied is not None and degree[a] + degree[b] + degree[c] not in occupied:
+                    continue
                 # [[a, b], c] + [[b, c], a] + [[c, a], b], with [c, a] = -[a, c]
                 acc: dict[int, Fraction] = {}
                 for t, v in ab.items():
@@ -274,7 +280,7 @@ class GradedLinearMap:
             width = len(cols[0]) if cols else 0
             if any(len(col) != width for col in cols):
                 raise ValueError(f"columns of the block on degree {i} differ in length")
-            columns[i] = tuple({t: Fraction(v) for t, v in enumerate(col) if v} for col in cols)
+            columns[i] = tuple({t: x for t, v in enumerate(col) if (x := linalg._frac(v))} for col in cols)
             shapes[i] = (len(cols), width)
         self.degree, self.columns, self.shapes = degree, columns, shapes
 

@@ -62,24 +62,10 @@ def hall_trees(r: int, mu: int) -> dict[int, list]:
 def _expand(tree, cache) -> dict[tuple[int, ...], Fraction]:
     """Expansion of a Hall tree in the free associative algebra (word -> coeff)."""
     key = _shape(tree)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(tree, int):
-        poly = {(tree,): Fraction(1)}
-    else:
-        left = _expand(tree[0], cache)
-        right = _expand(tree[1], cache)
-        poly = {}
-        for wl, cl in left.items():
-            for wr, cr in right.items():
-                word = wl + wr
-                poly[word] = poly.get(word, Fraction(0)) + cl * cr
-                word = wr + wl
-                poly[word] = poly.get(word, Fraction(0)) - cl * cr
-        poly = {w: c for w, c in poly.items() if c}
-    cache[key] = poly
-    return poly
+    if key not in cache:
+        cache[key] = ({(tree,): Fraction(1)} if isinstance(tree, int)
+                      else _poly_commutator(_expand(tree[0], cache), _expand(tree[1], cache)))
+    return cache[key]
 
 
 def _poly_commutator(p, q) -> dict[tuple[int, ...], Fraction]:
@@ -96,18 +82,15 @@ def _poly_commutator(p, q) -> dict[tuple[int, ...], Fraction]:
 _ESCAPED = "bracket of Hall elements escaped the Hall span"
 
 
-def _word_vector(poly, words) -> list[Fraction]:
-    """Coefficients of `poly` over the indexed words.
+def _word_coordinates(poly, words) -> dict[int, Fraction]:
+    """Sparse coefficients of `poly` over the indexed words.
 
     A word outside the index appears in no Hall expansion of this degree, so
     the polynomial is outside their span.
     """
-    vector = [Fraction(0)] * len(words)
-    for word, coeff in poly.items():
-        if word not in words:
-            raise ArithmeticError(_ESCAPED)
-        vector[words[word]] = coeff
-    return vector
+    if any(word not in words for word in poly):
+        raise ArithmeticError(_ESCAPED)
+    return {words[word]: coeff for word, coeff in poly.items()}
 
 
 def free_nilpotent(r: int, mu: int) -> GradedLieAlgebra:
@@ -142,15 +125,12 @@ def free_nilpotent(r: int, mu: int) -> GradedLieAlgebra:
         for idx in members[d]:
             for word in expansions[idx]:
                 words.setdefault(word, len(words))
-        hall = [_word_vector(expansions[idx], words) for idx in members[d]]
-        targets = [
-            _word_vector(_poly_commutator(expansions[a], expansions[b]), words)
-            for a, b in degree_pairs
-        ]
+        hall = [linalg.dense(_word_coordinates(expansions[idx], words), len(words)) for idx in members[d]]
+        targets = [_word_coordinates(_poly_commutator(expansions[a], expansions[b]), words)
+                   for a, b in degree_pairs]
         for (a, b), coords in zip(degree_pairs, linalg.express_in_basis(hall, targets)):
             if coords is None:
                 raise ArithmeticError(_ESCAPED)
-            terms = {members[d][t]: value for t, value in enumerate(coords) if value}
-            if terms:
-                brackets[(a, b)] = terms
+            if coords:
+                brackets[(a, b)] = {members[d][t]: value for t, value in coords.items()}
     return GradedLieAlgebra(basis, brackets)

@@ -7,18 +7,20 @@ only.  Pivots are always the first nonzero entry in column order; the
 reduced row echelon form is unique, which makes every returned basis
 deterministic (bit-exact across runs).
 
-``rref`` returns an ``Echelon``: the pivots, the reduced pivot rows kept
-as the sparse ``{column: value}`` dicts the elimination works on, and
-``kept``: rows are reduced in input order, so a row is kept exactly when it
-is not in the span of the rows before it.  The rank, the kernel (read off a
-column index of the sparse rows) and a coordinate complement of the column
-space (the rows not kept) all come from one ``Echelon``, so a matrix that
-needs all three is eliminated once.  Dense rows are built only when a
-caller unpacks ``pivots, rows = rref(m)`` or reads ``Echelon.rows``.
+Vectors are sparse ``{index: Fraction}`` dicts of their nonzero entries
+throughout; dense lists appear only at the public edge (``nullspace``,
+``solve``, ``Echelon.rows`` and the basis vectors ``express_in_basis``
+takes).  ``rref`` returns an ``Echelon``: the pivots, the reduced pivot
+rows and ``kept``: rows are reduced in input order, so a row is kept
+exactly when it is not in the span of the rows before it.  The rank, the
+kernel and a coordinate complement of the column space (the rows not kept)
+all come from one ``Echelon``, so a matrix that needs all three is
+eliminated once.  Kernel vectors and solutions are certified exactly
+through a column index of the matrix, at the cost of their support.
 
 ``express_in_basis`` is the one way to take coordinates over a basis: it
-eliminates the basis once and then expresses any number of dense or sparse
-targets, each checked by an exact sparse reconstruction.
+eliminates the basis once and then expresses any number of sparse targets,
+each checked by an exact sparse reconstruction.
 """
 
 from __future__ import annotations
@@ -93,15 +95,6 @@ class RatMatrix:
             rows[r][c] = value
         return rows
 
-    def matvec(self, vector: Sequence) -> Vector:
-        if len(vector) != self.cols:
-            raise ValueError("vector length does not match column count")
-        out = [Fraction(0)] * self.rows
-        for (r, c), value in self._entries.items():
-            if vector[c]:
-                out[r] += value * vector[c]
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatMatrix)
@@ -123,8 +116,8 @@ class Echelon:
 
     ``pivots`` ascend; ``pivot_rows`` are the reduced rows in pivot order as
     sparse ``{column: value}`` dicts; ``kept`` are the input rows (ascending)
-    that produced a pivot.  Dense ``rows`` are built only on demand, and
-    ``pivots, rows = rref(m)`` unpacks to them.
+    that produced a pivot; ``nullspace()`` gives sparse kernel vectors.  Dense
+    ``rows`` are built only on demand, for ``pivots, rows = rref(m)``.
     """
 
     def __init__(self, pivots, pivot_rows, kept, matrix):
@@ -141,15 +134,14 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def nullspace(self, sparse: bool = False) -> list:
-        """Basis of ker A, echelon-normalized and ordered by free column.
+    def nullspace(self) -> list[dict[int, Fraction]]:
+        """Basis of ker A as sparse vectors, echelon-normalized and ordered by
+        free column.
 
         Each basis vector carries a 1 at its free coordinate and zeros at the
         free coordinates of the other vectors; its pivot coordinates are read
-        off a column index of the sparse pivot rows.  The vectors are dense,
-        or sparse {column: value} dicts when `sparse` is set.
+        off a column index of the sparse pivot rows.
         """
-        matrix = self.matrix
         by_column: dict[int, list[tuple[int, Fraction]]] = {}
         for p, row in zip(self.pivots, self.pivot_rows):
             for c, value in row.items():
@@ -157,21 +149,11 @@ class Echelon:
                     by_column.setdefault(c, []).append((p, -value))
         pivot_set = set(self.pivots)
         basis = [dict([*by_column.get(fc, ()), (fc, Fraction(1))])
-                 for fc in range(matrix.cols) if fc not in pivot_set]
-        # rank-nullity and exactness, checked on every call; A v = 0 goes
-        # through a column index of A, so it costs the support of v
-        if len(basis) != matrix.cols - len(self.pivots):
+                 for fc in range(self.matrix.cols) if fc not in pivot_set]
+        if len(basis) != self.matrix.cols - len(self.pivots):
             raise InternalConsistencyError("nullspace: basis size breaks rank-nullity")
-        columns: dict[int, dict[int, Fraction]] = {}
-        for (r, c), value in matrix._entries.items():
-            columns.setdefault(c, {})[r] = value
-        for v in basis:
-            image: dict[int, Fraction] = {}
-            for c, x in v.items():
-                axpy(image, x, columns.get(c, {}))
-            if image:
-                raise InternalConsistencyError("nullspace: basis vector is not in the kernel")
-        return basis if sparse else [dense(v, matrix.cols) for v in basis]
+        _certify(self.matrix, [(v, {}) for v in basis], "nullspace: basis vector is not in the kernel")
+        return basis
 
     def complement(self) -> list[int]:
         """Coordinates whose standard basis vectors complete the column space.
@@ -181,6 +163,21 @@ class Echelon:
         """
         kept = set(self.kept)
         return [i for i in range(self.matrix.rows) if i not in kept]
+
+
+def _certify(matrix: RatMatrix, pairs, message: str) -> None:
+    """Raise InternalConsistencyError unless A x == b exactly for every sparse
+    pair (x, b); A x goes through a column index of A, so it costs the
+    support of x."""
+    columns: dict[int, dict[int, Fraction]] = {}
+    for (r, c), value in matrix._entries.items():
+        columns.setdefault(c, {})[r] = value
+    for x, b in pairs:
+        image: dict[int, Fraction] = {}
+        for c, value in x.items():
+            axpy(image, value, columns.get(c, {}))
+        if image != b:
+            raise InternalConsistencyError(message)
 
 
 def dense(row: dict[int, Fraction], length: int) -> Vector:
@@ -238,41 +235,39 @@ def rank(matrix: RatMatrix) -> int:
     return rref(matrix).rank
 
 
-def nullspace(matrix: RatMatrix, sparse: bool = False) -> list:
-    return rref(matrix).nullspace(sparse)
+def nullspace(matrix: RatMatrix) -> list[Vector]:
+    """Basis of ker A as dense vectors (see Echelon.nullspace)."""
+    return [dense(v, matrix.cols) for v in rref(matrix).nullspace()]
 
 
 def solve(matrix: RatMatrix, rhs: Sequence) -> Vector | None:
-    """Solve A x = b exactly; None when inconsistent (see solve_many)."""
+    """Solve A x = b exactly, dense; None when inconsistent (see solve_many)."""
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    return solve_many(matrix, [dict(enumerate(rhs))])[0]
+    x = solve_many(matrix, [dict(enumerate(rhs))])[0]
+    return None if x is None else dense(x, matrix.cols)
 
 
-def solve_many(matrix: RatMatrix, rhs: Sequence[dict]) -> list[Vector | None]:
-    """Solve A x = b exactly for each sparse {row: value} right-hand side,
-    eliminating [A | b_1 ... b_m] once; None for an inconsistent b.
+def solve_many(matrix: RatMatrix, rhs: Sequence[dict]) -> list[dict[int, Fraction] | None]:
+    """Sparse solutions of A x = b for each sparse {row: value} right-hand
+    side, eliminating [A | b_1 ... b_m] once; None for an inconsistent b.
 
     With free variables the solution with zero free coordinates is returned,
     so the result is deterministic.  A right-hand side is inconsistent
     exactly when a reduced row without an entry in A has one in its column.
     """
     n = matrix.cols
+    rhs = [{r: x for r, value in b.items() if (x := _frac(value))} for b in rhs]
     entries = list(matrix._entries.items())
     entries += [((r, n + j), value) for j, b in enumerate(rhs) for r, value in b.items()]
     echelon = rref(RatMatrix(matrix.rows, n + len(rhs), entries))
     solutions = []
-    for j, b in enumerate(rhs):
-        if any(p >= n and n + j in row for p, row in zip(echelon.pivots, echelon.pivot_rows)):
-            solutions.append(None)
-            continue
-        x = [Fraction(0)] * n
-        for p, row in zip(echelon.pivots, echelon.pivot_rows):
-            if p < n:
-                x[p] = row.get(n + j, x[p])
-        if matrix.matvec(x) != dense({r: _frac(v) for r, v in b.items()}, matrix.rows):
-            raise InternalConsistencyError("solve: solution does not satisfy the system")
-        solutions.append(x)
+    for j in range(n, n + len(rhs)):
+        column = [(p, row[j]) for p, row in zip(echelon.pivots, echelon.pivot_rows) if j in row]
+        # pivots ascend, so a pivot beyond A with an entry here comes last
+        solutions.append(None if column and column[-1][0] >= n else dict(column))
+    _certify(matrix, [(x, b) for x, b in zip(solutions, rhs) if x is not None],
+             "solve: solution does not satisfy the system")
     return solutions
 
 
@@ -290,19 +285,17 @@ def vectors_rank(vectors: Sequence[Sequence], length: int | None = None) -> int:
     return rank(RatMatrix.from_rows(vectors, length))
 
 
-def express_in_basis(vectors: Sequence[Sequence], targets: Iterable) -> list:
-    """Coordinates of each target over the independent `vectors`, or None
-    for a target outside their span.
+def express_in_basis(vectors: Sequence[Sequence], targets: Iterable[dict]) -> list:
+    """Sparse coordinates of each sparse ``{column: value}`` target over the
+    independent dense `vectors`, as a ``{vector index: value}`` dict of the
+    nonzero ones, or None for a target outside their span.
 
-    A target is a dense sequence or a sparse ``{column: value}`` dict, and
-    its coordinates come back in the same form: a list with one entry per
-    vector, or a ``{vector index: value}`` dict of the nonzero ones.  The
-    vectors are eliminated once beside a unit matrix (rref of [B | I]), so
-    each sparse echelon row also records which combination of the vectors
-    it is.  A target's coordinates are its entries at the pivots pushed
-    through those combinations; an exact sparse reconstruction from the
-    vectors decides whether the target lies in the span at all.  Dependent
-    vectors raise ValueError.
+    The vectors are eliminated once beside a unit matrix (rref of [B | I]),
+    so each sparse echelon row also records which combination of the
+    vectors it is.  A target's coordinates are its entries at the pivots
+    pushed through those combinations; an exact sparse reconstruction from
+    the vectors decides whether the target lies in the span at all.
+    Dependent vectors raise ValueError.
     """
     m = len(vectors)
     n = len(vectors[0]) if vectors else 0
@@ -317,18 +310,13 @@ def express_in_basis(vectors: Sequence[Sequence], targets: Iterable) -> list:
               for p, row in zip(echelon.pivots, echelon.pivot_rows)}
     out = []
     for target in targets:
-        is_dense = not isinstance(target, dict)
-        if is_dense and vectors and len(target) != n:
-            raise ValueError("target length does not match basis vectors")
-        target = {c: _frac(x) for c, x in (enumerate(target) if is_dense else target.items()) if x}
+        target = {c: x for c, value in target.items() if (x := _frac(value))}
         coords: dict[int, Fraction] = {}
         for p, x in target.items():
-            axpy(coords, x, combos.get(p, {}))
+            if p in combos:
+                axpy(coords, x, combos[p])
         rebuilt: dict[int, Fraction] = {}
         for i, x in coords.items():
             axpy(rebuilt, x, sparse[i])
-        if rebuilt != target:
-            out.append(None)
-        else:
-            out.append(dense(coords, m) if is_dense else coords)
+        out.append(coords if rebuilt == target else None)
     return out

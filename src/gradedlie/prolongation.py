@@ -141,7 +141,7 @@ def _normalize_map_basis(vectors, degree, layout):
 def leibniz_maps(symbol: GradedLieAlgebra, g_bases, degree: int):
     """Basis of degree-`degree` maps satisfying the Leibniz identity."""
     layout, matrix = leibniz_system(symbol, g_bases, degree)
-    return _normalize_map_basis(linalg.nullspace(matrix, sparse=True), degree, layout)
+    return _normalize_map_basis(linalg.rref(matrix).nullspace(), degree, layout)
 
 
 def prolong_step(symbol: GradedLieAlgebra, g_bases):
@@ -167,7 +167,7 @@ def spencer_kernel_from_system(system: SpencerSystem):
             f"Spencer kernel element at k={system.k} has a nonzero non-negative block"
         )
     layout = system.negative_map_layout()
-    return _normalize_map_basis(system.negative_echelon.nullspace(sparse=True), system.k + 1, layout)
+    return _normalize_map_basis(system.negative_echelon.nullspace(), system.k + 1, layout)
 
 
 def _disagreement(degree, leibniz, spencer, layout) -> str:

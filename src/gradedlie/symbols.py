@@ -5,6 +5,7 @@ form, derivations preserving a pair of transversal lines, and explicit spans.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from .algebra import (
     layout_offsets,
     map_layout,
 )
-from .linalg import RatMatrix
+from .linalg import RatMatrix, _frac
 
 
 def abelian(n: int) -> GradedLieAlgebra:
@@ -48,7 +49,7 @@ class EuclideanForm:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, rows):
-        entries = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        entries = tuple(tuple(map(_frac, row)) for row in rows)
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise ValueError("the form must be a square matrix")
@@ -73,8 +74,7 @@ class LinePair:
     second: tuple[Fraction, ...]
 
     def __init__(self, first, second):
-        first = tuple(Fraction(v) for v in first)
-        second = tuple(Fraction(v) for v in second)
+        first, second = tuple(map(_frac, first)), tuple(map(_frac, second))
         if len(first) != len(second):
             raise ValueError("line vectors must have equal length")
         if linalg.vectors_rank([list(first), list(second)]) != 2:
@@ -88,16 +88,22 @@ def _require_fundamental_symbol(symbol: GradedLieAlgebra) -> None:
         raise ValueError("the symbol must be fundamental")
 
 
-def _with_extra_rows(matrix: RatMatrix, extra_rows) -> RatMatrix:
-    extra = [((matrix.rows + k, c), x) for k, row in enumerate(extra_rows) for c, x in enumerate(row)]
-    return RatMatrix(matrix.rows + len(extra_rows), matrix.cols, matrix.items() + extra)
+def _derivations_with_rows(symbol: GradedLieAlgebra, top_rows) -> DegreeZeroAlgebra:
+    """The derivations whose degree -1 block A also satisfies `top_rows`,
+    sparse rows over its entries (column a * n1 + s holds A[s][a]) appended
+    to the degree-0 Leibniz system."""
+    layout, matrix = prolongation.leibniz_system(symbol, [], 0)
+    off = layout_offsets(layout)[0].get(-1, 0)
+    entries = list(matrix._entries.items())
+    entries += [((matrix.rows + k, off + c), x) for k, row in enumerate(top_rows) for c, x in row.items()]
+    full = RatMatrix(matrix.rows + len(top_rows), matrix.cols, entries)
+    return DegreeZeroAlgebra(symbol, prolongation._normalize_map_basis(linalg.rref(full).nullspace(), 0, layout))
 
 
 def degree_zero_derivations(symbol: GradedLieAlgebra) -> DegreeZeroAlgebra:
     """All grading-preserving derivations of the symbol."""
     _require_fundamental_symbol(symbol)
-    maps = prolongation.leibniz_maps(symbol, [], 0)
-    return DegreeZeroAlgebra(symbol, maps)
+    return _derivations_with_rows(symbol, [])
 
 
 def orthogonal_derivations(symbol: GradedLieAlgebra, form: EuclideanForm) -> DegreeZeroAlgebra:
@@ -111,22 +117,16 @@ def orthogonal_derivations(symbol: GradedLieAlgebra, form: EuclideanForm) -> Deg
     n1 = symbol.dim_of_degree(-1)
     if form.dim != n1:
         raise ValueError("the form does not match the degree -1 dimension")
-    layout, matrix = prolongation.leibniz_system(symbol, [], 0)
-    offsets, ncols = layout_offsets(layout)
-    off = offsets[-1]
     q = form.entries
-    extra = []
+    rows = []
     for p in range(n1):
         for r in range(p, n1):
-            row = [Fraction(0)] * ncols
-            # unknown column a, target coordinate s encodes A[s][a]
+            row = defaultdict(int)
             for s in range(n1):
-                row[off + r * n1 + s] += q[p][s]
-                row[off + p * n1 + s] += q[s][r]
-            extra.append(row)
-    full = _with_extra_rows(matrix, extra)
-    maps = prolongation._normalize_map_basis(linalg.nullspace(full, sparse=True), 0, layout)
-    return DegreeZeroAlgebra(symbol, maps)
+                row[r * n1 + s] += q[p][s]
+                row[p * n1 + s] += q[s][r]
+            rows.append(row)
+    return _derivations_with_rows(symbol, rows)
 
 
 def line_preserving_derivations(symbol: GradedLieAlgebra, lines: LinePair) -> DegreeZeroAlgebra:
@@ -142,21 +142,15 @@ def line_preserving_derivations(symbol: GradedLieAlgebra, lines: LinePair) -> De
         raise ValueError("line-preserving mode needs a symbol with graded dimensions (2, 1)")
     if len(lines.first) != 2:
         raise ValueError("line vectors must live in the 2-dimensional degree -1 component")
-    layout, matrix = prolongation.leibniz_system(symbol, [], 0)
-    offsets, ncols = layout_offsets(layout)
-    off = offsets[-1]
-    extra = []
+    rows = []
     for v in (lines.first, lines.second):
-        row = [Fraction(0)] * ncols
+        row = defaultdict(int)
         for a in range(2):
-            if v[a]:
-                # (D v)_0 v_1 - (D v)_1 v_0 = 0
-                row[off + a * 2 + 0] += v[a] * v[1]
-                row[off + a * 2 + 1] -= v[a] * v[0]
-        extra.append(row)
-    full = _with_extra_rows(matrix, extra)
-    maps = prolongation._normalize_map_basis(linalg.nullspace(full, sparse=True), 0, layout)
-    return DegreeZeroAlgebra(symbol, maps)
+            # (D v)_0 v_1 - (D v)_1 v_0 = 0
+            row[a * 2] += v[a] * v[1]
+            row[a * 2 + 1] -= v[a] * v[0]
+        rows.append(row)
+    return _derivations_with_rows(symbol, rows)
 
 
 def extend_top_blocks(symbol: GradedLieAlgebra, top_blocks) -> list[GradedLinearMap]:
@@ -208,9 +202,10 @@ def extend_top_blocks(symbol: GradedLieAlgebra, top_blocks) -> list[GradedLinear
         for j, (cols, x) in enumerate(zip(columns, solutions)):
             if x is None:
                 failed.setdefault(j, degree)
-                x = [Fraction(0)] * (dim * dim)  # carried on as zero; the others go on
-            cols[degree] = tuple({t: x[t * dim + s] for t in range(dim) if x[t * dim + s]}
-                                 for s in range(dim))
+                x = {}  # carried on as zero; the others go on
+            cols[degree] = block = tuple({} for _ in range(dim))
+            for c, value in x.items():
+                block[c % dim][c // dim] = value
     if failed:
         raise ValueError(
             f"the degree -1 block does not extend to a derivation at degree {failed[min(failed)]}"
@@ -237,7 +232,7 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
             if isinstance(item, GradedLinearMap):
                 converted.append(item)
                 continue
-            rows = [list(map(Fraction, row)) for row in item]
+            rows = [list(map(_frac, row)) for row in item]
             if len(rows) == n and all(len(row) == n for row in rows):
                 columns = {}  # column b of a block: the entries rows[c][b] of its degree
                 for degree in symbol.degrees:

@@ -29,7 +29,7 @@ from gradedlie.symbols import EuclideanForm
 
 from conftest import make_eta3
 from test_freenil import witt
-from test_prolongation import flatten_all, reference_g1_maps, spans_match
+from test_prolongation import coordinates, flatten_all, reference_g1_maps, spans_match
 
 F = Fraction
 
@@ -67,7 +67,7 @@ def test_criterion_2_example5_generators(eta3, lambda_g0, example5_result):
     stated1 = flatten_all([lam11, lam21], layout1)
     assert spans_match(computed1, stated1)
 
-    c11, c21 = linalg.express_in_basis(computed1, [lam11.flatten(layout1), lam21.flatten(layout1)])
+    c11, c21 = coordinates(computed1, [lam11, lam21], layout1)
     stated2 = GradedLinearMap(2, {-1: [c21, [-x for x in c11]], -2: [[F(2), F(0)]]})
     layout2 = map_layout(dims, 2)
     computed2 = flatten_all(list(result.bases[2]), layout2)

@@ -83,6 +83,20 @@ def test_graded_algebra_skips_the_lower_central_series(example5_result, monkeypa
     assert report.ok and report.nilpotent_ok
 
 
+def test_jacobi_witness_in_an_empty_degree_is_found_when_grading_fails():
+    # [X, Y] = Z breaks the grading (Z has degree -1, not -2), and with
+    # [X, Z] = X the (X, Y, Z) Jacobi sum is -[X, Y] = -Z.  The triple's
+    # degrees sum to -3, where there is no basis element: only a graded
+    # table may skip such triples
+    bad = GradedLieAlgebra(
+        [BasisElement("X", -1), BasisElement("Y", -1), BasisElement("Z", -1)],
+        {(0, 1): {2: F(1)}, (0, 2): {0: F(1)}},
+    )
+    report = check_validity(bad)
+    assert not report.grading_ok and report.grading_witness == ("X", "Y")
+    assert not report.jacobi_ok and report.jacobi_witness == ("X", "Y", "Z")
+
+
 def test_jacobi_violation_reported():
     # [A,B] = P, [C,P] = Q: the (A,B,C) Jacobi sum is [P,C] = -Q, nonzero
     bad = GradedLieAlgebra(
@@ -292,10 +306,8 @@ def test_sparse_commutator_matches_dense_reference(make_g0):
     dense = [dense_commutator_deg0(gens[s], gens[t]) for s, t in pairs]
     assert [commutator_deg0(gens[s], gens[t]) for s, t in pairs] == dense
     # structure constants in generator coordinates, from the dense commutators
-    reference = linalg.express_in_basis(flats, [c.flatten(g0._layout) for c in dense])
-    assert [g0.structure_constants[pair] for pair in pairs] == [
-        {u: x for u, x in enumerate(coords) if x} for coords in reference
-    ]
+    reference = linalg.express_in_basis(flats, [c.flat_entries(g0._layout) for c in dense])
+    assert [g0.structure_constants[pair] for pair in pairs] == reference
     assert any(g0.structure_constants.values())
 
 

@@ -97,11 +97,10 @@ def make_sl3():
     comms = [comm(mats[a], mats[b]) for a, b in pairs]
     table = {}
     for pair, coords in zip(pairs, linalg.express_in_basis(
-            flat, [[c[i][j] for i in range(3) for j in range(3)] for c in comms])):
+            flat, [{3 * i + j: c[i][j] for i in range(3) for j in range(3)} for c in comms])):
         assert coords is not None
-        terms = {t: v for t, v in enumerate(coords) if v}
-        if terms:
-            table[pair] = terms
+        if coords:
+            table[pair] = coords
     return GradedLieAlgebra(basis, table)
 
 
@@ -189,11 +188,10 @@ def test_m25_prolongation_matches_split_octonion_derivations(m25):
     pairs = [(a, b) for a in range(14) for b in range(a + 1, 14)]
     table = {}
     for pair, coords in zip(pairs, linalg.express_in_basis(
-            derivations, [comm_flat(mats[a], mats[b]) for a, b in pairs])):
+            derivations, [dict(enumerate(comm_flat(mats[a], mats[b]))) for a, b in pairs])):
         assert coords is not None
-        terms = {t: v for t, v in enumerate(coords) if v}
-        if terms:
-            table[pair] = terms
+        if coords:
+            table[pair] = coords
     reference = GradedLieAlgebra(basis, table)
     ref_data = killing_form(reference)
     assert ref_data.nondegenerate

@@ -21,10 +21,19 @@ from gradedlie.linalg import (
     rank,
     rref,
     solve,
+    solve_many,
     vectors_rank,
 )
 
 F = Fraction
+
+
+def matvec(mat, vector):
+    """A v as a dense vector, the reference for the exact checks."""
+    out = [F(0)] * mat.rows
+    for (r, c), value in mat.items():
+        out[r] += value * vector[c]
+    return out
 
 
 def naive_reduce(rows):
@@ -81,7 +90,7 @@ def test_nullspace_rank_deficient():
     basis = nullspace(mat)
     assert basis == [[F(-2), F(1), F(0)], [F(-3), F(0), F(1)]]
     for v in basis:
-        assert mat.matvec(v) == [F(0), F(0)]
+        assert matvec(mat, v) == [F(0), F(0)]
     pivots, _ = naive_reduce([[1, 2, 3], [2, 4, 6]])
     assert len(pivots) == 1  # rank by the independent reducer
 
@@ -103,6 +112,13 @@ def test_solve_zeroes_free_variables():
 
 def test_solve_inconsistent_returns_none():
     assert solve(RatMatrix.from_rows([[1], [2]]), [1, 1]) is None
+
+
+def test_solve_many_returns_sparse_solutions():
+    mat = RatMatrix.from_rows([[1, 1, 0], [0, 0, 2]])
+    # zero free coordinates, zero right-hand side entries ignored, None when inconsistent
+    assert solve_many(mat, [{0: F(2), 1: F(4)}, {}, {1: F(0)}]) == [{0: F(2), 2: F(2)}, {}, {}]
+    assert solve_many(RatMatrix.from_rows([[1], [2]]), [{0: 1, 1: 2}, {0: 1, 1: 1}]) == [{0: F(1)}, None]
 
 
 def test_column_complement_identity():
@@ -130,10 +146,8 @@ def test_invertibility_and_signature_of_small_forms():
 
 def test_express_in_basis():
     basis = [[F(1), F(1), F(0)], [F(0), F(1), F(1)]]
-    assert express_in_basis(basis, [[F(1), F(3), F(2)], [F(0), F(0), F(1)]]) == [[F(1), F(2)], None]
-    assert express_in_basis([], [[F(0), F(0)], [F(1), F(0)]]) == [[], None]
     assert express_in_basis(basis, []) == []
-    # sparse targets: zero entries are ignored, coordinates come back sparse
+    # zero entries are ignored, coordinates come back sparse
     assert express_in_basis(basis, [{0: F(1), 1: F(3), 2: F(2)}, {2: F(1)}, {}, {1: F(0)}]) == [
         {0: F(1), 1: F(2)}, None, {}, {}]
     assert express_in_basis([], [{}, {0: F(1)}]) == [{}, None]
@@ -145,11 +159,11 @@ def test_echelon_coordinates():
     pivots, _ = rref(RatMatrix.from_rows(basis))
     assert pivots == (0, 3)
     assert express_in_basis(basis, [
-        [F(3), F(0), F(6), F(-1)],
-        [F(0), F(1), F(0), F(0)],
-        [F(1), F(0), F(0), F(0)],
-    ]) == [[F(3), F(-1)], None, None]
-    assert express_in_basis([], [[F(0), F(0)]]) == [[]]
+        {0: F(3), 2: F(6), 3: F(-1)},
+        {1: F(1)},
+        {0: F(1)},
+    ]) == [{0: F(3), 1: F(-1)}, None, None]
+    assert express_in_basis([], [{}]) == [{}]
 
 
 def test_express_in_basis_rejects_dependent_vectors_and_bad_shapes():
@@ -158,8 +172,6 @@ def test_express_in_basis_rejects_dependent_vectors_and_bad_shapes():
         express_in_basis([[F(0), F(0)]], [])
     with pytest.raises(ValueError, match="unequal"):
         express_in_basis([[F(1), F(0)], [F(1)]], [])
-    with pytest.raises(ValueError, match="target length"):
-        express_in_basis([[F(1), F(0)]], [[F(1)]])
 
 
 def test_vectors_rank():
@@ -188,7 +200,7 @@ def test_hilbert_matrix_exactness():
     assert rank(hilbert) == n
     assert nullspace(hilbert) == []
     ones = [F(1)] * n
-    b = hilbert.matvec(ones)
+    b = matvec(hilbert, ones)
     assert solve(hilbert, b) == ones
     identity = [[F(int(i == j)) for j in range(n)] for i in range(n)]
     echelon = rref(hilbert)
@@ -202,7 +214,7 @@ def test_rank_nullity_and_exact_kernel(mat):
     basis = nullspace(mat)
     assert rank(mat) + len(basis) == mat.cols
     for v in basis:
-        assert not any(mat.matvec(v))
+        assert not any(matvec(mat, v))
 
 
 @settings(max_examples=40)
@@ -218,10 +230,10 @@ def test_results_are_deterministic(mat):
 @given(matrices(), st.lists(fractions_st, min_size=1, max_size=5))
 def test_solve_round_trips_consistent_systems(mat, coeffs):
     x = (coeffs * mat.cols)[: mat.cols]
-    b = mat.matvec(x)
+    b = matvec(mat, x)
     found = solve(mat, b)
     assert found is not None
-    assert mat.matvec(found) == b
+    assert matvec(mat, found) == b
 
 
 @settings(max_examples=40)
@@ -365,15 +377,11 @@ def test_express_in_basis_matches_sympy(case):
     sparse_targets = [_dense_dict(target) for target in targets]
     if len(independent) < mat.rows:
         with pytest.raises(ValueError, match="dependent"):
-            express_in_basis(vectors, targets)
-        with pytest.raises(ValueError, match="dependent"):
             express_in_basis(vectors, sparse_targets)
     basis = [vectors[i] for i in independent]
-    ours = express_in_basis(basis, targets)
-    assert ours == [sympy_coordinates(basis, target) for target in targets]
-    # sparse targets give the same coordinates as sparse dicts
+    theirs = [sympy_coordinates(basis, target) for target in targets]
     assert express_in_basis(basis, sparse_targets) == [
-        None if coords is None else _dense_dict(coords) for coords in ours
+        None if coords is None else _dense_dict(coords) for coords in theirs
     ]
 
 

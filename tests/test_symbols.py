@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from gradedlie import (
+    BasisElement,
     EuclideanForm,
+    GradedLieAlgebra,
     GradedLinearMap,
     LinePair,
     abelian,
@@ -19,7 +21,7 @@ from gradedlie import (
 from gradedlie import linalg
 from gradedlie.algebra import map_layout
 
-from conftest import LAMBDA_1, LAMBDA_2, bracket, unit_vector
+from conftest import LAMBDA_1, LAMBDA_2, bracket, make_eta3, unit_vector
 
 F = Fraction
 
@@ -134,10 +136,10 @@ def test_standard_lines_induced_degree_minus_two_action(eta3):
         [*g.image_of_basis(-1, 0), *g.image_of_basis(-1, 1)]
         for g in g0.generators
     ]
-    coords = linalg.express_in_basis(rows, [[F(1), F(0), F(0), F(1)]])[0]
+    coords = linalg.express_in_basis(rows, [{0: F(1), 3: F(1)}])[0]
     assert coords is not None
     x3_action = sum(
-        (c * g.image_of_basis(-2, 0)[0] for c, g in zip(coords, g0.generators)), F(0)
+        (c * g0.generators[i].image_of_basis(-2, 0)[0] for i, c in coords.items()), F(0)
     )
     assert x3_action == F(2)
 
@@ -287,3 +289,17 @@ def test_first_block_that_does_not_extend_is_reported_first():
         custom_g0(m, [bad, [[1]]])
     with pytest.raises(ValueError, match="map 2 must be square"):
         custom_g0(m, [good, [[1]]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GradedLieAlgebra([BasisElement("X", -1), BasisElement("Y", -1), BasisElement("Z", -2)],
+                             {(0, 1): {2: 0.1}}),
+    lambda: GradedLinearMap(0, {-1: [[0.5]]}),
+    lambda: EuclideanForm([[1.0, 0], [0, 1]]),
+    lambda: LinePair([1.0, 0], [0, 1]),
+    lambda: custom_g0(make_eta3(), [[[0.5, 0], [0, 1]]]),
+], ids=["bracket-value", "graded-map", "euclidean-form", "line-pair", "custom-g0"])
+def test_floats_are_rejected_at_every_entry_point(build):
+    # 0.1 would otherwise become 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="floats"):
+        build()

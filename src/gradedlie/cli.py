@@ -102,6 +102,8 @@ def cmd_check(args) -> int:
 def cmd_prolong(args) -> int:
     if args.out and not Path(args.out).parent.is_dir():
         raise FileNotFoundError(f"{args.out}: output directory does not exist")
+    if args.out and Path(args.out).is_dir():
+        raise IsADirectoryError(f"{args.out}: output path is a directory")
     spec, symbol, g0 = _load_validated(args.file)
     max_degree = args.max_degree if args.max_degree is not None else spec.max_degree
     result = prolongation.universal_prolongation(symbol, g0, max_degree=max_degree)

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import BasisElement, GradedLieAlgebra
+from .linalg import InternalConsistencyError
 
 # A Hall tree is an int (generator index) or a pair (left, right).
 
@@ -89,7 +90,7 @@ def _word_coordinates(poly, words) -> dict[int, Fraction]:
     the polynomial is outside their span.
     """
     if any(word not in words for word in poly):
-        raise ArithmeticError(_ESCAPED)
+        raise InternalConsistencyError(_ESCAPED)
     return {words[word]: coeff for word, coeff in poly.items()}
 
 
@@ -130,7 +131,7 @@ def free_nilpotent(r: int, mu: int) -> GradedLieAlgebra:
                    for a, b in degree_pairs]
         for (a, b), coords in zip(degree_pairs, linalg.express_in_basis(hall, targets)):
             if coords is None:
-                raise ArithmeticError(_ESCAPED)
+                raise InternalConsistencyError(_ESCAPED)
             if coords:
                 brackets[(a, b)] = {members[d][t]: value for t, value in coords.items()}
     return GradedLieAlgebra(basis, brackets)

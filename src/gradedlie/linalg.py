@@ -18,9 +18,9 @@ all come from one ``Echelon``, so a matrix that needs all three is
 eliminated once.  Kernel vectors and solutions are certified exactly
 through a column index of the matrix, at the cost of their support.
 
-``express_in_basis`` is the one way to take coordinates over a basis: it
-eliminates the basis once and then expresses any number of sparse targets,
-each checked by an exact sparse reconstruction.
+There is one solver: ``solve_many`` eliminates a matrix beside all its
+right-hand sides at once, and ``express_in_basis``, coordinates over a
+basis, is the same elimination on the transposed basis.
 """
 
 from __future__ import annotations
@@ -210,8 +210,9 @@ def rref(matrix: RatMatrix) -> Echelon:
             continue
         kept.append(r)
         p = min(row)
-        inverse = 1 / row[p]
-        row = {c: value * inverse for c, value in row.items()}
+        if row[p] != 1:
+            inverse = 1 / row[p]
+            row = {c: value * inverse for c, value in row.items()}
         for other in reduced.values():
             f = other.get(p)
             if f:
@@ -256,6 +257,12 @@ def solve_many(matrix: RatMatrix, rhs: Sequence[dict]) -> list[dict[int, Fractio
     so the result is deterministic.  A right-hand side is inconsistent
     exactly when a reduced row without an entry in A has one in its column.
     """
+    return _solve(matrix, rhs)[1]
+
+
+def _solve(matrix: RatMatrix, rhs: Sequence[dict]):
+    """The echelon form of [A | b_1 ... b_m] and the certified solutions
+    that solve_many returns; the pivots below A's width are A's pivots."""
     n = matrix.cols
     rhs = [{r: x for r, value in b.items() if (x := _frac(value))} for b in rhs]
     entries = list(matrix._entries.items())
@@ -268,7 +275,7 @@ def solve_many(matrix: RatMatrix, rhs: Sequence[dict]) -> list[dict[int, Fractio
         solutions.append(None if column and column[-1][0] >= n else dict(column))
     _certify(matrix, [(x, b) for x, b in zip(solutions, rhs) if x is not None],
              "solve: solution does not satisfy the system")
-    return solutions
+    return echelon, solutions
 
 
 def column_complement(matrix: RatMatrix) -> list[int]:
@@ -290,33 +297,19 @@ def express_in_basis(vectors: Sequence[Sequence], targets: Iterable[dict]) -> li
     independent dense `vectors`, as a ``{vector index: value}`` dict of the
     nonzero ones, or None for a target outside their span.
 
-    The vectors are eliminated once beside a unit matrix (rref of [B | I]),
-    so each sparse echelon row also records which combination of the
-    vectors it is.  A target's coordinates are its entries at the pivots
-    pushed through those combinations; an exact sparse reconstruction from
-    the vectors decides whether the target lies in the span at all.
-    Dependent vectors raise ValueError.
+    Coordinates x with x B = t are the solutions of B^T x = t, so this is
+    solve_many on the transposed basis; independence is read off the pivots
+    of that same elimination.  Dependent vectors raise ValueError.
     """
+    targets = list(targets)
     m = len(vectors)
     n = len(vectors[0]) if vectors else 0
     if any(len(vec) != n for vec in vectors):
         raise ValueError("basis vectors of unequal length")
-    sparse = [{c: _frac(x) for c, x in enumerate(vec) if x} for vec in vectors]
-    entries = [((i, c), x) for i, vec in enumerate(sparse) for c, x in vec.items()]
-    echelon = rref(RatMatrix(m, n + m, entries + [((i, n + i), 1) for i in range(m)]))
-    if echelon.pivots and echelon.pivots[-1] >= n:
+    # a target entry beyond the vectors' length meets a zero row: outside the span
+    rows = max([n, *(c + 1 for t in targets for c in t)])
+    entries = [((c, i), x) for i, vec in enumerate(vectors) for c, x in enumerate(vec) if x]
+    echelon, coords = _solve(RatMatrix(rows, m, entries), targets)
+    if echelon.pivots[:m] != tuple(range(m)):
         raise ValueError("basis vectors are linearly dependent")
-    combos = {p: {c - n: x for c, x in row.items() if c >= n}
-              for p, row in zip(echelon.pivots, echelon.pivot_rows)}
-    out = []
-    for target in targets:
-        target = {c: x for c, value in target.items() if (x := _frac(value))}
-        coords: dict[int, Fraction] = {}
-        for p, x in target.items():
-            if p in combos:
-                axpy(coords, x, combos[p])
-        rebuilt: dict[int, Fraction] = {}
-        for i, x in coords.items():
-            axpy(rebuilt, x, sparse[i])
-        out.append(coords if rebuilt == target else None)
-    return out
+    return coords

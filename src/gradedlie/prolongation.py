@@ -18,8 +18,9 @@ for every computed map f and the degree-zero commutator table.  A bracket
     v -> [[x, y], v] = [x, [y, v]] - [y, [x, v]]
 
 on the symbol (the Jacobi identity), whose right side only meets brackets of
-total degree below D; the brackets of one degree are expressed over the
-degree-D basis together.  The structure constants are returned as a single
+total degree below D.  The degree-D basis is in reduced echelon form, so
+a bracket's coordinates are its entries at the basis pivots, confirmed by
+an exact reconstruction.  The structure constants are returned as a single
 graded Lie algebra and checked for the Jacobi identity whenever the
 prolongation terminates.
 """
@@ -208,18 +209,16 @@ class ProlongationResult:
         return [(d, self.dims[d]) for d in sorted(self.dims)]
 
 
-def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = 10,
-                           cross_check: bool = True) -> ProlongationResult:
+def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = 10) -> ProlongationResult:
     """Compute the full prolongation of (symbol, g0) up to max_degree.
 
     Stops at the first empty degree (terminated, with the vanishing degree
     recorded) or at max_degree (truncated).  Each degree's Spencer matrix is
-    eliminated once and gives that degree's normalization report.  With
-    cross_check on, every degree is recomputed through the Spencer kernel
-    and compared, kernel elements are checked to vanish on non-negative
-    blocks, the assembled algebra of a terminated run must pass
-    check_validity, and transitivity must hold; failures raise
-    InternalConsistencyError.
+    eliminated once and gives that degree's normalization report.  Every
+    degree is recomputed through the Spencer kernel and compared, kernel
+    elements are checked to vanish on non-negative blocks, the assembled
+    algebra of a terminated run must pass check_validity, and transitivity
+    must hold; failures raise InternalConsistencyError.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -238,7 +237,7 @@ def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = 10,
     for d in range(1, max_degree + 1):
         new_basis = prolong_step(symbol, g_bases)
         system = build_spencer(symbol, g_bases, d - 1)
-        kernel = spencer_kernel_from_system(system) if cross_check else new_basis
+        kernel = spencer_kernel_from_system(system)
         if kernel != new_basis:
             raise InternalConsistencyError(_disagreement(d, new_basis, kernel, system.negative_map_layout()))
         reports.append(normalization_report(system))
@@ -264,18 +263,17 @@ def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = 10,
         normalization=tuple(reports),
         total_dimension=total,
     )
-    if cross_check:
-        if terminated:
-            final = check_validity(algebra)
-            if not final.ok:
-                raise InternalConsistencyError(
-                    f"assembled prolongation fails validity: {final.describe()}"
-                )
-        trans = check_transitivity(result)
-        if not trans.ok:
+    if terminated:
+        final = check_validity(algebra)
+        if not final.ok:
             raise InternalConsistencyError(
-                f"transitivity fails at degree {trans.degree}: witness {trans.witness}"
+                f"assembled prolongation fails validity: {final.describe()}"
             )
+    trans = check_transitivity(result)
+    if not trans.ok:
+        raise InternalConsistencyError(
+            f"transitivity fails at degree {trans.degree}: witness {trans.witness}"
+        )
     return result
 
 
@@ -336,7 +334,10 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
     for D in range(1, (2 * kmax if terminated else kmax) + 1):
         layout = map_layout(dims, D)
         offsets, _ = layout_offsets(layout)
-        pairs, flats = [], []
+        # the degree-D basis maps are reduced echelon rows (_normalize_map_basis),
+        # so a bracket's coordinates are its entries at their pivots
+        rows = [f.flat_entries(layout) for f in g_bases[D]] if D <= kmax else []
+        pivots = {min(row): u for u, row in enumerate(rows)}
         for k in range(max(0, D - kmax), D // 2 + 1):
             for x in indices[k]:
                 for y in indices[D - k]:
@@ -355,21 +356,20 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
                                     for e, q in left_c.items():
                                         col = base + position[e]
                                         flat[col] = flat.get(col, 0) + factor * q
-                    if D <= kmax:
-                        pairs.append((x, y))
-                        flats.append(flat)
-                    elif any(flat.values()):
+                    flat = {col: value for col, value in flat.items() if value}
+                    if D > kmax:
+                        if flat:
+                            raise InternalConsistencyError(
+                                f"bracket of degrees ({k}, {D - k}) is nonzero beyond the vanishing degree"
+                            )
+                        continue
+                    coords = {pivots[c]: value for c, value in flat.items() if c in pivots}
+                    rebuilt: dict[int, Fraction] = {}
+                    for u, value in coords.items():
+                        linalg.axpy(rebuilt, value, rows[u])
+                    if rebuilt != flat:
                         raise InternalConsistencyError(
-                            f"bracket of degrees ({k}, {D - k}) is nonzero beyond the vanishing degree"
+                            f"bracket of degrees ({k}, {D - k}) escaped the degree-{D} basis"
                         )
-        if not pairs:
-            continue
-        basis = [f.flatten(layout) for f in g_bases[D]]
-        for (x, y), coords in zip(pairs, linalg.express_in_basis(basis, flats)):
-            if coords is None:
-                raise InternalConsistencyError(
-                    f"bracket of degrees ({elements[x].degree}, {elements[y].degree}) "
-                    f"escaped the degree-{D} basis"
-                )
-            brackets[(x, y)] = {indices[D][u]: value for u, value in coords.items()}
+                    brackets[(x, y)] = {indices[D][u]: value for u, value in coords.items()}
     return GradedLieAlgebra(elements, brackets)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedlie import cli, prolongation, specfile
+from gradedlie import cli, linalg, prolongation, specfile
 from gradedlie.specfile import SpecError, format_rational, parse_rational
 
 F = Fraction
@@ -404,8 +404,19 @@ def test_unwritable_out_fails_before_computing(corpus_dir, tmp_path, monkeypatch
         raise AssertionError("the prolongation ran before the output path was checked")
 
     monkeypatch.setattr(cli.prolongation, "universal_prolongation", computed)
-    out = str(tmp_path / "missing-dir" / "out.json")
-    assert cli.main(["prolong", str(corpus_dir / "ode2-point.json"), "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("file error:") and out in err
-    assert len(err.splitlines()) == 1
+    for out in (str(tmp_path / "missing-dir" / "out.json"), str(tmp_path)):
+        assert cli.main(["prolong", str(corpus_dir / "ode2-point.json"), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and out in err
+        assert len(err.splitlines()) == 1
+
+
+def test_free_nilpotent_escape_is_an_internal_failure(monkeypatch, capsys):
+    # every commutator reported outside the Hall span
+    monkeypatch.setattr(linalg, "express_in_basis", lambda basis, targets: [None for _ in targets])
+    assert cli.main(["free", "2", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal consistency failure:")
+    assert "escaped the Hall span" in captured.err
+    assert len(captured.err.splitlines()) == 1

@@ -401,6 +401,9 @@ def test_self_checks_raise_on_corrupted_elimination(monkeypatch):
         nullspace(RatMatrix.from_rows([[1, 2]]))
     with pytest.raises(InternalConsistencyError, match="solve"):
         solve(RatMatrix.from_rows([[1, 0], [0, 1]]), [F(1), F(1)])
+    # a wrong coordinate is caught, not reported as a target outside the span
+    with pytest.raises(InternalConsistencyError, match="solve"):
+        express_in_basis([[F(1), F(0)], [F(0), F(1)]], [{0: F(1), 1: F(1)}])
 
 
 def test_self_checks_survive_optimized_mode():
@@ -411,7 +414,8 @@ from test_linalg import corrupted_rref
 
 linalg.rref = corrupted_rref
 for call in (lambda: linalg.nullspace(RatMatrix.from_rows([[1, 2]])),
-             lambda: linalg.solve(RatMatrix.from_rows([[1, 0], [0, 1]]), [1, 1])):
+             lambda: linalg.solve(RatMatrix.from_rows([[1, 0], [0, 1]]), [1, 1]),
+             lambda: linalg.express_in_basis([[1, 0], [0, 1]], [{0: 1, 1: 1}])):
     try:
         call()
     except InternalConsistencyError as exc:
@@ -422,4 +426,4 @@ for call in (lambda: linalg.nullspace(RatMatrix.from_rows([[1, 2]])),
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.count("raised:") == 2, done.stdout
+    assert done.stdout.count("raised:") == 3, done.stdout

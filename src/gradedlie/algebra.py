@@ -4,7 +4,9 @@ The same type houses the nilpotent symbol (negative degrees only), the
 extended algebra obtained by adjoining a degree-zero derivation subalgebra,
 and the fully assembled prolongation with positive degrees.  Brackets are
 stored once per index pair a < b as sparse coordinate dicts; the checks read
-that table in place and apply antisymmetry as a sign, without copies.
+that table in place and apply antisymmetry as a sign, without copies; the
+Jacobi check alone reads one integer copy, scaled by the lcm of its
+denominators.
 
 Degree-homogeneous linear maps (GradedLinearMap) store every block as sparse
 columns, {target position: Fraction} dicts, beside the block shapes; dense
@@ -141,7 +143,10 @@ class ValidityReport:
 def check_validity(algebra: GradedLieAlgebra) -> ValidityReport:
     """Grading compatibility, Jacobi over all basis triples, nilpotency.
 
-    The first violating pair or triple is reported by basis names.
+    The first violating pair or triple is reported by basis names.  The
+    Jacobi sums run over the table scaled to integers by L; each sum is
+    bilinear in the structure constants, so it is L^2 times its rational
+    value and vanishes exactly when that value does.
     """
     grading_ok, grading_witness = True, None
     for (a, b) in algebra.bracket_pairs():
@@ -156,7 +161,7 @@ def check_validity(algebra: GradedLieAlgebra) -> ValidityReport:
 
     jacobi_ok, jacobi_witness = True, None
     n = algebra.dim
-    table = algebra._table
+    table, _ = linalg._integral(algebra._table)
     degree = [e.degree for e in algebra.basis]
     # with every bracket graded, a triple whose degrees sum to a degree
     # without basis elements has all three double brackets zero
@@ -168,13 +173,13 @@ def check_validity(algebra: GradedLieAlgebra) -> ValidityReport:
                 if occupied is not None and degree[a] + degree[b] + degree[c] not in occupied:
                     continue
                 # [[a, b], c] + [[b, c], a] + [[c, a], b], with [c, a] = -[a, c]
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 for t, v in ab.items():
-                    _add_bracket(acc, algebra, t, c, v)
+                    _add_bracket(acc, table, t, c, v)
                 for t, v in table.get((b, c), {}).items():
-                    _add_bracket(acc, algebra, t, a, v)
+                    _add_bracket(acc, table, t, a, v)
                 for t, v in table.get((a, c), {}).items():
-                    _add_bracket(acc, algebra, t, b, -v)
+                    _add_bracket(acc, table, t, b, -v)
                 if acc:
                     jacobi_ok = False
                     jacobi_witness = (
@@ -194,12 +199,13 @@ def check_validity(algebra: GradedLieAlgebra) -> ValidityReport:
     return ValidityReport(grading_ok, grading_witness, jacobi_ok, jacobi_witness, nilpotent_ok)
 
 
-def _add_bracket(acc: dict[int, Fraction], algebra: GradedLieAlgebra, x: int, y: int, factor) -> None:
-    """acc += factor * [e_x, e_y], read from the stored table without a copy."""
+def _add_bracket(acc: dict, table: dict, x: int, y: int, factor) -> None:
+    """acc += factor * [e_x, e_y], read from a bracket table (keys a < b)
+    without a copy."""
     if x < y:
-        linalg.axpy(acc, factor, algebra._table.get((x, y), {}))
+        linalg.axpy(acc, factor, table.get((x, y), {}))
     elif x > y:
-        linalg.axpy(acc, -factor, algebra._table.get((y, x), {}))
+        linalg.axpy(acc, -factor, table.get((y, x), {}))
 
 
 def _negative_part_nilpotent(algebra: GradedLieAlgebra) -> bool:
@@ -214,7 +220,7 @@ def _negative_part_nilpotent(algebra: GradedLieAlgebra) -> bool:
             for v in current:
                 w: dict[int, Fraction] = {}
                 for c, x in v.items():
-                    _add_bracket(w, algebra, a, c, x)
+                    _add_bracket(w, algebra._table, a, c, x)
                 if w:
                     produced.append(w)
         if not produced:
@@ -408,9 +414,9 @@ def derivation_violation(symbol: GradedLieAlgebra, f: GradedLinearMap):
             for c, v in symbol._table.get((a, b), {}).items():
                 linalg.axpy(acc, v, images[c])
             for c, v in images[a].items():
-                _add_bracket(acc, symbol, c, b, -v)
+                _add_bracket(acc, symbol._table, c, b, -v)
             for c, v in images[b].items():
-                _add_bracket(acc, symbol, a, c, -v)
+                _add_bracket(acc, symbol._table, a, c, -v)
             if acc:
                 return (symbol.basis[a].name, symbol.basis[b].name)
     return None

@@ -1,10 +1,13 @@
 """Structural diagnostics of an assembled algebra: Killing form, signature,
 semisimplicity, center, and the graded pairing check.  Signatures come from
-exact symmetric congruence, never from numerical eigenvalues.
+exact fraction-free symmetric congruence on integer matrices (the Killing
+traces of the bracket table scaled to integers, or a rational matrix with
+its denominators cleared), never from numerical eigenvalues.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,39 +25,35 @@ class KillingData:
 
 
 def killing_form(algebra: GradedLieAlgebra) -> KillingData:
-    """Exact trace form k(a, b) = tr(ad a . ad b) with rank and signature."""
+    """Exact trace form k(a, b) = tr(ad a . ad b) with rank and signature.
+
+    The traces are taken over the ad matrices of the bracket table scaled to
+    integers by L; a trace is bilinear in the table, so it is L^2 k(a, b),
+    and the signature is read off that integer matrix.
+    """
     n = algebra.dim
-    ads = []
-    for a in range(n):
-        entries = {}
-        for b in range(n):
-            for c, value in algebra.bracket_basis(a, b).items():
-                entries[(c, b)] = value
-        ads.append(entries)
-    matrix = RatMatrix(n, n)
+    table, scale = linalg._integral(algebra._table)
+    ads: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    for (a, b), terms in table.items():
+        for c, value in terms.items():
+            ads[a][(c, b)] = value
+            ads[b][(c, a)] = -value
+    traces = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            trace = Fraction(0)
-            for (x, y), value in ads[a].items():
-                other = ads[b].get((y, x))
-                if other:
-                    trace += value * other
-            if trace:
-                matrix.set(a, b, trace)
-                matrix.set(b, a, trace)
-    pos, neg = symmetric_signature(matrix.dense_rows())
+            traces[a][b] = traces[b][a] = sum(
+                value * other for (x, y), value in ads[a].items() if (other := ads[b].get((y, x))))
+    matrix = RatMatrix(n, n, {(a, b): Fraction(t, scale * scale)
+                              for a, row in enumerate(traces) for b, t in enumerate(row) if t})
+    pos, neg = _signature(traces)
     rank = pos + neg
     return KillingData(matrix, rank, (pos, neg), rank == n)
 
 
 def symmetric_signature(rows) -> tuple[int, int]:
-    """Sylvester signature of a symmetric rational matrix.
-
-    Simultaneous row and column elimination keeps the matrix congruent to
-    the input; a zero diagonal with a nonzero off-diagonal entry is repaired
-    by adding the partner row and column, which works over Q.
-    """
-    m = [list(map(Fraction, row)) for row in rows]
+    """Sylvester signature of a symmetric rational matrix, read off the
+    integer matrix that clears its denominators, a positive multiple."""
+    m = [[linalg._frac(x) for x in row] for row in rows]
     n = len(m)
     for p in range(n):
         if len(m[p]) != n:
@@ -62,48 +61,41 @@ def symmetric_signature(rows) -> tuple[int, int]:
         for q in range(p + 1, n):
             if m[p][q] != m[q][p]:
                 raise ValueError("signature needs a symmetric matrix")
+    table, _ = linalg._integral({r: dict(enumerate(row)) for r, row in enumerate(m)})
+    return _signature([[table[r][c] for c in range(n)] for r in range(n)])
+
+
+def _signature(m: list[list[int]]) -> tuple[int, int]:
+    """Signature of the symmetric integer matrix m, which is consumed.
+
+    Fraction-free congruence: a nonzero diagonal entry d splits off, and the
+    trailing block B with off-diagonal column f becomes |d| times its Schur
+    complement, |d| B - sign(d) f f^T, divided by its positive content; a
+    zero diagonal with a nonzero off-diagonal entry is first repaired by
+    adding the partner row and column.
+    """
     pos = neg = 0
-    i = 0
-    while i < n:
-        pivot = None
-        for j in range(i, n):
-            if m[j][j]:
-                pivot = j
+    while m:
+        n = len(m)
+        i = next((j for j in range(n) if m[j][j]), None)
+        if i is None:
+            pair = next(((p, q) for p in range(n) for q in range(p + 1, n) if m[p][q]), None)
+            if pair is None:
                 break
-        if pivot is None:
-            found = None
-            for p in range(i, n):
-                for q in range(p + 1, n):
-                    if m[p][q]:
-                        found = (p, q)
-                        break
-                if found:
-                    break
-            if found is None:
-                break
-            p, q = found
-            for c in range(n):
-                m[p][c] += m[q][c]
-            for r in range(n):
-                m[r][p] += m[r][q]
-            pivot = p
-        if pivot != i:
-            m[i], m[pivot] = m[pivot], m[i]
-            for r in range(n):
-                m[r][i], m[r][pivot] = m[r][pivot], m[r][i]
+            i, q = pair
+            m[i] = [x + y for x, y in zip(m[i], m[q])]
+            for row in m:
+                row[i] += row[q]
         d = m[i][i]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for r in range(i + 1, n):
-            f = m[r][i] / d
-            if f:
-                for c in range(n):
-                    m[r][c] -= f * m[i][c]
-                for c in range(n):
-                    m[c][r] -= f * m[c][i]
-        i += 1
+        pos, neg = (pos + 1, neg) if d > 0 else (pos, neg + 1)
+        f = m.pop(i)
+        for row in (f, *m):
+            del row[i]
+        signed = f if d > 0 else [-x for x in f]
+        m = [[abs(d) * x - fr * fc for x, fc in zip(row, signed)] for row, fr in zip(m, f)]
+        g = math.gcd(*(x for row in m for x in row))
+        if g > 1:
+            m = [[x // g for x in row] for row in m]
     return pos, neg
 
 

@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Every matrix here carries ``fractions.Fraction`` entries and every result is
-exact; there is no tolerance anywhere in this module.  Elimination is one
-sparse Gauss-Jordan reduction, ``rref``, that works on the nonzero entries
-only.  Pivots are always the first nonzero entry in column order; the
-reduced row echelon form is unique, which makes every returned basis
-deterministic (bit-exact across runs).
+Every matrix here enters and leaves with ``fractions.Fraction`` entries and
+every result is exact; there is no tolerance anywhere in this module.
+Elimination is one sparse Gauss-Jordan reduction, ``rref``, that works on
+the nonzero entries only, fraction-free: it clears the denominators of the
+matrix (``_integral``) and runs on primitive integer rows, turning them
+into Fractions once at the end.  Pivots are always the first nonzero entry
+in column order; the reduced row echelon form is unique, which makes every
+returned basis deterministic (bit-exact across runs).  The certificates
+(``_certify``) stay in Fraction arithmetic, independent of that kernel.
 
 Vectors are sparse ``{index: Fraction}`` dicts of their nonzero entries
 throughout; dense lists appear only at the public edge (``nullspace``,
@@ -25,6 +28,7 @@ basis, is the same elimination on the transposed basis.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -191,39 +195,73 @@ def dense(row: dict[int, Fraction], length: int) -> Vector:
 def rref(matrix: RatMatrix) -> Echelon:
     """Reduced row echelon form of `matrix`, with the rows that were kept.
 
-    Sparse Gauss-Jordan on column -> value dictionaries.  Rows are taken in
-    order and reduced against the pivot rows found so far; a row that keeps
-    an entry becomes a pivot row at its leading column and is eliminated
-    from the earlier pivot rows, so every pivot row stays fully reduced.
+    Sparse fraction-free Gauss-Jordan on column -> int dictionaries: the
+    matrix is scaled to integers, and rows are taken in order and reduced
+    against the pivot rows found so far, r := d r - a P for the pivot row P
+    with pivot entry d > 0 and r's entry a at that pivot, a and d first
+    divided by their gcd.  A row that keeps an entry becomes a pivot row at
+    its leading column, divided by its content with a positive pivot entry,
+    and is eliminated from the earlier pivot rows, which are divided by
+    their content again; so every pivot row stays fully reduced and
+    primitive, and becomes the Fraction row / pivot entry once, at return.
     """
     pending: dict[int, dict[int, Fraction]] = {}
     for (r, c), value in matrix._entries.items():
         pending.setdefault(r, {})[c] = value
-    reduced: dict[int, dict[int, Fraction]] = {}
+    reduced: dict[int, dict[int, int]] = {}
     kept = []
-    for r in sorted(pending):
-        row = pending[r]
+    for r, row in sorted(_integral(pending)[0].items()):
         # pivot rows vanish at each other's pivots, so one pass suffices
         for c in [c for c in row if c in reduced]:
-            axpy(row, -row[c], reduced[c])
+            _eliminate(row, c, reduced[c])
         if not row:
             continue
         kept.append(r)
         p = min(row)
-        if row[p] != 1:
-            inverse = 1 / row[p]
-            row = {c: value * inverse for c, value in row.items()}
-        for other in reduced.values():
-            f = other.get(p)
-            if f:
-                axpy(other, -f, row)
+        _make_primitive(row, row[p])
+        for q, other in reduced.items():
+            if p in other:
+                _eliminate(other, p, row)
+                _make_primitive(other, other[q])
         reduced[p] = row
     pivots = tuple(sorted(reduced))
-    return Echelon(pivots, tuple(reduced[p] for p in pivots), tuple(kept), matrix)
+    rows = tuple({c: Fraction(v, reduced[p][p]) for c, v in reduced[p].items()} for p in pivots)
+    return Echelon(pivots, rows, tuple(kept), matrix)
 
 
-def axpy(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]) -> None:
-    """row += factor * other, dropping the entries that cancel."""
+def _integral(rows: dict) -> tuple[dict, int]:
+    """(L * rows, L) for a {key: {index: Fraction}} table of sparse rows, with
+    L the lcm of all its denominators, so that L * rows holds ints."""
+    scale = math.lcm(*{v.denominator for row in rows.values() for v in row.values()})
+    return {k: {c: v.numerator if scale == 1 else v.numerator * (scale // v.denominator)
+                for c, v in row.items()} for k, row in rows.items()}, scale
+
+
+def _eliminate(row: dict[int, int], c: int, pivot_row: dict[int, int]) -> None:
+    """row := d * row - a * pivot_row in place, a/d = row[c]/pivot_row[c] in
+    lowest terms with d > 0, which clears column c."""
+    a, d = row[c], pivot_row[c]
+    g = math.gcd(a, d)
+    a, d = a // g, d // g
+    if d != 1:
+        for k in row:
+            row[k] *= d
+    axpy(row, -a, pivot_row)
+
+
+def _make_primitive(row: dict[int, int], lead: int) -> None:
+    """Divide the int row in place by its content, signed like `lead`."""
+    g = math.gcd(*row.values())
+    if lead < 0:
+        g = -g
+    if g != 1:
+        for k in row:
+            row[k] //= g
+
+
+def axpy(row: dict, factor, other: dict) -> None:
+    """row += factor * other, dropping the entries that cancel; the entries
+    are Fractions, or ints in the integer kernels."""
     for c, value in other.items():
         x = row.get(c, 0) + factor * value
         if x:

@@ -368,14 +368,21 @@ def reference_jacobi_witness(algebra):
 def test_jacobi_check_matches_copying_reference(example5_result):
     rng = random.Random(3)
     base = example5_result.algebra
-    seen = set()
-    for _ in range(12):
-        brackets = {pair: base.bracket_basis(*pair) for pair in base.bracket_pairs()}
-        for _ in range(rng.randint(1, 2)):
-            terms = brackets[rng.choice(sorted(brackets))]
-            terms[rng.choice(sorted(terms))] += F(rng.choice([-2, -1, 1, 3]))
-        corrupted = GradedLieAlgebra(base.basis, brackets)
-        witness = check_validity(corrupted).jacobi_witness
-        assert witness == reference_jacobi_witness(corrupted)
-        seen.add(witness)
-    assert check_validity(base).jacobi_witness is None and len(seen - {None}) > 5
+    base_scale = linalg._integral(base._table)[1]
+    # integer corruptions, then fractional ones, which give the check a
+    # table scaled to integers by a larger lcm of denominators
+    for shifts, grows in (([-2, -1, 1, 3], False), ([F(1, 2), F(-2, 3), F(5, 6)], True)):
+        seen, scales = set(), set()
+        for _ in range(12):
+            brackets = {pair: base.bracket_basis(*pair) for pair in base.bracket_pairs()}
+            for _ in range(rng.randint(1, 2)):
+                terms = brackets[rng.choice(sorted(brackets))]
+                terms[rng.choice(sorted(terms))] += F(rng.choice(shifts))
+            corrupted = GradedLieAlgebra(base.basis, brackets)
+            scales.add(linalg._integral(corrupted._table)[1])
+            witness = check_validity(corrupted).jacobi_witness
+            assert witness == reference_jacobi_witness(corrupted)
+            seen.add(witness)
+        assert len(seen - {None}) > 5
+        assert (max(scales) > base_scale) == grows
+    assert check_validity(base).jacobi_witness is None

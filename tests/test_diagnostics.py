@@ -1,6 +1,8 @@
 from fractions import Fraction
+from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradedlie import (
@@ -17,7 +19,7 @@ from gradedlie import (
     killing_form,
     universal_prolongation,
 )
-from gradedlie import diagnostics, linalg
+from gradedlie import diagnostics, linalg, specfile
 from gradedlie.diagnostics import symmetric_signature
 from gradedlie.linalg import RatMatrix
 
@@ -247,3 +249,102 @@ def test_killing_form_invariance(xs, ys, zs):
 def test_free_nilpotent_killing_is_zero():
     data = killing_form(free_nilpotent(2, 3))
     assert data.rank == 0
+
+
+def reference_signature(rows):
+    """Reference: Sylvester signature by congruence over Fractions."""
+    m = [list(map(Fraction, row)) for row in rows]
+    n = len(m)
+    pos = neg = 0
+    for i in range(n):
+        pivot = next((j for j in range(i, n) if m[j][j]), None)
+        if pivot is None:
+            found = next(((p, q) for p in range(i, n) for q in range(p + 1, n) if m[p][q]), None)
+            if found is None:
+                break
+            p, q = found
+            for c in range(n):
+                m[p][c] += m[q][c]
+            for r in range(n):
+                m[r][p] += m[r][q]
+            pivot = p
+        m[i], m[pivot] = m[pivot], m[i]
+        for r in range(n):
+            m[r][i], m[r][pivot] = m[r][pivot], m[r][i]
+        d = m[i][i]
+        pos, neg = (pos + 1, neg) if d > 0 else (pos, neg + 1)
+        for r in range(i + 1, n):
+            f = m[r][i] / d
+            if f:
+                for c in range(n):
+                    m[r][c] -= f * m[i][c]
+                for c in range(n):
+                    m[c][r] -= f * m[c][i]
+    return pos, neg
+
+
+@st.composite
+def symmetric_matrices(draw, max_dim=6):
+    """Symmetric rational matrices: plain, with a zero diagonal (the repair
+    branch), or a rank-deficient sum of signed squares B^T D B."""
+    n = draw(st.integers(min_value=0, max_value=max_dim))
+    entry = st.one_of(st.just(F(0)), coeffs_st)
+    kind = draw(st.sampled_from(["plain", "zero-diagonal", "low-rank"]))
+    if kind == "low-rank":
+        k = draw(st.integers(min_value=0, max_value=max(n - 1, 0)))
+        b = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)]
+        d = draw(st.lists(coeffs_st, min_size=k, max_size=k))
+        return [[sum(b[t][r] * d[t] * b[t][c] for t in range(k)) for c in range(n)] for r in range(n)]
+    m = [[F(0)] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r if kind == "plain" else r + 1, n):
+            m[r][c] = m[c][r] = draw(entry)
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+@example([[F(0), F(1, 2), F(0)], [F(1, 2), F(0), F(-2, 3)], [F(0), F(-2, 3), F(0)]])
+@example([[F(-3, 4), F(3, 2)], [F(3, 2), F(-3)]])
+def test_signature_matches_fraction_reference(rows):
+    assert symmetric_signature(rows) == reference_signature(rows)
+    scaled = [[F(-7, 5) * x for x in row] for row in rows]
+    assert symmetric_signature(scaled) == reference_signature(rows)[::-1]
+
+
+def test_signature_validates_its_input():
+    with pytest.raises(ValueError, match="square"):
+        symmetric_signature([[1, 2]])
+    with pytest.raises(ValueError, match="symmetric"):
+        symmetric_signature([[1, 2], [3, 1]])
+
+
+def reference_killing_matrix(algebra):
+    """Reference: tr(ad a . ad b) from Fraction ad matrices of copied brackets."""
+    n = algebra.dim
+    # ads[a][(c, b)] is the e_c coordinate of [e_a, e_b]
+    ads = [{(c, b): v for b in range(n) for c, v in algebra.bracket_basis(a, b).items()} for a in range(n)]
+    traces = {}
+    for a in range(n):
+        for b in range(n):
+            trace = sum((v * ads[b].get((y, x), F(0)) for (x, y), v in ads[a].items()), F(0))
+            if trace:
+                traces[(a, b)] = trace
+    return RatMatrix(n, n, traces)
+
+
+SPECS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "specs").glob("*.json"))
+
+
+def test_killing_form_matches_fraction_traces_on_terminated_runs(corpus_results):
+    results = [result for *_, result in corpus_results.values()]
+    for path in SPECS:
+        spec = specfile.parse_spec(specfile.load_document(path.read_text()))
+        symbol = specfile.build_symbol(spec)
+        results.append(universal_prolongation(symbol, specfile.build_g0(spec, symbol), max_degree=spec.max_degree))
+    terminated = [result.algebra for result in results if result.terminated]
+    assert len(terminated) == 10
+    for algebra in terminated:
+        data = killing_form(algebra)
+        assert data.matrix == reference_killing_matrix(algebra)
+        assert data.signature == reference_signature(data.matrix.dense_rows())

@@ -301,6 +301,13 @@ def sympy_rref(mat):
 
 @settings(max_examples=150, deadline=None)
 @given(sparse_matrices())
+# negative leading entries, mixed denominators, rows sharing large factors
+@example(RatMatrix.from_rows([[-2, 4, -6], [3, -1, 0], [-1, 0, 5]]))
+@example(RatMatrix.from_rows([[0, -F(1, 3), 1, 0], [-5, 0, F(5, 2), -10], [-1, -1, 0, 0]]))
+@example(RatMatrix.from_rows([[6 * 10**18, 10 * 10**18, 14 * 10**18], [-(3**41), 0, 3**42],
+                              [2**70 * 3, 2**70 * 5, 2**70 * 7]]))
+@example(RatMatrix.from_rows([[-(2**90), 2**91, 0], [F(-(7**30), 11), F(2 * 7**30, 11), F(7**31, 11)],
+                              [0, 0, -(13**25)]]))
 def test_rref_matches_dense_and_sympy_oracles(mat):
     echelon = rref(mat)
     ours = (echelon.pivots, echelon.rows)
@@ -310,6 +317,21 @@ def test_rref_matches_dense_and_sympy_oracles(mat):
     assert [_dense_dict(row) for row in rows] == list(echelon.pivot_rows)
     if mat.rows and mat.cols:
         assert ours == sympy_rref(mat)
+
+
+row_scales = st.sampled_from([F(-1), F(-7, 3), F(2**64 + 13), F(-(3**45)), F(10**20, 7)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_rref_is_unchanged_by_row_scaling(mat, data):
+    # a row's content and sign never reach the reduced rows
+    scales = [data.draw(row_scales) for _ in range(mat.rows)]
+    scaled = RatMatrix(mat.rows, mat.cols, [((r, c), scales[r] * x) for (r, c), x in mat.items()])
+    ours, plain = rref(scaled), rref(mat)
+    assert (ours.pivots, ours.pivot_rows, ours.kept) == (plain.pivots, plain.pivot_rows, plain.kept)
+    if mat.rows and mat.cols:
+        assert (ours.pivots, ours.rows) == sympy_rref(scaled)
 
 
 def transpose(mat):

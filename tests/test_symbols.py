@@ -18,7 +18,7 @@ from gradedlie import (
     line_preserving_derivations,
     orthogonal_derivations,
 )
-from gradedlie import linalg
+from gradedlie import diagnostics, linalg
 from gradedlie.algebra import map_layout
 
 from conftest import LAMBDA_1, LAMBDA_2, bracket, make_eta3, unit_vector
@@ -298,7 +298,8 @@ def test_first_block_that_does_not_extend_is_reported_first():
     lambda: EuclideanForm([[1.0, 0], [0, 1]]),
     lambda: LinePair([1.0, 0], [0, 1]),
     lambda: custom_g0(make_eta3(), [[[0.5, 0], [0, 1]]]),
-], ids=["bracket-value", "graded-map", "euclidean-form", "line-pair", "custom-g0"])
+    lambda: diagnostics.symmetric_signature([[0.1, 0.0], [0.0, -2.5]]),
+], ids=["bracket-value", "graded-map", "euclidean-form", "line-pair", "custom-g0", "signature"])
 def test_floats_are_rejected_at_every_entry_point(build):
     # 0.1 would otherwise become 3602879701896397/36028797018963968
     with pytest.raises(TypeError, match="floats"):

@@ -6,10 +6,11 @@
 Each stress instance, the contact symbol heisenberg:n with full g0 to a
 cutoff, runs through ``gradedlie prolong`` in its own child process, one at
 a time, with a 900 s timeout.  For each instance the JSON records the wall
-seconds, the child's own peak RSS, the sha256 of the report and its graded
-dimensions; it also records the line count of src/gradedlie/*.py.  --root
-measures the src/ of another checkout, so two versions can be compared on
-the same machine.
+seconds, the seconds spent assembling the bracket table
+(``prolongation._assemble``), the child's own peak RSS, the sha256 of the
+report and its graded dimensions; it also records the line count of
+src/gradedlie/*.py.  --root measures the src/ of another checkout, so two
+versions can be compared on the same machine.
 """
 
 from __future__ import annotations
@@ -26,17 +27,28 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-INSTANCES = (("heisenberg:2", 3), ("heisenberg:3", 2), ("heisenberg:3", 3))
+INSTANCES = (("heisenberg:2", 3), ("heisenberg:3", 2), ("heisenberg:3", 3),
+             ("heisenberg:3", 4), ("heisenberg:4", 4))
 TIMEOUT_S = 900
 
-# Runs the CLI and prints the process's own peak RSS (KiB) as the last
-# stderr line.
+# Runs the CLI with prolongation._assemble timed and prints, as the last
+# stderr line, its seconds and the process's own peak RSS (KiB).
 CHILD = """
-import resource, sys
+import resource, sys, time
+from gradedlie import prolongation
 from gradedlie.cli import main
+assemble, spent = prolongation._assemble, 0.0
+def timed(*args):
+    global spent
+    start = time.perf_counter()
+    try:
+        return assemble(*args)
+    finally:
+        spent += time.perf_counter() - start
+prolongation._assemble = timed
 code = main(sys.argv[1:])
 sys.stdout.flush()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+print(spent, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -59,7 +71,10 @@ def run_instance(src: Path, workdir: Path, algebra: str, max_degree: int) -> dic
     record.update(exit_code=done.returncode, timed_out=False,
                   wall_s=round(time.perf_counter() - start, 3))
     err = done.stderr.splitlines()
-    record["peak_rss_mb"] = round(int(err[-1]) / 1024, 1) if err and err[-1].isdigit() else None
+    last = err[-1].split() if err else []
+    measured = len(last) == 2 and last[1].isdigit()
+    record["assemble_s"] = round(float(last[0]), 3) if measured else None
+    record["peak_rss_mb"] = round(int(last[1]) / 1024, 1) if measured else None
     if done.returncode != 0:
         record["error"] = "\n".join(err[:-1])
         return record

@@ -5,10 +5,12 @@ every result is exact; there is no tolerance anywhere in this module.
 Elimination is one sparse Gauss-Jordan reduction, ``rref``, that works on
 the nonzero entries only, fraction-free: it clears the denominators of the
 matrix (``_integral``) and runs on primitive integer rows, turning them
-into Fractions once at the end.  Pivots are always the first nonzero entry
-in column order; the reduced row echelon form is unique, which makes every
-returned basis deterministic (bit-exact across runs).  The certificates
-(``_certify``) stay in Fraction arithmetic, independent of that kernel.
+into Fractions once at the end; the Jacobi check, the Killing form and
+``prolongation._assemble`` run on tables scaled by ``_integral`` as well.
+Pivots are always the first nonzero entry in column order; the reduced row
+echelon form is unique, which makes every returned basis deterministic
+(bit-exact across runs).  The certificates (``_certify``) stay in Fraction
+arithmetic, independent of that kernel.
 
 Vectors are sparse ``{index: Fraction}`` dicts of their nonzero entries
 throughout; dense lists appear only at the public edge (``nullspace``,
@@ -92,12 +94,6 @@ class RatMatrix:
     @property
     def nnz(self) -> int:
         return len(self._entries)
-
-    def dense_rows(self) -> list[Vector]:
-        rows = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (r, c), value in self._entries.items():
-            rows[r][c] = value
-        return rows
 
     def __eq__(self, other) -> bool:
         return (
@@ -230,8 +226,8 @@ def rref(matrix: RatMatrix) -> Echelon:
 
 
 def _integral(rows: dict) -> tuple[dict, int]:
-    """(L * rows, L) for a {key: {index: Fraction}} table of sparse rows, with
-    L the lcm of all its denominators, so that L * rows holds ints."""
+    """(L * rows, L) for a {key: {index: Fraction}} table of sparse rows, L the lcm
+    of its denominators: the ints of rref, the Jacobi check, the Killing form and _assemble."""
     scale = math.lcm(*{v.denominator for row in rows.values() for v in row.values()})
     return {k: {c: v.numerator if scale == 1 else v.numerator * (scale // v.denominator)
                 for c, v in row.items()} for k, row in rows.items()}, scale

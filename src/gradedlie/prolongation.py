@@ -18,11 +18,12 @@ for every computed map f and the degree-zero commutator table.  A bracket
     v -> [[x, y], v] = [x, [y, v]] - [y, [x, v]]
 
 on the symbol (the Jacobi identity), whose right side only meets brackets of
-total degree below D.  The degree-D basis is in reduced echelon form, so
-a bracket's coordinates are its entries at the basis pivots, confirmed by
-an exact reconstruction.  The structure constants are returned as a single
-graded Lie algebra and checked for the Jacobi identity whenever the
-prolongation terminates.
+total degree below D; it runs on ints, over the table scaled by the lcm L
+of its denominators, and gives L^2 times each bracket.  The degree-D basis
+is in reduced echelon form, so a bracket's coordinates are its entries at
+the basis pivots, confirmed by an exact integer reconstruction.  The
+structure constants are returned as a single graded Lie algebra and checked
+for the Jacobi identity whenever the prolongation terminates.
 """
 
 from __future__ import annotations
@@ -305,10 +306,10 @@ def check_transitivity(result: ProlongationResult) -> TransitivityReport:
 def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
     """The symbol plus the computed tower as one graded Lie algebra.
 
-    The brackets go straight into one sparse dict, seeded and then filled
-    degree by degree as the module docstring describes.  When the
-    prolongation terminated, pairs whose total degree exceeds the top
-    computed degree must act as zero on the symbol.
+    The brackets go into one sparse dict and its integer shadow ``ints``
+    (L times the dict), seeded and then filled degree by degree as the
+    module docstring describes.  When the prolongation terminated, pairs
+    whose total degree exceeds the top computed degree (no basis) must vanish.
     """
     dims = tower_dims(symbol, g_bases)
     kmax = len(g_bases) - 1
@@ -325,19 +326,21 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
             elements.append(BasisElement(name, k))
     position = {g: pos for idx in indices.values() for pos, g in enumerate(idx)}
     brackets = seed_brackets(symbol, g_bases, g0, indices)
-    empty: dict[int, Fraction] = {}
+    ints, scale = linalg._integral(brackets)
+    empty: dict[int, int] = {}
 
     def bracket(a, b):
-        """[e_a, e_b] as a sign and the stored dict, without a copy."""
-        return (1, brackets.get((a, b), empty)) if a < b else (-1, brackets.get((b, a), empty))
+        """[e_a, e_b] in the shadow as a sign and the stored dict, without a copy."""
+        return (1, ints.get((a, b), empty)) if a < b else (-1, ints.get((b, a), empty))
 
     for D in range(1, (2 * kmax if terminated else kmax) + 1):
         layout = map_layout(dims, D)
         offsets, _ = layout_offsets(layout)
         # the degree-D basis maps are reduced echelon rows (_normalize_map_basis),
-        # so a bracket's coordinates are its entries at their pivots
-        rows = [f.flat_entries(layout) for f in g_bases[D]] if D <= kmax else []
-        pivots = {min(row): u for u, row in enumerate(rows)}
+        # so a bracket's coordinates are its entries at their unit pivots
+        rows, m = linalg._integral(dict(enumerate(f.flat_entries(layout) for f in g_bases[D])) if D <= kmax else {})
+        pivots = {min(row): u for u, row in rows.items()}
+        new = {}
         for k in range(max(0, D - kmax), D // 2 + 1):
             for x in indices[k]:
                 for y in indices[D - k]:
@@ -357,19 +360,20 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
                                         col = base + position[e]
                                         flat[col] = flat.get(col, 0) + factor * q
                     flat = {col: value for col, value in flat.items() if value}
-                    if D > kmax:
-                        if flat:
-                            raise InternalConsistencyError(
-                                f"bracket of degrees ({k}, {D - k}) is nonzero beyond the vanishing degree"
-                            )
-                        continue
                     coords = {pivots[c]: value for c, value in flat.items() if c in pivots}
-                    rebuilt: dict[int, Fraction] = {}
+                    rebuilt: dict[int, int] = {}
                     for u, value in coords.items():
                         linalg.axpy(rebuilt, value, rows[u])
-                    if rebuilt != flat:
-                        raise InternalConsistencyError(
-                            f"bracket of degrees ({k}, {D - k}) escaped the degree-{D} basis"
-                        )
-                    brackets[(x, y)] = {indices[D][u]: value for u, value in coords.items()}
+                    if rebuilt != {c: m * value for c, value in flat.items()}:
+                        fault = ("is nonzero beyond the vanishing degree" if D > kmax
+                                 else f"escaped the degree-{D} basis")
+                        raise InternalConsistencyError(f"bracket of degrees ({k}, {D - k}) {fault}")
+                    new[(x, y)] = {indices[D][u]: Fraction(value, scale * scale) for u, value in coords.items()}
+        # pairs of degree D read only brackets below D, so the shadow grows only now
+        brackets.update(new)
+        more, more_scale = linalg._integral(new)
+        if scale % more_scale:  # a new denominator raises L
+            ints, scale = linalg._integral(brackets)
+        else:
+            ints.update({pair: {c: scale // more_scale * v for c, v in row.items()} for pair, row in more.items()})
     return GradedLieAlgebra(elements, brackets)

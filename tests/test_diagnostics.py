@@ -24,6 +24,7 @@ from gradedlie.diagnostics import symmetric_signature
 from gradedlie.linalg import RatMatrix
 
 from conftest import bracket
+from test_linalg import dense_rows
 
 F = Fraction
 
@@ -238,7 +239,7 @@ def test_fingerprint_computes_one_killing_form(example5_result, monkeypatch):
 def test_killing_form_invariance(xs, ys, zs):
     algebra = make_sl3()
     data = killing_form(algebra)
-    rows = data.matrix.dense_rows()
+    rows = dense_rows(data.matrix)
 
     def kappa(u, v):
         return sum(rows[i][j] * u[i] * v[j] for i in range(8) for j in range(8))
@@ -347,4 +348,4 @@ def test_killing_form_matches_fraction_traces_on_terminated_runs(corpus_results)
     for algebra in terminated:
         data = killing_form(algebra)
         assert data.matrix == reference_killing_matrix(algebra)
-        assert data.signature == reference_signature(data.matrix.dense_rows())
+        assert data.signature == reference_signature(dense_rows(data.matrix))

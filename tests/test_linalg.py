@@ -36,6 +36,14 @@ def matvec(mat, vector):
     return out
 
 
+def dense_rows(mat):
+    """The rows of `mat` as dense lists of Fractions."""
+    rows = [[F(0)] * mat.cols for _ in range(mat.rows)]
+    for (r, c), value in mat.items():
+        rows[r][c] = value
+    return rows
+
+
 def naive_reduce(rows):
     """Independent dense Gauss-Jordan over Fractions, for cross-checks."""
     rows = [list(map(Fraction, r)) for r in rows]
@@ -205,7 +213,7 @@ def test_hilbert_matrix_exactness():
     identity = [[F(int(i == j)) for j in range(n)] for i in range(n)]
     echelon = rref(hilbert)
     assert (echelon.pivots, echelon.rows) == (tuple(range(n)), identity)
-    assert symmetric_signature(hilbert.dense_rows()) == (n, 0)
+    assert symmetric_signature(dense_rows(hilbert)) == (n, 0)
 
 
 @settings(max_examples=60)
@@ -220,7 +228,7 @@ def test_rank_nullity_and_exact_kernel(mat):
 @settings(max_examples=40)
 @given(matrices())
 def test_results_are_deterministic(mat):
-    again = RatMatrix.from_rows(mat.dense_rows(), mat.cols)
+    again = RatMatrix.from_rows(dense_rows(mat), mat.cols)
     assert nullspace(mat) == nullspace(again)
     ours, theirs = rref(mat), rref(again)
     assert (ours.pivots, ours.rows) == (theirs.pivots, theirs.rows)
@@ -311,7 +319,7 @@ def sympy_rref(mat):
 def test_rref_matches_dense_and_sympy_oracles(mat):
     echelon = rref(mat)
     ours = (echelon.pivots, echelon.rows)
-    pivots, rows = naive_reduce(mat.dense_rows())
+    pivots, rows = naive_reduce(dense_rows(mat))
     assert ours == (tuple(pivots), rows)
     assert tuple(echelon) == ours  # pivots, rows = rref(m) unpacks to dense rows
     assert [_dense_dict(row) for row in rows] == list(echelon.pivot_rows)
@@ -332,6 +340,19 @@ def test_rref_is_unchanged_by_row_scaling(mat, data):
     assert (ours.pivots, ours.pivot_rows, ours.kept) == (plain.pivots, plain.pivot_rows, plain.kept)
     if mat.rows and mat.cols:
         assert (ours.pivots, ours.rows) == sympy_rref(scaled)
+
+
+def test_integral_scales_a_table_by_the_lcm_of_its_denominators():
+    assert linalg._integral({}) == ({}, 1)
+    assert linalg._integral({"a": {}}) == ({"a": {}}, 1)
+    ints, scale = linalg._integral({"a": {0: F(-1, 2), 3: F(2, 3)}, "b": {1: F(-5), 2: F(3, 4)}})
+    assert scale == 12
+    assert ints == {"a": {0: -6, 3: 8}, "b": {1: -60, 2: 9}}
+    assert all(type(v) is int for row in ints.values() for v in row.values())
+    ints, scale = linalg._integral({"a": {0: F(-7), 1: F(3)}, "b": {2: F(1)}})
+    assert scale == 1
+    assert ints == {"a": {0: -7, 1: 3}, "b": {2: 1}}
+    assert all(type(v) is int for row in ints.values() for v in row.values())
 
 
 def transpose(mat):
@@ -358,7 +379,7 @@ def bases_with_targets(draw):
     """Rows of a sparse matrix as the basis (often dependent), with targets
     inside their span and random targets that are mostly outside it."""
     mat = draw(sparse_matrices())
-    vectors = mat.dense_rows()
+    vectors = dense_rows(mat)
     combos = draw(st.lists(st.lists(fractions_st, min_size=mat.rows, max_size=mat.rows), max_size=3))
     inside = [
         [sum((x * vec[c] for x, vec in zip(combo, vectors)), F(0)) for c in range(mat.cols)]
@@ -391,7 +412,7 @@ def sympy_coordinates(basis, target):
 def test_express_in_basis_matches_sympy(case):
     sympy = pytest.importorskip("sympy")
     mat, targets = case
-    vectors = mat.dense_rows()
+    vectors = dense_rows(mat)
     independent = []
     if mat.rows and mat.cols:
         rows = sympy.Matrix(mat.rows, mat.cols, lambda r, c: sympy.Rational(mat.get(r, c)))

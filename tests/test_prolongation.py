@@ -2,6 +2,7 @@ import dataclasses
 import functools
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +17,7 @@ from gradedlie import (
     check_transitivity,
     check_fundamental,
     check_validity,
+    custom_g0,
     degree_zero_derivations,
     free_nilpotent,
     heisenberg,
@@ -23,8 +25,8 @@ from gradedlie import (
     prolong_step,
     universal_prolongation,
 )
-from gradedlie import linalg, prolongation
-from gradedlie.algebra import map_layout, tower_dims
+from gradedlie import linalg, prolongation, specfile
+from gradedlie.algebra import DegreeZeroAlgebra, layout_offsets, map_layout, seed_brackets, tower_dims
 from gradedlie.prolongation import (
     InternalConsistencyError,
     _assemble,
@@ -344,6 +346,99 @@ def test_assemble_reads_echelon_bases_without_eliminating(corpus_results, monkey
     assert calls == []
 
 
+def reference_table(symbol, g_bases, g0, terminated):
+    """Reference: the bracket table of the assembled algebra composed over
+    Fractions, each bracket's coordinates confirmed by rebuilding all of it
+    from the basis rows."""
+    dims = tower_dims(symbol, g_bases)
+    kmax = len(g_bases) - 1
+    indices = {d: symbol.indices_of_degree(d) for d in dims if d < 0}
+    start = symbol.dim
+    for k, base in enumerate(g_bases):
+        indices[k] = range(start, start + len(base))
+        start += len(base)
+    position = {g: pos for idx in indices.values() for pos, g in enumerate(idx)}
+    brackets = seed_brackets(symbol, g_bases, g0, indices)
+
+    def bracket(a, b):
+        if a < b:
+            return brackets.get((a, b), {})
+        return {c: -x for c, x in brackets.get((b, a), {}).items()}
+
+    for D in range(1, (2 * kmax if terminated else kmax) + 1):
+        layout = map_layout(dims, D)
+        offsets, _ = layout_offsets(layout)
+        rows = [f.flat_entries(layout) for f in g_bases[D]] if D <= kmax else []
+        pivots = {min(row): u for u, row in enumerate(rows)}
+        for k in range(max(0, D - kmax), D // 2 + 1):
+            for x in indices[k]:
+                for y in indices[D - k]:
+                    if x >= y:
+                        continue
+                    flat = {}
+                    for i, _, tgt in layout:
+                        for pos, v in enumerate(indices[i]):
+                            # [[x, y], v] = [x, [y, v]] - [y, [x, v]]
+                            for left, right, sign in ((x, y, 1), (y, x, -1)):
+                                for c, p in bracket(right, v).items():
+                                    for e, q in bracket(left, c).items():
+                                        col = offsets[i] + pos * tgt + position[e]
+                                        flat[col] = flat.get(col, 0) + sign * p * q
+                    flat = {col: value for col, value in flat.items() if value}
+                    coords = {pivots[c]: value for c, value in flat.items() if c in pivots}
+                    rebuilt = {}
+                    for u, value in coords.items():
+                        linalg.axpy(rebuilt, value, rows[u])
+                    assert rebuilt == flat, f"bracket ({x}, {y}) outside the degree-{D} basis"
+                    brackets[(x, y)] = {indices[D][u]: value for u, value in coords.items()}
+    return {pair: terms for pair, terms in brackets.items() if terms}
+
+
+def scaled_g0(g0, factors):
+    """g0 on the generators g0.generators[j] * factors[j]."""
+    gens = [GradedLinearMap.from_columns(f.degree, {i: tuple({t: a * x for t, x in col.items()} for col in cols)
+                                                    for i, cols in f.columns.items()}, f.shapes)
+            for f, a in zip(g0.generators, factors)]
+    return DegreeZeroAlgebra(g0.symbol, gens)
+
+
+def gl2(a, b, c, d):
+    """The derivation of heisenberg(1) acting as [[a, b], [c, d]] on degree -1."""
+    return [[a, b, 0], [c, d, 0], [0, 0, a + d]]
+
+
+def seed_scale(algebra):
+    """The lcm of the denominators of the brackets _assemble is seeded with:
+    those with a negative argument and those of g0."""
+    deg = [e.degree for e in algebra.basis]
+    seeded = {(a, b): terms for (a, b), terms in algebra._table.items() if min(deg[a], deg[b]) < 0 or deg[b] == 0}
+    return linalg._integral(seeded)[1]
+
+
+def test_assemble_matches_the_fraction_reference(corpus_results):
+    results = {name: result for name, (*_, result) in corpus_results.items()}
+    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench" / "specs").glob("*.json")):
+        spec = specfile.parse_spec(specfile.load_document(path.read_text()))
+        symbol = specfile.build_symbol(spec)
+        g0 = specfile.build_g0(spec, symbol)
+        results[spec.name] = universal_prolongation(symbol, g0, max_degree=spec.max_degree)
+    # a g0 basis of the contact algebra of R^3 whose degree-one brackets have
+    # denominators that the seeded table lacks
+    m = heisenberg(1)
+    g0 = custom_g0(m, [gl2(2, 0, 0, 0), gl2(0, 2, 0, 0), gl2(0, 0, F(1, 2), 0), gl2(0, 0, 0, 1)])
+    results["contact-n1-rescaled"] = universal_prolongation(m, g0, max_degree=3)
+    scales = {}
+    for name, result in results.items():
+        bases = [list(b) for b in result.bases]
+        assert result.algebra._table == reference_table(result.symbol, bases, result.g0, result.terminated), name
+        scales[name] = (seed_scale(result.algebra), linalg._integral(result.algebra._table)[1])
+    assert len(scales) == 15
+    # the integer table is scaled (cartan-25 by 6) and rebuilt when a degree
+    # brings a new denominator (the rescaled contact algebra, from 2 to 4)
+    assert scales["cartan-25"] == (6, 6)
+    assert scales["contact-n1-rescaled"] == (2, 4)
+
+
 def contact_dimension(n, k):
     """Monomials of weight k + 2 in 2n variables of weight 1 and one of weight 2."""
     w = k + 2
@@ -441,3 +536,15 @@ def test_random_fundamental_symbols_agree_on_both_routes(symbol):
     for d in range(1, len(bases) + result.terminated):
         system = build_spencer(symbol, bases[:d], d - 1)
         assert spencer_kernel_from_system(system) == prolong_step(symbol, bases[:d]), f"degree {d}"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fundamental_symbols(), st.data())
+def test_random_fundamental_symbols_assemble_like_the_fraction_reference(symbol, data):
+    g0 = degree_zero_derivations(symbol)
+    if data.draw(st.booleans(), label="rescale g0"):
+        factor = st.sampled_from([F(1), F(2), F(-1), F(1, 2), F(2, 3), F(-3)])
+        g0 = scaled_g0(g0, data.draw(st.lists(factor, min_size=g0.dim, max_size=g0.dim), label="factors"))
+    result = universal_prolongation(symbol, g0, max_degree=2)
+    bases = [list(base) for base in result.bases]
+    assert result.algebra._table == reference_table(symbol, bases, result.g0, result.terminated)

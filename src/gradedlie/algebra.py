@@ -225,8 +225,7 @@ def _negative_part_nilpotent(algebra: GradedLieAlgebra) -> bool:
                     produced.append(w)
         if not produced:
             return True
-        entries = [((r, c), x) for r, w in enumerate(produced) for c, x in w.items()]
-        current = linalg.rref(RatMatrix(len(produced), algebra.dim, entries)).pivot_rows
+        current = linalg.rref(RatMatrix._of_rows(len(produced), algebra.dim, produced)).pivot_rows
         if len(current) >= previous_rank:
             return False
         previous_rank = len(current)
@@ -253,8 +252,7 @@ def check_fundamental(symbol: GradedLieAlgebra) -> bool:
             continue
         spanning = [w for a in top for b in symbol.indices_of_degree(degree + 1)
                     if (w := symbol.bracket_basis(a, b))]
-        entries = [((r, c), x) for r, w in enumerate(spanning) for c, x in w.items()]
-        if not spanning or linalg.rank(RatMatrix(len(spanning), symbol.dim, entries)) < want:
+        if not spanning or linalg.rank(RatMatrix._of_rows(len(spanning), symbol.dim, spanning)) < want:
             return False
     return True
 

@@ -8,6 +8,7 @@ its denominators cleared), never from numerical eigenvalues.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,8 +44,8 @@ def killing_form(algebra: GradedLieAlgebra) -> KillingData:
         for b in range(a, n):
             traces[a][b] = traces[b][a] = sum(
                 value * other for (x, y), value in ads[a].items() if (other := ads[b].get((y, x))))
-    matrix = RatMatrix(n, n, {(a, b): Fraction(t, scale * scale)
-                              for a, row in enumerate(traces) for b, t in enumerate(row) if t})
+    matrix = RatMatrix._of_rows(n, n, [{b: Fraction(t, scale * scale) for b, t in enumerate(row) if t}
+                                       for row in traces])
     pos, neg = _signature(traces)
     rank = pos + neg
     return KillingData(matrix, rank, (pos, neg), rank == n)
@@ -119,9 +120,11 @@ def _graded_pairing_ok(algebra: GradedLieAlgebra, data: KillingData) -> bool:
 def center(algebra: GradedLieAlgebra):
     """Basis of the center, from the stacked adjoint conditions."""
     n = algebra.dim
-    entries = [((b * n + c, a), value) for a in range(n) for b in range(n)
-               for c, value in algebra.bracket_basis(a, b).items()]
-    return linalg.nullspace(RatMatrix(n * n, n, entries))
+    rows: dict[int, dict[int, Fraction]] = defaultdict(dict)  # row (b, c), column a: [e_a, e_b]_c
+    for (a, b), terms in algebra._table.items():
+        for c, value in terms.items():
+            rows[b * n + c][a], rows[a * n + c][b] = value, -value
+    return linalg.nullspace(RatMatrix._of_rows(n * n, n, rows))
 
 
 def fingerprint(algebra: GradedLieAlgebra) -> dict:

@@ -12,16 +12,17 @@ echelon form is unique, which makes every returned basis deterministic
 (bit-exact across runs).  The certificates (``_certify``) stay in Fraction
 arithmetic, independent of that kernel.
 
-Vectors are sparse ``{index: Fraction}`` dicts of their nonzero entries
-throughout; dense lists appear only at the public edge (``nullspace``,
-``solve``, ``Echelon.rows`` and the basis vectors ``express_in_basis``
-takes).  ``rref`` returns an ``Echelon``: the pivots, the reduced pivot
-rows and ``kept``: rows are reduced in input order, so a row is kept
-exactly when it is not in the span of the rows before it.  The rank, the
-kernel and a coordinate complement of the column space (the rows not kept)
-all come from one ``Echelon``, so a matrix that needs all three is
-eliminated once.  Kernel vectors and solutions are certified exactly
-through a column index of the matrix, at the cost of their support.
+A ``RatMatrix`` stores the sparse rows that ``rref`` and ``_certify`` read;
+engine code hands the rows it built to ``RatMatrix._of_rows``, and only the
+public edge checks entries.  Vectors are sparse ``{index: Fraction}`` dicts
+of their nonzero entries throughout; dense lists appear only at the public
+edge (``nullspace``, ``solve``, ``Echelon.rows`` and the basis vectors
+``express_in_basis`` takes).  ``rref`` returns an ``Echelon``: the pivots,
+the reduced pivot rows and ``kept``: rows are reduced in input order, so a
+row is kept exactly when it is not in the span of the rows before it.  The
+rank, the kernel and a coordinate complement of the column space (the rows
+not kept) all come from one ``Echelon``, so a matrix that needs all three
+is eliminated once.  Kernel vectors and solutions are certified exactly.
 
 There is one solver: ``solve_many`` eliminates a matrix beside all its
 right-hand sides at once, and ``express_in_basis``, coordinates over a
@@ -44,64 +45,60 @@ def _frac(value) -> Fraction:
 
 
 class RatMatrix:
-    """A rows x cols matrix of rationals with sparse storage."""
+    """A rows x cols matrix of rationals, ``_rows`` = {row: {column: Fraction}}
+    of its nonzero entries with no empty row.  The public constructors check
+    every entry: a float raises TypeError, an index outside the shape
+    IndexError."""
 
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        self.rows = rows
-        self.cols = cols
-        self._entries: dict[tuple[int, int], Fraction] = {}
-        if entries is not None:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for (r, c), value in items:
-                self.set(r, c, value)
+        self.rows, self.cols = rows, cols
+        table: dict[int, dict[int, Fraction]] = {}
+        for (r, c), value in entries.items() if isinstance(entries, dict) else entries or ():
+            self._check(r, c)
+            table.setdefault(r, {})[c] = _frac(value)  # a later entry wins, a zero too
+        self._rows = {r: kept for r, row in table.items() if (kept := {c: v for c, v in row.items() if v})}
 
     @classmethod
     def from_rows(cls, data: Iterable[Sequence], cols: int | None = None) -> "RatMatrix":
         data = [list(row) for row in data]
         if cols is None:
             cols = len(data[0]) if data else 0
-        mat = cls(len(data), cols)
-        for r, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("rows of unequal length")
-            for c, value in enumerate(row):
-                mat.set(r, c, value)
+        if any(len(row) != cols for row in data):
+            raise ValueError("rows of unequal length")
+        return cls(len(data), cols, [((r, c), value) for r, row in enumerate(data)
+                                     for c, value in enumerate(row)])
+
+    @classmethod
+    def _of_rows(cls, rows: int, cols: int, data) -> "RatMatrix":
+        """Engine-built rows in range, a {row: {column: Fraction}} dict or a
+        list of rows, copied as they are but for zero entries and empty rows."""
+        mat = cls(rows, cols)
+        pairs = data.items() if isinstance(data, dict) else enumerate(data)
+        mat._rows = {r: kept for r, row in pairs if (kept := {c: v for c, v in row.items() if v})}
         return mat
 
     def _check(self, r: int, c: int) -> None:
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(f"entry ({r}, {c}) outside {self.rows}x{self.cols} matrix")
 
-    def set(self, r: int, c: int, value) -> None:
-        self._check(r, c)
-        value = _frac(value)
-        if value:
-            self._entries[(r, c)] = value
-        else:
-            self._entries.pop((r, c), None)
-
     def get(self, r: int, c: int) -> Fraction:
         self._check(r, c)
-        return self._entries.get((r, c), Fraction(0))
+        return self._rows.get(r, {}).get(c, Fraction(0))
 
     def items(self):
-        return sorted(self._entries.items())
+        return sorted(((r, c), value) for r, row in self._rows.items() for c, value in row.items())
 
     @property
     def nnz(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._rows.values()))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._entries == other._entries
-        )
+        return isinstance(other, RatMatrix) and (
+            (self.rows, self.cols, self._rows) == (other.rows, other.cols, other._rows))
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -167,17 +164,23 @@ class Echelon:
 
 def _certify(matrix: RatMatrix, pairs, message: str) -> None:
     """Raise InternalConsistencyError unless A x == b exactly for every sparse
-    pair (x, b); A x goes through a column index of A, so it costs the
-    support of x."""
-    columns: dict[int, dict[int, Fraction]] = {}
-    for (r, c), value in matrix._entries.items():
-        columns.setdefault(c, {})[r] = value
-    for x, b in pairs:
-        image: dict[int, Fraction] = {}
+    pair (x, b); one pass over the rows of A, where an entry costs the number
+    of x nonzero at its column, forms row r of every image."""
+    by_coordinate, expected = {}, {}  # c -> [(pair j, x_j[c])], r -> {pair j: b_j[r]}
+    for j, (x, b) in enumerate(pairs):
         for c, value in x.items():
-            axpy(image, value, columns.get(c, {}))
-        if image != b:
+            by_coordinate.setdefault(c, []).append((j, value))
+        for r, value in b.items():
+            expected.setdefault(r, {})[j] = value
+    for r, row in matrix._rows.items():
+        image: dict[int, Fraction] = {}  # pair -> (A x)[r]
+        for c, value in row.items():
+            for j, x_c in by_coordinate.get(c, ()):
+                image[j] = image.get(j, 0) + value * x_c
+        if (image or r in expected) and {j: v for j, v in image.items() if v} != expected.pop(r, {}):
             raise InternalConsistencyError(message)
+    if expected:  # b is nonzero in a row where A is zero
+        raise InternalConsistencyError(message)
 
 
 def dense(row: dict[int, Fraction], length: int) -> Vector:
@@ -201,12 +204,9 @@ def rref(matrix: RatMatrix) -> Echelon:
     their content again; so every pivot row stays fully reduced and
     primitive, and becomes the Fraction row / pivot entry once, at return.
     """
-    pending: dict[int, dict[int, Fraction]] = {}
-    for (r, c), value in matrix._entries.items():
-        pending.setdefault(r, {})[c] = value
     reduced: dict[int, dict[int, int]] = {}
     kept = []
-    for r, row in sorted(_integral(pending)[0].items()):
+    for r, row in sorted(_integral(matrix._rows)[0].items()):
         # pivot rows vanish at each other's pivots, so one pass suffices
         for c in [c for c in row if c in reduced]:
             _eliminate(row, c, reduced[c])
@@ -299,9 +299,12 @@ def _solve(matrix: RatMatrix, rhs: Sequence[dict]):
     that solve_many returns; the pivots below A's width are A's pivots."""
     n = matrix.cols
     rhs = [{r: x for r, value in b.items() if (x := _frac(value))} for b in rhs]
-    entries = list(matrix._entries.items())
-    entries += [((r, n + j), value) for j, b in enumerate(rhs) for r, value in b.items()]
-    echelon = rref(RatMatrix(matrix.rows, n + len(rhs), entries))
+    augmented = RatMatrix._of_rows(matrix.rows, n + len(rhs), matrix._rows)  # copies A's rows
+    for j, b in enumerate(rhs):
+        for r, value in b.items():
+            augmented._check(r, n + j)
+            augmented._rows.setdefault(r, {})[n + j] = value
+    echelon = rref(augmented)
     solutions = []
     for j in range(n, n + len(rhs)):
         column = [(p, row[j]) for p, row in zip(echelon.pivots, echelon.pivot_rows) if j in row]

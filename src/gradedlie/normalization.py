@@ -108,15 +108,11 @@ class SpencerSystem:
     @property
     def matrix(self) -> RatMatrix:
         """The whole operator, N beside the copies of R, assembled on demand for inspection."""
-        entries = dict(self.negative.items())
-        by_row: dict[int, list] = {}
-        for (r, t), value in self.restriction.items():
-            by_row.setdefault(r, []).append((t, value))
-        width = self.restriction.cols
+        rows = dict(self.negative._rows)
         for row, copy, r in self.restriction_rows():
-            for t, value in by_row.get(r, ()):
-                entries[(row, self.negative.cols + copy * width + t)] = value
-        return RatMatrix(self.target_dim, self.domain_dim, entries)
+            offset = self.negative.cols + copy * self.restriction.cols
+            rows[row] = {offset + t: value for t, value in self.restriction._rows.get(r, {}).items()}
+        return RatMatrix._of_rows(self.target_dim, self.domain_dim, rows)
 
     def negative_map_layout(self) -> list[tuple[int, int, int]]:
         """The map_layout of N's columns."""
@@ -153,28 +149,30 @@ def build_spencer(symbol: GradedLieAlgebra, g_bases, k: int) -> SpencerSystem:
              for a1 in top for a2 in symbol.indices_of_degree(b.degree)]
     pairs += [(top[p], top[q]) for b in target if b.kind == "wedge"
               for p in range(n1) for q in range(p + 1, n1)]
-    terms = defaultdict(int)  # {(row, column): value} of N
-    row_base = 0
+    rows = []  # of N, pair by pair
     for a1, a2 in pairs:
-        _emit_negative_pair_rows(symbol, g_bases, dims, terms, row_base, a1, a2, k, offsets)
-        row_base += dims[symbol.degree_of(a2) + k]
-    negative = RatMatrix(sum(b.size for b in target if b.kind != "pos"), ncols, terms)
+        rows += _negative_pair_rows(symbol, g_bases, dims, a1, a2, k, offsets)
+    negative = RatMatrix._of_rows(len(rows), ncols, rows)
 
     # R: the value [v1, f(v2)] = -f(v2)(v1) of the non-negative rows
-    entries = [((a1 * dv + u, t), -value) for t, f in enumerate(g_bases[k] if k and dv else ())
-               for a1, col in enumerate(f.columns[-1]) for u, value in col.items()]
-    restriction = RatMatrix(n1 * dv, dk, entries) if k else RatMatrix(0, 0)
+    restricted = defaultdict(dict)
+    for t, f in enumerate(g_bases[k] if k and dv else ()):
+        for a1, col in enumerate(f.columns[-1]):
+            for u, value in col.items():
+                restricted[a1 * dv + u][t] = -value
+    restriction = RatMatrix._of_rows(n1 * dv, dk, restricted) if k else RatMatrix(0, 0)
     return SpencerSystem(k, tuple(domain), tuple(target), negative, restriction)
 
 
-def _emit_negative_pair_rows(symbol, g_bases, dims, terms, row_base, a1, a2, k, offsets):
-    """Rows of [f(v1), v2] + [v1, f(v2)] - f([v1, v2]) for v1 = e_a1, v2 = e_a2.
+def _negative_pair_rows(symbol, g_bases, dims, a1, a2, k, offsets):
+    """The {column: value} rows of [f(v1), v2] + [v1, f(v2)] - f([v1, v2])
+    for v1 = e_a1, v2 = e_a2.
 
     v1 has degree -1; the value lives in degree deg(v2) + k and every term
-    is linear in the unknown blocks of f; the terms are added into the
-    {(row, column): value} dict `terms`.
+    is linear in the unknown blocks of f.
     """
     i2 = symbol.degree_of(a2)
+    rows = [defaultdict(int) for _ in range(dims[i2 + k])]
     a1_pos = symbol.position_in_degree(a1)
     a2_pos = symbol.position_in_degree(a2)
 
@@ -185,24 +183,25 @@ def _emit_negative_pair_rows(symbol, g_bases, dims, terms, row_base, a1, a2, k, 
     if -1 in offsets:
         for t, f in enumerate(g_bases[k]):
             for u, value in f.columns[i2][a2_pos].items():
-                terms[(row_base + u, col(-1, a1_pos, t))] += value
+                rows[u][col(-1, a1_pos, t)] += value
 
     # [v1, f(v2)] = -[f(v2), v1]: f(v2) has degree i2 + k + 1.
     mid = i2 + k + 1
     if i2 in offsets and mid < 0:
         for t, g in enumerate(symbol.indices_of_degree(mid)):
             for c, value in symbol.bracket_basis(g, a1).items():
-                terms[(row_base + symbol.position_in_degree(c), col(i2, a2_pos, t))] -= value
+                rows[symbol.position_in_degree(c)][col(i2, a2_pos, t)] -= value
     elif i2 in offsets:
         for t, f in enumerate(g_bases[mid]):
             for u, value in f.columns[-1][a1_pos].items():
-                terms[(row_base + u, col(i2, a2_pos, t))] -= value
+                rows[u][col(i2, a2_pos, t)] -= value
 
     # -f([v1, v2]): the bracket has degree i2 - 1.
     if i2 - 1 in offsets:
         for c, value in symbol.bracket_basis(a1, a2).items():
             for t in range(dims[i2 + k]):
-                terms[(row_base + t, col(i2 - 1, symbol.position_in_degree(c), t))] -= value
+                rows[t][col(i2 - 1, symbol.position_in_degree(c), t)] -= value
+    return rows
 
 
 @dataclass(frozen=True)

@@ -70,45 +70,32 @@ def leibniz_system(symbol: GradedLieAlgebra, g_bases, degree: int):
     def col(i, pos, t):
         return offsets[i] + pos * block_target[i] + t
 
-    n = symbol.dim
-    row_specs = []
-    nrows = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            t_deg = symbol.degree_of(a) + symbol.degree_of(b) + degree
-            count = dims.get(t_deg, 0)
-            if count:
-                row_specs.append((a, b, t_deg, nrows))
-                nrows += count
-
-    terms = defaultdict(int)  # {(row, column): value}
-    for a, b, t_deg, row_base in row_specs:
-        i = symbol.degree_of(a)
-        j = symbol.degree_of(b)
-        pos_a = symbol.position_in_degree(a)
-        pos_b = symbol.position_in_degree(b)
-
-        # + f([e_a, e_b])
-        low = i + j
-        if low in block_target:
-            for c, value in symbol.bracket_basis(a, b).items():
-                pos_c = symbol.position_in_degree(c)
-                for t in range(block_target[low]):
-                    terms[(row_base + t, col(low, pos_c, t))] += value
-
-        # - [f(e_a), e_b], with f(e_a) expanded over the degree i+degree basis
-        _emit_side(symbol, g_bases, dims, terms, row_base,
-                   i, pos_a, b, degree, col, block_target, Fraction(-1))
-        # - [e_a, f(e_b)] = + [f(e_b), e_a]
-        _emit_side(symbol, g_bases, dims, terms, row_base,
-                   j, pos_b, a, degree, col, block_target, Fraction(1))
-    return layout, RatMatrix(nrows, ncols, terms)
+    rows = []  # {column: value}, pair by pair
+    for a in range(symbol.dim):
+        for b in range(a + 1, symbol.dim):
+            i, j = symbol.degree_of(a), symbol.degree_of(b)
+            block = [defaultdict(int) for _ in range(dims.get(i + j + degree, 0))]
+            if not block:
+                continue
+            rows += block
+            # + f([e_a, e_b])
+            if i + j in block_target:
+                for c, value in symbol.bracket_basis(a, b).items():
+                    pos_c = symbol.position_in_degree(c)
+                    for t in range(block_target[i + j]):
+                        block[t][col(i + j, pos_c, t)] += value
+            # - [f(e_a), e_b], with f(e_a) expanded over the degree i+degree basis
+            _emit_side(symbol, g_bases, dims, block, i, symbol.position_in_degree(a), b,
+                       degree, col, block_target, Fraction(-1))
+            # - [e_a, f(e_b)] = + [f(e_b), e_a]
+            _emit_side(symbol, g_bases, dims, block, j, symbol.position_in_degree(b), a,
+                       degree, col, block_target, Fraction(1))
+    return layout, RatMatrix._of_rows(len(rows), ncols, rows)
 
 
-def _emit_side(symbol, g_bases, dims, terms, row_base,
-               dom_deg, dom_pos, other, degree, col, block_target, sign):
+def _emit_side(symbol, g_bases, dims, rows, dom_deg, dom_pos, other, degree, col, block_target, sign):
     """Rows of sign * [f(e_dom), e_other] for the unknown block on dom_deg,
-    added into the {(row, column): value} dict `terms`."""
+    added into the {column: value} rows of the pair."""
     if dom_deg not in block_target:
         return
     mid = dom_deg + degree
@@ -117,8 +104,7 @@ def _emit_side(symbol, g_bases, dims, terms, row_base,
         for t, g in enumerate(symbol.indices_of_degree(mid)):
             column = col(dom_deg, dom_pos, t)
             for c, value in symbol.bracket_basis(g, other).items():
-                u = symbol.position_in_degree(c)
-                terms[(row_base + u, column)] += sign * value
+                rows[symbol.position_in_degree(c)][column] += sign * value
     else:
         other_deg = symbol.degree_of(other)
         other_pos = symbol.position_in_degree(other)
@@ -128,15 +114,14 @@ def _emit_side(symbol, g_bases, dims, terms, row_base,
             if block is None:
                 continue
             for u, value in block[other_pos].items():
-                terms[(row_base + u, column)] += sign * value
+                rows[u][column] += sign * value
 
 
 def _normalize_map_basis(vectors, degree, layout):
     """Echelon basis of the span of sparse flattened maps, one map per reduced row."""
     if not vectors:
         return []
-    entries = [((r, c), x) for r, v in enumerate(vectors) for c, x in v.items()]
-    echelon = linalg.rref(RatMatrix(len(vectors), layout_offsets(layout)[1], entries))
+    echelon = linalg.rref(RatMatrix._of_rows(len(vectors), layout_offsets(layout)[1], vectors))
     return maps_from_rows(degree, layout, echelon.pivot_rows)
 
 
@@ -296,8 +281,11 @@ def check_transitivity(result: ProlongationResult) -> TransitivityReport:
         n1, below = dims.get(-1, 0), dims.get(k - 1, 0)
         # one column per map, its degree -1 block; the kernel holds the
         # combinations that vanish on g^-1
-        entries = [((c, t), x) for t, f in enumerate(base) for c, x in f.flat_entries([(-1, n1, below)]).items()]
-        kernel = linalg.nullspace(RatMatrix(n1 * below, len(base), entries))
+        rows = defaultdict(dict)
+        for t, f in enumerate(base):
+            for c, x in f.flat_entries([(-1, n1, below)]).items():
+                rows[c][t] = x
+        kernel = linalg.nullspace(RatMatrix._of_rows(n1 * below, len(base), rows))
         if kernel:
             return TransitivityReport(False, k, tuple(kernel[0]))
     return TransitivityReport(True, None, None)
@@ -349,13 +337,13 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
                     flat = {}
                     for i, _, tgt in layout:
                         for pos, v in enumerate(indices[i]):
-                            # [[x, y], v] = [x, [y, v]] - [y, [x, v]]
+                            # [[x, y], v] = [x, [y, v]] - [y, [x, v]]; the symbol index v
+                            # lies below every tower index, so [right, v] = -ints[(v, right)]
                             base = offsets[i] + pos * tgt
                             for left, right, sign in ((x, y, 1), (y, x, -1)):
-                                sign_rv, right_v = bracket(right, v)
-                                for c, p in right_v.items():
+                                for c, p in ints.get((v, right), empty).items():
                                     sign_lc, left_c = bracket(left, c)
-                                    factor = p if sign * sign_rv * sign_lc > 0 else -p
+                                    factor = p if sign * sign_lc < 0 else -p
                                     for e, q in left_c.items():
                                         col = base + position[e]
                                         flat[col] = flat.get(col, 0) + factor * q

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,6 +44,7 @@ from .freenil import free_nilpotent
 SCHEMA_VERSION = 1
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_TOO_LONG = f"a number has more than {sys.get_int_max_str_digits()} digits"
 
 
 class SpecError(ValueError):
@@ -59,7 +61,10 @@ def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value.strip()):
             raise SpecError(f"not a rational (use integers or 'p/q' strings): {value!r}", where)
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ValueError:  # Python's limit on the digits of an int string
+            raise SpecError(_TOO_LONG, where) from None
     if isinstance(value, float):
         raise SpecError("floats are not allowed; use integers or 'p/q' strings", where)
     raise SpecError(f"not a rational: {value!r}", where)
@@ -98,6 +103,8 @@ def load_document(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON: {exc.msg}", f"line {exc.lineno} column {exc.colno}") from exc
+    except ValueError:  # an integer beyond Python's limit on the digits of an int string
+        raise SpecError(f"invalid JSON: {_TOO_LONG}") from None
     if not isinstance(doc, dict):
         raise SpecError("the document must be a JSON object")
     return doc

@@ -94,9 +94,9 @@ def _derivations_with_rows(symbol: GradedLieAlgebra, top_rows) -> DegreeZeroAlge
     to the degree-0 Leibniz system."""
     layout, matrix = prolongation.leibniz_system(symbol, [], 0)
     off = layout_offsets(layout)[0].get(-1, 0)
-    entries = list(matrix._entries.items())
-    entries += [((matrix.rows + k, off + c), x) for k, row in enumerate(top_rows) for c, x in row.items()]
-    full = RatMatrix(matrix.rows + len(top_rows), matrix.cols, entries)
+    rows = dict(matrix._rows)
+    rows.update((matrix.rows + k, {off + c: x for c, x in row.items()}) for k, row in enumerate(top_rows))
+    full = RatMatrix._of_rows(matrix.rows + len(top_rows), matrix.cols, rows)
     return DegreeZeroAlgebra(symbol, prolongation._normalize_map_basis(linalg.rref(full).nullspace(), 0, layout))
 
 
@@ -185,8 +185,7 @@ def extend_top_blocks(symbol: GradedLieAlgebra, top_blocks) -> list[GradedLinear
         pairs = [(p, q, in_degree(w)) for p, a in enumerate(top) for q, b in enumerate(up)
                  if (w := symbol.bracket_basis(a, b))]
         # rows (pair, t) of B w = value over the unknown entries B[t][s], column t * dim + s
-        entries = [((r * dim + t, t * dim + s), x)
-                   for r, (_, _, w) in enumerate(pairs) for t in range(dim) for s, x in w.items()]
+        rows = [{t * dim + s: x for s, x in w.items()} for _, _, w in pairs for t in range(dim)]
         rhs = []
         for cols in columns:
             value = {}
@@ -198,7 +197,7 @@ def extend_top_blocks(symbol: GradedLieAlgebra, top_blocks) -> list[GradedLinear
                     linalg.axpy(acc, x, symbol.bracket_basis(top[p], up[u]))
                 value.update((r * dim + t, x) for t, x in in_degree(acc).items())
             rhs.append(value)
-        solutions = linalg.solve_many(RatMatrix(len(pairs) * dim, dim * dim, entries), rhs)
+        solutions = linalg.solve_many(RatMatrix._of_rows(len(pairs) * dim, dim * dim, rows), rhs)
         for j, (cols, x) in enumerate(zip(columns, solutions)):
             if x is None:
                 failed.setdefault(j, degree)
@@ -226,10 +225,13 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
     """
     n = symbol.dim
     n1 = symbol.dim_of_degree(-1)
+    shapes = {d: (symbol.dim_of_degree(d),) * 2 for d in symbol.degrees}
     converted, tops = [], []  # tops: (slot in converted, degree -1 block)
     for idx, item in enumerate(maps):
         try:
             if isinstance(item, GradedLinearMap):
+                if any(item.shapes.get(d, shape) != shape for d, shape in shapes.items()):
+                    raise ValueError(f"map {idx + 1} does not match the graded dimensions of the symbol")
                 converted.append(item)
                 continue
             rows = [list(map(_frac, row)) for row in item]
@@ -246,7 +248,6 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
                                 f"map {idx + 1} is not grading-preserving: entry ({c}, {b}) "
                                 "links different degrees"
                             )
-                shapes = {d: (len(cols),) * 2 for d, cols in columns.items()}
                 converted.append(GradedLinearMap.from_columns(0, columns, shapes))
             elif len(rows) == n1 and all(len(row) == n1 for row in rows):
                 tops.append((len(converted), rows))
@@ -262,7 +263,7 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
     for (slot, _), f in zip(tops, extend_top_blocks(symbol, [rows for _, rows in tops])):
         converted[slot] = f
     layout = map_layout(symbol.dims_by_degree(), 0)
-    entries = [((r, c), x) for r, f in enumerate(converted) for c, x in f.flat_entries(layout).items()]
-    matrix = RatMatrix(len(converted), layout_offsets(layout)[1], entries)
+    matrix = RatMatrix._of_rows(len(converted), layout_offsets(layout)[1],
+                                [f.flat_entries(layout) for f in converted])
     # rows are reduced in order, so the kept rows are the first independent subset
     return DegreeZeroAlgebra(symbol, [converted[i] for i in linalg.rref(matrix).kept])

@@ -204,6 +204,26 @@ def test_bool_is_not_an_integer(corpus_dir, tmp_path, capsys, path):
     assert "True" not in captured.out
 
 
+@pytest.mark.parametrize("command", ["prolong", "check"])
+@pytest.mark.parametrize("case", ["json-integer", "rational-string"])
+def test_over_long_numbers_are_parse_errors(corpus_dir, tmp_path, capsys, command, case):
+    # Python refuses to turn more than 4300 digits into an int
+    digits = "7" * 5000
+    doc = json.loads((corpus_dir / "ode2-point.json").read_text())
+    if case == "json-integer":
+        text = json.dumps(doc).replace('"max_degree": 10', f'"max_degree": {digits}')
+        where = "invalid JSON"
+    else:
+        doc["g0"]["lines"][1][0] = f"{digits}/3"
+        text = json.dumps(doc)
+        where = "g0.lines[1][0]"
+    spec = tmp_path / "doc.json"
+    spec.write_text(text)
+    assert cli.main([command, str(spec)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"parse error: {where}: a number has more than 4300 digits"]
+
+
 CORPUS_DOCS = {
     path.stem: json.loads(path.read_text())
     for path in sorted((Path(__file__).resolve().parents[1] / "corpus").glob("*.json"))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradedlie
-from gradedlie import linalg
+from gradedlie import cli, linalg
 from gradedlie.diagnostics import symmetric_signature
 from gradedlie.linalg import (
     Echelon,
@@ -26,6 +28,8 @@ from gradedlie.linalg import (
 )
 
 F = Fraction
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def matvec(mat, vector):
@@ -180,6 +184,58 @@ def test_express_in_basis_rejects_dependent_vectors_and_bad_shapes():
         express_in_basis([[F(0), F(0)]], [])
     with pytest.raises(ValueError, match="unequal"):
         express_in_basis([[F(1), F(0)], [F(1)]], [])
+
+
+def test_public_constructors_keep_their_checks():
+    # a later entry overrides an earlier one, and a zero removes it
+    mat = RatMatrix(2, 3, [((1, 2), 5), ((0, 1), F(1, 2)), ((1, 2), 0), ((1, 0), 3)])
+    assert mat.items() == [((0, 1), F(1, 2)), ((1, 0), F(3))]
+    assert (mat.nnz, mat.get(1, 2), mat.get(0, 1)) == (2, F(0), F(1, 2))
+    assert mat == RatMatrix.from_rows([[0, F(1, 2), 0], [3, 0, 0]])
+    assert RatMatrix(2, 2, {(0, 0): 0}) == RatMatrix(2, 2) != RatMatrix(2, 3)
+    with pytest.raises(IndexError):
+        mat.get(2, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        RatMatrix.from_rows([], -1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RatMatrix(1, 1, {(0, 1): 1}),
+    lambda: RatMatrix(1, 1, {(-1, 0): 1}),
+    lambda: solve_many(RatMatrix(1, 1), [{1: 1}]),
+    lambda: solve_many(RatMatrix(1, 1), [{-1: 1}]),
+    lambda: express_in_basis([[F(1)]], [{-1: 1}]),
+], ids=["matrix-column", "matrix-row", "rhs-beyond", "rhs-negative", "target-negative"])
+def test_public_indices_outside_the_shape_raise_index_error(build):
+    with pytest.raises(IndexError):
+        build()
+
+
+def test_engine_built_matrices_hold_nonzero_fractions_in_range(monkeypatch):
+    # every matrix the engine builds from its own rows, over the corpus and
+    # the benchmark specs: no empty row, no zero, no non-Fraction, no index
+    # outside the shape
+    of_rows = RatMatrix._of_rows.__func__
+    built, faults = [], []
+
+    def checked(cls, rows, cols, data):
+        mat = of_rows(cls, rows, cols, data)
+        built.append((mat.rows, mat.cols))
+        for r, row in mat._rows.items():
+            if not row or not 0 <= r < mat.rows:
+                faults.append((mat, r))
+            faults.extend((mat, r, c, value) for c, value in row.items()
+                          if type(value) is not Fraction or not value or not 0 <= c < mat.cols)
+        return mat
+
+    monkeypatch.setattr(RatMatrix, "_of_rows", classmethod(checked))
+    paths = sorted((ROOT / "corpus").glob("*.json")) + sorted((ROOT / "perfbench" / "specs").glob("*.json"))
+    assert len(paths) == 14
+    for path in paths:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["prolong", str(path)]) == 0, path.name
+    assert len(built) > 100
+    assert faults == []
 
 
 def test_vectors_rank():
@@ -447,6 +503,18 @@ def test_self_checks_raise_on_corrupted_elimination(monkeypatch):
     # a wrong coordinate is caught, not reported as a target outside the span
     with pytest.raises(InternalConsistencyError, match="solve"):
         express_in_basis([[F(1), F(0)], [F(0), F(1)]], [{0: F(1), 1: F(1)}])
+
+
+def test_certificate_sees_a_right_hand_side_in_a_zero_row(monkeypatch):
+    # an elimination that loses its last pivot row reports the inconsistent
+    # system A x = (0, 1), A = [[1, 0], [0, 0]], as solved by x = 0
+    def truncated_rref(matrix):
+        echelon = rref(matrix)
+        return Echelon(echelon.pivots[:-1], echelon.pivot_rows[:-1], echelon.kept[:-1], matrix)
+
+    monkeypatch.setattr(linalg, "rref", truncated_rref)
+    with pytest.raises(InternalConsistencyError, match="solve"):
+        solve(RatMatrix.from_rows([[1, 0], [0, 0]]), [F(0), F(1)])
 
 
 def test_self_checks_survive_optimized_mode():

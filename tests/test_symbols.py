@@ -278,6 +278,13 @@ def test_custom_g0_eliminates_each_degree_once(monkeypatch):
         assert [list(f.image_of_basis(-1, a)) for a in range(2)] == [[top[s][a] for s in range(2)] for a in range(2)]
 
 
+def test_custom_g0_rejects_maps_of_the_wrong_shape(eta3):
+    # a 3x3 block on the 2-dimensional degree -1 part
+    wide = GradedLinearMap(0, {-1: [[1, 0, 0], [0, 1, 0], [0, 0, 1]], -2: [[2]]})
+    with pytest.raises(ValueError, match="map 2 does not match the graded dimensions"):
+        custom_g0(eta3, [LAMBDA_1, wide])
+
+
 def test_first_block_that_does_not_extend_is_reported_first():
     m = heisenberg(2)
     good = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -299,7 +306,14 @@ def test_first_block_that_does_not_extend_is_reported_first():
     lambda: LinePair([1.0, 0], [0, 1]),
     lambda: custom_g0(make_eta3(), [[[0.5, 0], [0, 1]]]),
     lambda: diagnostics.symmetric_signature([[0.1, 0.0], [0.0, -2.5]]),
-], ids=["bracket-value", "graded-map", "euclidean-form", "line-pair", "custom-g0", "signature"])
+    lambda: linalg.RatMatrix(1, 1, {(0, 0): 0.5}),
+    lambda: linalg.RatMatrix.from_rows([[0.5]]),
+    lambda: linalg.solve(linalg.RatMatrix.from_rows([[1]]), [0.5]),
+    lambda: linalg.solve_many(linalg.RatMatrix.from_rows([[1]]), [{0: 0.5}]),
+    lambda: linalg.express_in_basis([[0.5, 1]], [{0: 1}]),
+    lambda: linalg.express_in_basis([[1, 0]], [{0: 0.5}]),
+], ids=["bracket-value", "graded-map", "euclidean-form", "line-pair", "custom-g0", "signature",
+        "matrix-entries", "matrix-rows", "solve-rhs", "solve-many-rhs", "basis-vectors", "basis-targets"])
 def test_floats_are_rejected_at_every_entry_point(build):
     # 0.1 would otherwise become 3602879701896397/36028797018963968
     with pytest.raises(TypeError, match="floats"):

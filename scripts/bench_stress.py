@@ -7,10 +7,11 @@ Each stress instance, the contact symbol heisenberg:n with full g0 to a
 cutoff, runs through ``gradedlie prolong`` in its own child process, one at
 a time, with a 900 s timeout.  For each instance the JSON records the wall
 seconds, the seconds spent assembling the bracket table
-(``prolongation._assemble``), the child's own peak RSS, the sha256 of the
-report and its graded dimensions; it also records the line count of
-src/gradedlie/*.py.  --root measures the src/ of another checkout, so two
-versions can be compared on the same machine.
+(``prolongation._assemble``), the child's own peak RSS, the byte length and
+sha256 of the report and its graded dimensions; it also records the line
+count of src/gradedlie/*.py.  The report goes to a file and is hashed in
+chunks, so this script never holds it in memory.  --root measures the src/
+of another checkout, so two versions can be compared on the same machine.
 """
 
 from __future__ import annotations
@@ -28,16 +29,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 INSTANCES = (("heisenberg:2", 3), ("heisenberg:3", 2), ("heisenberg:3", 3),
-             ("heisenberg:3", 4), ("heisenberg:4", 4))
+             ("heisenberg:3", 4), ("heisenberg:4", 4), ("heisenberg:5", 3),
+             ("heisenberg:5", 4))
 TIMEOUT_S = 900
 
 # Runs the CLI with prolongation._assemble timed and prints, as the last
-# stderr line, its seconds and the process's own peak RSS (KiB).
+# stderr line, a JSON object with its seconds, the process's own peak RSS
+# (KiB) and the graded dimensions of the result.
 CHILD = """
-import resource, sys, time
+import json, resource, sys, time
 from gradedlie import prolongation
 from gradedlie.cli import main
-assemble, spent = prolongation._assemble, 0.0
+assemble, prolong, spent, dims = prolongation._assemble, prolongation.universal_prolongation, 0.0, {}
 def timed(*args):
     global spent
     start = time.perf_counter()
@@ -45,10 +48,15 @@ def timed(*args):
         return assemble(*args)
     finally:
         spent += time.perf_counter() - start
-prolongation._assemble = timed
+def recorded(*args, **kwargs):
+    result = prolong(*args, **kwargs)
+    dims.update((str(d), result.dims[d]) for d in sorted(result.dims))
+    return result
+prolongation._assemble, prolongation.universal_prolongation = timed, recorded
 code = main(sys.argv[1:])
 sys.stdout.flush()
-print(spent, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"assemble_s": spent, "peak_kib": peak, "dimensions": dims}), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -61,26 +69,34 @@ def run_instance(src: Path, workdir: Path, algebra: str, max_degree: int) -> dic
     }))
     env = dict(os.environ, PYTHONPATH=str(src))
     record = {"algebra": algebra, "g0": "full", "max_degree": max_degree}
+    report = workdir / "report.json"
     start = time.perf_counter()
     try:
-        done = subprocess.run([sys.executable, "-c", CHILD, "prolong", str(spec)], env=env,
-                              capture_output=True, text=True, timeout=TIMEOUT_S)
+        with report.open("wb") as out:
+            done = subprocess.run([sys.executable, "-c", CHILD, "prolong", str(spec)], env=env,
+                                  stdout=out, stderr=subprocess.PIPE, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         record.update(exit_code=None, timed_out=True, wall_s=TIMEOUT_S)
         return record
     record.update(exit_code=done.returncode, timed_out=False,
                   wall_s=round(time.perf_counter() - start, 3))
     err = done.stderr.splitlines()
-    last = err[-1].split() if err else []
-    measured = len(last) == 2 and last[1].isdigit()
-    record["assemble_s"] = round(float(last[0]), 3) if measured else None
-    record["peak_rss_mb"] = round(int(last[1]) / 1024, 1) if measured else None
+    try:
+        measured = json.loads(err[-1])
+    except (IndexError, ValueError):
+        measured = {}
+    record["assemble_s"] = round(measured["assemble_s"], 3) if measured else None
+    record["peak_rss_mb"] = round(measured["peak_kib"] / 1024, 1) if measured else None
     if done.returncode != 0:
-        record["error"] = "\n".join(err[:-1])
+        record["error"] = "\n".join(err[:-1] if measured else err)
         return record
-    report = json.loads(done.stdout)
-    record["sha256"] = hashlib.sha256(done.stdout.encode()).hexdigest()
-    record["dimensions"] = dict(zip(map(str, report["degrees"]), report["dimensions"]))
+    digest = hashlib.sha256()
+    with report.open("rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    record["report_bytes"] = report.stat().st_size
+    record["sha256"] = digest.hexdigest()
+    record["dimensions"] = measured["dimensions"]
     return record
 
 

@@ -3,18 +3,23 @@
 Exit codes: 0 success, 1 validation failure, 2 parse, usage or file error
 (unreadable or undecodable input, unwritable output), 3 internal
 consistency failure.
+
+A structured report (and a `free` document) is the exact bytes of
+``json.dumps(doc, indent=2)`` plus a newline, streamed by
+``specfile.dump_document``; an --out file is opened only once the engine is done.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
+import functools
 import sys
 from pathlib import Path
 
 from . import diagnostics, prolongation, specfile
 from .algebra import check_fundamental, check_validity
-from .specfile import SpecError, format_rational
+from .specfile import SpecError
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -29,7 +34,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="gradedlie",
         description="Exact universal prolongation of fundamental graded nilpotent Lie algebras.",
@@ -109,39 +116,29 @@ def cmd_prolong(args) -> int:
     result = prolongation.universal_prolongation(symbol, g0, max_degree=max_degree)
     diag = diagnostics.fingerprint(result.algebra) if result.terminated else None
     document = _report_document(spec.name, g0, result, diag)
-    if args.format == "structured":
-        text = specfile.dump_document(document)
-    else:
-        text = _report_table(document)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as stream:
+        if args.format == "structured":
+            specfile.dump_document(document, stream)
+        else:
+            stream.write(_report_table(document))
     return EXIT_OK
 
 
 def cmd_free(args) -> int:
-    text = specfile.dump_document(specfile.free_spec_document(args.r, args.mu))
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    document = specfile.free_spec_document(args.r, args.mu)
+    with _output(args.out) as stream:
+        specfile.dump_document(document, stream)
     return EXIT_OK
+
+
+def _output(out):
+    """stdout, or the file `out`."""
+    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
 
 
 def _report_document(name, g0, result, diag) -> dict:
     algebra = result.algebra
     degrees = sorted(result.dims)
-    constants = []
-    for a, b in algebra.bracket_pairs():
-        constants.append({
-            "left": algebra.basis[a].name,
-            "right": algebra.basis[b].name,
-            "terms": [
-                [algebra.basis[c].name, format_rational(v)]
-                for c, v in sorted(algebra.bracket_basis(a, b).items())
-            ],
-        })
     return {
         "schema_version": specfile.SCHEMA_VERSION,
         "name": name,
@@ -159,8 +156,8 @@ def _report_document(name, g0, result, diag) -> dict:
         "max_degree": result.max_degree,
         "total_dimension": result.total_dimension,
         "basis": [{"name": e.name, "degree": e.degree} for e in algebra.basis],
-        "structure_constants": constants,
-        "normalization": [dataclasses.asdict(rep) for rep in result.normalization],
+        "structure_constants": specfile.bracket_entries(algebra),
+        "normalization": [vars(rep) for rep in result.normalization],  # fields in order, no copies
         "diagnostics": diag,
     }
 

@@ -345,7 +345,7 @@ def express_in_basis(vectors: Sequence[Sequence], targets: Iterable[dict]) -> li
         raise ValueError("basis vectors of unequal length")
     # a target entry beyond the vectors' length meets a zero row: outside the span
     rows = max([n, *(c + 1 for t in targets for c in t)])
-    entries = [((c, i), x) for i, vec in enumerate(vectors) for c, x in enumerate(vec) if x]
+    entries = [((c, i), x) for i, vec in enumerate(vectors) for c, x in enumerate(map(_frac, vec)) if x]
     echelon, coords = _solve(RatMatrix(rows, m, entries), targets)
     if echelon.pivots[:m] != tuple(range(m)):
         raise ValueError("basis vectors are linearly dependent")

@@ -44,6 +44,7 @@ from .freenil import free_nilpotent
 SCHEMA_VERSION = 1
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_SHORT = 10**600  # under the lowest digit limit Python can be set to (640)
 _TOO_LONG = f"a number has more than {sys.get_int_max_str_digits()} digits"
 
 
@@ -71,7 +72,24 @@ def parse_rational(value, where: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    """str(value), "p" or "p/q", exact for any number of digits."""
+    try:
+        return str(value)
+    except ValueError:  # over Python's limit on the digits of an int string
+        text = _digits(value.numerator)
+        return text if value.denominator == 1 else f"{text}/{_digits(value.denominator)}"
+
+
+def _digits(n: int) -> str:
+    """str(n) for an int of any length: split at a power of ten, about half
+    its digits, until each part is short enough for Python's limit."""
+    if -_SHORT < n < _SHORT:
+        return str(n)
+    if n < 0:
+        return "-" + _digits(-n)
+    half = n.bit_length() * 3 // 20  # log10(2) is about 3/10
+    high, low = divmod(n, 10**half)
+    return _digits(high) + _digits(low).zfill(half)
 
 
 def _expect(doc, key, kind, where, optional=False, default=None):
@@ -262,37 +280,82 @@ def build_g0(spec: AlgebraSpec, symbol: GradedLieAlgebra) -> DegreeZeroAlgebra:
     return symbols.custom_g0(symbol, spec.g0_payload["maps"])
 
 
-def symbol_to_document(symbol: GradedLieAlgebra, name: str, g0_mode: str = "full",
-                       max_degree: int = 10) -> dict:
-    """Serialize a symbol into a specification document."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "name": name,
-        "algebra": {
-            "basis": [{"name": e.name, "degree": e.degree} for e in symbol.basis],
-            "brackets": [
-                {
-                    "left": symbol.basis[a].name,
-                    "right": symbol.basis[b].name,
-                    "terms": [
-                        [symbol.basis[c].name, format_rational(v)]
-                        for c, v in sorted(symbol.bracket_basis(a, b).items())
-                    ],
-                }
-                for a, b in symbol.bracket_pairs()
-            ],
-        },
-        "g0": {"mode": g0_mode},
-        "options": {"max_degree": max_degree},
-    }
-    return doc
+def bracket_entries(algebra: GradedLieAlgebra):
+    """The {"left", "right", "terms"} entry of each bracket pair of the table,
+    made one at a time, so a report can stream them as they are written."""
+    names = [e.name for e in algebra.basis]
+    for a, b in algebra.bracket_pairs():
+        terms = [[names[c], format_rational(v)] for c, v in sorted(algebra.bracket_basis(a, b).items())]
+        yield {"left": names[a], "right": names[b], "terms": terms}
 
 
 def free_spec_document(r: int, mu: int) -> dict:
+    """The specification document of the free nilpotent symbol, with full g0."""
     if r < 1 or mu < 1:
         raise ValueError("need r >= 1 and mu >= 1")
-    return symbol_to_document(free_nilpotent(r, mu), f"free-{r}-{mu}")
+    symbol = free_nilpotent(r, mu)
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "name": f"free-{r}-{mu}",
+        "algebra": {
+            "basis": [{"name": e.name, "degree": e.degree} for e in symbol.basis],
+            "brackets": list(bracket_entries(symbol)),
+        },
+        "g0": {"mode": "full"},
+        "options": {"max_degree": 10},
+    }
 
 
-def dump_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+_encode = json.encoder.encode_basestring_ascii
+
+
+def dump_document(doc, stream) -> None:
+    """Write exactly ``json.dumps(doc, indent=2) + "\\n"`` to the text stream.
+
+    The text is streamed: fragments are joined and written in batches at
+    list-item boundaries, so a report is never held whole in memory.  Values
+    are str, int, bool, None, dicts with str keys, lists and tuples; any
+    other iterable, a generator say, is written as the list of its items.
+    Anything else, a float included, raises TypeError rather than giving
+    other bytes than ``json.dumps``.
+    """
+    parts: list[str] = []
+    append = parts.append
+
+    def write(o, indent: str) -> None:
+        if isinstance(o, str):
+            append(_encode(o))
+        elif o is None or o is True or o is False:
+            append("null" if o is None else "true" if o else "false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, dict):
+            inner = indent + "  "
+            sep, comma = "{" + inner, "," + inner
+            for key, value in o.items():
+                append(sep)
+                append(_encode(key))  # TypeError unless key is a str
+                append(": ")
+                if type(value) is str:
+                    append(_encode(value))
+                else:
+                    write(value, inner)
+                sep = comma
+            append("{}" if sep is not comma else indent + "}")
+        else:  # a value that is not iterable raises TypeError here
+            inner = indent + "  "
+            sep, comma = "[" + inner, "," + inner
+            for item in o:
+                if len(parts) > 8192:  # fragments held before a write
+                    stream.write("".join(parts))
+                    parts.clear()
+                append(sep)
+                if type(item) is str:
+                    append(_encode(item))
+                else:
+                    write(item, inner)
+                sep = comma
+            append("[]" if sep is not comma else indent + "]")
+
+    write(doc, "\n")
+    stream.write("".join(parts) + "\n")

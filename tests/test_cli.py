@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import hashlib
 import importlib
 import importlib.util
 import io
 import json
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +36,38 @@ def test_parse_rational_rejects(bad):
 def test_format_round_trip():
     for value in (F(3), F(-7, 2), F(0), F(22, 7)):
         assert parse_rational(format_rational(value), "x") == value
+
+
+def test_format_rational_writes_any_number_of_digits():
+    # Python refuses str() of an int over 4300 digits; lift that limit here only
+    # to get the reference text
+    sevens = 7 * (10**9001 - 1) // 9  # 9001 sevens
+    values = [F(sevens), F(-sevens, 3), F(1, sevens), F(10**5000), F(-(10**5000) - 1),
+              F(10**12000 + 7, 3**4000), F(2**20000 - 1, 5), F(-1, 10**4300), F(10**4299)]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = [str(value) for value in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [format_rational(value) for value in values] == expected
+
+
+def test_report_numbers_beyond_the_digit_limit_are_written(corpus_dir, tmp_path):
+    # every spec number is under the limit, but the report's are not
+    doc = json.loads((corpus_dir / "ode2-point.json").read_text())
+    doc["g0"]["lines"] = [["1/" + "7" * 2500, "1"], ["1", "3" * 2200 + "/" + "1" * 2200]]
+    spec, out = tmp_path / "long.json", tmp_path / "report.json"
+    spec.write_text(json.dumps(doc))
+    assert cli.main(["prolong", str(spec), "--out", str(out)]) == 0
+    coeffs = [c for e in json.loads(out.read_text())["structure_constants"] for _, c in e["terms"]]
+    assert max(map(len, coeffs)) > 4300
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert all(str(F(coeff)) == coeff for coeff in coeffs)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize(
@@ -440,3 +474,103 @@ def test_free_nilpotent_escape_is_an_internal_failure(monkeypatch, capsys):
     assert captured.err.startswith("internal consistency failure:")
     assert "escaped the Hall span" in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+_texts = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001d11e'),
+                           st.characters()), max_size=6)
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**200).map(lambda n: -n),
+                     st.integers(2**64, 2**200), _texts)
+
+
+def _documents(depth):
+    if depth == 0:
+        return _scalars
+    inner = _documents(depth - 1)
+    return st.one_of(_scalars, st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+                     st.dictionaries(_texts, inner, max_size=3))
+
+
+def _dumped(doc) -> str:
+    stream = io.StringIO()
+    specfile.dump_document(doc, stream)
+    return stream.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_texts, _documents(3), max_size=5))
+def test_dump_document_writes_the_bytes_of_json_dumps(doc):
+    assert _dumped(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_dump_document_streams_any_iterable_as_a_list():
+    doc = {"pairs": [(i, str(i)) for i in range(5)], "empty": [], "nested": [[], {}, [[]]]}
+    lazy = dict(doc, pairs=(pair for pair in doc["pairs"]), empty=iter(()))
+    assert _dumped(lazy) == _dumped(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_dump_document_flushes_a_large_document_in_batches():
+    doc = {"entries": [{"left": f"e{i}", "terms": [[f"e{i + 1}", "-1/2"], [f"e{i}", i]]}
+                       for i in range(20000)]}
+    writes = []
+
+    class Stream(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    stream = Stream()
+    specfile.dump_document(doc, stream)
+    assert stream.getvalue() == json.dumps(doc, indent=2) + "\n"
+    assert len(writes) > 10 and max(writes) < len(stream.getvalue()) / 5
+
+
+@pytest.mark.parametrize("value", [1.5, 0.0, F(1, 2), {1: "x"}, object()])
+def test_dump_document_rejects_what_json_would_write_differently(value):
+    assert _dumped({"ok": [1, "a"]}) == json.dumps({"ok": [1, "a"]}, indent=2) + "\n"
+    with pytest.raises(TypeError):
+        _dumped({"ok": [1, "a"], "bad": [value]})
+
+
+def test_out_file_and_stdout_are_byte_identical(corpus_dir, tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["prolong", str(corpus_dir / "cartan-25.json"), "--out", str(out)]) == 0
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert cli.main(["prolong", str(corpus_dir / "cartan-25.json")]) == 0
+    assert out.read_text() == printed.getvalue()
+
+
+def test_failure_after_computing_leaves_no_out_file(corpus_dir, tmp_path, monkeypatch, capsys):
+    def failing(algebra):
+        raise prolongation.InternalConsistencyError("synthetic diagnostics failure")
+
+    monkeypatch.setattr(cli.diagnostics, "fingerprint", failing)
+    out = tmp_path / "report.json"
+    assert cli.main(["prolong", str(corpus_dir / "ode2-point.json"), "--out", str(out)]) == 3
+    assert "synthetic" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_table_format_never_formats_the_constants(corpus_dir, monkeypatch, capsys):
+    def formatted(value):
+        raise AssertionError("the table report formatted a structure constant")
+
+    monkeypatch.setattr(specfile, "format_rational", formatted)
+    assert cli.main(["prolong", str(corpus_dir / "ode2-point.json"), "--format", "table"]) == 0
+    assert "total dimension: 8" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    assert cli.main(["free", "1", "1"]) == 0
+    assert cli.main(["check", str(Path(__file__).resolve().parents[1] / "corpus" / "ode2-point.json")]) == 0
+    assert built.count("gradedlie") == 1
+    assert "ode2-point: ok" in capsys.readouterr().out

@@ -186,6 +186,12 @@ def test_express_in_basis_rejects_dependent_vectors_and_bad_shapes():
         express_in_basis([[F(1), F(0)], [F(1)]], [])
 
 
+def test_express_in_basis_rejects_a_float_zero_in_the_basis():
+    # a zero entry is dropped from the sparse matrix, but it is checked first
+    with pytest.raises(TypeError, match="floats"):
+        express_in_basis([[0.0, 1]], [{1: 1}])
+
+
 def test_public_constructors_keep_their_checks():
     # a later entry overrides an earlier one, and a zero removes it
     mat = RatMatrix(2, 3, [((1, 2), 5), ((0, 1), F(1, 2)), ((1, 2), 0), ((1, 0), 3)])

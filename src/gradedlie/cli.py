@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import sys
 from pathlib import Path
 
@@ -34,9 +33,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="gradedlie",
         description="Exact universal prolongation of fundamental graded nilpotent Lie algebras.",

@@ -336,10 +336,7 @@ def dump_document(doc, stream) -> None:
                 append(sep)
                 append(_encode(key))  # TypeError unless key is a str
                 append(": ")
-                if type(value) is str:
-                    append(_encode(value))
-                else:
-                    write(value, inner)
+                write(value, inner)
                 sep = comma
             append("{}" if sep is not comma else indent + "}")
         else:  # a value that is not iterable raises TypeError here
@@ -350,10 +347,7 @@ def dump_document(doc, stream) -> None:
                     stream.write("".join(parts))
                     parts.clear()
                 append(sep)
-                if type(item) is str:
-                    append(_encode(item))
-                else:
-                    write(item, inner)
+                write(item, inner)
                 sep = comma
             append("[]" if sep is not comma else indent + "]")
 

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import hashlib
 import importlib
@@ -559,18 +558,3 @@ def test_table_format_never_formats_the_constants(corpus_dir, monkeypatch, capsy
     assert cli.main(["prolong", str(corpus_dir / "ode2-point.json"), "--format", "table"]) == 0
     assert "total dimension: 8" in capsys.readouterr().out
 
-
-def test_parser_is_built_once_per_process(monkeypatch, capsys):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    cli._build_parser.cache_clear()
-    assert cli.main(["free", "1", "1"]) == 0
-    assert cli.main(["check", str(Path(__file__).resolve().parents[1] / "corpus" / "ode2-point.json")]) == 0
-    assert built.count("gradedlie") == 1
-    assert "ode2-point: ok" in capsys.readouterr().out

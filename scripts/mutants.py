@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Mutation check: every listed mutant of src/ must be caught by its tests.
+
+    python3 scripts/mutants.py [NAME ...]
+
+A mutant is a textual change to one file of src/gradedlie.  For each one
+(or for each NAME given), the script copies src/ to a temporary directory,
+applies the change to the copy and runs the mutant's tests from this
+checkout against it (pytest with PYTHONPATH set to the copy).  A mutant is
+caught when a test fails and survives when they all pass.  The exit code is
+1 if any mutant survives, if pytest cannot run its tests, or if its old
+text does not occur exactly once in its file (the list has gone stale),
+else 0.  A test error counts as caught: the engine's own self-checks raise
+InternalConsistencyError, often inside a shared fixture.  Standard library
+and pytest only; this is not part of the tier-1 tests.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (name, file under src/gradedlie, old text, new text, test ids)
+MUTANTS = (
+    ("ratio-always-floors", "linalg.py",
+     "return Fraction(n, d) if n % d else n // d", "return n // d",
+     ["tests/test_linalg.py::test_rref_keeps_integral_entries_as_ints",
+      "tests/test_linalg.py::test_rref_matches_dense_and_sympy_oracles"]),
+    ("frac-lets-floats-through", "linalg.py",
+     "    if isinstance(value, float):\n        raise TypeError",
+     "    if isinstance(value, complex):\n        raise TypeError",
+     ["tests/test_linalg.py::test_frac_keeps_integral_rationals_as_ints",
+      "tests/test_symbols.py::test_floats_are_rejected_at_every_entry_point"]),
+    ("shadow-shared-when-scaled", "prolongation.py",
+     "ints = brackets if scale == 1 else", "ints = brackets if scale >= 1 else",
+     ["tests/test_cli.py::test_reports_match_benchmark_golden_digests"]),
+    ("assemble-without-reconstruction", "prolongation.py",
+     "if rebuilt != {c: m * value for c, value in flat.items()}:", "if False:",
+     ["tests/test_prolongation.py::test_assemble_rejects_brackets_beyond_the_vanishing_degree",
+      "tests/test_prolongation.py::test_assemble_rejects_brackets_that_escape_the_basis"]),
+    ("transitivity-witness-as-repr", "prolongation.py",
+     "', '.join(map(str, trans.witness))", "', '.join(map(repr, trans.witness))",
+     ["tests/test_prolongation.py::test_transitivity_failure_names_the_witness"]),
+    ("leibniz-emitter-sign", "prolongation.py",
+     "degree, col, block_target, -1)", "degree, col, block_target, 1)",
+     ["tests/test_prolongation.py::test_example5_first_prolongation"]),
+    ("spencer-emitter-sign", "normalization.py",
+     "rows[u][col(-1, a1_pos, t)] += value", "rows[u][col(-1, a1_pos, t)] -= value",
+     ["tests/test_prolongation.py::test_route_equivalence_example5"]),
+    ("solve-without-certificate", "linalg.py",
+     "    _certify(matrix, [(x, b) for x, b in zip(solutions, rhs) if x is not None],",
+     "    (matrix, [(x, b) for x, b in zip(solutions, rhs) if x is not None],",
+     ["tests/test_linalg.py::test_self_checks_raise_on_corrupted_elimination",
+      "tests/test_linalg.py::test_certificate_sees_a_right_hand_side_in_a_zero_row"]),
+    ("writer-item-separator", "specfile.py",
+     'sep, comma = "[" + inner, "," + inner', 'sep, comma = "[" + inner, ", " + inner',
+     ["tests/test_cli.py::test_dump_document_writes_the_bytes_of_json_dumps"]),
+)
+
+
+def run_mutant(path: str, old: str, new: str, tests: list[str]) -> tuple[str, str]:
+    """The outcome, 'caught' (a test failed), 'SURVIVED', 'ERROR' (pytest
+    could not run the tests) or 'STALE' (the old text does not occur
+    exactly once), and pytest's summary line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / "gradedlie" / path
+        text = target.read_text()
+        if text.count(old) != 1:
+            return "STALE", f"{text.count(old)} occurrences of the old text"
+        target.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+                              cwd=ROOT, env=env, capture_output=True, text=True)
+        summary = (done.stdout.strip().splitlines() or [""])[-1]
+        return {0: "SURVIVED", 1: "caught"}.get(done.returncode, "ERROR"), summary
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    bad = 0
+    for name, path, old, new, tests in MUTANTS:
+        if names and name not in names:
+            continue
+        outcome, summary = run_mutant(path, old, new, tests)
+        bad += outcome != "caught"
+        print(f"{outcome:8} {name} ({path}): {summary}", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -8,8 +8,10 @@ that table in place and apply antisymmetry as a sign, without copies; the
 Jacobi check alone reads one integer copy, scaled by the lcm of its
 denominators.
 
+Every structure constant and map entry is an exact rational in the form of
+``linalg``: an int when integral, a Fraction only with a denominator above 1.
 Degree-homogeneous linear maps (GradedLinearMap) store every block as sparse
-columns, {target position: Fraction} dicts, beside the block shapes; dense
+columns, {target position: rational} dicts, beside the block shapes; dense
 columns are built only on demand.  Degree-zero commutators are composed on
 the nonzeros of those columns, and a degree-zero algebra keeps its
 commutator table in sparse generator coordinates.
@@ -18,10 +20,9 @@ commutator table in sparse generator coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .linalg import RatMatrix
+from .linalg import RatMatrix, Rational
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class GradedLieAlgebra:
             raise ValueError("basis names must be unique")
         self.basis = basis
         n = len(basis)
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        table: dict[tuple[int, int], dict[int, Rational]] = {}
         for (a, b), terms in brackets.items():
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"bracket pair ({a}, {b}) out of range")
@@ -107,7 +108,7 @@ class GradedLieAlgebra:
     def bracket_pairs(self):
         return sorted(self._table)
 
-    def bracket_basis(self, a: int, b: int) -> dict[int, Fraction]:
+    def bracket_basis(self, a: int, b: int) -> dict[int, Rational]:
         """[e_a, e_b] as a sparse coordinate dictionary."""
         if a == b:
             return {}
@@ -212,13 +213,13 @@ def _negative_part_nilpotent(algebra: GradedLieAlgebra) -> bool:
     negative = [i for i in range(algebra.dim) if algebra.degree_of(i) < 0]
     if not negative:
         return True
-    current = [{i: Fraction(1)} for i in negative]
+    current = [{i: 1} for i in negative]
     previous_rank = len(current)
     for _ in range(algebra.dim + 1):
         produced = []
         for a in negative:
             for v in current:
-                w: dict[int, Fraction] = {}
+                w: dict[int, Rational] = {}
                 for c, x in v.items():
                     _add_bracket(w, algebra._table, a, c, x)
                 if w:
@@ -265,10 +266,11 @@ class GradedLinearMap:
     """A degree-k map, one block per graded component of the domain.
 
     Blocks are stored sparsely: columns[i][a] is the image of the a-th basis
-    vector of degree i, a {position in degree i+k: Fraction} dict of its
-    nonzero coordinates, and shapes[i] is the block's (dim domain, dim
-    target).  The constructor takes dense blocks (blocks[i][a] a coordinate
-    vector over the degree i+k basis) and converts them once; engine code
+    vector of degree i, a {position in degree i+k: rational} dict of its
+    nonzero coordinates (ints, and Fractions with a denominator above 1),
+    and shapes[i] is the block's (dim domain, dim target).  The constructor
+    takes dense blocks (blocks[i][a] a coordinate vector over the degree i+k
+    basis) and brings every entry into that form once; engine code
     builds maps from sparse columns with from_columns, which converts
     nothing.  image_of_basis gives one dense column on demand.  For elements
     of the prolongation only negative domain degrees occur; Spencer-operator
@@ -290,19 +292,19 @@ class GradedLinearMap:
 
     @classmethod
     def from_columns(cls, degree: int, columns, shapes) -> "GradedLinearMap":
-        """A map from sparse columns holding nonzero Fractions only, taken as they are."""
+        """A map from sparse columns holding nonzero rationals only, taken as they are."""
         f = cls.__new__(cls)
         f.degree, f.columns, f.shapes = degree, columns, shapes
         return f
 
-    def image_of_basis(self, i: int, a: int) -> tuple[Fraction, ...]:
+    def image_of_basis(self, i: int, a: int) -> tuple[Rational, ...]:
         """The dense image of the a-th basis vector of degree i."""
         if i not in self.columns:
             raise KeyError(f"map has no block on degree {i}")
         col = self.columns[i][a]
-        return tuple(col.get(t, Fraction(0)) for t in range(self.shapes[i][1]))
+        return tuple(col.get(t, 0) for t in range(self.shapes[i][1]))
 
-    def flat_entries(self, layout) -> dict[int, Fraction]:
+    def flat_entries(self, layout) -> dict[int, Rational]:
         """Nonzero coordinates of the map flattened over `layout` (blocks in
         layout order, domain index outer, target coordinate inner)."""
         flat, pos = {}, 0
@@ -314,7 +316,7 @@ class GradedLinearMap:
             pos += dom * tgt
         return flat
 
-    def flatten(self, layout) -> list[Fraction]:
+    def flatten(self, layout) -> list[Rational]:
         return linalg.dense(self.flat_entries(layout), sum(dom * tgt for _, dom, tgt in layout))
 
     def __eq__(self, other) -> bool:
@@ -382,7 +384,7 @@ def commutator_deg0(f: GradedLinearMap, g: GradedLinearMap) -> GradedLinearMap:
         g_cols = g.columns[i]
         cols = []
         for f_col, g_col in zip(f_cols, g_cols):
-            col: dict[int, Fraction] = {}
+            col: dict[int, Rational] = {}
             for t, x in g_col.items():
                 linalg.axpy(col, x, f_cols[t])
             for t, x in f_col.items():
@@ -408,7 +410,7 @@ def derivation_violation(symbol: GradedLieAlgebra, f: GradedLinearMap):
     for a in range(n):
         for b in range(a + 1, n):
             # f([e_a, e_b]) - [f(e_a), e_b] - [e_a, f(e_b)]
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, Rational] = {}
             for c, v in symbol._table.get((a, b), {}).items():
                 linalg.axpy(acc, v, images[c])
             for c, v in images[a].items():

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .algebra import GradedLieAlgebra
@@ -44,7 +43,7 @@ def killing_form(algebra: GradedLieAlgebra) -> KillingData:
         for b in range(a, n):
             traces[a][b] = traces[b][a] = sum(
                 value * other for (x, y), value in ads[a].items() if (other := ads[b].get((y, x))))
-    matrix = RatMatrix._of_rows(n, n, [{b: Fraction(t, scale * scale) for b, t in enumerate(row) if t}
+    matrix = RatMatrix._of_rows(n, n, [{b: linalg._ratio(t, scale * scale) for b, t in enumerate(row) if t}
                                        for row in traces])
     pos, neg = _signature(traces)
     rank = pos + neg
@@ -120,7 +119,7 @@ def _graded_pairing_ok(algebra: GradedLieAlgebra, data: KillingData) -> bool:
 def center(algebra: GradedLieAlgebra):
     """Basis of the center, from the stacked adjoint conditions."""
     n = algebra.dim
-    rows: dict[int, dict[int, Fraction]] = defaultdict(dict)  # row (b, c), column a: [e_a, e_b]_c
+    rows: dict[int, dict[int, linalg.Rational]] = defaultdict(dict)  # row (b, c), column a: [e_a, e_b]_c
     for (a, b), terms in algebra._table.items():
         for c, value in terms.items():
             rows[b * n + c][a], rows[a * n + c][b] = value, -value

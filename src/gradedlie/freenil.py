@@ -10,8 +10,6 @@ certified rather than rewritten.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .algebra import BasisElement, GradedLieAlgebra
 from .linalg import InternalConsistencyError
@@ -60,30 +58,30 @@ def hall_trees(r: int, mu: int) -> dict[int, list]:
     return by_degree
 
 
-def _expand(tree, cache) -> dict[tuple[int, ...], Fraction]:
+def _expand(tree, cache) -> dict[tuple[int, ...], int]:
     """Expansion of a Hall tree in the free associative algebra (word -> coeff)."""
     key = _shape(tree)
     if key not in cache:
-        cache[key] = ({(tree,): Fraction(1)} if isinstance(tree, int)
+        cache[key] = ({(tree,): 1} if isinstance(tree, int)
                       else _poly_commutator(_expand(tree[0], cache), _expand(tree[1], cache)))
     return cache[key]
 
 
-def _poly_commutator(p, q) -> dict[tuple[int, ...], Fraction]:
-    out: dict[tuple[int, ...], Fraction] = {}
+def _poly_commutator(p, q) -> dict[tuple[int, ...], int]:
+    out: dict[tuple[int, ...], int] = {}
     for wl, cl in p.items():
         for wr, cr in q.items():
             word = wl + wr
-            out[word] = out.get(word, Fraction(0)) + cl * cr
+            out[word] = out.get(word, 0) + cl * cr
             word = wr + wl
-            out[word] = out.get(word, Fraction(0)) - cl * cr
+            out[word] = out.get(word, 0) - cl * cr
     return {w: c for w, c in out.items() if c}
 
 
 _ESCAPED = "bracket of Hall elements escaped the Hall span"
 
 
-def _word_coordinates(poly, words) -> dict[int, Fraction]:
+def _word_coordinates(poly, words) -> dict[int, int]:
     """Sparse coefficients of `poly` over the indexed words.
 
     A word outside the index appears in no Hall expansion of this degree, so
@@ -120,7 +118,7 @@ def free_nilpotent(r: int, mu: int) -> GradedLieAlgebra:
 
     # one exact solve per degree: every commutator landing in degree d is
     # expressed over the Hall expansions of degree d in a single batch
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    brackets: dict[tuple[int, int], dict[int, linalg.Rational]] = {}
     for d, degree_pairs in sorted(pairs.items()):
         words: dict[tuple[int, ...], int] = {}
         for idx in members[d]:

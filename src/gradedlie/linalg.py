@@ -1,20 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Every matrix here enters and leaves with ``fractions.Fraction`` entries and
-every result is exact; there is no tolerance anywhere in this module.
-Elimination is one sparse Gauss-Jordan reduction, ``rref``, that works on
-the nonzero entries only, fraction-free: it clears the denominators of the
-matrix (``_integral``) and runs on primitive integer rows, turning them
-into Fractions once at the end; the Jacobi check, the Killing form and
-``prolongation._assemble`` run on tables scaled by ``_integral`` as well.
-Pivots are always the first nonzero entry in column order; the reduced row
-echelon form is unique, which makes every returned basis deterministic
-(bit-exact across runs).  The certificates (``_certify``) stay in Fraction
-arithmetic, independent of that kernel.
+Every value is exact, with no tolerance anywhere: an integral rational is
+a plain ``int``, and a ``fractions.Fraction`` always has a denominator above
+1 (``_frac`` brings public input into that form), so integral data runs on
+C ints throughout.  Elimination is one sparse Gauss-Jordan reduction,
+``rref``, that works on the nonzero entries only, fraction-free: it clears
+the denominators of the matrix (``_integral``) and runs on primitive integer
+rows, divided by their pivot entries once at the end (``_ratio``); the
+Jacobi check, the Killing form and ``prolongation._assemble`` run on tables
+scaled by ``_integral`` as well.  Pivots are always the first nonzero entry
+in column order; the reduced row echelon form is unique, which makes every
+returned basis deterministic (bit-exact across runs).  The certificates
+(``_certify``) multiply out A x directly, independent of that kernel.
 
 A ``RatMatrix`` stores the sparse rows that ``rref`` and ``_certify`` read;
 engine code hands the rows it built to ``RatMatrix._of_rows``, and only the
-public edge checks entries.  Vectors are sparse ``{index: Fraction}`` dicts
+public edge checks entries.  Vectors are sparse ``{index: rational}`` dicts
 of their nonzero entries throughout; dense lists appear only at the public
 edge (``nullspace``, ``solve``, ``Echelon.rows`` and the basis vectors
 ``express_in_basis`` takes).  ``rref`` returns an ``Echelon``: the pivots,
@@ -35,20 +36,30 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Vector = list[Fraction]
+Rational = int | Fraction
+Vector = list[Rational]
 
 
-def _frac(value) -> Fraction:
+def _frac(value) -> Rational:
+    """`value` as an exact rational: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not allowed in exact matrices")
-    return value if isinstance(value, Fraction) else Fraction(value)
+    value = value if isinstance(value, Fraction) else Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _ratio(n: int, d: int) -> Rational:
+    """The exact quotient n / d of ints, d > 0: an int when d divides n."""
+    return Fraction(n, d) if n % d else n // d
 
 
 class RatMatrix:
-    """A rows x cols matrix of rationals, ``_rows`` = {row: {column: Fraction}}
-    of its nonzero entries with no empty row.  The public constructors check
-    every entry: a float raises TypeError, an index outside the shape
-    IndexError."""
+    """A rows x cols matrix of rationals, ``_rows`` = {row: {column: value}}
+    of its nonzero entries, ints or Fractions with a denominator above 1,
+    with no empty row.  The public constructors check every entry: a float
+    raises TypeError, an index outside the shape IndexError."""
 
     __slots__ = ("rows", "cols", "_rows")
 
@@ -56,7 +67,7 @@ class RatMatrix:
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         self.rows, self.cols = rows, cols
-        table: dict[int, dict[int, Fraction]] = {}
+        table: dict[int, dict[int, Rational]] = {}
         for (r, c), value in entries.items() if isinstance(entries, dict) else entries or ():
             self._check(r, c)
             table.setdefault(r, {})[c] = _frac(value)  # a later entry wins, a zero too
@@ -74,7 +85,7 @@ class RatMatrix:
 
     @classmethod
     def _of_rows(cls, rows: int, cols: int, data) -> "RatMatrix":
-        """Engine-built rows in range, a {row: {column: Fraction}} dict or a
+        """Engine-built rows in range, a {row: {column: value}} dict or a
         list of rows, copied as they are but for zero entries and empty rows."""
         mat = cls(rows, cols)
         pairs = data.items() if isinstance(data, dict) else enumerate(data)
@@ -85,9 +96,9 @@ class RatMatrix:
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(f"entry ({r}, {c}) outside {self.rows}x{self.cols} matrix")
 
-    def get(self, r: int, c: int) -> Fraction:
+    def get(self, r: int, c: int) -> Rational:
         self._check(r, c)
-        return self._rows.get(r, {}).get(c, Fraction(0))
+        return self._rows.get(r, {}).get(c, 0)
 
     def items(self):
         return sorted(((r, c), value) for r, row in self._rows.items() for c, value in row.items())
@@ -131,7 +142,7 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def nullspace(self) -> list[dict[int, Fraction]]:
+    def nullspace(self) -> list[dict[int, Rational]]:
         """Basis of ker A as sparse vectors, echelon-normalized and ordered by
         free column.
 
@@ -139,13 +150,13 @@ class Echelon:
         free coordinates of the other vectors; its pivot coordinates are read
         off a column index of the sparse pivot rows.
         """
-        by_column: dict[int, list[tuple[int, Fraction]]] = {}
+        by_column: dict[int, list[tuple[int, Rational]]] = {}
         for p, row in zip(self.pivots, self.pivot_rows):
             for c, value in row.items():
                 if c != p:
                     by_column.setdefault(c, []).append((p, -value))
         pivot_set = set(self.pivots)
-        basis = [dict([*by_column.get(fc, ()), (fc, Fraction(1))])
+        basis = [dict([*by_column.get(fc, ()), (fc, 1)])
                  for fc in range(self.matrix.cols) if fc not in pivot_set]
         if len(basis) != self.matrix.cols - len(self.pivots):
             raise InternalConsistencyError("nullspace: basis size breaks rank-nullity")
@@ -173,7 +184,7 @@ def _certify(matrix: RatMatrix, pairs, message: str) -> None:
         for r, value in b.items():
             expected.setdefault(r, {})[j] = value
     for r, row in matrix._rows.items():
-        image: dict[int, Fraction] = {}  # pair -> (A x)[r]
+        image: dict[int, Rational] = {}  # pair -> (A x)[r]
         for c, value in row.items():
             for j, x_c in by_coordinate.get(c, ()):
                 image[j] = image.get(j, 0) + value * x_c
@@ -183,9 +194,9 @@ def _certify(matrix: RatMatrix, pairs, message: str) -> None:
         raise InternalConsistencyError(message)
 
 
-def dense(row: dict[int, Fraction], length: int) -> Vector:
-    """The sparse {column: value} row as a list of `length` Fractions."""
-    out = [Fraction(0)] * length
+def dense(row: dict[int, Rational], length: int) -> Vector:
+    """The sparse {column: value} row as a list of `length` rationals."""
+    out = [0] * length
     for c, value in row.items():
         out[c] = value
     return out
@@ -202,7 +213,8 @@ def rref(matrix: RatMatrix) -> Echelon:
     its leading column, divided by its content with a positive pivot entry,
     and is eliminated from the earlier pivot rows, which are divided by
     their content again; so every pivot row stays fully reduced and
-    primitive, and becomes the Fraction row / pivot entry once, at return.
+    primitive, and is divided by its pivot entry once, at return: a row
+    whose pivot entry is 1 is returned as it is.
     """
     reduced: dict[int, dict[int, int]] = {}
     kept = []
@@ -221,14 +233,20 @@ def rref(matrix: RatMatrix) -> Echelon:
                 _make_primitive(other, other[q])
         reduced[p] = row
     pivots = tuple(sorted(reduced))
-    rows = tuple({c: Fraction(v, reduced[p][p]) for c, v in reduced[p].items()} for p in pivots)
+    rows = tuple(row if (d := row[p]) == 1 else {c: _ratio(v, d) for c, v in row.items()}
+                 for p, row in sorted(reduced.items()))
     return Echelon(pivots, rows, tuple(kept), matrix)
 
 
+def _lcm(rows: dict) -> int:
+    """L, the lcm of the denominators of a {key: {index: rational}} table of sparse rows."""
+    return math.lcm(*{v.denominator for row in rows.values() for v in row.values()})
+
+
 def _integral(rows: dict) -> tuple[dict, int]:
-    """(L * rows, L) for a {key: {index: Fraction}} table of sparse rows, L the lcm
-    of its denominators: the ints of rref, the Jacobi check, the Killing form and _assemble."""
-    scale = math.lcm(*{v.denominator for row in rows.values() for v in row.values()})
+    """(L * rows, L) for a table of sparse rows, L = _lcm(rows): the ints
+    of rref, the Jacobi check, the Killing form and _assemble."""
+    scale = _lcm(rows)
     return {k: {c: v.numerator if scale == 1 else v.numerator * (scale // v.denominator)
                 for c, v in row.items()} for k, row in rows.items()}, scale
 
@@ -257,7 +275,7 @@ def _make_primitive(row: dict[int, int], lead: int) -> None:
 
 def axpy(row: dict, factor, other: dict) -> None:
     """row += factor * other, dropping the entries that cancel; the entries
-    are Fractions, or ints in the integer kernels."""
+    are exact rationals, or ints in the integer kernels."""
     for c, value in other.items():
         x = row.get(c, 0) + factor * value
         if x:
@@ -283,7 +301,7 @@ def solve(matrix: RatMatrix, rhs: Sequence) -> Vector | None:
     return None if x is None else dense(x, matrix.cols)
 
 
-def solve_many(matrix: RatMatrix, rhs: Sequence[dict]) -> list[dict[int, Fraction] | None]:
+def solve_many(matrix: RatMatrix, rhs: Sequence[dict]) -> list[dict[int, Rational] | None]:
     """Sparse solutions of A x = b for each sparse {row: value} right-hand
     side, eliminating [A | b_1 ... b_m] once; None for an inconsistent b.
 

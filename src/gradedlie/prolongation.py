@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .algebra import (
@@ -86,10 +85,10 @@ def leibniz_system(symbol: GradedLieAlgebra, g_bases, degree: int):
                         block[t][col(i + j, pos_c, t)] += value
             # - [f(e_a), e_b], with f(e_a) expanded over the degree i+degree basis
             _emit_side(symbol, g_bases, dims, block, i, symbol.position_in_degree(a), b,
-                       degree, col, block_target, Fraction(-1))
+                       degree, col, block_target, -1)
             # - [e_a, f(e_b)] = + [f(e_b), e_a]
             _emit_side(symbol, g_bases, dims, block, j, symbol.position_in_degree(b), a,
-                       degree, col, block_target, Fraction(1))
+                       degree, col, block_target, 1)
     return layout, RatMatrix._of_rows(len(rows), ncols, rows)
 
 
@@ -175,7 +174,7 @@ def _disagreement(degree, leibniz, spencer, layout) -> str:
 class TransitivityReport:
     ok: bool
     degree: int | None
-    witness: tuple[Fraction, ...] | None
+    witness: tuple[linalg.Rational, ...] | None
 
 
 @dataclass
@@ -258,8 +257,8 @@ def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = 10) -
     trans = check_transitivity(result)
     if not trans.ok:
         raise InternalConsistencyError(
-            f"transitivity fails at degree {trans.degree}: witness {trans.witness}"
-        )
+            f"transitivity fails at degree {trans.degree}: "
+            f"witness [{', '.join(map(str, trans.witness))}]")
     return result
 
 
@@ -296,7 +295,8 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
 
     The brackets go into one sparse dict and its integer shadow ``ints``
     (L times the dict), seeded and then filled degree by degree as the
-    module docstring describes.  When the prolongation terminated, pairs
+    module docstring describes; with L = 1 the dict holds ints only and is
+    its own shadow.  When the prolongation terminated, pairs
     whose total degree exceeds the top computed degree (no basis) must vanish.
     """
     dims = tower_dims(symbol, g_bases)
@@ -314,7 +314,8 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
             elements.append(BasisElement(name, k))
     position = {g: pos for idx in indices.values() for pos, g in enumerate(idx)}
     brackets = seed_brackets(symbol, g_bases, g0, indices)
-    ints, scale = linalg._integral(brackets)
+    scale = linalg._lcm(brackets)
+    ints = brackets if scale == 1 else linalg._integral(brackets)[0]
     empty: dict[int, int] = {}
 
     def bracket(a, b):
@@ -356,9 +357,11 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
                         fault = ("is nonzero beyond the vanishing degree" if D > kmax
                                  else f"escaped the degree-{D} basis")
                         raise InternalConsistencyError(f"bracket of degrees ({k}, {D - k}) {fault}")
-                    new[(x, y)] = {indices[D][u]: Fraction(value, scale * scale) for u, value in coords.items()}
+                    new[(x, y)] = {indices[D][u]: linalg._ratio(value, scale * scale) for u, value in coords.items()}
         # pairs of degree D read only brackets below D, so the shadow grows only now
         brackets.update(new)
+        if ints is brackets:  # L = 1: the new ints are in the shared table already
+            continue
         more, more_scale = linalg._integral(new)
         if scale % more_scale:  # a new denominator raises L
             ints, scale = linalg._integral(brackets)

@@ -40,6 +40,7 @@ from fractions import Fraction
 from . import symbols
 from .algebra import BasisElement, DegreeZeroAlgebra, GradedLieAlgebra
 from .freenil import free_nilpotent
+from .linalg import Rational, _frac
 
 SCHEMA_VERSION = 1
 
@@ -56,14 +57,14 @@ class SpecError(ValueError):
         super().__init__(f"{where}: {message}" if where else message)
 
 
-def parse_rational(value, where: str) -> Fraction:
+def parse_rational(value, where: str) -> Rational:
     if type(value) is int:
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value.strip()):
             raise SpecError(f"not a rational (use integers or 'p/q' strings): {value!r}", where)
         try:
-            return Fraction(value.strip())
+            return _frac(Fraction(value.strip()))
         except ValueError:  # Python's limit on the digits of an int string
             raise SpecError(_TOO_LONG, where) from None
     if isinstance(value, float):
@@ -71,7 +72,7 @@ def parse_rational(value, where: str) -> Fraction:
     raise SpecError(f"not a rational: {value!r}", where)
 
 
-def format_rational(value: Fraction) -> str:
+def format_rational(value: Rational) -> str:
     """str(value), "p" or "p/q", exact for any number of digits."""
     try:
         return str(value)
@@ -110,7 +111,7 @@ class AlgebraSpec:
     name: str
     preset: str | None
     basis: list[tuple[str, int]] | None
-    brackets: list[tuple[str, str, list[tuple[str, Fraction]]]] | None
+    brackets: list[tuple[str, str, list[tuple[str, Rational]]]] | None
     g0_mode: str
     g0_payload: dict = field(default_factory=dict)
     max_degree: int = 10
@@ -232,7 +233,7 @@ def build_symbol(spec: AlgebraSpec) -> GradedLieAlgebra:
             if name in index:
                 raise SpecError(f"duplicate basis name {name!r}", "algebra.basis")
             index[name] = i
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        table: dict[tuple[int, int], dict[int, Rational]] = {}
         for entry_no, (left, right, terms) in enumerate(spec.brackets):
             where = f"algebra.brackets[{entry_no}]"
             for name in (left, right):
@@ -247,11 +248,11 @@ def build_symbol(spec: AlgebraSpec) -> GradedLieAlgebra:
                 sign = -1
             if (a, b) in table:
                 raise SpecError(f"bracket for pair ({left}, {right}) given twice", where)
-            resolved: dict[int, Fraction] = {}
+            resolved: dict[int, Rational] = {}
             for name, coeff in terms:
                 if name not in index:
                     raise SpecError(f"unknown basis name {name!r}", where)
-                resolved[index[name]] = resolved.get(index[name], Fraction(0)) + sign * coeff
+                resolved[index[name]] = resolved.get(index[name], 0) + sign * coeff
             table[(a, b)] = resolved
         return GradedLieAlgebra(elements, table)
     except ValueError as exc:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import diagnostics, linalg, prolongation
 from .algebra import (
@@ -19,7 +18,7 @@ from .algebra import (
     layout_offsets,
     map_layout,
 )
-from .linalg import RatMatrix, _frac
+from .linalg import RatMatrix, Rational, _frac
 
 
 def abelian(n: int) -> GradedLieAlgebra:
@@ -38,7 +37,7 @@ def heisenberg(n: int) -> GradedLieAlgebra:
         + [BasisElement(f"q{i + 1}", -1) for i in range(n)]
         + [BasisElement("Z", -2)]
     )
-    brackets = {(i, n + i): {2 * n: Fraction(1)} for i in range(n)}
+    brackets = {(i, n + i): {2 * n: 1} for i in range(n)}
     return GradedLieAlgebra(basis, brackets)
 
 
@@ -46,7 +45,7 @@ def heisenberg(n: int) -> GradedLieAlgebra:
 class EuclideanForm:
     """Symmetric positive-definite form on the degree -1 component."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[Rational, ...], ...]
 
     def __init__(self, rows):
         entries = tuple(tuple(map(_frac, row)) for row in rows)
@@ -70,8 +69,8 @@ class EuclideanForm:
 class LinePair:
     """Two transversal lines in the degree -1 component, given by spanning vectors."""
 
-    first: tuple[Fraction, ...]
-    second: tuple[Fraction, ...]
+    first: tuple[Rational, ...]
+    second: tuple[Rational, ...]
 
     def __init__(self, first, second):
         first, second = tuple(map(_frac, first)), tuple(map(_frac, second))
@@ -161,7 +160,7 @@ def extend_top_blocks(symbol: GradedLieAlgebra, top_blocks) -> list[GradedLinear
     degree d satisfies B [e_a, e_b] = [f(e_a), e_b] + [e_a, f(e_b)] for a of
     degree -1 and b of degree d + 1.  These equations depend on the symbol
     alone, so each degree is eliminated once, every block bringing its own
-    right-hand side.  Blocks are lists of rows of Fractions.  A fundamental
+    right-hand side.  Blocks are lists of rows of exact rationals.  A fundamental
     symbol admits at most one extension, and none at all when a block is
     incompatible with the relations, which raises ValueError naming the
     degree for the first such block.
@@ -190,7 +189,7 @@ def extend_top_blocks(symbol: GradedLieAlgebra, top_blocks) -> list[GradedLinear
         for cols in columns:
             value = {}
             for r, (p, q, _) in enumerate(pairs):
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, Rational] = {}
                 for u, x in cols[-1][p].items():
                     linalg.axpy(acc, x, symbol.bracket_basis(top[u], up[q]))
                 for u, x in cols[degree + 1][q].items():

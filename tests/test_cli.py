@@ -26,6 +26,13 @@ def test_parse_rational_accepts_ints_and_strings():
     assert parse_rational("-3/2", "x") == F(-3, 2)
 
 
+def test_parse_rational_keeps_integral_values_as_ints():
+    for value, number in (("4/2", 2), (3, 3), ("-7", -7), ("0/5", 0)):
+        parsed = parse_rational(value, "x")
+        assert type(parsed) is int and parsed == number
+    assert type(parse_rational("3/2", "x")) is F
+
+
 @pytest.mark.parametrize("bad", [1.5, "1.5", "3/0", "a", True, None, "1/ 2"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(SpecError):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradedlie
-from gradedlie import cli, linalg
+from gradedlie import cli, linalg, prolongation
 from gradedlie.diagnostics import symmetric_signature
 from gradedlie.linalg import (
     Echelon,
@@ -217,12 +217,20 @@ def test_public_indices_outside_the_shape_raise_index_error(build):
         build()
 
 
-def test_engine_built_matrices_hold_nonzero_fractions_in_range(monkeypatch):
-    # every matrix the engine builds from its own rows, over the corpus and
-    # the benchmark specs: no empty row, no zero, no non-Fraction, no index
-    # outside the shape
+def canonical(value):
+    """An exact rational in the engine's form: an int, or a Fraction whose
+    denominator is greater than 1."""
+    return type(value) is int or (type(value) is Fraction and value.denominator > 1)
+
+
+def test_engine_built_matrices_hold_nonzero_exact_rationals_in_range(monkeypatch):
+    # every matrix the engine builds from its own rows, the assembled bracket
+    # table and the columns of every tower map, over the corpus and the
+    # benchmark specs: no empty row, no zero, no value out of canonical form,
+    # no index outside the shape
     of_rows = RatMatrix._of_rows.__func__
-    built, faults = [], []
+    prolong = prolongation.universal_prolongation
+    built, results, faults = [], [], []
 
     def checked(cls, rows, cols, data):
         mat = of_rows(cls, rows, cols, data)
@@ -231,17 +239,52 @@ def test_engine_built_matrices_hold_nonzero_fractions_in_range(monkeypatch):
             if not row or not 0 <= r < mat.rows:
                 faults.append((mat, r))
             faults.extend((mat, r, c, value) for c, value in row.items()
-                          if type(value) is not Fraction or not value or not 0 <= c < mat.cols)
+                          if not canonical(value) or not value or not 0 <= c < mat.cols)
         return mat
 
+    def recorded(*args, **kwargs):
+        results.append(prolong(*args, **kwargs))
+        return results[-1]
+
     monkeypatch.setattr(RatMatrix, "_of_rows", classmethod(checked))
+    monkeypatch.setattr(prolongation, "universal_prolongation", recorded)
     paths = sorted((ROOT / "corpus").glob("*.json")) + sorted((ROOT / "perfbench" / "specs").glob("*.json"))
     assert len(paths) == 14
     for path in paths:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["prolong", str(path)]) == 0, path.name
-    assert len(built) > 100
+    assert len(built) > 100 and len(results) == 14
+    for result in results:
+        n = result.algebra.dim
+        faults.extend((result.symbol, pair, c, value) for pair, terms in result.algebra._table.items()
+                      for c, value in terms.items() if not canonical(value) or not value or not 0 <= c < n)
+        faults.extend((f, i, t, value) for base in result.bases for f in base
+                      for i, cols in f.columns.items() for col in cols for t, value in col.items()
+                      if not canonical(value) or not value or not 0 <= t < f.shapes[i][1])
     assert faults == []
+
+
+def test_frac_keeps_integral_rationals_as_ints():
+    for value in (3, F(4, 2), True):
+        assert type(linalg._frac(value)) is int
+    assert linalg._frac(F(4, 2)) == 2 and linalg._frac(True) == 1
+    assert linalg._frac(F(1, 2)) == F(1, 2) and type(linalg._frac(F(1, 2))) is Fraction
+    assert linalg._frac("-6/4") == F(-3, 2)
+    with pytest.raises(TypeError):
+        linalg._frac(0.5)
+
+
+def test_rref_keeps_integral_entries_as_ints():
+    echelon = rref(RatMatrix.from_rows([[2, 4, 6, 0], [1, 1, 0, 5], [3, 5, 6, 5]]))
+    assert echelon.pivot_rows == ({0: 1, 2: -3, 3: 10}, {1: 1, 2: 3, 3: -5})
+    values = [v for row in echelon.pivot_rows for v in row.values()]
+    values += [v for vector in echelon.nullspace() for v in vector.values()]
+    assert all(type(v) is int for v in values)
+    echelon = rref(RatMatrix.from_rows([[2, 1, F(1, 3)], [0, 3, 2]]))
+    assert echelon.pivot_rows == ({0: 1, 2: F(-1, 6)}, {1: 1, 2: F(2, 3)})
+    assert all(canonical(v) for row in echelon.pivot_rows for v in row.values())
+    matrix = RatMatrix.from_rows([[F(6, 3), 0]])
+    assert type(matrix.get(0, 0)) is int and type(matrix.get(0, 1)) is int
 
 
 def test_vectors_rank():
@@ -328,6 +371,7 @@ def test_against_sympy(mat):
     ours = nullspace(mat)
     theirs = sm.nullspace()
     assert len(theirs) == len(ours)
+    assert all(canonical(x) for v in ours for x in v if x)
     for v in ours:
         assert sm * sympy.Matrix(v) == sympy.zeros(mat.rows, 1)
 
@@ -385,6 +429,8 @@ def test_rref_matches_dense_and_sympy_oracles(mat):
     assert ours == (tuple(pivots), rows)
     assert tuple(echelon) == ours  # pivots, rows = rref(m) unpacks to dense rows
     assert [_dense_dict(row) for row in rows] == list(echelon.pivot_rows)
+    assert all(canonical(x) for row in echelon.pivot_rows for x in row.values())
+    assert all(canonical(x) for v in echelon.nullspace() for x in v.values())
     if mat.rows and mat.cols:
         assert ours == sympy_rref(mat)
 
@@ -485,9 +531,9 @@ def test_express_in_basis_matches_sympy(case):
             express_in_basis(vectors, sparse_targets)
     basis = [vectors[i] for i in independent]
     theirs = [sympy_coordinates(basis, target) for target in targets]
-    assert express_in_basis(basis, sparse_targets) == [
-        None if coords is None else _dense_dict(coords) for coords in theirs
-    ]
+    ours = express_in_basis(basis, sparse_targets)
+    assert ours == [None if coords is None else _dense_dict(coords) for coords in theirs]
+    assert all(canonical(x) for coords in ours if coords for x in coords.values())
 
 
 def corrupted_rref(matrix):

@@ -477,6 +477,26 @@ def test_route_disagreement_names_the_witness(eta3, lambda_g0, monkeypatch):
     assert "[" + ", ".join(map(str, coordinates)) + "]" in message
 
 
+def test_transitivity_failure_names_the_witness(eta3, lambda_g0, monkeypatch):
+    # a degree-1 map equal to half the first one: -1/2 f_1 + f_new vanishes on g^-1
+    real = prolongation.check_transitivity
+
+    def corrupted(result):
+        first = result.bases[1][0]
+        half = GradedLinearMap(1, {i: [[F(x) / 2 for x in first.image_of_basis(i, a)] for a in range(dom)]
+                                   for i, (dom, _) in first.shapes.items()})
+        bases = (*result.bases[:1], (*result.bases[1], half), *result.bases[2:])
+        return real(dataclasses.replace(result, bases=bases))
+
+    monkeypatch.setattr(prolongation, "check_transitivity", corrupted)
+    with pytest.raises(InternalConsistencyError) as failure:
+        universal_prolongation(eta3, lambda_g0)
+    witness = [0] * len(prolong_step(eta3, [list(lambda_g0.generators)]))
+    witness[0] = "-1/2"
+    assert str(failure.value) == (
+        f"transitivity fails at degree 1: witness [{', '.join(map(str, witness))}, 1]")
+
+
 def test_spencer_kernel_rejects_a_restriction_without_full_column_rank():
     m = heisenberg(1)
     result = universal_prolongation(m, degree_zero_derivations(m), max_degree=2)

@@ -37,11 +37,8 @@ MUTANTS = (
      "    if isinstance(value, complex):\n        raise TypeError",
      ["tests/test_linalg.py::test_frac_keeps_integral_rationals_as_ints",
       "tests/test_symbols.py::test_floats_are_rejected_at_every_entry_point"]),
-    ("shadow-shared-when-scaled", "prolongation.py",
-     "ints = brackets if scale == 1 else", "ints = brackets if scale >= 1 else",
-     ["tests/test_cli.py::test_reports_match_benchmark_golden_digests"]),
     ("assemble-without-reconstruction", "prolongation.py",
-     "if rebuilt != {c: m * value for c, value in flat.items()}:", "if False:",
+     "if rebuilt != flat:", "if False:",
      ["tests/test_prolongation.py::test_assemble_rejects_brackets_beyond_the_vanishing_degree",
       "tests/test_prolongation.py::test_assemble_rejects_brackets_that_escape_the_basis"]),
     ("transitivity-witness-as-repr", "prolongation.py",
@@ -58,6 +55,9 @@ MUTANTS = (
      "    (matrix, [(x, b) for x, b in zip(solutions, rhs) if x is not None],",
      ["tests/test_linalg.py::test_self_checks_raise_on_corrupted_elimination",
       "tests/test_linalg.py::test_certificate_sees_a_right_hand_side_in_a_zero_row"]),
+    ("killing-wrong-scale", "diagnostics.py",
+     "linalg._ratio(t, scale * scale)", "linalg._ratio(t, scale)",
+     ["tests/test_diagnostics.py::test_killing_form_matches_fraction_traces_on_terminated_runs"]),
     ("writer-item-separator", "specfile.py",
      'sep, comma = "[" + inner, "," + inner', 'sep, comma = "[" + inner, ", " + inner',
      ["tests/test_cli.py::test_dump_document_writes_the_bytes_of_json_dumps"]),

@@ -7,10 +7,10 @@ C ints throughout.  Elimination is one sparse Gauss-Jordan reduction,
 ``rref``, that works on the nonzero entries only, fraction-free: it clears
 the denominators of the matrix (``_integral``) and runs on primitive integer
 rows, divided by their pivot entries once at the end (``_ratio``); the
-Jacobi check, the Killing form and ``prolongation._assemble`` run on tables
-scaled by ``_integral`` as well.  Pivots are always the first nonzero entry
-in column order; the reduced row echelon form is unique, which makes every
-returned basis deterministic (bit-exact across runs).  The certificates
+Jacobi check and the Killing form run on tables scaled by ``_integral`` as
+well.  Pivots are always the first nonzero entry in column order; the
+reduced row echelon form is unique, which makes every returned basis
+deterministic (bit-exact across runs).  The certificates
 (``_certify``) multiply out A x directly, independent of that kernel.
 
 A ``RatMatrix`` stores the sparse rows that ``rref`` and ``_certify`` read;
@@ -86,10 +86,13 @@ class RatMatrix:
     @classmethod
     def _of_rows(cls, rows: int, cols: int, data) -> "RatMatrix":
         """Engine-built rows in range, a {row: {column: value}} dict or a
-        list of rows, copied as they are but for zero entries and empty rows."""
+        list of rows, copied as they are but for zero entries, empty rows and
+        integral Fractions, which become ints."""
         mat = cls(rows, cols)
         pairs = data.items() if isinstance(data, dict) else enumerate(data)
-        mat._rows = {r: kept for r, row in pairs if (kept := {c: v for c, v in row.items() if v})}
+        mat._rows = {r: kept for r, row in pairs
+                     if (kept := {c: v if type(v) is int or v.denominator != 1 else v.numerator
+                                  for c, v in row.items() if v})}
         return mat
 
     def _check(self, r: int, c: int) -> None:
@@ -238,15 +241,11 @@ def rref(matrix: RatMatrix) -> Echelon:
     return Echelon(pivots, rows, tuple(kept), matrix)
 
 
-def _lcm(rows: dict) -> int:
-    """L, the lcm of the denominators of a {key: {index: rational}} table of sparse rows."""
-    return math.lcm(*{v.denominator for row in rows.values() for v in row.values()})
-
-
 def _integral(rows: dict) -> tuple[dict, int]:
-    """(L * rows, L) for a table of sparse rows, L = _lcm(rows): the ints
-    of rref, the Jacobi check, the Killing form and _assemble."""
-    scale = _lcm(rows)
+    """(L * rows, L) for a {key: {index: rational}} table of sparse rows, L
+    the lcm of its denominators: the ints of rref, the Jacobi check and the
+    Killing form."""
+    scale = math.lcm(*{v.denominator for row in rows.values() for v in row.values()})
     return {k: {c: v.numerator if scale == 1 else v.numerator * (scale // v.denominator)
                 for c, v in row.items()} for k, row in rows.items()}, scale
 

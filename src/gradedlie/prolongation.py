@@ -18,12 +18,12 @@ for every computed map f and the degree-zero commutator table.  A bracket
     v -> [[x, y], v] = [x, [y, v]] - [y, [x, v]]
 
 on the symbol (the Jacobi identity), whose right side only meets brackets of
-total degree below D; it runs on ints, over the table scaled by the lcm L
-of its denominators, and gives L^2 times each bracket.  The degree-D basis
-is in reduced echelon form, so a bracket's coordinates are its entries at
-the basis pivots, confirmed by an exact integer reconstruction.  The
-structure constants are returned as a single graded Lie algebra and checked
-for the Jacobi identity whenever the prolongation terminates.
+total degree below D, so it is composed exactly over the one bracket table
+as that table grows.  The degree-D basis is in reduced echelon form, so a
+bracket's coordinates are its entries at the basis pivots, confirmed by
+an exact reconstruction of the whole map.  The structure constants are
+returned as a single graded Lie algebra and checked for the Jacobi
+identity whenever the prolongation terminates.
 """
 
 from __future__ import annotations
@@ -293,11 +293,10 @@ def check_transitivity(result: ProlongationResult) -> TransitivityReport:
 def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
     """The symbol plus the computed tower as one graded Lie algebra.
 
-    The brackets go into one sparse dict and its integer shadow ``ints``
-    (L times the dict), seeded and then filled degree by degree as the
-    module docstring describes; with L = 1 the dict holds ints only and is
-    its own shadow.  When the prolongation terminated, pairs
-    whose total degree exceeds the top computed degree (no basis) must vanish.
+    The brackets go into one sparse dict of exact rationals, seeded and then
+    filled degree by degree as the module docstring describes.  When the
+    prolongation terminated, pairs whose total degree exceeds the top
+    computed degree (no basis) must vanish.
     """
     dims = tower_dims(symbol, g_bases)
     kmax = len(g_bases) - 1
@@ -314,22 +313,19 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
             elements.append(BasisElement(name, k))
     position = {g: pos for idx in indices.values() for pos, g in enumerate(idx)}
     brackets = seed_brackets(symbol, g_bases, g0, indices)
-    scale = linalg._lcm(brackets)
-    ints = brackets if scale == 1 else linalg._integral(brackets)[0]
-    empty: dict[int, int] = {}
+    empty: dict[int, linalg.Rational] = {}
 
     def bracket(a, b):
-        """[e_a, e_b] in the shadow as a sign and the stored dict, without a copy."""
-        return (1, ints.get((a, b), empty)) if a < b else (-1, ints.get((b, a), empty))
+        """[e_a, e_b] as a sign and the stored dict, without a copy."""
+        return (1, brackets.get((a, b), empty)) if a < b else (-1, brackets.get((b, a), empty))
 
     for D in range(1, (2 * kmax if terminated else kmax) + 1):
         layout = map_layout(dims, D)
         offsets, _ = layout_offsets(layout)
         # the degree-D basis maps are reduced echelon rows (_normalize_map_basis),
         # so a bracket's coordinates are its entries at their unit pivots
-        rows, m = linalg._integral(dict(enumerate(f.flat_entries(layout) for f in g_bases[D])) if D <= kmax else {})
-        pivots = {min(row): u for u, row in rows.items()}
-        new = {}
+        rows = [f.flat_entries(layout) for f in g_bases[D]] if D <= kmax else []
+        pivots = {min(row): u for u, row in enumerate(rows)}
         for k in range(max(0, D - kmax), D // 2 + 1):
             for x in indices[k]:
                 for y in indices[D - k]:
@@ -339,10 +335,10 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
                     for i, _, tgt in layout:
                         for pos, v in enumerate(indices[i]):
                             # [[x, y], v] = [x, [y, v]] - [y, [x, v]]; the symbol index v
-                            # lies below every tower index, so [right, v] = -ints[(v, right)]
+                            # lies below every tower index, so [right, v] = -brackets[(v, right)]
                             base = offsets[i] + pos * tgt
                             for left, right, sign in ((x, y, 1), (y, x, -1)):
-                                for c, p in ints.get((v, right), empty).items():
+                                for c, p in brackets.get((v, right), empty).items():
                                     sign_lc, left_c = bracket(left, c)
                                     factor = p if sign * sign_lc < 0 else -p
                                     for e, q in left_c.items():
@@ -350,21 +346,13 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
                                         flat[col] = flat.get(col, 0) + factor * q
                     flat = {col: value for col, value in flat.items() if value}
                     coords = {pivots[c]: value for c, value in flat.items() if c in pivots}
-                    rebuilt: dict[int, int] = {}
+                    rebuilt: dict[int, linalg.Rational] = {}
                     for u, value in coords.items():
                         linalg.axpy(rebuilt, value, rows[u])
-                    if rebuilt != {c: m * value for c, value in flat.items()}:
+                    if rebuilt != flat:
                         fault = ("is nonzero beyond the vanishing degree" if D > kmax
                                  else f"escaped the degree-{D} basis")
                         raise InternalConsistencyError(f"bracket of degrees ({k}, {D - k}) {fault}")
-                    new[(x, y)] = {indices[D][u]: linalg._ratio(value, scale * scale) for u, value in coords.items()}
-        # pairs of degree D read only brackets below D, so the shadow grows only now
-        brackets.update(new)
-        if ints is brackets:  # L = 1: the new ints are in the shared table already
-            continue
-        more, more_scale = linalg._integral(new)
-        if scale % more_scale:  # a new denominator raises L
-            ints, scale = linalg._integral(brackets)
-        else:
-            ints.update({pair: {c: scale // more_scale * v for c, v in row.items()} for pair, row in more.items()})
+                    # pairs of degree D read only brackets below D
+                    brackets[(x, y)] = {indices[D][u]: linalg._frac(value) for u, value in coords.items()}
     return GradedLieAlgebra(elements, brackets)

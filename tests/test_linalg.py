@@ -226,8 +226,9 @@ def canonical(value):
 def test_engine_built_matrices_hold_nonzero_exact_rationals_in_range(monkeypatch):
     # every matrix the engine builds from its own rows, the assembled bracket
     # table and the columns of every tower map, over the corpus and the
-    # benchmark specs: no empty row, no zero, no value out of canonical form,
-    # no index outside the shape
+    # benchmark specs, and the constraint rows of two g0 builders whose sums
+    # and products of Fractions come out integral: no empty row, no zero, no
+    # value out of canonical form, no index outside the shape
     of_rows = RatMatrix._of_rows.__func__
     prolong = prolongation.universal_prolongation
     built, results, faults = [], [], []
@@ -253,6 +254,9 @@ def test_engine_built_matrices_hold_nonzero_exact_rationals_in_range(monkeypatch
     for path in paths:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["prolong", str(path)]) == 0, path.name
+    m = gradedlie.heisenberg(1)
+    gradedlie.orthogonal_derivations(m, gradedlie.EuclideanForm([[F(1, 2), 0], [0, F(1, 2)]]))
+    gradedlie.line_preserving_derivations(m, gradedlie.LinePair([F(1, 2), F(1, 3)], [F(2, 3), F(3, 2)]))
     assert len(built) > 100 and len(results) == 14
     for result in results:
         n = result.algebra.dim

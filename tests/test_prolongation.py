@@ -313,11 +313,12 @@ def test_rejects_invalid_inputs(eta3):
 
 def test_assemble_rejects_brackets_beyond_the_vanishing_degree(corpus_results):
     # contact-n1 is of infinite type: its truncated tower taken as terminated
-    # has brackets that do not vanish above the top computed degree
-    _, symbol, g0, result = corpus_results["contact-n1"]
-    assert not result.terminated
-    with pytest.raises(InternalConsistencyError, match="nonzero beyond the vanishing degree"):
-        _assemble(symbol, [list(b) for b in result.bases], g0, True)
+    # has brackets that do not vanish above the top computed degree, and so
+    # has its rescaled twin, whose brackets have denominators
+    for result in (corpus_results["contact-n1"][-1], contact_rescaled()):
+        assert not result.terminated
+        with pytest.raises(InternalConsistencyError, match=r"\(1, 3\) is nonzero beyond the vanishing degree"):
+            _assemble(result.symbol, [list(b) for b in result.bases], result.g0, True)
 
 
 def test_assemble_rejects_brackets_that_escape_the_basis(corpus_results):
@@ -407,6 +408,14 @@ def gl2(a, b, c, d):
     return [[a, b, 0], [c, d, 0], [0, 0, a + d]]
 
 
+def contact_rescaled():
+    """The contact algebra of R^3 to degree 3 on a g0 basis whose degree-one
+    brackets have denominators that the seeded table lacks."""
+    m = heisenberg(1)
+    g0 = custom_g0(m, [gl2(2, 0, 0, 0), gl2(0, 2, 0, 0), gl2(0, 0, F(1, 2), 0), gl2(0, 0, 0, 1)])
+    return universal_prolongation(m, g0, max_degree=3)
+
+
 def seed_scale(algebra):
     """The lcm of the denominators of the brackets _assemble is seeded with:
     those with a negative argument and those of g0."""
@@ -422,19 +431,15 @@ def test_assemble_matches_the_fraction_reference(corpus_results):
         symbol = specfile.build_symbol(spec)
         g0 = specfile.build_g0(spec, symbol)
         results[spec.name] = universal_prolongation(symbol, g0, max_degree=spec.max_degree)
-    # a g0 basis of the contact algebra of R^3 whose degree-one brackets have
-    # denominators that the seeded table lacks
-    m = heisenberg(1)
-    g0 = custom_g0(m, [gl2(2, 0, 0, 0), gl2(0, 2, 0, 0), gl2(0, 0, F(1, 2), 0), gl2(0, 0, 0, 1)])
-    results["contact-n1-rescaled"] = universal_prolongation(m, g0, max_degree=3)
+    results["contact-n1-rescaled"] = contact_rescaled()
     scales = {}
     for name, result in results.items():
         bases = [list(b) for b in result.bases]
         assert result.algebra._table == reference_table(result.symbol, bases, result.g0, result.terminated), name
         scales[name] = (seed_scale(result.algebra), linalg._integral(result.algebra._table)[1])
     assert len(scales) == 15
-    # the integer table is scaled (cartan-25 by 6) and rebuilt when a degree
-    # brings a new denominator (the rescaled contact algebra, from 2 to 4)
+    # the inputs cover a seeded denominator (cartan-25, 6) and a degree that
+    # brings a new one (the rescaled contact algebra, from 2 to 4)
     assert scales["cartan-25"] == (6, 6)
     assert scales["contact-n1-rescaled"] == (2, 4)
 

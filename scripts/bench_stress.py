@@ -12,6 +12,15 @@ sha256 of the report and its graded dimensions; it also records the line
 count of src/gradedlie/*.py.  The report goes to a file and is hashed in
 chunks, so this script never holds it in memory.  --root measures the src/
 of another checkout, so two versions can be compared on the same machine.
+
+heisenberg:n with full g0 prolongs to the contact algebra in 2n + 1
+variables (Tanaka 1970), whose degree-k part has the dimension of the
+weight-(k + 2) polynomials in 2n variables of weight 1 and one of weight 2,
+
+    dim g^k = sum over j >= 0 of C(2n + k + 1 - 2j, 2n - 1).
+
+An instance whose graded dimensions differ from that closed form fails, as
+does one that exits nonzero or times out; the exit code is then 1.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -61,6 +71,13 @@ sys.exit(code)
 """
 
 
+def contact_dimensions(n: int, max_degree: int) -> dict[str, int]:
+    """The closed-form graded dimensions of the contact algebra, degrees -2
+    to max_degree, keyed as the report's dimensions are."""
+    return {str(k): sum(math.comb(2 * n + k + 1 - 2 * j, 2 * n - 1) for j in range((k + 2) // 2 + 1))
+            for k in range(-2, max_degree + 1)}
+
+
 def run_instance(src: Path, workdir: Path, algebra: str, max_degree: int) -> dict:
     spec = workdir / "spec.json"
     spec.write_text(json.dumps({
@@ -97,6 +114,9 @@ def run_instance(src: Path, workdir: Path, algebra: str, max_degree: int) -> dic
     record["report_bytes"] = report.stat().st_size
     record["sha256"] = digest.hexdigest()
     record["dimensions"] = measured["dimensions"]
+    expected = contact_dimensions(int(algebra.split(":")[1]), max_degree)
+    if record["dimensions"] != expected:
+        record["error"] = f"graded dimensions differ from the contact algebra's {expected}"
     return record
 
 
@@ -119,7 +139,7 @@ def main() -> int:
             print(json.dumps(record), flush=True)
             document["instances"].append(record)
     Path(args.out).write_text(json.dumps(document, indent=2) + "\n")
-    ok = all(r["exit_code"] == 0 for r in document["instances"])
+    ok = all(r["exit_code"] == 0 and "error" not in r for r in document["instances"])
     return 0 if ok else 1
 
 

@@ -41,6 +41,16 @@ MUTANTS = (
      "if rebuilt != flat:", "if False:",
      ["tests/test_prolongation.py::test_assemble_rejects_brackets_beyond_the_vanishing_degree",
       "tests/test_prolongation.py::test_assemble_rejects_brackets_that_escape_the_basis"]),
+    ("assemble-action-sign", "prolongation.py",
+     "c, -p) for i, _, tgt in layout", "c, p) for i, _, tgt in layout",
+     ["tests/test_prolongation.py::test_assemble_matches_the_fraction_reference"]),
+    ("assemble-lookup-sign-swapped", "prolongation.py",
+     "((c, left), -sign * q) if c < left else ((left, c), sign * q)",
+     "((c, left), sign * q) if c < left else ((left, c), -sign * q)",
+     ["tests/test_prolongation.py::test_assemble_matches_the_fraction_reference"]),
+    ("assemble-keeps-empty-brackets", "prolongation.py",
+     "                    if coords:\n", "                    if True:\n",
+     ["tests/test_linalg.py::test_engine_built_matrices_hold_nonzero_exact_rationals_in_range"]),
     ("transitivity-witness-as-repr", "prolongation.py",
      "', '.join(map(str, trans.witness))", "', '.join(map(repr, trans.witness))",
      ["tests/test_prolongation.py::test_transitivity_failure_names_the_witness"]),

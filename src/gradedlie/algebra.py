@@ -36,7 +36,8 @@ class GradedLieAlgebra:
 
     Structure constants are stored only for index pairs (a, b) with a < b;
     the opposite orientation is recovered by antisymmetry.  Construction
-    checks shapes and name uniqueness.  Mathematical soundness (grading
+    checks shapes and name uniqueness; _of_table adopts a table the engine
+    built as it is.  Mathematical soundness (grading
     compatibility, the Jacobi identity, nilpotency of the negative part) is
     the job of check_validity, which reports witnesses instead of raising,
     so invalid tables can be represented and diagnosed.
@@ -69,10 +70,15 @@ class GradedLieAlgebra:
         for i, e in enumerate(basis):
             by_degree.setdefault(e.degree, []).append(i)
         self._by_degree = {d: tuple(idx) for d, idx in by_degree.items()}
-        self._positions = {}
-        for d, idx in self._by_degree.items():
-            for pos, i in enumerate(idx):
-                self._positions[i] = pos
+        self._positions = {i: pos for idx in by_degree.values() for pos, i in enumerate(idx)}
+
+    @classmethod
+    def _of_table(cls, basis, table) -> "GradedLieAlgebra":
+        """Engine-built brackets, keys (a, b) in range with a < b and nonempty
+        dicts of nonzero exact rationals, adopted without a check or a copy."""
+        algebra = cls(basis, {})
+        algebra._table = table
+        return algebra
 
     @property
     def dim(self) -> int:

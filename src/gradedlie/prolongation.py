@@ -19,11 +19,13 @@ for every computed map f and the degree-zero commutator table.  A bracket
 
 on the symbol (the Jacobi identity), whose right side only meets brackets of
 total degree below D, so it is composed exactly over the one bracket table
-as that table grows.  The degree-D basis is in reduced echelon form, so a
-bracket's coordinates are its entries at the basis pivots, confirmed by
-an exact reconstruction of the whole map.  The structure constants are
-returned as a single graded Lie algebra and checked for the Jacobi
-identity whenever the prolongation terminates.
+as that table grows: each element's action v -> [w, v] on the symbol is
+listed once per degree D, and a pair walks the two lists of its elements.
+The degree-D basis is in reduced echelon form, so a bracket's coordinates
+are its entries at the basis pivots, confirmed by an exact reconstruction
+of the whole map.  The structure constants are adopted, without a copy, as
+a single graded Lie algebra, checked for the Jacobi identity whenever the
+prolongation terminates.
 """
 
 from __future__ import annotations
@@ -294,9 +296,10 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
     """The symbol plus the computed tower as one graded Lie algebra.
 
     The brackets go into one sparse dict of exact rationals, seeded and then
-    filled degree by degree as the module docstring describes.  When the
-    prolongation terminated, pairs whose total degree exceeds the top
-    computed degree (no basis) must vanish.
+    filled degree by degree as the module docstring describes: actions[w]
+    lists [w, v] = -[v, w] for the symbol elements v as (column base of v,
+    c, coefficient) triples.  When the prolongation terminated, pairs whose
+    total degree exceeds the top computed degree (no basis) must vanish.
     """
     dims = tower_dims(symbol, g_bases)
     kmax = len(g_bases) - 1
@@ -315,10 +318,6 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
     brackets = seed_brackets(symbol, g_bases, g0, indices)
     empty: dict[int, linalg.Rational] = {}
 
-    def bracket(a, b):
-        """[e_a, e_b] as a sign and the stored dict, without a copy."""
-        return (1, brackets.get((a, b), empty)) if a < b else (-1, brackets.get((b, a), empty))
-
     for D in range(1, (2 * kmax if terminated else kmax) + 1):
         layout = map_layout(dims, D)
         offsets, _ = layout_offsets(layout)
@@ -326,24 +325,25 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
         # so a bracket's coordinates are its entries at their unit pivots
         rows = [f.flat_entries(layout) for f in g_bases[D]] if D <= kmax else []
         pivots = {min(row): u for u, row in enumerate(rows)}
-        for k in range(max(0, D - kmax), D // 2 + 1):
+        low = max(0, D - kmax)
+        actions = {w: [(offsets[i] + pos * tgt, c, -p) for i, _, tgt in layout
+                       for pos, v in enumerate(indices[i])
+                       for c, p in brackets.get((v, w), empty).items()]
+                   for m in range(low, D - low + 1) for w in indices[m]}
+        for k in range(low, D // 2 + 1):
             for x in indices[k]:
                 for y in indices[D - k]:
                     if x >= y:
                         continue
+                    # [[x, y], v] = [x, [y, v]] - [y, [x, v]]; [left, c] is -brackets[(c, left)]
+                    # for c below left, every symbol c included, else brackets[(left, c)]
                     flat = {}
-                    for i, _, tgt in layout:
-                        for pos, v in enumerate(indices[i]):
-                            # [[x, y], v] = [x, [y, v]] - [y, [x, v]]; the symbol index v
-                            # lies below every tower index, so [right, v] = -brackets[(v, right)]
-                            base = offsets[i] + pos * tgt
-                            for left, right, sign in ((x, y, 1), (y, x, -1)):
-                                for c, p in brackets.get((v, right), empty).items():
-                                    sign_lc, left_c = bracket(left, c)
-                                    factor = p if sign * sign_lc < 0 else -p
-                                    for e, q in left_c.items():
-                                        col = base + position[e]
-                                        flat[col] = flat.get(col, 0) + factor * q
+                    for left, acts, sign in ((x, actions[y], 1), (y, actions[x], -1)):
+                        for base, c, q in acts:
+                            key, factor = ((c, left), -sign * q) if c < left else ((left, c), sign * q)
+                            for e, value in brackets.get(key, empty).items():
+                                col = base + position[e]
+                                flat[col] = flat.get(col, 0) + factor * value
                     flat = {col: value for col, value in flat.items() if value}
                     coords = {pivots[c]: value for c, value in flat.items() if c in pivots}
                     rebuilt: dict[int, linalg.Rational] = {}
@@ -354,5 +354,6 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
                                  else f"escaped the degree-{D} basis")
                         raise InternalConsistencyError(f"bracket of degrees ({k}, {D - k}) {fault}")
                     # pairs of degree D read only brackets below D
-                    brackets[(x, y)] = {indices[D][u]: linalg._frac(value) for u, value in coords.items()}
-    return GradedLieAlgebra(elements, brackets)
+                    if coords:
+                        brackets[(x, y)] = {indices[D][u]: linalg._frac(value) for u, value in coords.items()}
+    return GradedLieAlgebra._of_table(elements, brackets)

@@ -286,7 +286,7 @@ def bracket_entries(algebra: GradedLieAlgebra):
     made one at a time, so a report can stream them as they are written."""
     names = [e.name for e in algebra.basis]
     for a, b in algebra.bracket_pairs():
-        terms = [[names[c], format_rational(v)] for c, v in sorted(algebra.bracket_basis(a, b).items())]
+        terms = [[names[c], format_rational(v)] for c, v in sorted(algebra._table[(a, b)].items())]
         yield {"left": names[a], "right": names[b], "terms": terms}
 
 

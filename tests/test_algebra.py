@@ -124,6 +124,21 @@ def test_fundamental(eta3, m25):
     assert not check_fundamental(split)
 
 
+def test_public_constructor_checks_every_bracket():
+    # only the engine's own tables skip these checks (GradedLieAlgebra._of_table)
+    basis = [BasisElement("X1", -1), BasisElement("X2", -1), BasisElement("Y", -2)]
+    for brackets, error, message in (({(0, 3): {2: 1}}, ValueError, r"pair \(0, 3\) out of range"),
+                                     ({(-1, 1): {2: 1}}, ValueError, "out of range"),
+                                     ({(0, 1): {3: 1}}, ValueError, "target 3 out of range"),
+                                     ({(1, 0): {2: 1}}, ValueError, "a < b"),
+                                     ({(1, 1): {2: 1}}, ValueError, "a < b"),
+                                     ({(0, 1): {2: 0.5}}, TypeError, "floats")):
+        with pytest.raises(error, match=message):
+            GradedLieAlgebra(basis, brackets)
+    algebra = GradedLieAlgebra(basis, {(0, 1): {2: Fraction(4, 2)}, (0, 2): {2: 0}})
+    assert algebra._table == {(0, 1): {2: 2}} and type(algebra._table[(0, 1)][2]) is int
+
+
 def test_fundamental_rejects_nonnegative_degrees(eta3, lambda_g0):
     extended = adjoin_g0(eta3, lambda_g0)
     with pytest.raises(ValueError):

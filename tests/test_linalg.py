@@ -228,7 +228,10 @@ def test_engine_built_matrices_hold_nonzero_exact_rationals_in_range(monkeypatch
     # table and the columns of every tower map, over the corpus and the
     # benchmark specs, and the constraint rows of two g0 builders whose sums
     # and products of Fractions come out integral: no empty row, no zero, no
-    # value out of canonical form, no index outside the shape
+    # value out of canonical form, no index outside the shape; the algebra
+    # adopts the assembled table unchecked, so its keys must also be ordered
+    # pairs in range, its dicts nonempty and its degree index the one the
+    # public constructor builds
     of_rows = RatMatrix._of_rows.__func__
     prolong = prolongation.universal_prolongation
     built, results, faults = [], [], []
@@ -259,9 +262,14 @@ def test_engine_built_matrices_hold_nonzero_exact_rationals_in_range(monkeypatch
     gradedlie.line_preserving_derivations(m, gradedlie.LinePair([F(1, 2), F(1, 3)], [F(2, 3), F(3, 2)]))
     assert len(built) > 100 and len(results) == 14
     for result in results:
-        n = result.algebra.dim
-        faults.extend((result.symbol, pair, c, value) for pair, terms in result.algebra._table.items()
+        algebra, n = result.algebra, result.algebra.dim
+        faults.extend((result.symbol, pair, c, value) for pair, terms in algebra._table.items()
                       for c, value in terms.items() if not canonical(value) or not value or not 0 <= c < n)
+        faults.extend((result.symbol, (a, b), terms) for (a, b), terms in algebra._table.items()
+                      if not terms or not 0 <= a < b < n)
+        checked_copy = gradedlie.GradedLieAlgebra(algebra.basis, {})
+        if (algebra._by_degree, algebra._positions) != (checked_copy._by_degree, checked_copy._positions):
+            faults.append((result.symbol, "degree index"))
         faults.extend((f, i, t, value) for base in result.bases for f in base
                       for i, cols in f.columns.items() for col in cols for t, value in col.items()
                       if not canonical(value) or not value or not 0 <= t < f.shapes[i][1])

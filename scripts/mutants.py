@@ -57,9 +57,36 @@ MUTANTS = (
     ("leibniz-emitter-sign", "prolongation.py",
      "degree, col, block_target, -1)", "degree, col, block_target, 1)",
      ["tests/test_prolongation.py::test_example5_first_prolongation"]),
+    ("leibniz-image-sign", "prolongation.py",
+     "block[t][col(i + j, pos_c, t)] += value", "block[t][col(i + j, pos_c, t)] -= value",
+     ["tests/test_prolongation.py::test_example5_first_prolongation"]),
+    ("leibniz-symbol-side-sign", "prolongation.py",
+     "rows[symbol.position_in_degree(c)][column] += sign * value",
+     "rows[symbol.position_in_degree(c)][column] -= sign * value",
+     ["tests/test_prolongation.py::test_example5_first_prolongation"]),
+    ("leibniz-tower-side-sign", "prolongation.py",
+     "rows[u][column] += sign * value", "rows[u][column] -= sign * value",
+     ["tests/test_prolongation.py::test_example5_first_prolongation"]),
     ("spencer-emitter-sign", "normalization.py",
      "rows[u][col(-1, a1_pos, t)] += value", "rows[u][col(-1, a1_pos, t)] -= value",
      ["tests/test_prolongation.py::test_route_equivalence_example5"]),
+    ("spencer-symbol-side-sign", "normalization.py",
+     "rows[symbol.position_in_degree(c)][col(i2, a2_pos, t)] -= value",
+     "rows[symbol.position_in_degree(c)][col(i2, a2_pos, t)] += value",
+     ["tests/test_prolongation.py::test_route_equivalence_example5"]),
+    ("spencer-tower-side-sign", "normalization.py",
+     "rows[u][col(i2, a2_pos, t)] -= value", "rows[u][col(i2, a2_pos, t)] += value",
+     ["tests/test_prolongation.py::test_route_equivalence_example5"]),
+    ("spencer-image-sign", "normalization.py",
+     "rows[t][col(i2 - 1, symbol.position_in_degree(c), t)] -= value",
+     "rows[t][col(i2 - 1, symbol.position_in_degree(c), t)] += value",
+     ["tests/test_prolongation.py::test_route_equivalence_example5"]),
+    ("spencer-restriction-sign", "normalization.py",
+     "restricted[a1 * dv + u][t] = -value", "restricted[a1 * dv + u][t] = value",
+     ["tests/test_normalization.py::test_split_elimination_matches_the_whole_matrix[abelian-gl-1]"]),
+    ("extension-rhs-sign", "symbols.py",
+     "{r: -sum(", "{r: sum(",
+     ["tests/test_symbols.py::test_custom_g0_grading_element_from_top_block"]),
     ("solve-without-certificate", "linalg.py",
      "    _certify(matrix, [(x, b) for x, b in zip(solutions, rhs) if x is not None],",
      "    (matrix, [(x, b) for x, b in zip(solutions, rhs) if x is not None],",

@@ -494,10 +494,16 @@ def seed_brackets(symbol: GradedLieAlgebra, g_bases, g0: DegreeZeroAlgebra, indi
     return brackets
 
 
+def require_same_symbol(symbol: GradedLieAlgebra, g0: DegreeZeroAlgebra) -> None:
+    """Raise ValueError unless g0 acts on this symbol: the same object, or
+    one with the same basis and brackets."""
+    if g0.symbol is not symbol and (g0.symbol.basis, g0.symbol._table) != (symbol.basis, symbol._table):
+        raise ValueError("g0 was built for a different symbol")
+
+
 def adjoin_g0(symbol: GradedLieAlgebra, g0: DegreeZeroAlgebra, names=None) -> GradedLieAlgebra:
     """The graded algebra on symbol + g0 with [f, v] = f(v) for f in g0."""
-    if g0.symbol is not symbol and g0.symbol.basis != symbol.basis:
-        raise ValueError("g0 was built for a different symbol")
+    require_same_symbol(symbol, g0)
     n = symbol.dim
     if names is None:
         names = [f"g0_{j + 1}" for j in range(g0.dim)]

@@ -44,6 +44,7 @@ from .algebra import (
     layout_offsets,
     map_layout,
     maps_from_rows,
+    require_same_symbol,
     seed_brackets,
     tower_dims,
 )
@@ -216,6 +217,7 @@ def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = 10) -
         raise ValueError("symbol is not fundamental: degree -1 does not generate it")
     if not isinstance(g0, DegreeZeroAlgebra):
         g0 = DegreeZeroAlgebra(symbol, g0)
+    require_same_symbol(symbol, g0)
 
     g_bases: list[list[GradedLinearMap]] = [list(g0.generators)]
     reports: list[NormalizationReport] = []

@@ -44,7 +44,7 @@ from .linalg import Rational, _frac
 
 SCHEMA_VERSION = 1
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?", re.ASCII)
 _SHORT = 10**600  # under the lowest digit limit Python can be set to (640)
 _TOO_LONG = f"a number has more than {sys.get_int_max_str_digits()} digits"
 
@@ -61,7 +61,7 @@ def parse_rational(value, where: str) -> Rational:
     if type(value) is int:
         return value
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value.strip()):
+        if not _RATIONAL_RE.fullmatch(value.strip()):
             raise SpecError(f"not a rational (use integers or 'p/q' strings): {value!r}", where)
         try:
             return _frac(Fraction(value.strip()))
@@ -205,12 +205,12 @@ def _parse_matrix(raw, where):
     return out
 
 
-_PRESET_RE = re.compile(r"^(heisenberg|abelian|free):(\d+)(?::(\d+))?$")
+_PRESET_RE = re.compile(r"(heisenberg|abelian|free):(\d+)(?::(\d+))?", re.ASCII)
 
 
 def build_symbol(spec: AlgebraSpec) -> GradedLieAlgebra:
     if spec.preset is not None:
-        match = _PRESET_RE.match(spec.preset)
+        match = _PRESET_RE.fullmatch(spec.preset)
         if not match:
             raise SpecError(f"unknown preset {spec.preset!r}", "algebra.preset")
         kind, first, second = match.group(1), int(match.group(2)), match.group(3)

@@ -17,6 +17,7 @@ from .algebra import (
     check_fundamental,
     layout_offsets,
     map_layout,
+    maps_from_rows,
 )
 from .linalg import RatMatrix, Rational, _frac
 
@@ -152,64 +153,33 @@ def line_preserving_derivations(symbol: GradedLieAlgebra, lines: LinePair) -> De
     return _derivations_with_rows(symbol, rows)
 
 
-def extend_top_blocks(symbol: GradedLieAlgebra, top_blocks) -> list[GradedLinearMap]:
+def extend_top_blocks(symbol: GradedLieAlgebra, top_blocks) -> list[GradedLinearMap | None]:
     """Extend degree -1 blocks to grading-preserving derivations.
 
-    The deeper blocks are forced degree by degree through the Leibniz rule
-    applied to brackets with the degree -1 part: the unknown block B on
-    degree d satisfies B [e_a, e_b] = [f(e_a), e_b] + [e_a, f(e_b)] for a of
-    degree -1 and b of degree d + 1.  These equations depend on the symbol
-    alone, so each degree is eliminated once, every block bringing its own
-    right-hand side.  Blocks are lists of rows of exact rationals.  A fundamental
-    symbol admits at most one extension, and none at all when a block is
-    incompatible with the relations, which raises ValueError naming the
-    degree for the first such block.
+    The degree-0 Leibniz system is solved for the deeper blocks with each
+    block A fixed: A's columns (the last block of the layout, column
+    a * n1 + s holding A[s][a]) move to the right-hand side, and one
+    elimination serves every block.  Blocks are lists of rows of exact
+    rationals.  A fundamental symbol admits at most one extension; the map is
+    None for a block that admits none, because a Leibniz equation of some
+    basis pair fails whatever the deeper blocks are.
     """
     n1 = symbol.dim_of_degree(-1)
-    columns = []  # per block: degree -> sparse columns, as in GradedLinearMap
     for rows in top_blocks:
         if len(rows) != n1 or any(len(row) != n1 for row in rows):
             raise ValueError("the block must be square of the degree -1 dimension")
-        columns.append({-1: tuple({s: rows[s][a] for s in range(n1) if rows[s][a]} for a in range(n1))})
-    top = symbol.indices_of_degree(-1)
-    failed: dict[int, int] = {}  # block -> first degree it does not extend to
-    for degree in range(-2, -symbol.depth - 1, -1):
-        position = {c: s for s, c in enumerate(symbol.indices_of_degree(degree))}
-        up = symbol.indices_of_degree(degree + 1)
-        dim = len(position)
-
-        def in_degree(terms):
-            return {position[c]: x for c, x in terms.items() if c in position}
-
-        pairs = [(p, q, in_degree(w)) for p, a in enumerate(top) for q, b in enumerate(up)
-                 if (w := symbol.bracket_basis(a, b))]
-        # rows (pair, t) of B w = value over the unknown entries B[t][s], column t * dim + s
-        rows = [{t * dim + s: x for s, x in w.items()} for _, _, w in pairs for t in range(dim)]
-        rhs = []
-        for cols in columns:
-            value = {}
-            for r, (p, q, _) in enumerate(pairs):
-                acc: dict[int, Rational] = {}
-                for u, x in cols[-1][p].items():
-                    linalg.axpy(acc, x, symbol.bracket_basis(top[u], up[q]))
-                for u, x in cols[degree + 1][q].items():
-                    linalg.axpy(acc, x, symbol.bracket_basis(top[p], up[u]))
-                value.update((r * dim + t, x) for t, x in in_degree(acc).items())
-            rhs.append(value)
-        solutions = linalg.solve_many(RatMatrix._of_rows(len(pairs) * dim, dim * dim, rows), rhs)
-        for j, (cols, x) in enumerate(zip(columns, solutions)):
-            if x is None:
-                failed.setdefault(j, degree)
-                x = {}  # carried on as zero; the others go on
-            cols[degree] = block = tuple({} for _ in range(dim))
-            for c, value in x.items():
-                block[c % dim][c // dim] = value
-    if failed:
-        raise ValueError(
-            f"the degree -1 block does not extend to a derivation at degree {failed[min(failed)]}"
-        )
-    shapes = {d: (symbol.dim_of_degree(d),) * 2 for d in range(-1, -symbol.depth - 1, -1)}
-    return [GradedLinearMap.from_columns(0, cols, shapes) for cols in columns]
+    if not top_blocks:
+        return []
+    layout, matrix = prolongation.leibniz_system(symbol, [], 0)
+    off = matrix.cols - n1 * n1  # the degree -1 block comes last
+    tops = [{off + a * n1 + s: x for s, row in enumerate(rows) for a, x in enumerate(row) if x}
+            for rows in top_blocks]
+    lower = {r: {c: x for c, x in row.items() if c < off} for r, row in matrix._rows.items()}
+    # M_lower x = -M_top A, row by row
+    rhs = [{r: -sum(x * top.get(c, 0) for c, x in row.items() if c >= off) for r, row in matrix._rows.items()}
+           for top in tops]
+    solutions = linalg.solve_many(RatMatrix._of_rows(matrix.rows, off, lower), rhs)
+    return [None if x is None else maps_from_rows(0, layout, [x | top])[0] for x, top in zip(solutions, tops)]
 
 
 def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
@@ -217,15 +187,24 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
 
     Accepts GradedLinearMap instances, full square matrices over the whole
     symbol basis (must be block-diagonal in the grading), or square degree -1
-    blocks which are extended through the relations, all of them together.
-    Dependent entries are dropped (first independent subset wins) so the
-    returned basis stays in the user's coordinates; extension, derivation
-    and closure failures raise ValueError naming the witness.
+    blocks which are extended through the degree-0 Leibniz system, all of
+    them in one solve.  Dependent entries are dropped (first independent
+    subset wins) so the returned basis stays in the user's coordinates.  A
+    block that extends to no derivation raises ValueError naming its map,
+    before the error of any later malformed entry; derivation and closure
+    failures raise ValueError naming the witness.
     """
     n = symbol.dim
     n1 = symbol.dim_of_degree(-1)
     shapes = {d: (symbol.dim_of_degree(d),) * 2 for d in symbol.degrees}
     converted, tops = [], []  # tops: (slot in converted, degree -1 block)
+
+    def extend():
+        for (slot, _), f in zip(tops, extend_top_blocks(symbol, [rows for _, rows in tops])):
+            if f is None:
+                raise ValueError(f"map {slot + 1}: the degree -1 block does not extend to a derivation")
+            converted[slot] = f
+
     for idx, item in enumerate(maps):
         try:
             if isinstance(item, GradedLinearMap):
@@ -256,11 +235,9 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
                     f"map {idx + 1} must be square over the full basis or over the degree -1 basis"
                 )
         except ValueError:
-            # a block before the bad entry that does not extend fails first
-            extend_top_blocks(symbol, [rows for _, rows in tops])
+            extend()  # a block before the bad entry that does not extend fails first
             raise
-    for (slot, _), f in zip(tops, extend_top_blocks(symbol, [rows for _, rows in tops])):
-        converted[slot] = f
+    extend()
     layout = map_layout(symbol.dims_by_degree(), 0)
     matrix = RatMatrix._of_rows(len(converted), layout_offsets(layout)[1],
                                 [f.flat_entries(layout) for f in converted])

@@ -33,7 +33,7 @@ def test_parse_rational_keeps_integral_values_as_ints():
     assert type(parse_rational("3/2", "x")) is F
 
 
-@pytest.mark.parametrize("bad", [1.5, "1.5", "3/0", "a", True, None, "1/ 2"])
+@pytest.mark.parametrize("bad", [1.5, "1.5", "3/0", "a", True, None, "1/ 2", "\u0661", "-\u0663"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(SpecError):
         parse_rational(bad, "x")
@@ -77,7 +77,8 @@ def test_report_numbers_beyond_the_digit_limit_are_written(corpus_dir, tmp_path)
 
 
 @pytest.mark.parametrize(
-    "preset", ["free:2", "abelian:2:3", "heisenberg:0", "free:0:3", "spiral:4", "free:2:0"]
+    "preset", ["free:2", "abelian:2:3", "heisenberg:0", "free:0:3", "spiral:4", "free:2:0",
+               "abelian:\u0663", "heisenberg:1\n"]
 )
 def test_bad_presets_are_parse_errors(preset):
     doc = {

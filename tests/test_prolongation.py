@@ -13,6 +13,7 @@ from gradedlie import (
     GradedLieAlgebra,
     GradedLinearMap,
     abelian,
+    adjoin_g0,
     build_spencer,
     check_transitivity,
     check_fundamental,
@@ -309,6 +310,15 @@ def test_rejects_invalid_inputs(eta3):
     split = GradedLieAlgebra([BasisElement("X1", -1), BasisElement("X2", -2)], {})
     with pytest.raises(ValueError, match="fundamental"):
         universal_prolongation(split, custom_g0(split, []))
+    # a g0 of heisenberg(2) is no g0 of the symbol on the same basis with
+    # [p1, q2] = [p2, q1] = Z
+    m = heisenberg(2)
+    other = GradedLieAlgebra(m.basis, {(0, 3): {4: 1}, (1, 2): {4: 1}})
+    g0 = degree_zero_derivations(m)
+    with pytest.raises(ValueError, match="g0 was built for a different symbol"):
+        universal_prolongation(other, g0, max_degree=2)
+    with pytest.raises(ValueError, match="g0 was built for a different symbol"):
+        adjoin_g0(other, g0)
 
 
 def test_assemble_rejects_brackets_beyond_the_vanishing_degree(corpus_results):

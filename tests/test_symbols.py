@@ -245,6 +245,12 @@ def test_top_block_without_extension(eta3):
     bad = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     with pytest.raises(ValueError, match="extend"):
         custom_g0(heisenberg(2), [bad])
+    # [p1, p2] = 0, yet p1 -> q2 gives [q2, p2] + [p1, 0] = -Z, so no deeper
+    # block makes it a derivation; only the full degree-0 system sees this pair
+    identity = [[1 if s == a else 0 for a in range(4)] for s in range(4)]
+    p1_to_q2 = [[1 if (s, a) == (3, 0) else 0 for a in range(4)] for s in range(4)]
+    with pytest.raises(ValueError, match="map 2: the degree -1 block does not extend"):
+        custom_g0(heisenberg(2), [identity, p1_to_q2])
 
 
 def test_degree_zero_derivations_requires_fundamental():
@@ -270,9 +276,9 @@ def test_custom_g0_eliminates_each_degree_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", recording_rref)
     g0 = custom_g0(symbol, tops)
-    # degrees -2, -3 and -4 once each for all four blocks, then the
-    # independent subset and the commutator table; block by block took 14
-    assert len(eliminated) == 5
+    # the degree-0 Leibniz system once for all four blocks, then the
+    # independent subset and the commutator table; block by block took 12
+    assert len(eliminated) == 3
     assert list(g0.generators) == one_by_one
     for top, f in zip(tops, g0.generators):
         assert [list(f.image_of_basis(-1, a)) for a in range(2)] == [[top[s][a] for s in range(2)] for a in range(2)]
@@ -289,7 +295,7 @@ def test_first_block_that_does_not_extend_is_reported_first():
     m = heisenberg(2)
     good = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     bad = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    with pytest.raises(ValueError, match="extend to a derivation at degree -2"):
+    with pytest.raises(ValueError, match="map 2: the degree -1 block does not extend to a derivation"):
         custom_g0(m, [good, bad, good])
     # the block comes before a malformed entry, so its failure is reported
     with pytest.raises(ValueError, match="extend"):

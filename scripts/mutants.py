@@ -95,6 +95,18 @@ MUTANTS = (
     ("killing-wrong-scale", "diagnostics.py",
      "linalg._ratio(t, scale * scale)", "linalg._ratio(t, scale)",
      ["tests/test_diagnostics.py::test_killing_form_matches_fraction_traces_on_terminated_runs"]),
+    ("jacobi-cyclic-term-sign", "algebra.py",
+     "acc.get(key + e, 0) - v * u", "acc.get(key + e, 0) + v * u",
+     ["tests/test_algebra.py::test_jacobi_witness_matches_copying_reference_on_random_tables"]),
+    ("jacobi-keeps-y-equal-x", "algebra.py",
+     "if y <= p or y == x:", "if y <= p:",
+     ["tests/test_algebra.py::test_jacobi_witness_matches_copying_reference_on_random_tables"]),
+    ("killing-partner-orientation", "diagnostics.py",
+     "partner = groups.get((y, x))", "partner = groups.get((x, y))",
+     ["tests/test_diagnostics.py::test_killing_form_matches_fraction_traces_on_terminated_runs"]),
+    ("signature-component-stops-growing", "diagnostics.py",
+     "stack.append(j)", "block.append(j)",
+     ["tests/test_diagnostics.py::test_signature_of_permuted_direct_sums"]),
     ("writer-item-separator", "specfile.py",
      'sep, comma = "[" + inner, "," + inner', 'sep, comma = "[" + inner, ", " + inner',
      ["tests/test_cli.py::test_dump_document_writes_the_bytes_of_json_dumps"]),

@@ -6,7 +6,9 @@ and the fully assembled prolongation with positive degrees.  Brackets are
 stored once per index pair a < b as sparse coordinate dicts; the checks read
 that table in place and apply antisymmetry as a sign, without copies; the
 Jacobi check alone reads one integer copy, scaled by the lcm of its
-denominators.
+denominators, indexed by pair in both orientations and by the basis
+elements each bracket contains, so its sums are taken over the
+nonzero products of the table instead of over every basis triple.
 
 Every structure constant and map entry is an exact rational in the form of
 ``linalg``: an int when integral, a Fraction only with a denominator above 1.
@@ -153,7 +155,11 @@ def check_validity(algebra: GradedLieAlgebra) -> ValidityReport:
     The first violating pair or triple is reported by basis names.  The
     Jacobi sums run over the table scaled to integers by L; each sum is
     bilinear in the structure constants, so it is L^2 times its rational
-    value and vanishes exactly when that value does.
+    value and vanishes exactly when that value does.  They are accumulated
+    from the nonzero products only: for each p in turn, every double
+    bracket [[p, x], y] and [[q, r], p] with p < x, y and p < q < r adds
+    into the sum of its triple, and the first triple a < b < c with a
+    nonzero sum is the least (q, r) left nonzero at the first such p.
     """
     grading_ok, grading_witness = True, None
     for (a, b) in algebra.bracket_pairs():
@@ -166,44 +172,48 @@ def check_validity(algebra: GradedLieAlgebra) -> ValidityReport:
         if not grading_ok:
             break
 
-    jacobi_ok, jacobi_witness = True, None
+    jacobi_witness = None
     n = algebra.dim
     table, _ = linalg._integral(algebra._table)
-    degree = [e.degree for e in algebra.basis]
-    # with every bracket graded, a triple whose degrees sum to a degree
-    # without basis elements has all three double brackets zero
-    occupied = set(algebra.degrees) if grading_ok else None
-    for a in range(n):
-        for b in range(a + 1, n):
-            ab = table.get((a, b), {})
-            for c in range(b + 1, n):
-                if occupied is not None and degree[a] + degree[b] + degree[c] not in occupied:
-                    continue
-                # [[a, b], c] + [[b, c], a] + [[c, a], b], with [c, a] = -[a, c]
-                acc: dict[int, int] = {}
-                for t, v in ab.items():
-                    _add_bracket(acc, table, t, c, v)
-                for t, v in table.get((b, c), {}).items():
-                    _add_bracket(acc, table, t, a, v)
-                for t, v in table.get((a, c), {}).items():
-                    _add_bracket(acc, table, t, b, -v)
-                if acc:
-                    jacobi_ok = False
-                    jacobi_witness = (
-                        algebra.basis[a].name,
-                        algebra.basis[b].name,
-                        algebra.basis[c].name,
-                    )
+    signed: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]  # signed[x][y] = [e_x, e_y]
+    containing: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # (q, r, v): v e_t in [e_q, e_r]
+    for (q, r), terms in sorted(table.items(), reverse=True):
+        signed[q][r] = terms
+        signed[r][q] = {t: -v for t, v in terms.items()}
+        for t, v in terms.items():
+            containing[t].append((q, r, v))
+    for p in range(n):
+        # J(p, q, r) = [[p, q], r] - [[p, r], q] + [[q, r], p] for p < q < r,
+        # coordinate e of it at key (q * n + r) * n + e; [[p, x], y] is the
+        # first term of (p, x, y) when x < y, else the second of (p, y, x)
+        acc: dict[int, int] = {}
+        for x, px in signed[p].items():
+            if x < p:
+                continue
+            for t, v in px.items():
+                for y, ty in signed[t].items():
+                    if y <= p or y == x:
+                        continue
+                    key, w = ((x * n + y) * n, v) if y > x else ((y * n + x) * n, -v)
+                    for e, u in ty.items():
+                        acc[key + e] = acc.get(key + e, 0) + w * u
+        for t, pt in signed[p].items():
+            for q, r, v in containing[t]:  # q descending
+                if q <= p:
                     break
-            if not jacobi_ok:
-                break
-        if not jacobi_ok:
+                key = (q * n + r) * n
+                for e, u in pt.items():
+                    acc[key + e] = acc.get(key + e, 0) - v * u
+        failing = [key for key, value in acc.items() if value]
+        if failing:
+            q, r = divmod(min(failing) // n, n)
+            jacobi_witness = (algebra.basis[p].name, algebra.basis[q].name, algebra.basis[r].name)
             break
 
     # with every bracket graded, C^k(m) lies in degrees <= -k, so the negative
     # part is nilpotent; the lower central series only decides the rest
     nilpotent_ok = grading_ok or _negative_part_nilpotent(algebra)
-    return ValidityReport(grading_ok, grading_witness, jacobi_ok, jacobi_witness, nilpotent_ok)
+    return ValidityReport(grading_ok, grading_witness, jacobi_witness is None, jacobi_witness, nilpotent_ok)
 
 
 def _add_bracket(acc: dict, table: dict, x: int, y: int, factor) -> None:

@@ -2,7 +2,10 @@
 semisimplicity, center, and the graded pairing check.  Signatures come from
 exact fraction-free symmetric congruence on integer matrices (the Killing
 traces of the bracket table scaled to integers, or a rational matrix with
-its denominators cleared), never from numerical eigenvalues.
+its denominators cleared), never from numerical eigenvalues.  Both follow
+the nonzero structure: each trace pairs the ad entries at a position
+(x, y) with those at (y, x), and the congruence runs on each connected
+block of the matrix's nonzero pattern separately.
 """
 
 from __future__ import annotations
@@ -33,17 +36,22 @@ def killing_form(algebra: GradedLieAlgebra) -> KillingData:
     """
     n = algebra.dim
     table, scale = linalg._integral(algebra._table)
-    ads: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    # groups[(x, y)]: the (a, v) with v = ad(e_a)[x][y] nonzero
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
     for (a, b), terms in table.items():
         for c, value in terms.items():
-            ads[a][(c, b)] = value
-            ads[b][(c, a)] = -value
-    traces = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            traces[a][b] = traces[b][a] = sum(
-                value * other for (x, y), value in ads[a].items() if (other := ads[b].get((y, x))))
-    matrix = RatMatrix._of_rows(n, n, [{b: linalg._ratio(t, scale * scale) for b, t in enumerate(row) if t}
+            groups[(c, b)].append((a, value))
+            groups[(c, a)].append((b, -value))
+    traces: list[dict[int, int]] = [{} for _ in range(n)]
+    for (x, y), group in groups.items():
+        partner = groups.get((y, x))
+        if partner:
+            for a, value in group:
+                row = traces[a]
+                for b, other in partner:
+                    row[b] = row.get(b, 0) + value * other
+    traces = [{b: t for b, t in row.items() if t} for row in traces]
+    matrix = RatMatrix._of_rows(n, n, [{b: linalg._ratio(t, scale * scale) for b, t in row.items()}
                                        for row in traces])
     pos, neg = _signature(traces)
     rank = pos + neg
@@ -62,40 +70,56 @@ def symmetric_signature(rows) -> tuple[int, int]:
             if m[p][q] != m[q][p]:
                 raise ValueError("signature needs a symmetric matrix")
     table, _ = linalg._integral({r: dict(enumerate(row)) for r, row in enumerate(m)})
-    return _signature([[table[r][c] for c in range(n)] for r in range(n)])
+    return _signature([{c: v for c, v in table[r].items() if v} for r in range(n)])
 
 
-def _signature(m: list[list[int]]) -> tuple[int, int]:
-    """Signature of the symmetric integer matrix m, which is consumed.
+def _signature(rows: list[dict[int, int]]) -> tuple[int, int]:
+    """Signature of the symmetric integer matrix with sparse rows `rows`.
 
-    Fraction-free congruence: a nonzero diagonal entry d splits off, and the
-    trailing block B with off-diagonal column f becomes |d| times its Schur
-    complement, |d| B - sign(d) f f^T, divided by its positive content; a
-    zero diagonal with a nonzero off-diagonal entry is first repaired by
-    adding the partner row and column.
+    A symmetric permutation is a congruence, so by Sylvester's law the
+    signature adds up over the connected blocks of the nonzero pattern.
+    Each block m is reduced by fraction-free congruence: a nonzero diagonal
+    entry d splits off, and the trailing block B with off-diagonal column f
+    becomes |d| times its Schur complement, |d| B - sign(d) f f^T, divided
+    by its positive content; a zero diagonal with a nonzero off-diagonal
+    entry is first repaired by adding the partner row and column.
     """
     pos = neg = 0
-    while m:
-        n = len(m)
-        i = next((j for j in range(n) if m[j][j]), None)
-        if i is None:
-            pair = next(((p, q) for p in range(n) for q in range(p + 1, n) if m[p][q]), None)
-            if pair is None:
-                break
-            i, q = pair
-            m[i] = [x + y for x, y in zip(m[i], m[q])]
-            for row in m:
-                row[i] += row[q]
-        d = m[i][i]
-        pos, neg = (pos + 1, neg) if d > 0 else (pos, neg + 1)
-        f = m.pop(i)
-        for row in (f, *m):
-            del row[i]
-        signed = f if d > 0 else [-x for x in f]
-        m = [[abs(d) * x - fr * fc for x, fc in zip(row, signed)] for row, fr in zip(m, f)]
-        g = math.gcd(*(x for row in m for x in row))
-        if g > 1:
-            m = [[x // g for x in row] for row in m]
+    seen = [False] * len(rows)
+    for start in range(len(rows)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, stack = [], [start]
+        while stack:
+            i = stack.pop()
+            block.append(i)
+            for j in rows[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        m = [[rows[i].get(j, 0) for j in block] for i in block]
+        while m:
+            n = len(m)
+            i = next((j for j in range(n) if m[j][j]), None)
+            if i is None:
+                pair = next(((p, q) for p in range(n) for q in range(p + 1, n) if m[p][q]), None)
+                if pair is None:
+                    break
+                i, q = pair
+                m[i] = [x + y for x, y in zip(m[i], m[q])]
+                for row in m:
+                    row[i] += row[q]
+            d = m[i][i]
+            pos, neg = (pos + 1, neg) if d > 0 else (pos, neg + 1)
+            f = m.pop(i)
+            for row in (f, *m):
+                del row[i]
+            signed = f if d > 0 else [-x for x in f]
+            m = [[abs(d) * x - fr * fc for x, fc in zip(row, signed)] for row, fr in zip(m, f)]
+            g = math.gcd(*(x for row in m for x in row))
+            if g > 1:
+                m = [[x // g for x in row] for row in m]
     return pos, neg
 
 

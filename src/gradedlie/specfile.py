@@ -61,10 +61,10 @@ def parse_rational(value, where: str) -> Rational:
     if type(value) is int:
         return value
     if isinstance(value, str):
-        if not _RATIONAL_RE.fullmatch(value.strip()):
+        if not _RATIONAL_RE.fullmatch(value):
             raise SpecError(f"not a rational (use integers or 'p/q' strings): {value!r}", where)
         try:
-            return _frac(Fraction(value.strip()))
+            return _frac(Fraction(value))
         except ValueError:  # Python's limit on the digits of an int string
             raise SpecError(_TOO_LONG, where) from None
     if isinstance(value, float):

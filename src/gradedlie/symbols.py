@@ -192,8 +192,10 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
     subset wins) so the returned basis stays in the user's coordinates.  A
     block that extends to no derivation raises ValueError naming its map,
     before the error of any later malformed entry; derivation and closure
-    failures raise ValueError naming the witness.
+    failures raise ValueError naming the witness.  The symbol must be
+    fundamental, so that each block has at most one extension.
     """
+    _require_fundamental_symbol(symbol)
     n = symbol.dim
     n1 = symbol.dim_of_degree(-1)
     shapes = {d: (symbol.dim_of_degree(d),) * 2 for d in symbol.degrees}

@@ -13,6 +13,7 @@ from gradedlie import (
 from gradedlie import specfile
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
 # action of the standard line-preserving generators on the X1, X2, X3 basis
 LAMBDA_1 = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
@@ -81,4 +82,18 @@ def corpus_results(corpus_dir):
         g0 = specfile.build_g0(spec, symbol)
         result = universal_prolongation(symbol, g0, max_degree=spec.max_degree)
         out[spec.name] = (spec, symbol, g0, result)
+    return out
+
+
+@pytest.fixture(scope="session")
+def terminated_algebras(corpus_results):
+    """name -> assembled algebra of every corpus file and perfbench spec
+    whose prolongation terminates."""
+    out = {name: result.algebra for name, (*_, result) in corpus_results.items() if result.terminated}
+    for path in sorted(SPECS.glob("*.json")):
+        spec = specfile.parse_spec(specfile.load_document(path.read_text()))
+        symbol = specfile.build_symbol(spec)
+        result = universal_prolongation(symbol, specfile.build_g0(spec, symbol), max_degree=spec.max_degree)
+        if result.terminated:
+            out[spec.name] = result.algebra
     return out

@@ -380,7 +380,30 @@ def reference_jacobi_witness(algebra):
     return None
 
 
-def test_jacobi_check_matches_copying_reference(example5_result):
+@st.composite
+def antisymmetric_tables(draw, coefficients=st.sampled_from([-2, -1, 1, F(1, 2)])):
+    """Algebras over a random sparse antisymmetric bracket table, Lie or not,
+    graded or not."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    basis = [BasisElement(f"e{i}", draw(st.integers(min_value=-2, max_value=1))) for i in range(n)]
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if draw(st.integers(min_value=0, max_value=2)) == 0:
+                brackets[(a, b)] = draw(st.dictionaries(st.integers(min_value=0, max_value=n - 1),
+                                                        coefficients, min_size=1, max_size=2))
+    return GradedLieAlgebra(basis, brackets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(antisymmetric_tables())
+def test_jacobi_witness_matches_copying_reference_on_random_tables(algebra):
+    report = check_validity(algebra)
+    assert report.jacobi_witness == reference_jacobi_witness(algebra)
+    assert report.jacobi_ok == (report.jacobi_witness is None)
+
+
+def test_jacobi_check_matches_copying_reference(example5_result, terminated_algebras):
     rng = random.Random(3)
     base = example5_result.algebra
     base_scale = linalg._integral(base._table)[1]
@@ -401,3 +424,31 @@ def test_jacobi_check_matches_copying_reference(example5_result):
         assert len(seen - {None}) > 5
         assert (max(scales) > base_scale) == grows
     assert check_validity(base).jacobi_witness is None
+    # three kinds of corruption of every terminated corpus and perfbench
+    # table: an entry shifted, a pair added (some with a target of the wrong
+    # degree, so the check also runs with the grading broken) and a pair
+    # deleted
+    witnessed, ungraded = 0, 0
+    for base in terminated_algebras.values():
+        assert check_validity(base).jacobi_witness is None
+        n = base.dim
+        for kind in ("shift", "add", "delete") * 8:
+            brackets = {pair: base.bracket_basis(*pair) for pair in base.bracket_pairs()}
+            pair = rng.choice(sorted(brackets))
+            if kind == "shift":
+                terms = brackets[pair]
+                terms[rng.choice(sorted(terms))] += rng.choice([-2, -1, 1, F(1, 2)])
+            elif kind == "delete":
+                del brackets[pair]
+            else:
+                a, b = rng.choice([(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in brackets])
+                graded = [c for c in range(n) if base.degree_of(c) == base.degree_of(a) + base.degree_of(b)]
+                c = rng.choice(graded) if graded and rng.random() < 0.5 else rng.randrange(n)
+                brackets[(a, b)] = {c: rng.choice([-1, 1, 3])}
+            corrupted = GradedLieAlgebra(base.basis, brackets)
+            report = check_validity(corrupted)
+            assert report.jacobi_witness == reference_jacobi_witness(corrupted)
+            assert report.jacobi_ok == (report.jacobi_witness is None)
+            witnessed += report.jacobi_witness is not None
+            ungraded += not report.grading_ok
+    assert witnessed > 150 and ungraded > 30

@@ -33,7 +33,8 @@ def test_parse_rational_keeps_integral_values_as_ints():
     assert type(parse_rational("3/2", "x")) is F
 
 
-@pytest.mark.parametrize("bad", [1.5, "1.5", "3/0", "a", True, None, "1/ 2", "\u0661", "-\u0663"])
+@pytest.mark.parametrize("bad", [1.5, "1.5", "3/0", "a", True, None, "1/ 2", "\u0661", "-\u0663",
+                                 "\xa01", " 7/2 ", "\n3\n"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(SpecError):
         parse_rational(bad, "x")

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,11 +18,12 @@ from gradedlie import (
     killing_form,
     universal_prolongation,
 )
-from gradedlie import diagnostics, linalg, specfile
+from gradedlie import diagnostics, linalg
 from gradedlie.diagnostics import symmetric_signature
 from gradedlie.linalg import RatMatrix
 
 from conftest import bracket
+from test_algebra import antisymmetric_tables
 from test_linalg import dense_rows
 
 F = Fraction
@@ -313,6 +313,32 @@ def test_signature_matches_fraction_reference(rows):
     assert symmetric_signature(scaled) == reference_signature(rows)[::-1]
 
 
+@st.composite
+def permuted_direct_sums(draw):
+    """(matrix, blocks): a direct sum of 2-4 symmetric blocks and some zero
+    rows, under a random symmetric permutation of rows and columns."""
+    blocks = draw(st.lists(symmetric_matrices(max_dim=4), min_size=2, max_size=4))
+    blocks += [[[F(0)]]] * draw(st.integers(min_value=0, max_value=2))
+    n = sum(len(block) for block in blocks)
+    m = [[F(0)] * n for _ in range(n)]
+    offset = 0
+    for block in blocks:
+        for r, row in enumerate(block):
+            m[offset + r][offset:offset + len(block)] = row
+        offset += len(block)
+    perm = draw(st.permutations(range(n)))
+    return [[m[perm[r]][perm[c]] for c in range(n)] for r in range(n)], blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(permuted_direct_sums())
+def test_signature_of_permuted_direct_sums(case):
+    rows, blocks = case
+    signature = symmetric_signature(rows)
+    assert signature == reference_signature(rows)
+    assert signature == tuple(map(sum, zip(*(reference_signature(block) for block in blocks))))
+
+
 def test_signature_validates_its_input():
     with pytest.raises(ValueError, match="square"):
         symmetric_signature([[1, 2]])
@@ -334,18 +360,18 @@ def reference_killing_matrix(algebra):
     return RatMatrix(n, n, traces)
 
 
-SPECS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "specs").glob("*.json"))
-
-
-def test_killing_form_matches_fraction_traces_on_terminated_runs(corpus_results):
-    results = [result for *_, result in corpus_results.values()]
-    for path in SPECS:
-        spec = specfile.parse_spec(specfile.load_document(path.read_text()))
-        symbol = specfile.build_symbol(spec)
-        results.append(universal_prolongation(symbol, specfile.build_g0(spec, symbol), max_degree=spec.max_degree))
-    terminated = [result.algebra for result in results if result.terminated]
-    assert len(terminated) == 10
-    for algebra in terminated:
+def test_killing_form_matches_fraction_traces_on_terminated_runs(terminated_algebras):
+    assert len(terminated_algebras) == 10
+    for algebra in terminated_algebras.values():
         data = killing_form(algebra)
         assert data.matrix == reference_killing_matrix(algebra)
         assert data.signature == reference_signature(dense_rows(data.matrix))
+
+
+@settings(max_examples=150, deadline=None)
+@given(antisymmetric_tables(coefficients=coeffs_st))
+def test_killing_form_matches_fraction_traces_on_random_tables(algebra):
+    data = killing_form(algebra)
+    assert data.matrix == reference_killing_matrix(algebra)
+    assert data.signature == reference_signature(dense_rows(data.matrix))
+    assert data.nondegenerate == (data.rank == algebra.dim)

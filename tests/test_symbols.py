@@ -263,6 +263,19 @@ def test_degree_zero_derivations_requires_fundamental():
         degree_zero_derivations(split)
 
 
+def test_custom_g0_requires_fundamental():
+    from gradedlie import BasisElement, GradedLieAlgebra
+
+    # X2 is not generated by X1: the derivations extending a degree -1
+    # block form a whole line, so no span-mode extension is the one
+    split = GradedLieAlgebra(
+        [BasisElement("X1", -1), BasisElement("X2", -2)], {}
+    )
+    for maps in ([[[1]]], [[[1, 0], [0, 2]]]):
+        with pytest.raises(ValueError, match="fundamental"):
+            custom_g0(split, maps)
+
+
 def test_custom_g0_eliminates_each_degree_once(monkeypatch):
     symbol = free_nilpotent(2, 4)
     tops = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]]]
@@ -275,10 +288,14 @@ def test_custom_g0_eliminates_each_degree_once(monkeypatch):
         return real_rref(matrix)
 
     monkeypatch.setattr(linalg, "rref", recording_rref)
+    check_fundamental(symbol)
+    fundamentality = len(eliminated)
+    eliminated.clear()
     g0 = custom_g0(symbol, tops)
-    # the degree-0 Leibniz system once for all four blocks, then the
-    # independent subset and the commutator table; block by block took 12
-    assert len(eliminated) == 3
+    # the fundamentality check, then the degree-0 Leibniz system once for
+    # all four blocks, the independent subset and the commutator table;
+    # block by block took 12 after the check
+    assert len(eliminated) == fundamentality + 3
     assert list(g0.generators) == one_by_one
     for top, f in zip(tops, g0.generators):
         assert [list(f.image_of_basis(-1, a)) for a in range(2)] == [[top[s][a] for s in range(2)] for a in range(2)]

@@ -12,7 +12,8 @@ caught when a test fails and survives when they all pass.  The exit code is
 text does not occur exactly once in its file (the list has gone stale),
 else 0.  A test error counts as caught: the engine's own self-checks raise
 InternalConsistencyError, often inside a shared fixture.  Standard library
-and pytest only; this is not part of the tier-1 tests.
+and pytest only; running the mutants is not part of the tier-1 tests, but
+tests/test_mutants.py checks there that no entry has gone stale.
 """
 
 from __future__ import annotations
@@ -55,31 +56,31 @@ MUTANTS = (
      "', '.join(map(str, trans.witness))", "', '.join(map(repr, trans.witness))",
      ["tests/test_prolongation.py::test_transitivity_failure_names_the_witness"]),
     ("leibniz-emitter-sign", "prolongation.py",
-     "degree, col, block_target, -1)", "degree, col, block_target, 1)",
+     "emit_side(block, a, b, -1)", "emit_side(block, a, b, 1)",
      ["tests/test_prolongation.py::test_example5_first_prolongation"]),
     ("leibniz-image-sign", "prolongation.py",
      "block[t][col(i + j, pos_c, t)] += value", "block[t][col(i + j, pos_c, t)] -= value",
      ["tests/test_prolongation.py::test_example5_first_prolongation"]),
     ("leibniz-symbol-side-sign", "prolongation.py",
-     "rows[symbol.position_in_degree(c)][column] += sign * value",
-     "rows[symbol.position_in_degree(c)][column] -= sign * value",
+     "block[symbol.position_in_degree(c)][first + t] += sign * value",
+     "block[symbol.position_in_degree(c)][first + t] -= sign * value",
      ["tests/test_prolongation.py::test_example5_first_prolongation"]),
     ("leibniz-tower-side-sign", "prolongation.py",
-     "rows[u][column] += sign * value", "rows[u][column] -= sign * value",
+     "block[u][first + t] += sign * value", "block[u][first + t] -= sign * value",
      ["tests/test_prolongation.py::test_example5_first_prolongation"]),
     ("spencer-emitter-sign", "normalization.py",
-     "rows[u][col(-1, a1_pos, t)] += value", "rows[u][col(-1, a1_pos, t)] -= value",
+     "pair_rows[u][col(-1, a1_pos, t)] += value", "pair_rows[u][col(-1, a1_pos, t)] -= value",
      ["tests/test_prolongation.py::test_route_equivalence_example5"]),
     ("spencer-symbol-side-sign", "normalization.py",
-     "rows[symbol.position_in_degree(c)][col(i2, a2_pos, t)] -= value",
-     "rows[symbol.position_in_degree(c)][col(i2, a2_pos, t)] += value",
+     "pair_rows[symbol.position_in_degree(c)][col(i2, a2_pos, t)] -= value",
+     "pair_rows[symbol.position_in_degree(c)][col(i2, a2_pos, t)] += value",
      ["tests/test_prolongation.py::test_route_equivalence_example5"]),
     ("spencer-tower-side-sign", "normalization.py",
-     "rows[u][col(i2, a2_pos, t)] -= value", "rows[u][col(i2, a2_pos, t)] += value",
+     "pair_rows[u][col(i2, a2_pos, t)] -= value", "pair_rows[u][col(i2, a2_pos, t)] += value",
      ["tests/test_prolongation.py::test_route_equivalence_example5"]),
     ("spencer-image-sign", "normalization.py",
-     "rows[t][col(i2 - 1, symbol.position_in_degree(c), t)] -= value",
-     "rows[t][col(i2 - 1, symbol.position_in_degree(c), t)] += value",
+     "pair_rows[t][col(i2 - 1, symbol.position_in_degree(c), t)] -= value",
+     "pair_rows[t][col(i2 - 1, symbol.position_in_degree(c), t)] += value",
      ["tests/test_prolongation.py::test_route_equivalence_example5"]),
     ("spencer-restriction-sign", "normalization.py",
      "restricted[a1 * dv + u][t] = -value", "restricted[a1 * dv + u][t] = value",

@@ -442,7 +442,8 @@ class DegreeZeroAlgebra:
     """A Lie algebra of grading-preserving derivations of a fixed symbol.
 
     Generators are independent degree-0 maps carrying the action on all of
-    the symbol.  Construction verifies the Leibniz rule on every basis pair,
+    the symbol.  Construction verifies that every generator has one square
+    block per degree of the symbol, the Leibniz rule on every basis pair,
     linear independence, and closure of the span under commutators; the
     commutator table is recorded as structure_constants[(s, t)], the sparse
     {generator index: value} coordinates of [generator s, generator t].
@@ -453,10 +454,14 @@ class DegreeZeroAlgebra:
             raise ValueError("the symbol must carry negative degrees only")
         self.symbol = symbol
         self.generators = tuple(generators)
-        self._layout = map_layout(symbol.dims_by_degree(), 0)
+        dims = symbol.dims_by_degree()
+        self._layout = map_layout(dims, 0)
+        shapes = {d: (n, n) for d, n in dims.items()}
         for idx, gen in enumerate(self.generators):
             if gen.degree != 0:
                 raise ValueError(f"generator {idx + 1} does not have degree 0")
+            if gen.shapes != shapes:
+                raise ValueError(f"generator {idx + 1} does not match the graded dimensions of the symbol")
         flats = [g.flatten(self._layout) for g in self.generators]
         pairs = [(s, t) for s in range(len(flats)) for t in range(s + 1, len(flats))]
         comms = [

@@ -149,59 +149,49 @@ def build_spencer(symbol: GradedLieAlgebra, g_bases, k: int) -> SpencerSystem:
              for a1 in top for a2 in symbol.indices_of_degree(b.degree)]
     pairs += [(top[p], top[q]) for b in target if b.kind == "wedge"
               for p in range(n1) for q in range(p + 1, n1)]
+
+    def col(i, a, t):  # entry t of f(e) for e the a-th basis element of g^i
+        return offsets[i] + a * dims[i + k + 1] + t
+
     rows = []  # of N, pair by pair
     for a1, a2 in pairs:
-        rows += _negative_pair_rows(symbol, g_bases, dims, a1, a2, k, offsets)
+        # the rows of [f(v1), v2] + [v1, f(v2)] - f([v1, v2]) for v1 = e_a1 of
+        # degree -1 and v2 = e_a2 of degree i2, one per coordinate of the value
+        # in degree i2 + k; every term is linear in the unknown blocks of f
+        i2 = symbol.degree_of(a2)
+        pair_rows = [defaultdict(int) for _ in range(dims[i2 + k])]
+        rows += pair_rows
+        a1_pos, a2_pos = symbol.position_in_degree(a1), symbol.position_in_degree(a2)
+        # [f(v1), v2]: f(v1) has degree k, expand over the degree-k basis.
+        if -1 in offsets:
+            for t, f in enumerate(g_bases[k]):
+                for u, value in f.columns[i2][a2_pos].items():
+                    pair_rows[u][col(-1, a1_pos, t)] += value
+        # [v1, f(v2)] = -[f(v2), v1]: f(v2) has degree i2 + k + 1.
+        mid = i2 + k + 1
+        if i2 in offsets and mid < 0:
+            for t, g in enumerate(symbol.indices_of_degree(mid)):
+                for c, value in symbol.bracket_basis(g, a1).items():
+                    pair_rows[symbol.position_in_degree(c)][col(i2, a2_pos, t)] -= value
+        elif i2 in offsets:
+            for t, f in enumerate(g_bases[mid]):
+                for u, value in f.columns[-1][a1_pos].items():
+                    pair_rows[u][col(i2, a2_pos, t)] -= value
+        # -f([v1, v2]): the bracket has degree i2 - 1.
+        if i2 - 1 in offsets:
+            for c, value in symbol.bracket_basis(a1, a2).items():
+                for t in range(dims[i2 + k]):
+                    pair_rows[t][col(i2 - 1, symbol.position_in_degree(c), t)] -= value
     negative = RatMatrix._of_rows(len(rows), ncols, rows)
 
     # R: the value [v1, f(v2)] = -f(v2)(v1) of the non-negative rows
     restricted = defaultdict(dict)
     for t, f in enumerate(g_bases[k] if k and dv else ()):
-        for a1, col in enumerate(f.columns[-1]):
-            for u, value in col.items():
+        for a1, column in enumerate(f.columns[-1]):
+            for u, value in column.items():
                 restricted[a1 * dv + u][t] = -value
     restriction = RatMatrix._of_rows(n1 * dv, dk, restricted) if k else RatMatrix(0, 0)
     return SpencerSystem(k, tuple(domain), tuple(target), negative, restriction)
-
-
-def _negative_pair_rows(symbol, g_bases, dims, a1, a2, k, offsets):
-    """The {column: value} rows of [f(v1), v2] + [v1, f(v2)] - f([v1, v2])
-    for v1 = e_a1, v2 = e_a2.
-
-    v1 has degree -1; the value lives in degree deg(v2) + k and every term
-    is linear in the unknown blocks of f.
-    """
-    i2 = symbol.degree_of(a2)
-    rows = [defaultdict(int) for _ in range(dims[i2 + k])]
-    a1_pos = symbol.position_in_degree(a1)
-    a2_pos = symbol.position_in_degree(a2)
-
-    def col(i, a, t):
-        return offsets[i] + a * dims[i + k + 1] + t
-
-    # [f(v1), v2]: f(v1) has degree k, expand over the degree-k basis.
-    if -1 in offsets:
-        for t, f in enumerate(g_bases[k]):
-            for u, value in f.columns[i2][a2_pos].items():
-                rows[u][col(-1, a1_pos, t)] += value
-
-    # [v1, f(v2)] = -[f(v2), v1]: f(v2) has degree i2 + k + 1.
-    mid = i2 + k + 1
-    if i2 in offsets and mid < 0:
-        for t, g in enumerate(symbol.indices_of_degree(mid)):
-            for c, value in symbol.bracket_basis(g, a1).items():
-                rows[symbol.position_in_degree(c)][col(i2, a2_pos, t)] -= value
-    elif i2 in offsets:
-        for t, f in enumerate(g_bases[mid]):
-            for u, value in f.columns[-1][a1_pos].items():
-                rows[u][col(i2, a2_pos, t)] -= value
-
-    # -f([v1, v2]): the bracket has degree i2 - 1.
-    if i2 - 1 in offsets:
-        for c, value in symbol.bracket_basis(a1, a2).items():
-            for t in range(dims[i2 + k]):
-                rows[t][col(i2 - 1, symbol.position_in_degree(c), t)] -= value
-    return rows
 
 
 @dataclass(frozen=True)

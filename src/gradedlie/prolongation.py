@@ -72,6 +72,22 @@ def leibniz_system(symbol: GradedLieAlgebra, g_bases, degree: int):
     def col(i, pos, t):
         return offsets[i] + pos * block_target[i] + t
 
+    def emit_side(block, dom, other, sign):
+        # sign * [f(e_dom), e_other], added into the {column: value} rows of the pair
+        dom_deg = symbol.degree_of(dom)
+        if dom_deg not in block_target:
+            return
+        mid, first = dom_deg + degree, col(dom_deg, symbol.position_in_degree(dom), 0)
+        if mid < 0:
+            for t, g in enumerate(symbol.indices_of_degree(mid)):
+                for c, value in symbol.bracket_basis(g, other).items():
+                    block[symbol.position_in_degree(c)][first + t] += sign * value
+        else:
+            other_deg, other_pos = symbol.degree_of(other), symbol.position_in_degree(other)
+            for t, f in enumerate(g_bases[mid]):
+                for u, value in f.columns[other_deg][other_pos].items():
+                    block[u][first + t] += sign * value
+
     rows = []  # {column: value}, pair by pair
     for a in range(symbol.dim):
         for b in range(a + 1, symbol.dim):
@@ -87,36 +103,10 @@ def leibniz_system(symbol: GradedLieAlgebra, g_bases, degree: int):
                     for t in range(block_target[i + j]):
                         block[t][col(i + j, pos_c, t)] += value
             # - [f(e_a), e_b], with f(e_a) expanded over the degree i+degree basis
-            _emit_side(symbol, g_bases, dims, block, i, symbol.position_in_degree(a), b,
-                       degree, col, block_target, -1)
+            emit_side(block, a, b, -1)
             # - [e_a, f(e_b)] = + [f(e_b), e_a]
-            _emit_side(symbol, g_bases, dims, block, j, symbol.position_in_degree(b), a,
-                       degree, col, block_target, 1)
+            emit_side(block, b, a, 1)
     return layout, RatMatrix._of_rows(len(rows), ncols, rows)
-
-
-def _emit_side(symbol, g_bases, dims, rows, dom_deg, dom_pos, other, degree, col, block_target, sign):
-    """Rows of sign * [f(e_dom), e_other] for the unknown block on dom_deg,
-    added into the {column: value} rows of the pair."""
-    if dom_deg not in block_target:
-        return
-    mid = dom_deg + degree
-    count = dims.get(mid, 0)
-    if mid < 0:
-        for t, g in enumerate(symbol.indices_of_degree(mid)):
-            column = col(dom_deg, dom_pos, t)
-            for c, value in symbol.bracket_basis(g, other).items():
-                rows[symbol.position_in_degree(c)][column] += sign * value
-    else:
-        other_deg = symbol.degree_of(other)
-        other_pos = symbol.position_in_degree(other)
-        for t in range(count):
-            column = col(dom_deg, dom_pos, t)
-            block = g_bases[mid][t].columns.get(other_deg)
-            if block is None:
-                continue
-            for u, value in block[other_pos].items():
-                rows[u][column] += sign * value
 
 
 def _normalize_map_basis(vectors, degree, layout):

@@ -143,6 +143,8 @@ def parse_spec(doc: dict) -> AlgebraSpec:
         preset = _expect(algebra, "preset", str, "algebra")
     else:
         raw_basis = _expect(algebra, "basis", list, "algebra")
+        if not raw_basis:
+            raise SpecError("the basis must not be empty", "algebra.basis")
         basis = []
         for i, entry in enumerate(raw_basis):
             where = f"algebra.basis[{i}]"

@@ -210,7 +210,7 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
     for idx, item in enumerate(maps):
         try:
             if isinstance(item, GradedLinearMap):
-                if any(item.shapes.get(d, shape) != shape for d, shape in shapes.items()):
+                if item.shapes != shapes:
                     raise ValueError(f"map {idx + 1} does not match the graded dimensions of the symbol")
                 converted.append(item)
                 continue

@@ -113,6 +113,7 @@ def test_jacobi_violation_reported():
     assert report.grading_ok
     assert not report.jacobi_ok
     assert report.jacobi_witness == ("A", "B", "C")
+    assert report.describe() == "Jacobi violated at triple ('A', 'B', 'C')"
 
 
 def test_fundamental(eta3, m25):
@@ -122,6 +123,10 @@ def test_fundamental(eta3, m25):
         [BasisElement("X1", -1), BasisElement("X2", -2)], {}
     )
     assert not check_fundamental(split)
+    # no degree -1 part; a degree gap that brackets of g^-1 cannot cross
+    assert not check_fundamental(GradedLieAlgebra([BasisElement("Y", -2)], {}))
+    assert not check_fundamental(GradedLieAlgebra([BasisElement("X", -1), BasisElement("W", -3)], {}))
+    assert check_fundamental(GradedLieAlgebra([], {}))
 
 
 def test_public_constructor_checks_every_bracket():
@@ -137,6 +142,25 @@ def test_public_constructor_checks_every_bracket():
             GradedLieAlgebra(basis, brackets)
     algebra = GradedLieAlgebra(basis, {(0, 1): {2: Fraction(4, 2)}, (0, 2): {2: 0}})
     assert algebra._table == {(0, 1): {2: 2}} and type(algebra._table[(0, 1)][2]) is int
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda m, g: GradedLieAlgebra([BasisElement("X", -1), BasisElement("X", -2)], {}), "names must be unique"),
+    (lambda m, g: commutator_deg0(g, GradedLinearMap(1, {})), "expects degree-0 maps"),
+    (lambda m, g: derivation_violation(m, GradedLinearMap(0, {-1: [[1, 0], [0, 1]]})), "no block on degree -2"),
+    (lambda m, g: derivation_violation(m, GradedLinearMap(0, {-1: [[1, 0], [0, 1]], -2: [[1, 0]]})),
+     "coordinate count"),
+    (lambda m, g: DegreeZeroAlgebra(adjoin_g0(m, DegreeZeroAlgebra(m, [g])), []), "negative degrees only"),
+    (lambda m, g: DegreeZeroAlgebra(m, [GradedLinearMap(1, {})]), "generator 1 does not have degree 0"),
+    (lambda m, g: DegreeZeroAlgebra(m, [g, g]), "linearly dependent"),
+    (lambda m, g: adjoin_g0(m, DegreeZeroAlgebra(m, [g]), names=[]), "one name per generator"),
+    (lambda m, g: adjoin_g0(m, DegreeZeroAlgebra(m, [g]), names=["X2"]), "'X2' collides"),
+], ids=["duplicate-names", "commutator-degree", "missing-block", "block-height", "g0-of-graded",
+        "generator-degree", "dependent-generators", "name-count", "name-collision"])
+def test_constructors_reject_invalid_arguments(eta3, build, message):
+    grading = GradedLinearMap(0, {-1: [[1, 0], [0, 1]], -2: [[2]]})
+    with pytest.raises((ValueError, KeyError), match=message):
+        build(eta3, grading)
 
 
 def test_fundamental_rejects_nonnegative_degrees(eta3, lambda_g0):
@@ -362,6 +386,7 @@ def test_dense_and_sparse_maps_are_one_representation():
         GradedLinearMap(0, {-1: [[F(1), F(0)], [F(1)]]})
     with pytest.raises(KeyError, match="no block on degree -4"):
         g0.generators[0].image_of_basis(-4, 0)
+    assert repr(g0.generators[0]) == "GradedLinearMap(degree=0, blocks={-3: (2, 2), -2: (1, 1), -1: (2, 2)})"
 
 
 def reference_jacobi_witness(algebra):

@@ -226,6 +226,65 @@ def test_non_list_line_vector_is_a_parse_error(corpus_dir, tmp_path, capsys):
     assert "g0.lines[1]" in capsys.readouterr().err
 
 
+def _with(doc, path, value):
+    """doc with value set at path (appended when the index is one past a list's end)."""
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if isinstance(node, list) and path[-1] == len(node):
+        node.append(value)
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ((), [1], "the document must be a JSON object"),
+    (("schema_version",), 2, "document: unsupported schema_version 2"),
+    (("algebra", "basis"), [], "algebra.basis: the basis must not be empty"),
+    (("algebra", "basis", 2, "degree"), 0, "algebra.basis[2]: symbol degrees must be negative"),
+    (("algebra", "basis", 1, "name"), "X1", "algebra.basis: duplicate basis name 'X1'"),
+    (("algebra", "brackets", 1), 5, "algebra.brackets[1]: bracket entries must be objects"),
+    (("algebra", "brackets", 0, "terms", 0), ["X3"], "algebra.brackets[0].terms[0]: terms must be"),
+    (("algebra", "brackets", 0, "right"), "X1", "algebra.brackets[0]: left and right must differ"),
+    (("algebra", "brackets", 1), {"left": "X2", "right": "X1", "terms": []},
+     "algebra.brackets[1]: bracket for pair (X2, X1) given twice"),
+    (("algebra", "brackets", 0, "terms", 0, 0), "Y", "algebra.brackets[0]: unknown basis name 'Y'"),
+    (("g0", "mode"), "affine", "g0: unknown g0 mode 'affine'"),
+    (("g0", "lines", 2), [1, 1], "g0.lines: exactly two line vectors required"),
+    (("g0", "lines"), [[1, 0, 0], [0, 1, 0]], "g0.lines: line vectors must match the degree -1 dimension"),
+    (("g0",), {"mode": "span", "maps": [[]]}, "g0.maps[0]: expected a non-empty matrix"),
+    (("options", "max_degree"), 0, "options: max_degree must be at least 1"),
+], ids=["not-an-object", "schema-version", "empty-basis", "degree-zero", "duplicate-name",
+        "bracket-not-an-object", "term-not-a-pair", "left-is-right", "pair-given-twice", "unknown-term",
+        "g0-mode", "three-lines", "line-length", "empty-map", "max-degree-zero"])
+def test_spec_errors_name_their_place_and_exit_two(corpus_dir, tmp_path, capsys, path, value, message):
+    doc = _with(json.loads((corpus_dir / "ode2-point.json").read_text()), path, value)
+    spec = tmp_path / "doc.json"
+    spec.write_text(json.dumps(doc))
+    for command in ("check", "prolong"):
+        assert cli.main([command, str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert f"parse error: {message}" in captured.err and not captured.out
+
+
+def test_a_bracket_listed_right_before_left_changes_sign():
+    doc = {
+        "schema_version": 1,
+        "name": "flipped",
+        "algebra": {
+            "basis": [{"name": "X1", "degree": -1}, {"name": "X2", "degree": -1}, {"name": "X3", "degree": -2}],
+            "brackets": [{"left": "X2", "right": "X1", "terms": [["X3", "3/2"]]}],
+        },
+        "g0": {"mode": "full"},
+    }
+    symbol = specfile.build_symbol(specfile.parse_spec(doc))
+    assert symbol.bracket_basis(0, 1) == {2: F(-3, 2)}
+    assert symbol.bracket_basis(1, 0) == {2: F(3, 2)}
+
+
 @pytest.mark.parametrize("path", [
     ("schema_version",),
     ("options", "max_degree"),
@@ -339,6 +398,8 @@ def test_free_rejects_bad_parameters():
     with pytest.raises(SystemExit) as exc:
         cli.main(["free", "0", "3"])
     assert exc.value.code == 2
+    with pytest.raises(ValueError, match="need r >= 1 and mu >= 1"):
+        specfile.free_spec_document(2, 0)
 
 
 def test_prolong_report_structure(corpus_dir, tmp_path):
@@ -411,6 +472,10 @@ def test_table_format(corpus_dir, capsys):
     out = capsys.readouterr().out
     assert "total dimension: 8" in out
     assert "signature (5, 3)" in out
+    spec = str(corpus_dir / "abelian-gl-1.json")
+    assert cli.main(["prolong", spec, "--max-degree", "2", "--format", "table"]) == 0
+    out = capsys.readouterr().out
+    assert "terminated: no (truncated at max degree 2)" in out and "total dimension" not in out
 
 
 def test_truncated_report_has_no_diagnostics(corpus_dir, tmp_path):

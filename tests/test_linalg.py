@@ -203,6 +203,10 @@ def test_public_constructors_keep_their_checks():
         mat.get(2, 0)
     with pytest.raises(ValueError, match="non-negative"):
         RatMatrix.from_rows([], -1)
+    with pytest.raises(ValueError, match="unequal length"):
+        RatMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError, match="does not match row count"):
+        solve(RatMatrix.from_rows([[1, 0], [0, 1]]), [1])
 
 
 @pytest.mark.parametrize("build", [

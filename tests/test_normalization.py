@@ -54,6 +54,9 @@ def test_riemannian_normalization_dimensions():
 
 
 def test_trivial_g0_leaves_only_lower_blocks(eta3):
+    for k in (-1, 1):
+        with pytest.raises(ValueError, match="outside the computed range"):
+            build_spencer(eta3, [[]], k)
     system = build_spencer(eta3, [[]], 0)
     assert [b.degree for b in system.domain_layout] == [-2]
     assert system.domain_dim == 2

@@ -36,7 +36,7 @@ from gradedlie.prolongation import (
 )
 from gradedlie.symbols import EuclideanForm
 
-from conftest import bracket
+from conftest import LAMBDA_1, LAMBDA_2, bracket
 
 F = Fraction
 
@@ -235,6 +235,20 @@ def test_truncated_run_reports_as_such(eta3, lambda_g0):
     assert 2 not in result.dims
 
 
+def test_g0_given_as_a_list_of_maps(eta3, lambda_g0, example5_result):
+    result = universal_prolongation(eta3, list(lambda_g0.generators))
+    assert result.g0.generators == lambda_g0.generators
+    assert result.graded_dimensions() == example5_result.graded_dimensions()
+    assert result.algebra._table == example5_result.algebra._table
+
+
+def test_assembled_names_step_around_symbol_names():
+    m = GradedLieAlgebra([BasisElement("X1", -1), BasisElement("X2", -1), BasisElement("g0_1", -2)],
+                         {(0, 1): {2: 1}})
+    result = universal_prolongation(m, custom_g0(m, [LAMBDA_1, LAMBDA_2]))
+    assert [e.name for e in result.algebra.basis] == ["X1", "X2", "g0_1", "g0_1_", "g0_2", "g1_1", "g1_2", "g2_1"]
+
+
 def test_determinism(eta3, lambda_g0):
     a = universal_prolongation(eta3, lambda_g0)
     b = universal_prolongation(eta3, lambda_g0)
@@ -303,13 +317,17 @@ def test_parallel_runs_are_independent():
 
 
 def test_rejects_invalid_inputs(eta3):
-    from gradedlie import BasisElement, GradedLieAlgebra, custom_g0
-
     with pytest.raises(ValueError, match="max_degree"):
         universal_prolongation(eta3, custom_g0(eta3, []), max_degree=0)
+    # g0 built directly, so that the guards of universal_prolongation itself answer
     split = GradedLieAlgebra([BasisElement("X1", -1), BasisElement("X2", -2)], {})
-    with pytest.raises(ValueError, match="fundamental"):
-        universal_prolongation(split, custom_g0(split, []))
+    with pytest.raises(ValueError, match="symbol is not fundamental"):
+        universal_prolongation(split, DegreeZeroAlgebra(split, []))
+    ungraded = GradedLieAlgebra([BasisElement("X1", -1), BasisElement("X2", -1)], {(0, 1): {0: 1}})
+    with pytest.raises(ValueError, match=r"not a valid graded Lie algebra: grading violated at pair \('X1', 'X2'\)"):
+        universal_prolongation(ungraded, DegreeZeroAlgebra(ungraded, []))
+    with pytest.raises(ValueError, match="at least the degree-zero level"):
+        prolong_step(eta3, [])
     # a g0 of heisenberg(2) is no g0 of the symbol on the same basis with
     # [p1, q2] = [p2, q1] = Z
     m = heisenberg(2)

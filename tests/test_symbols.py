@@ -4,6 +4,7 @@ import pytest
 
 from gradedlie import (
     BasisElement,
+    DegreeZeroAlgebra,
     EuclideanForm,
     GradedLieAlgebra,
     GradedLinearMap,
@@ -17,9 +18,11 @@ from gradedlie import (
     heisenberg,
     line_preserving_derivations,
     orthogonal_derivations,
+    universal_prolongation,
 )
 from gradedlie import diagnostics, linalg
 from gradedlie.algebra import map_layout
+from gradedlie.symbols import extend_top_blocks
 
 from conftest import LAMBDA_1, LAMBDA_2, bracket, make_eta3, unit_vector
 
@@ -121,6 +124,20 @@ def test_euclidean_form_validation():
 def test_line_pair_validation():
     with pytest.raises(ValueError, match="independent"):
         LinePair([1, 2], [2, 4])
+    with pytest.raises(ValueError, match="equal length"):
+        LinePair([1, 0], [0, 1, 0])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: heisenberg(0), "at least 1"),
+    (lambda: abelian(0), "at least 1"),
+    (lambda: orthogonal_derivations(heisenberg(1), identity_form(3)), "does not match the degree -1 dimension"),
+    (lambda: line_preserving_derivations(heisenberg(1), LinePair([1, 0, 0], [0, 1, 0])), "2-dimensional"),
+    (lambda: extend_top_blocks(heisenberg(1), [[[1, 0]]]), "square of the degree -1 dimension"),
+], ids=["heisenberg-0", "abelian-0", "form-size", "line-length", "block-shape"])
+def test_builders_reject_invalid_arguments(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_standard_lines_match_lambda_generators(eta3, lambda_g0):
@@ -306,6 +323,19 @@ def test_custom_g0_rejects_maps_of_the_wrong_shape(eta3):
     wide = GradedLinearMap(0, {-1: [[1, 0, 0], [0, 1, 0], [0, 0, 1]], -2: [[2]]})
     with pytest.raises(ValueError, match="map 2 does not match the graded dimensions"):
         custom_g0(eta3, [LAMBDA_1, wide])
+    # a block missing, and a block on a degree the symbol does not have
+    m = heisenberg(1)
+    grading = GradedLinearMap(0, {-1: [[1, 0], [0, 1]], -2: [[2]]})
+    short = GradedLinearMap(0, {-1: [[1, 0], [0, 1]]})
+    extra = GradedLinearMap(0, {-1: [[1, 0], [0, -1]], -2: [[0]], -5: [[1]]})
+    for maps, bad in (([short], 1), ([grading, extra], 2), ([extra, grading], 1)):
+        with pytest.raises(ValueError, match=f"map {bad} does not match the graded dimensions"):
+            custom_g0(m, maps)
+    # the generators are checked before they are flattened, also when given directly
+    for build in (DegreeZeroAlgebra, universal_prolongation):
+        for symbol, maps in ((eta3, [wide]), (m, [grading, short]), (m, [extra])):
+            with pytest.raises(ValueError, match=f"generator {len(maps)} does not match the graded dimensions"):
+                build(symbol, maps)
 
 
 def test_first_block_that_does_not_extend_is_reported_first():

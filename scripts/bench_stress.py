@@ -6,8 +6,9 @@
 Each stress instance, the contact symbol heisenberg:n with full g0 to a
 cutoff, runs through ``gradedlie prolong`` in its own child process, one at
 a time, with a 900 s timeout.  For each instance the JSON records the wall
-seconds, the seconds spent assembling the bracket table
-(``prolongation._assemble``), the child's own peak RSS, the byte length and
+seconds, the seconds spent building and checking g0 (``specfile.build_g0``)
+and assembling the bracket table (``prolongation._assemble``), the child's
+own peak RSS, the byte length and
 sha256 of the report and its graded dimensions; it also records the line
 count of src/gradedlie/*.py.  The report goes to a file and is hashed in
 chunks, so this script never holds it in memory.  --root measures the src/
@@ -43,30 +44,34 @@ INSTANCES = (("heisenberg:2", 3), ("heisenberg:3", 2), ("heisenberg:3", 3),
              ("heisenberg:5", 4))
 TIMEOUT_S = 900
 
-# Runs the CLI with prolongation._assemble timed and prints, as the last
-# stderr line, a JSON object with its seconds, the process's own peak RSS
-# (KiB) and the graded dimensions of the result.
+# Runs the CLI with specfile.build_g0 and prolongation._assemble timed and
+# prints, as the last stderr line, a JSON object with their seconds, the
+# process's own peak RSS (KiB) and the graded dimensions of the result.
 CHILD = """
 import json, resource, sys, time
-from gradedlie import prolongation
+from gradedlie import prolongation, specfile
 from gradedlie.cli import main
-assemble, prolong, spent, dims = prolongation._assemble, prolongation.universal_prolongation, 0.0, {}
-def timed(*args):
-    global spent
-    start = time.perf_counter()
-    try:
-        return assemble(*args)
-    finally:
-        spent += time.perf_counter() - start
+spent, dims = {"g0_s": 0.0, "assemble_s": 0.0}, {}
+def timed(key, function):
+    def wrapper(*args):
+        start = time.perf_counter()
+        try:
+            return function(*args)
+        finally:
+            spent[key] += time.perf_counter() - start
+    return wrapper
+prolong = prolongation.universal_prolongation
 def recorded(*args, **kwargs):
     result = prolong(*args, **kwargs)
     dims.update((str(d), result.dims[d]) for d in sorted(result.dims))
     return result
-prolongation._assemble, prolongation.universal_prolongation = timed, recorded
+specfile.build_g0 = timed("g0_s", specfile.build_g0)
+prolongation._assemble = timed("assemble_s", prolongation._assemble)
+prolongation.universal_prolongation = recorded
 code = main(sys.argv[1:])
 sys.stdout.flush()
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"assemble_s": spent, "peak_kib": peak, "dimensions": dims}), file=sys.stderr)
+print(json.dumps({**spent, "peak_kib": peak, "dimensions": dims}), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -102,7 +107,8 @@ def run_instance(src: Path, workdir: Path, algebra: str, max_degree: int) -> dic
         measured = json.loads(err[-1])
     except (IndexError, ValueError):
         measured = {}
-    record["assemble_s"] = round(measured["assemble_s"], 3) if measured else None
+    for key in ("g0_s", "assemble_s"):
+        record[key] = round(measured[key], 4) if measured else None
     record["peak_rss_mb"] = round(measured["peak_kib"] / 1024, 1) if measured else None
     if done.returncode != 0:
         record["error"] = "\n".join(err[:-1] if measured else err)

@@ -93,6 +93,17 @@ MUTANTS = (
      "    (matrix, [(x, b) for x, b in zip(solutions, rhs) if x is not None],",
      ["tests/test_linalg.py::test_self_checks_raise_on_corrupted_elimination",
       "tests/test_linalg.py::test_certificate_sees_a_right_hand_side_in_a_zero_row"]),
+    ("express-without-certificate", "linalg.py",
+     "if image == {c: scale * value for c, value in t.items()}:", "if True:",
+     ["tests/test_linalg.py::test_self_checks_raise_on_corrupted_elimination"]),
+    ("leibniz-check-partner-orientation", "algebra.py",
+     "partners[b].append((a, -1, terms))", "partners[b].append((a, 1, terms))",
+     ["tests/test_algebra.py::test_derivation_violation_matches_dense_reference",
+      "tests/test_algebra.py::test_sparse_leibniz_witness_matches_dense_reference_on_perturbed_maps"]),
+    ("commutator-second-term-sign", "algebra.py",
+     "flat[base + e] = flat.get(base + e, 0) - x * y", "flat[base + e] = flat.get(base + e, 0) + x * y",
+     ["tests/test_algebra.py::test_sparse_commutator_matches_dense_reference",
+      "tests/test_algebra.py::test_sparse_commutator_of_perturbed_maps_matches_dense_reference"]),
     ("killing-wrong-scale", "diagnostics.py",
      "linalg._ratio(t, scale * scale)", "linalg._ratio(t, scale)",
      ["tests/test_diagnostics.py::test_killing_form_matches_fraction_traces_on_terminated_runs"]),

@@ -14,13 +14,16 @@ Every structure constant and map entry is an exact rational in the form of
 ``linalg``: an int when integral, a Fraction only with a denominator above 1.
 Degree-homogeneous linear maps (GradedLinearMap) store every block as sparse
 columns, {target position: rational} dicts, beside the block shapes; dense
-columns are built only on demand.  Degree-zero commutators are composed on
-the nonzeros of those columns, and a degree-zero algebra keeps its
-commutator table in sparse generator coordinates.
+columns are built only on demand.  A degree-zero algebra writes the
+commutators of its generators straight into flat coordinates, composing
+only the nonzero entries of their columns, checks the Leibniz rule over
+the nonzero brackets of the symbol only, and keeps its commutator table
+in sparse generator coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import linalg
@@ -391,27 +394,62 @@ def tower_dims(symbol: GradedLieAlgebra, g_bases) -> dict[int, int]:
     return dims
 
 
-def commutator_deg0(f: GradedLinearMap, g: GradedLinearMap) -> GradedLinearMap:
-    """Commutator of two degree-0 maps, blockwise f g - g f on sparse columns."""
-    if f.degree != 0 or g.degree != 0:
-        raise ValueError("commutator_deg0 expects degree-0 maps")
-    columns = {}
-    for i, f_cols in f.columns.items():
-        g_cols = g.columns[i]
-        cols = []
-        for f_col, g_col in zip(f_cols, g_cols):
-            col: dict[int, Rational] = {}
-            for t, x in g_col.items():
-                linalg.axpy(col, x, f_cols[t])
-            for t, x in f_col.items():
-                linalg.axpy(col, -x, g_cols[t])
-            cols.append(col)
-        columns[i] = tuple(cols)
-    return GradedLinearMap.from_columns(0, columns, dict(f.shapes))
+def _flat_commutators(maps, layout, pairs) -> list[dict[int, Rational]]:
+    """f g - g f for each pair (s, t) of degree-0 `maps`, f = maps[s] and
+    g = maps[t], each with a block on every degree of `layout`, flattened
+    over it as GradedLinearMap.flat_entries flattens a map.
+
+    Columns are numbered across the blocks; a map is its columns and the
+    list of its nonzero entries (flat position of column a, column u, x),
+    x its coordinate u of column a.  Column a of f g is the sum of x f(u)
+    over the entries of g, so each pair costs its nonzero products only.
+    The commutator is bilinear: the products run on the maps scaled to
+    integers by the lcm L of all their denominators, and each sum is
+    divided by L^2 at the end; entries are ints, or Fractions with a
+    denominator above 1.
+    """
+    scale = math.lcm(*{v.denominator for f in maps for i, _, _ in layout
+                       for col in f.columns[i] for v in col.values()})
+    columns, entries = [], []
+    for f in maps:
+        cols, ents, pos = [], [], 0
+        for i, dom, tgt in layout:
+            for a, col in enumerate(f.columns[i]):
+                col = {u: v.numerator * (scale // v.denominator) for u, v in col.items()}
+                ents.extend((pos + a * tgt, len(cols) - a + u, x) for u, x in col.items())
+                cols.append(col)
+            pos += dom * tgt
+        columns.append(cols)
+        entries.append(ents)
+    square = scale * scale
+    out = []
+    for s, t in pairs:
+        flat: dict[int, int] = {}
+        for base, u, x in entries[t]:  # + f g
+            for e, y in columns[s][u].items():
+                flat[base + e] = flat.get(base + e, 0) + x * y
+        for base, u, x in entries[s]:  # - g f
+            for e, y in columns[t][u].items():
+                flat[base + e] = flat.get(base + e, 0) - x * y
+        out.append({c: linalg._ratio(v, square) for c, v in flat.items() if v})
+    return out
 
 
 def derivation_violation(symbol: GradedLieAlgebra, f: GradedLinearMap):
-    """First basis pair where the Leibniz rule fails, or None."""
+    """First basis pair (a, b), a < b, where the Leibniz rule fails, or None.
+
+    L(a, b) = f([e_a, e_b]) - [f(e_a), e_b] - [e_a, f(e_b)] is summed over
+    the nonzero brackets only: partners[c] lists (b, sign, terms) with
+    [e_c, e_b] = sign * terms for every nonzero bracket of e_c, in both
+    orientations.  A term [f(e_s), e_o] of the ordered pair (s, o) goes into
+    L(s, o) when s < o and, with its sign changed, into L(o, s) = -L(s, o)
+    otherwise; at s == o the two terms cancel.  The sums run on integer
+    copies, the images of f and the table each scaled by the lcm of its
+    denominators: every term is one structure constant times one entry of
+    f, so L(a, b) is scaled by one factor and vanishes exactly when it
+    does.  The witness is the least pair left nonzero, the pair the
+    lexicographic loop over all pairs reports.
+    """
     n = symbol.dim
     images = []  # f(e_a) as a sparse coordinate dictionary
     for a in range(n):
@@ -423,19 +461,29 @@ def derivation_violation(symbol: GradedLieAlgebra, f: GradedLinearMap):
             raise ValueError("coordinate count does not match degree dimension")
         col = f.columns[i][symbol.position_in_degree(a)]
         images.append({targets[t]: value for t, value in col.items()})
-    for a in range(n):
-        for b in range(a + 1, n):
-            # f([e_a, e_b]) - [f(e_a), e_b] - [e_a, f(e_b)]
-            acc: dict[int, Rational] = {}
-            for c, v in symbol._table.get((a, b), {}).items():
-                linalg.axpy(acc, v, images[c])
-            for c, v in images[a].items():
-                _add_bracket(acc, symbol._table, c, b, -v)
-            for c, v in images[b].items():
-                _add_bracket(acc, symbol._table, a, c, -v)
-            if acc:
-                return (symbol.basis[a].name, symbol.basis[b].name)
-    return None
+    images = linalg._integral(dict(enumerate(images)))[0]
+    partners: list[list[tuple[int, int, dict[int, int]]]] = [[] for _ in range(n)]
+    acc: dict[int, int] = {}  # L(a, b) at coordinate e under key (a * n + b) * n + e
+    for (a, b), terms in linalg._integral(symbol._table)[0].items():
+        partners[a].append((b, 1, terms))
+        partners[b].append((a, -1, terms))
+        key = (a * n + b) * n
+        for c, v in terms.items():  # f([e_a, e_b])
+            for e, w in images[c].items():
+                acc[key + e] = acc.get(key + e, 0) + v * w
+    for s in range(n):
+        for c, x in images[s].items():
+            for o, sign, terms in partners[c]:
+                if o == s:
+                    continue
+                key, factor = ((s * n + o) * n, -sign * x) if s < o else ((o * n + s) * n, sign * x)
+                for e, v in terms.items():
+                    acc[key + e] = acc.get(key + e, 0) + factor * v
+    failing = [key for key, value in acc.items() if value]
+    if not failing:
+        return None
+    a, b = divmod(min(failing) // n, n)
+    return (symbol.basis[a].name, symbol.basis[b].name)
 
 
 class DegreeZeroAlgebra:
@@ -464,10 +512,7 @@ class DegreeZeroAlgebra:
                 raise ValueError(f"generator {idx + 1} does not match the graded dimensions of the symbol")
         flats = [g.flatten(self._layout) for g in self.generators]
         pairs = [(s, t) for s in range(len(flats)) for t in range(s + 1, len(flats))]
-        comms = [
-            commutator_deg0(self.generators[s], self.generators[t]).flat_entries(self._layout)
-            for s, t in pairs
-        ]
+        comms = _flat_commutators(self.generators, self._layout, pairs)
         try:
             coordinates = linalg.express_in_basis(flats, comms)
         except ValueError:

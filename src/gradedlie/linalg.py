@@ -26,8 +26,10 @@ not kept) all come from one ``Echelon``, so a matrix that needs all three
 is eliminated once.  Kernel vectors and solutions are certified exactly.
 
 There is one solver: ``solve_many`` eliminates a matrix beside all its
-right-hand sides at once, and ``express_in_basis``, coordinates over a
-basis, is the same elimination on the transposed basis.
+right-hand sides at once.  ``express_in_basis``, coordinates over a basis,
+eliminates [B | I] once, independent of its targets, and reads each
+target's coordinates at B's pivots through the recorded combinations; a
+target's coordinates x are returned only when x B == t exactly.
 """
 
 from __future__ import annotations
@@ -308,12 +310,6 @@ def solve_many(matrix: RatMatrix, rhs: Sequence[dict]) -> list[dict[int, Rationa
     so the result is deterministic.  A right-hand side is inconsistent
     exactly when a reduced row without an entry in A has one in its column.
     """
-    return _solve(matrix, rhs)[1]
-
-
-def _solve(matrix: RatMatrix, rhs: Sequence[dict]):
-    """The echelon form of [A | b_1 ... b_m] and the certified solutions
-    that solve_many returns; the pivots below A's width are A's pivots."""
     n = matrix.cols
     rhs = [{r: x for r, value in b.items() if (x := _frac(value))} for b in rhs]
     augmented = RatMatrix._of_rows(matrix.rows, n + len(rhs), matrix._rows)  # copies A's rows
@@ -329,7 +325,7 @@ def _solve(matrix: RatMatrix, rhs: Sequence[dict]):
         solutions.append(None if column and column[-1][0] >= n else dict(column))
     _certify(matrix, [(x, b) for x, b in zip(solutions, rhs) if x is not None],
              "solve: solution does not satisfy the system")
-    return echelon, solutions
+    return solutions
 
 
 def column_complement(matrix: RatMatrix) -> list[int]:
@@ -351,19 +347,54 @@ def express_in_basis(vectors: Sequence[Sequence], targets: Iterable[dict]) -> li
     independent dense `vectors`, as a ``{vector index: value}`` dict of the
     nonzero ones, or None for a target outside their span.
 
-    Coordinates x with x B = t are the solutions of B^T x = t, so this is
-    solve_many on the transposed basis; independence is read off the pivots
-    of that same elimination.  Dependent vectors raise ValueError.
+    [B | I] is eliminated once, B the vectors as rows: each reduced row is
+    R_k | C_k with R_k = C_k B, so the rows R_k are the reduced echelon
+    basis of the span and the rows C_k record how each is combined from the
+    vectors (for a basis already in reduced echelon form, C = I).  A target
+    t in the span is the sum of t[p_k] R_k over B's pivots p_k, so its
+    coordinates are x = sum of t[p_k] C_k.  They are returned only when
+    x B == t exactly; when the reduced rows span t and x B still differs,
+    the elimination is at fault and InternalConsistencyError is raised;
+    otherwise t lies outside the span.  A pivot in I means a combination of
+    the vectors vanishes: dependent vectors raise ValueError.
     """
     targets = list(targets)
     m = len(vectors)
     n = len(vectors[0]) if vectors else 0
     if any(len(vec) != n for vec in vectors):
         raise ValueError("basis vectors of unequal length")
-    # a target entry beyond the vectors' length meets a zero row: outside the span
-    rows = max([n, *(c + 1 for t in targets for c in t)])
-    entries = [((c, i), x) for i, vec in enumerate(vectors) for c, x in enumerate(map(_frac, vec)) if x]
-    echelon, coords = _solve(RatMatrix(rows, m, entries), targets)
-    if echelon.pivots[:m] != tuple(range(m)):
+    # an int zero is skipped unconverted; any other entry is checked by _frac
+    basis = [{c: y for c, x in enumerate(vec) if (x or type(x) is not int) and (y := _frac(x))}
+             for vec in vectors]
+    echelon = rref(RatMatrix._of_rows(m, n + m, [{**row, n + i: 1} for i, row in enumerate(basis)]))
+    if echelon.pivots and echelon.pivots[-1] >= n:
         raise ValueError("basis vectors are linearly dependent")
-    return coords
+    combos, spans = {}, {}  # pivot p_k -> C_k, R_k, without zeros even from a faulty elimination
+    for p, row in zip(echelon.pivots, echelon.pivot_rows):
+        combos[p] = {c - n: v for c, v in row.items() if c >= n and v}
+        spans[p] = {c: v for c, v in row.items() if c < n and v}
+    # x B == t is checked as x (L B) == L t, on ints wherever x is integral
+    integral, scale = _integral(dict(enumerate(basis)))
+    out = []
+    for t in targets:
+        t = {c: x for c, value in t.items() if (x := _frac(value))}
+        if t and min(t) < 0:
+            raise IndexError(f"target entry {min(t)} outside the basis length {n}")
+        coords: dict[int, Rational] = {}
+        for c, value in t.items():
+            if c in combos:
+                axpy(coords, value, combos[c])
+        image: dict[int, Rational] = {}
+        for i, value in coords.items():
+            axpy(image, value, integral[i])
+        if image == {c: scale * value for c, value in t.items()}:
+            out.append({i: v if type(v) is int or v.denominator != 1 else v.numerator for i, v in coords.items()})
+            continue
+        spanned: dict[int, Rational] = {}
+        for c, value in t.items():
+            if c in spans:
+                axpy(spanned, value, spans[c])
+        if spanned == t:
+            raise InternalConsistencyError("express_in_basis: coordinates do not reproduce the target")
+        out.append(None)
+    return out

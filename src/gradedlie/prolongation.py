@@ -267,10 +267,7 @@ def check_transitivity(result: ProlongationResult) -> TransitivityReport:
     result itself, including the top degree, which no Spencer system covers.
     """
     dims = result.dims
-    for k in range(1, len(result.bases)):
-        base = result.bases[k]
-        if not base:
-            continue
+    for k, base in enumerate(result.bases[1:], start=1):
         n1, below = dims.get(-1, 0), dims.get(k - 1, 0)
         # one column per map, its degree -1 block; the kernel holds the
         # combinations that vanish on g^-1

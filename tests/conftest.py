@@ -40,6 +40,12 @@ def unit_vector(algebra, index):
     return v
 
 
+def canonical(value):
+    """An exact rational in the engine's form: an int, or a Fraction whose
+    denominator is greater than 1."""
+    return type(value) is int or (type(value) is Fraction and value.denominator > 1)
+
+
 def make_eta3() -> GradedLieAlgebra:
     return GradedLieAlgebra(
         [BasisElement("X1", -1), BasisElement("X2", -1), BasisElement("X3", -2)],

@@ -20,10 +20,10 @@ from gradedlie import (
 )
 from gradedlie import algebra as algebra_module
 from gradedlie import linalg, specfile
-from gradedlie.algebra import commutator_deg0, derivation_violation, map_layout, maps_from_rows
+from gradedlie.algebra import _flat_commutators, derivation_violation, map_layout, maps_from_rows
 from gradedlie.prolongation import leibniz_maps
 
-from conftest import bracket, make_eta3, unit_vector
+from conftest import bracket, canonical, make_eta3, unit_vector
 
 F = Fraction
 
@@ -146,7 +146,6 @@ def test_public_constructor_checks_every_bracket():
 
 @pytest.mark.parametrize("build, message", [
     (lambda m, g: GradedLieAlgebra([BasisElement("X", -1), BasisElement("X", -2)], {}), "names must be unique"),
-    (lambda m, g: commutator_deg0(g, GradedLinearMap(1, {})), "expects degree-0 maps"),
     (lambda m, g: derivation_violation(m, GradedLinearMap(0, {-1: [[1, 0], [0, 1]]})), "no block on degree -2"),
     (lambda m, g: derivation_violation(m, GradedLinearMap(0, {-1: [[1, 0], [0, 1]], -2: [[1, 0]]})),
      "coordinate count"),
@@ -155,7 +154,7 @@ def test_public_constructor_checks_every_bracket():
     (lambda m, g: DegreeZeroAlgebra(m, [g, g]), "linearly dependent"),
     (lambda m, g: adjoin_g0(m, DegreeZeroAlgebra(m, [g]), names=[]), "one name per generator"),
     (lambda m, g: adjoin_g0(m, DegreeZeroAlgebra(m, [g]), names=["X2"]), "'X2' collides"),
-], ids=["duplicate-names", "commutator-degree", "missing-block", "block-height", "g0-of-graded",
+], ids=["duplicate-names", "missing-block", "block-height", "g0-of-graded",
         "generator-degree", "dependent-generators", "name-count", "name-collision"])
 def test_constructors_reject_invalid_arguments(eta3, build, message):
     grading = GradedLinearMap(0, {-1: [[1, 0], [0, 1]], -2: [[2]]})
@@ -331,6 +330,37 @@ def spec_g0(path):
 ROOT = Path(__file__).resolve().parents[1]
 
 
+@pytest.mark.parametrize("make_symbol", [
+    lambda: free_nilpotent(2, 5),
+    lambda: free_nilpotent(3, 3),
+    lambda: spec_g0(ROOT / "perfbench" / "specs" / "euclid-7.json").symbol,
+], ids=["free-2-5", "free-3-3", "euclid-7"])
+def test_sparse_leibniz_witness_matches_dense_reference_on_perturbed_maps(make_symbol):
+    symbol = make_symbol()
+    rng = random.Random(20)
+    generators = list(degree_zero_derivations(symbol).generators)
+    maps = []
+    for gen in rng.sample(generators, min(6, len(generators))):
+        blocks = {i: [list(gen.image_of_basis(i, a)) for a in range(dom)] for i, (dom, _) in gen.shapes.items()}
+        # a scaled derivation stays one, denominators and all
+        maps.append(GradedLinearMap(0, {i: [[x * F(2, 3) for x in col] for col in cols]
+                                        for i, cols in blocks.items()}))
+        for _ in range(4):
+            perturbed = {i: [list(col) for col in cols] for i, cols in blocks.items()}
+            for _ in range(rng.randint(1, 2)):
+                cols = perturbed[rng.choice(sorted(perturbed))]
+                col = cols[rng.randrange(len(cols))]
+                col[rng.randrange(len(col))] += F(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+            maps.append(GradedLinearMap(0, perturbed))
+    witnesses = [derivation_violation(symbol, f) for f in maps]
+    assert witnesses == [dense_derivation_violation(symbol, f) for f in maps]
+    assert witnesses[::5] == [None] * len(witnesses[::5])
+    if symbol.bracket_pairs():
+        assert len(set(witnesses) - {None}) > 3
+    else:  # on an abelian symbol every grading-preserving map is a derivation
+        assert set(witnesses) == {None}
+
+
 @pytest.mark.parametrize("make_g0", [
     lambda: degree_zero_derivations(free_nilpotent(3, 3)),
     lambda: spec_g0(ROOT / "perfbench" / "specs" / "euclid-7.json"),
@@ -342,10 +372,12 @@ def test_sparse_commutator_matches_dense_reference(make_g0):
     flats = [g.flatten(g0._layout) for g in gens]
     pairs = sorted(g0.structure_constants)
     assert len(pairs) == g0.dim * (g0.dim - 1) // 2
-    dense = [dense_commutator_deg0(gens[s], gens[t]) for s, t in pairs]
-    assert [commutator_deg0(gens[s], gens[t]) for s, t in pairs] == dense
+    dense = [dense_commutator_deg0(gens[s], gens[t]).flat_entries(g0._layout) for s, t in pairs]
+    flat = _flat_commutators(gens, g0._layout, pairs)
+    assert flat == dense
+    assert all(canonical(x) for comm in flat for x in comm.values())
     # structure constants in generator coordinates, from the dense commutators
-    reference = linalg.express_in_basis(flats, [c.flat_entries(g0._layout) for c in dense])
+    reference = linalg.express_in_basis(flats, dense)
     assert [g0.structure_constants[pair] for pair in pairs] == reference
     assert any(g0.structure_constants.values())
 
@@ -354,7 +386,8 @@ def test_sparse_commutator_of_perturbed_maps_matches_dense_reference():
     # derivations straight from the Leibniz kernel, so no commutator is
     # taken before the comparison; perturbed, seeded, they are no longer
     # derivations and their commutators leave the span
-    derivations = leibniz_maps(free_nilpotent(3, 3), [], 0)
+    symbol = free_nilpotent(3, 3)
+    derivations = leibniz_maps(symbol, [], 0)
     rng = random.Random(7)
     perturbed = []
     for g in derivations[:6]:
@@ -363,9 +396,13 @@ def test_sparse_commutator_of_perturbed_maps_matches_dense_reference():
             col = rng.choice(blocks[rng.choice(sorted(blocks))])
             col[rng.randrange(len(col))] += F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
         perturbed.append(GradedLinearMap(0, blocks))
-    for f in perturbed + derivations[:3]:
-        for g in perturbed + derivations[:3]:
-            assert commutator_deg0(f, g) == dense_commutator_deg0(f, g)
+    maps = perturbed + derivations[:3]
+    layout = map_layout(symbol.dims_by_degree(), 0)
+    pairs = [(s, t) for s in range(len(maps)) for t in range(len(maps))]
+    flat = _flat_commutators(maps, layout, pairs)
+    assert flat == [dense_commutator_deg0(maps[s], maps[t]).flat_entries(layout) for s, t in pairs]
+    assert all(canonical(x) for comm in flat for x in comm.values())
+    assert any(type(x) is F for comm in flat for x in comm.values())
 
 
 def test_dense_and_sparse_maps_are_one_representation():
@@ -378,7 +415,7 @@ def test_dense_and_sparse_maps_are_one_representation():
         assert GradedLinearMap(0, dense) == f
         assert maps_from_rows(0, layout, [f.flat_entries(layout)]) == [f]
         assert f.flatten(layout) == [f.flat_entries(layout).get(c, F(0)) for c in range(len(f.flatten(layout)))]
-    comm = commutator_deg0(g0.generators[0], g0.generators[1])
+    comm = maps_from_rows(0, layout, _flat_commutators(g0.generators, layout, [(0, 1)]))[0]
     dense = {i: [list(comm.image_of_basis(i, a)) for a in range(dom)] for i, (dom, _) in comm.shapes.items()}
     assert GradedLinearMap(0, dense) == comm
     assert all(x for cols in comm.columns.values() for col in cols for x in col.values())

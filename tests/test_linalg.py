@@ -27,6 +27,8 @@ from gradedlie.linalg import (
     vectors_rank,
 )
 
+from conftest import canonical
+
 F = Fraction
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -219,12 +221,6 @@ def test_public_constructors_keep_their_checks():
 def test_public_indices_outside_the_shape_raise_index_error(build):
     with pytest.raises(IndexError):
         build()
-
-
-def canonical(value):
-    """An exact rational in the engine's form: an int, or a Fraction whose
-    denominator is greater than 1."""
-    return type(value) is int or (type(value) is Fraction and value.denominator > 1)
 
 
 def test_engine_built_matrices_hold_nonzero_exact_rationals_in_range(monkeypatch):
@@ -568,9 +564,12 @@ def test_self_checks_raise_on_corrupted_elimination(monkeypatch):
         nullspace(RatMatrix.from_rows([[1, 2]]))
     with pytest.raises(InternalConsistencyError, match="solve"):
         solve(RatMatrix.from_rows([[1, 0], [0, 1]]), [F(1), F(1)])
-    # a wrong coordinate is caught, not reported as a target outside the span
-    with pytest.raises(InternalConsistencyError, match="solve"):
+    # a wrong coordinate is caught, not reported as a target outside the span,
+    # over the identity and over a basis whose combinations C are not the identity
+    with pytest.raises(InternalConsistencyError, match="express_in_basis"):
         express_in_basis([[F(1), F(0)], [F(0), F(1)]], [{0: F(1), 1: F(1)}])
+    with pytest.raises(InternalConsistencyError, match="express_in_basis"):
+        express_in_basis([[1, 1, 0], [0, 1, 2]], [{0: 1, 1: 2, 2: 2}])
 
 
 def test_certificate_sees_a_right_hand_side_in_a_zero_row(monkeypatch):

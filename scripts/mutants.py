@@ -113,6 +113,9 @@ MUTANTS = (
     ("jacobi-keeps-y-equal-x", "algebra.py",
      "if y <= p or y == x:", "if y <= p:",
      ["tests/test_algebra.py::test_jacobi_witness_matches_copying_reference_on_random_tables"]),
+    ("grading-witness-keeps-the-largest-pair", "algebra.py",
+     "grading_witness = (algebra.basis[q]", "grading_witness = grading_witness or (algebra.basis[q]",
+     ["tests/test_algebra.py::test_jacobi_witness_matches_copying_reference_on_random_tables"]),
     ("killing-partner-orientation", "diagnostics.py",
      "partner = groups.get((y, x))", "partner = groups.get((x, y))",
      ["tests/test_diagnostics.py::test_killing_form_matches_fraction_traces_on_terminated_runs"]),

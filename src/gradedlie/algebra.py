@@ -3,11 +3,11 @@
 The same type houses the nilpotent symbol (negative degrees only), the
 extended algebra obtained by adjoining a degree-zero derivation subalgebra,
 and the fully assembled prolongation with positive degrees.  Brackets are
-stored once per index pair a < b as sparse coordinate dicts; the checks read
-that table in place and apply antisymmetry as a sign, without copies; the
-Jacobi check alone reads one integer copy, scaled by the lcm of its
-denominators, indexed by pair in both orientations and by the basis
-elements each bracket contains, so its sums are taken over the
+stored once per index pair a < b as sparse coordinate dicts, and
+bracket_basis reads either orientation, applying antisymmetry as a sign; the
+grading and Jacobi checks read one integer copy, scaled by the lcm of
+its denominators, indexed by pair in both orientations and by the basis
+elements each bracket contains, so the Jacobi sums are taken over the
 nonzero products of the table instead of over every basis triple.
 
 Every structure constant and map entry is an exact rational in the form of
@@ -108,11 +108,6 @@ class GradedLieAlgebra:
     def position_in_degree(self, index: int) -> int:
         return self._positions[index]
 
-    @property
-    def depth(self) -> int:
-        negative = [d for d in self._by_degree if d < 0]
-        return -min(negative) if negative else 0
-
     def has_only_negative_degrees(self) -> bool:
         return all(d < 0 for d in self._by_degree)
 
@@ -155,28 +150,20 @@ class ValidityReport:
 def check_validity(algebra: GradedLieAlgebra) -> ValidityReport:
     """Grading compatibility, Jacobi over all basis triples, nilpotency.
 
-    The first violating pair or triple is reported by basis names.  The
-    Jacobi sums run over the table scaled to integers by L; each sum is
-    bilinear in the structure constants, so it is L^2 times its rational
-    value and vanishes exactly when that value does.  They are accumulated
-    from the nonzero products only: for each p in turn, every double
-    bracket [[p, x], y] and [[q, r], p] with p < x, y and p < q < r adds
-    into the sum of its triple, and the first triple a < b < c with a
+    The first violating pair or triple is reported by basis names.  One
+    descending pass over the pairs indexes the table for the Jacobi sums
+    and checks each bracket's degrees; the last ungraded pair it meets is
+    the least.  The Jacobi sums run over the table scaled to integers by L;
+    each sum is bilinear in the structure constants, so it is L^2 times its
+    rational value and vanishes exactly when that value does.  They are
+    accumulated from the nonzero products only: for each p in turn, every
+    double bracket [[p, x], y] and [[q, r], p] with p < x, y and p < q < r
+    adds into the sum of its triple, and the first triple a < b < c with a
     nonzero sum is the least (q, r) left nonzero at the first such p.
     """
-    grading_ok, grading_witness = True, None
-    for (a, b) in algebra.bracket_pairs():
-        expected = algebra.degree_of(a) + algebra.degree_of(b)
-        for c in algebra.bracket_basis(a, b):
-            if algebra.degree_of(c) != expected:
-                grading_ok = False
-                grading_witness = (algebra.basis[a].name, algebra.basis[b].name)
-                break
-        if not grading_ok:
-            break
-
-    jacobi_witness = None
     n = algebra.dim
+    degree = [e.degree for e in algebra.basis]
+    grading_witness = jacobi_witness = None
     table, _ = linalg._integral(algebra._table)
     signed: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]  # signed[x][y] = [e_x, e_y]
     containing: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # (q, r, v): v e_t in [e_q, e_r]
@@ -185,6 +172,8 @@ def check_validity(algebra: GradedLieAlgebra) -> ValidityReport:
         signed[r][q] = {t: -v for t, v in terms.items()}
         for t, v in terms.items():
             containing[t].append((q, r, v))
+            if degree[t] != degree[q] + degree[r]:
+                grading_witness = (algebra.basis[q].name, algebra.basis[r].name)
     for p in range(n):
         # J(p, q, r) = [[p, q], r] - [[p, r], q] + [[q, r], p] for p < q < r,
         # coordinate e of it at key (q * n + r) * n + e; [[p, x], y] is the
@@ -213,43 +202,32 @@ def check_validity(algebra: GradedLieAlgebra) -> ValidityReport:
             jacobi_witness = (algebra.basis[p].name, algebra.basis[q].name, algebra.basis[r].name)
             break
 
+    grading_ok = grading_witness is None
     # with every bracket graded, C^k(m) lies in degrees <= -k, so the negative
     # part is nilpotent; the lower central series only decides the rest
     nilpotent_ok = grading_ok or _negative_part_nilpotent(algebra)
     return ValidityReport(grading_ok, grading_witness, jacobi_witness is None, jacobi_witness, nilpotent_ok)
 
 
-def _add_bracket(acc: dict, table: dict, x: int, y: int, factor) -> None:
-    """acc += factor * [e_x, e_y], read from a bracket table (keys a < b)
-    without a copy."""
-    if x < y:
-        linalg.axpy(acc, factor, table.get((x, y), {}))
-    elif x > y:
-        linalg.axpy(acc, -factor, table.get((y, x), {}))
-
-
 def _negative_part_nilpotent(algebra: GradedLieAlgebra) -> bool:
+    """Whether the lower central series of the negative part reaches 0."""
     negative = [i for i in range(algebra.dim) if algebra.degree_of(i) < 0]
-    if not negative:
-        return True
     current = [{i: 1} for i in negative]
-    previous_rank = len(current)
-    for _ in range(algebra.dim + 1):
+    while True:
         produced = []
         for a in negative:
             for v in current:
                 w: dict[int, Rational] = {}
                 for c, x in v.items():
-                    _add_bracket(w, algebra._table, a, c, x)
+                    linalg.axpy(w, x, algebra.bracket_basis(a, c))
                 if w:
                     produced.append(w)
         if not produced:
             return True
+        rank = len(current)  # a pass that does not return lowers it
         current = linalg.rref(RatMatrix._of_rows(len(produced), algebra.dim, produced)).pivot_rows
-        if len(current) >= previous_rank:
+        if len(current) >= rank:
             return False
-        previous_rank = len(current)
-    return False
 
 
 def check_fundamental(symbol: GradedLieAlgebra) -> bool:

@@ -63,9 +63,9 @@ def symmetric_signature(rows) -> tuple[int, int]:
     integer matrix that clears its denominators, a positive multiple."""
     m = [[linalg._frac(x) for x in row] for row in rows]
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("signature needs a square matrix")
     for p in range(n):
-        if len(m[p]) != n:
-            raise ValueError("signature needs a square matrix")
         for q in range(p + 1, n):
             if m[p][q] != m[q][p]:
                 raise ValueError("signature needs a symmetric matrix")

@@ -117,12 +117,6 @@ def _normalize_map_basis(vectors, degree, layout):
     return maps_from_rows(degree, layout, echelon.pivot_rows)
 
 
-def leibniz_maps(symbol: GradedLieAlgebra, g_bases, degree: int):
-    """Basis of degree-`degree` maps satisfying the Leibniz identity."""
-    layout, matrix = leibniz_system(symbol, g_bases, degree)
-    return _normalize_map_basis(linalg.rref(matrix).nullspace(), degree, layout)
-
-
 def prolong_step(symbol: GradedLieAlgebra, g_bases):
     """Basis of the next prolongation degree from the computed tower.
 
@@ -131,7 +125,8 @@ def prolong_step(symbol: GradedLieAlgebra, g_bases):
     """
     if not g_bases:
         raise ValueError("g_bases must contain at least the degree-zero level")
-    return leibniz_maps(symbol, g_bases, len(g_bases))
+    layout, matrix = leibniz_system(symbol, g_bases, len(g_bases))
+    return _normalize_map_basis(linalg.rref(matrix).nullspace(), len(g_bases), layout)
 
 
 def spencer_kernel_from_system(system: SpencerSystem):

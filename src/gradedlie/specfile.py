@@ -124,6 +124,8 @@ def load_document(text: str) -> dict:
         raise SpecError(f"invalid JSON: {exc.msg}", f"line {exc.lineno} column {exc.colno}") from exc
     except ValueError:  # an integer beyond Python's limit on the digits of an int string
         raise SpecError(f"invalid JSON: {_TOO_LONG}") from None
+    except RecursionError:
+        raise SpecError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SpecError("the document must be a JSON object")
     return doc
@@ -229,38 +231,33 @@ def build_symbol(spec: AlgebraSpec) -> GradedLieAlgebra:
         return symbols.heisenberg(first) if kind == "heisenberg" else symbols.abelian(first)
 
     elements = [BasisElement(name, degree) for name, degree in spec.basis]
-    try:
-        index = {}
-        for i, (name, _) in enumerate(spec.basis):
-            if name in index:
-                raise SpecError(f"duplicate basis name {name!r}", "algebra.basis")
-            index[name] = i
-        table: dict[tuple[int, int], dict[int, Rational]] = {}
-        for entry_no, (left, right, terms) in enumerate(spec.brackets):
-            where = f"algebra.brackets[{entry_no}]"
-            for name in (left, right):
-                if name not in index:
-                    raise SpecError(f"unknown basis name {name!r}", where)
-            a, b = index[left], index[right]
-            if a == b:
-                raise SpecError("left and right must differ", where)
-            sign = 1
-            if a > b:
-                a, b = b, a
-                sign = -1
-            if (a, b) in table:
-                raise SpecError(f"bracket for pair ({left}, {right}) given twice", where)
-            resolved: dict[int, Rational] = {}
-            for name, coeff in terms:
-                if name not in index:
-                    raise SpecError(f"unknown basis name {name!r}", where)
-                resolved[index[name]] = resolved.get(index[name], 0) + sign * coeff
-            table[(a, b)] = resolved
-        return GradedLieAlgebra(elements, table)
-    except ValueError as exc:
-        if isinstance(exc, SpecError):
-            raise
-        raise SpecError(str(exc), "algebra") from exc
+    index = {}
+    for i, (name, _) in enumerate(spec.basis):
+        if name in index:
+            raise SpecError(f"duplicate basis name {name!r}", "algebra.basis")
+        index[name] = i
+    table: dict[tuple[int, int], dict[int, Rational]] = {}
+    for entry_no, (left, right, terms) in enumerate(spec.brackets):
+        where = f"algebra.brackets[{entry_no}]"
+        for name in (left, right):
+            if name not in index:
+                raise SpecError(f"unknown basis name {name!r}", where)
+        a, b = index[left], index[right]
+        if a == b:
+            raise SpecError("left and right must differ", where)
+        sign = 1
+        if a > b:
+            a, b = b, a
+            sign = -1
+        if (a, b) in table:
+            raise SpecError(f"bracket for pair ({left}, {right}) given twice", where)
+        resolved: dict[int, Rational] = {}
+        for name, coeff in terms:
+            if name not in index:
+                raise SpecError(f"unknown basis name {name!r}", where)
+            resolved[index[name]] = resolved.get(index[name], 0) + sign * coeff
+        table[(a, b)] = resolved
+    return GradedLieAlgebra(elements, table)
 
 
 def build_g0(spec: AlgebraSpec, symbol: GradedLieAlgebra) -> DegreeZeroAlgebra:
@@ -294,8 +291,6 @@ def bracket_entries(algebra: GradedLieAlgebra):
 
 def free_spec_document(r: int, mu: int) -> dict:
     """The specification document of the free nilpotent symbol, with full g0."""
-    if r < 1 or mu < 1:
-        raise ValueError("need r >= 1 and mu >= 1")
     symbol = free_nilpotent(r, mu)
     return {
         "schema_version": SCHEMA_VERSION,

@@ -21,7 +21,6 @@ from gradedlie import (
 from gradedlie import algebra as algebra_module
 from gradedlie import linalg, specfile
 from gradedlie.algebra import _flat_commutators, derivation_violation, map_layout, maps_from_rows
-from gradedlie.prolongation import leibniz_maps
 
 from conftest import bracket, canonical, make_eta3, unit_vector
 
@@ -383,11 +382,10 @@ def test_sparse_commutator_matches_dense_reference(make_g0):
 
 
 def test_sparse_commutator_of_perturbed_maps_matches_dense_reference():
-    # derivations straight from the Leibniz kernel, so no commutator is
-    # taken before the comparison; perturbed, seeded, they are no longer
+    # the full g0's derivations, perturbed, seeded, are no longer
     # derivations and their commutators leave the span
     symbol = free_nilpotent(3, 3)
-    derivations = leibniz_maps(symbol, [], 0)
+    derivations = degree_zero_derivations(symbol).generators
     rng = random.Random(7)
     perturbed = []
     for g in derivations[:6]:
@@ -396,7 +394,7 @@ def test_sparse_commutator_of_perturbed_maps_matches_dense_reference():
             col = rng.choice(blocks[rng.choice(sorted(blocks))])
             col[rng.randrange(len(col))] += F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
         perturbed.append(GradedLinearMap(0, blocks))
-    maps = perturbed + derivations[:3]
+    maps = perturbed + list(derivations[:3])
     layout = map_layout(symbol.dims_by_degree(), 0)
     pairs = [(s, t) for s in range(len(maps)) for t in range(len(maps))]
     flat = _flat_commutators(maps, layout, pairs)
@@ -442,6 +440,56 @@ def reference_jacobi_witness(algebra):
     return None
 
 
+def reference_grading_witness(algebra):
+    """Reference: the first pair a < b, in lexicographic order, whose
+    bracket has a term off the degree deg a + deg b."""
+    n = algebra.dim
+    for a in range(n):
+        for b in range(a + 1, n):
+            expected = algebra.degree_of(a) + algebra.degree_of(b)
+            if any(algebra.degree_of(c) != expected for c in algebra.bracket_basis(a, b)):
+                return (algebra.basis[a].name, algebra.basis[b].name)
+    return None
+
+
+def dense_row_basis(rows):
+    """Independent rows spanning `rows`, by plain Fraction elimination."""
+    basis = []  # (pivot, row with a 1 at the pivot and 0 at every earlier pivot)
+    for row in rows:
+        for p, b in basis:
+            if row[p]:
+                row = [x - row[p] * y for x, y in zip(row, b)]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is not None:
+            basis.append((lead, [x / row[lead] for x in row]))
+    return [b for _, b in basis]
+
+
+def reference_nilpotent(algebra):
+    """Reference: the lower central series C^1 = span of the negative basis,
+    C^(k+1) = span of [e_a, C^k] over the negative e_a, from dense copied
+    brackets, reaches 0 before its dimension stops falling (a Lie
+    algebra's series is descending, so it is constant from there on)."""
+    n = algebra.dim
+    negative = [a for a in range(n) if algebra.degree_of(a) < 0]
+    current = [unit_vector(algebra, a) for a in negative]
+    while current:
+        image = []
+        for a in negative:
+            for v in current:
+                w = [F(0)] * n
+                for c, x in enumerate(v):
+                    if x:
+                        for t, y in algebra.bracket_basis(a, c).items():
+                            w[t] += x * y
+                image.append(w)
+        spanned = dense_row_basis(image)
+        if len(spanned) >= len(current):
+            return False
+        current = spanned
+    return True
+
+
 @st.composite
 def antisymmetric_tables(draw, coefficients=st.sampled_from([-2, -1, 1, F(1, 2)])):
     """Algebras over a random sparse antisymmetric bracket table, Lie or not,
@@ -463,6 +511,9 @@ def test_jacobi_witness_matches_copying_reference_on_random_tables(algebra):
     report = check_validity(algebra)
     assert report.jacobi_witness == reference_jacobi_witness(algebra)
     assert report.jacobi_ok == (report.jacobi_witness is None)
+    assert report.grading_witness == reference_grading_witness(algebra)
+    assert report.grading_ok == (report.grading_witness is None)
+    assert report.nilpotent_ok == reference_nilpotent(algebra)
 
 
 def test_jacobi_check_matches_copying_reference(example5_result, terminated_algebras):
@@ -511,6 +562,8 @@ def test_jacobi_check_matches_copying_reference(example5_result, terminated_alge
             report = check_validity(corrupted)
             assert report.jacobi_witness == reference_jacobi_witness(corrupted)
             assert report.jacobi_ok == (report.jacobi_witness is None)
+            assert report.grading_witness == reference_grading_witness(corrupted)
+            assert report.nilpotent_ok == reference_nilpotent(corrupted)
             witnessed += report.jacobi_witness is not None
             ungraded += not report.grading_ok
     assert witnessed > 150 and ungraded > 30

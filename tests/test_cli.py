@@ -186,6 +186,13 @@ def test_malformed_json_is_a_parse_error(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "parse error: invalid JSON: nested too deeply\n"
+
+
 def test_unknown_name_is_a_parse_error(tmp_path, capsys):
     doc = {
         "schema_version": 1,
@@ -441,13 +448,18 @@ def test_reports_match_benchmark_golden_digests(corpus_dir):
         assert digest == golden[path.stem], path.name
 
 
-def test_traced_benchmark_names_resolve(corpus_dir):
-    # the traced benchmark rebinds these module attributes by name, so
-    # removing or renaming one breaks the traced run
+def _tracer(corpus_dir):
     path = corpus_dir.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_benchmark_names_resolve(corpus_dir):
+    # the traced benchmark rebinds these module attributes by name, so
+    # removing or renaming one breaks the traced run
+    tracer = _tracer(corpus_dir)
     missing = [
         f"{module}.{name}"
         for module, names in tracer.TRACED.items()
@@ -455,6 +467,17 @@ def test_traced_benchmark_names_resolve(corpus_dir):
         if not callable(getattr(importlib.import_module(f"gradedlie.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_traced_report_runs_under_the_benchmark_recorder(corpus_dir):
+    # the recorder also reads attributes of what the traced functions
+    # return: the unpacked rref result, the Spencer matrix, the
+    # express_in_basis basis
+    recorder = _tracer(corpus_dir).Recorder()
+    with recorder.installed(), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["prolong", str(corpus_dir / "cartan-25.json")]) == 0
+    assert recorder.spencer and recorder.matrices and recorder.express_rref
+    assert recorder.metrics(1)["normalization.build_spencer.calls"][0] == len(recorder.spencer)
 
 
 def test_report_rationals_reparse_exactly(corpus_dir, tmp_path):

@@ -342,6 +342,8 @@ def test_signature_of_permuted_direct_sums(case):
 def test_signature_validates_its_input():
     with pytest.raises(ValueError, match="square"):
         symmetric_signature([[1, 2]])
+    with pytest.raises(ValueError, match="square"):  # a short row after the first
+        symmetric_signature([[1, 2, 3], [2, 1, 0], [3]])
     with pytest.raises(ValueError, match="symmetric"):
         symmetric_signature([[1, 2], [3, 1]])
 

@@ -547,7 +547,7 @@ def quotient_by_top(symbol, rows):
     basis.  The top degree is central, so this is again a graded nilpotent
     Lie algebra; the basis keeps the top elements that are not pivots of
     the reduced rows, and a pivot element e_p becomes -sum_j w_p[j] e_j."""
-    top = symbol.indices_of_degree(-symbol.depth)
+    top = symbol.indices_of_degree(min(symbol.degrees))
     entries = [((r, c), x) for r, row in enumerate(rows) for c, x in enumerate(row)]
     echelon = linalg.rref(linalg.RatMatrix(len(rows), len(top), entries))
     gone = {top[p]: {top[c]: -x for c, x in row.items() if c != p}

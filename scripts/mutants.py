@@ -45,6 +45,11 @@ MUTANTS = (
     ("assemble-action-sign", "prolongation.py",
      "c, -p) for i, _, tgt in layout", "c, p) for i, _, tgt in layout",
      ["tests/test_prolongation.py::test_assemble_matches_the_fraction_reference"]),
+    ("seed-map-action-sign", "prolongation.py",
+     "brackets[(v, x)] = {indices[i + k][t]: -value for t, value in col.items()}",
+     "brackets[(v, x)] = {indices[i + k][t]: value for t, value in col.items()}",
+     ["tests/test_algebra.py::test_adjoin_g0_example5",
+      "tests/test_cli.py::test_reports_match_benchmark_golden_digests"]),
     ("assemble-lookup-sign-swapped", "prolongation.py",
      "((c, left), -sign * q) if c < left else ((left, c), sign * q)",
      "((c, left), sign * q) if c < left else ((left, c), -sign * q)",

@@ -9,7 +9,6 @@ from .algebra import (
     GradedLieAlgebra,
     GradedLinearMap,
     ValidityReport,
-    adjoin_g0,
     check_fundamental,
     check_validity,
 )
@@ -32,6 +31,7 @@ from .normalization import (
 from .prolongation import (
     InternalConsistencyError,
     ProlongationResult,
+    adjoin_g0,
     check_transitivity,
     prolong_step,
     universal_prolongation,

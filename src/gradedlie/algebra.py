@@ -1,8 +1,8 @@
 """Graded Lie algebras over Q given by a basis and structure constants.
 
 The same type houses the nilpotent symbol (negative degrees only), the
-extended algebra obtained by adjoining a degree-zero derivation subalgebra,
-and the fully assembled prolongation with positive degrees.  Brackets are
+algebra m + g0 that prolongation.adjoin_g0 assembles, and the fully
+assembled prolongation with positive degrees.  Brackets are
 stored once per index pair a < b as sparse coordinate dicts, and
 bracket_basis reads either orientation, applying antisymmetry as a sign; the
 grading and Jacobi checks read one integer copy, scaled by the lcm of
@@ -210,10 +210,13 @@ def check_validity(algebra: GradedLieAlgebra) -> ValidityReport:
 
 
 def _negative_part_nilpotent(algebra: GradedLieAlgebra) -> bool:
-    """Whether the lower central series of the negative part reaches 0."""
+    """Whether C^1 = m, C^(k+1) = [m, C^k] reaches 0, m the negative part.
+    The series of an ungraded table need not descend, but its tails C^k +
+    C^(k+1) + ... do, each the image of the one before: it reaches 0 within
+    dim passes or never, and never once a pass repeats its span."""
     negative = [i for i in range(algebra.dim) if algebra.degree_of(i) < 0]
     current = [{i: 1} for i in negative]
-    while True:
+    for _ in range(algebra.dim):
         produced = []
         for a in negative:
             for v in current:
@@ -224,10 +227,11 @@ def _negative_part_nilpotent(algebra: GradedLieAlgebra) -> bool:
                     produced.append(w)
         if not produced:
             return True
-        rank = len(current)  # a pass that does not return lowers it
-        current = linalg.rref(RatMatrix._of_rows(len(produced), algebra.dim, produced)).pivot_rows
-        if len(current) >= rank:
+        spanned = linalg.rref(RatMatrix._of_rows(len(produced), algebra.dim, produced)).pivot_rows
+        if spanned == current:  # reduced echelon rows, equal exactly when the spans are
             return False
+        current = spanned
+    return not current  # empty only for a table without negative elements
 
 
 def check_fundamental(symbol: GradedLieAlgebra) -> bool:
@@ -473,21 +477,23 @@ class DegreeZeroAlgebra:
     linear independence, and closure of the span under commutators; the
     commutator table is recorded as structure_constants[(s, t)], the sparse
     {generator index: value} coordinates of [generator s, generator t].
+    Errors name generator s as labels[s], by default "generator {s + 1}".
     """
 
-    def __init__(self, symbol: GradedLieAlgebra, generators):
+    def __init__(self, symbol: GradedLieAlgebra, generators, labels=None):
         if not symbol.has_only_negative_degrees():
             raise ValueError("the symbol must carry negative degrees only")
         self.symbol = symbol
         self.generators = tuple(generators)
+        labels = labels or [f"generator {s + 1}" for s in range(len(self.generators))]
         dims = symbol.dims_by_degree()
         self._layout = map_layout(dims, 0)
         shapes = {d: (n, n) for d, n in dims.items()}
         for idx, gen in enumerate(self.generators):
             if gen.degree != 0:
-                raise ValueError(f"generator {idx + 1} does not have degree 0")
+                raise ValueError(f"{labels[idx]} does not have degree 0")
             if gen.shapes != shapes:
-                raise ValueError(f"generator {idx + 1} does not match the graded dimensions of the symbol")
+                raise ValueError(f"{labels[idx]} does not match the graded dimensions of the symbol")
         flats = [g.flatten(self._layout) for g in self.generators]
         pairs = [(s, t) for s in range(len(flats)) for t in range(s + 1, len(flats))]
         comms = _flat_commutators(self.generators, self._layout, pairs)
@@ -498,38 +504,16 @@ class DegreeZeroAlgebra:
         for idx, gen in enumerate(self.generators):
             witness = derivation_violation(symbol, gen)
             if witness is not None:
-                raise ValueError(
-                    f"generator {idx + 1} is not a derivation: Leibniz fails on pair {witness}"
-                )
+                raise ValueError(f"{labels[idx]} is not a derivation: Leibniz fails on pair {witness}")
         for (s, t), coords in zip(pairs, coordinates):
             if coords is None:
-                raise ValueError(
-                    f"span not closed under commutator: [generator {s + 1}, generator {t + 1}] "
-                    "lies outside the span"
-                )
+                raise ValueError(f"span not closed under commutator: [{labels[s]}, {labels[t]}] "
+                                 "lies outside the span")
         self.structure_constants = dict(zip(pairs, coordinates))
 
     @property
     def dim(self) -> int:
         return len(self.generators)
-
-
-def seed_brackets(symbol: GradedLieAlgebra, g_bases, g0: DegreeZeroAlgebra, indices) -> dict:
-    """The brackets an algebra on the symbol and a tower of maps starts
-    from, keyed by index pairs a < b: the symbol's, [v, f] = -f(v) for every
-    map f of degree k in g_bases[k] (g_bases[0] the g0 generators) and the g0
-    commutator table; indices[d] lists the basis indices of degree d."""
-    brackets = {pair: symbol.bracket_basis(*pair) for pair in symbol.bracket_pairs()}
-    for k, base in enumerate(g_bases):
-        for f, x in zip(base, indices[k]):
-            for i in symbol.degrees:
-                for v, col in zip(indices[i], f.columns.get(i, ())):
-                    if col:  # [v, f] = -f(v)
-                        brackets[(v, x)] = {indices[i + k][t]: -value for t, value in col.items()}
-    for (s, t), coords in g0.structure_constants.items():
-        if coords:
-            brackets[(indices[0][s], indices[0][t])] = {indices[0][u]: x for u, x in coords.items()}
-    return brackets
 
 
 def require_same_symbol(symbol: GradedLieAlgebra, g0: DegreeZeroAlgebra) -> None:
@@ -538,21 +522,3 @@ def require_same_symbol(symbol: GradedLieAlgebra, g0: DegreeZeroAlgebra) -> None
     if g0.symbol is not symbol and (g0.symbol.basis, g0.symbol._table) != (symbol.basis, symbol._table):
         raise ValueError("g0 was built for a different symbol")
 
-
-def adjoin_g0(symbol: GradedLieAlgebra, g0: DegreeZeroAlgebra, names=None) -> GradedLieAlgebra:
-    """The graded algebra on symbol + g0 with [f, v] = f(v) for f in g0."""
-    require_same_symbol(symbol, g0)
-    n = symbol.dim
-    if names is None:
-        names = [f"g0_{j + 1}" for j in range(g0.dim)]
-    if len(names) != g0.dim:
-        raise ValueError("one name per generator required")
-    used = {e.name for e in symbol.basis}
-    for name in names:
-        if name in used:
-            raise ValueError(f"name {name!r} collides with a symbol basis name")
-        used.add(name)
-    basis = list(symbol.basis) + [BasisElement(name, 0) for name in names]
-    indices = {d: symbol.indices_of_degree(d) for d in symbol.degrees}
-    indices[0] = range(n, n + g0.dim)
-    return GradedLieAlgebra(basis, seed_brackets(symbol, [g0.generators], g0, indices))

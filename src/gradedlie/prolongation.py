@@ -12,8 +12,9 @@ blocks); the engine computes both and insists they agree, which makes every
 run a self-test of the whole constraint assembly.
 
 The assembled algebra starts from the symbol's brackets, [f, v] = f(v)
-for every computed map f and the degree-zero commutator table.  A bracket
-[x, y] of two non-negative elements of total degree D is the map
+for every computed map f and the degree-zero commutator table (for g0
+alone, the algebra m + g0 of adjoin_g0).  A bracket [x, y] of two
+non-negative elements of total degree D is the map
 
     v -> [[x, y], v] = [x, [y, v]] - [y, [x, v]]
 
@@ -45,7 +46,6 @@ from .algebra import (
     map_layout,
     maps_from_rows,
     require_same_symbol,
-    seed_brackets,
     tower_dims,
 )
 from .linalg import InternalConsistencyError, RatMatrix
@@ -276,14 +276,23 @@ def check_transitivity(result: ProlongationResult) -> TransitivityReport:
     return TransitivityReport(True, None, None)
 
 
+def adjoin_g0(symbol: GradedLieAlgebra, g0: DegreeZeroAlgebra) -> GradedLieAlgebra:
+    """The graded algebra m + g0 with [f, v] = f(v) for f in g0: the
+    assembly of the tower g0 alone, its basis named as in a report."""
+    require_same_symbol(symbol, g0)
+    return _assemble(symbol, [list(g0.generators)], g0, False)
+
+
 def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
     """The symbol plus the computed tower as one graded Lie algebra.
 
-    The brackets go into one sparse dict of exact rationals, seeded and then
-    filled degree by degree as the module docstring describes: actions[w]
-    lists [w, v] = -[v, w] for the symbol elements v as (column base of v,
-    c, coefficient) triples.  When the prolongation terminated, pairs whose
-    total degree exceeds the top computed degree (no basis) must vanish.
+    Tower element j + 1 of degree k is named g{k}_{j + 1}, with "_"
+    appended while the name is taken.  The brackets go into one sparse dict
+    of exact rationals, seeded and then filled degree by degree as the
+    module docstring describes: actions[w] lists [w, v] = -[v, w] for the
+    symbol elements v as (column base of v, c, coefficient) triples.  When
+    the prolongation terminated, pairs whose total degree exceeds the top
+    computed degree (no basis) must vanish.
     """
     dims = tower_dims(symbol, g_bases)
     kmax = len(g_bases) - 1
@@ -299,7 +308,16 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
             used.add(name)
             elements.append(BasisElement(name, k))
     position = {g: pos for idx in indices.values() for pos, g in enumerate(idx)}
-    brackets = seed_brackets(symbol, g_bases, g0, indices)
+    brackets = {pair: symbol.bracket_basis(*pair) for pair in symbol.bracket_pairs()}
+    for k, base in enumerate(g_bases):
+        for f, x in zip(base, indices[k]):
+            for i in symbol.degrees:
+                for v, col in zip(indices[i], f.columns.get(i, ())):
+                    if col:  # [v, f] = -f(v)
+                        brackets[(v, x)] = {indices[i + k][t]: -value for t, value in col.items()}
+    for (s, t), coords in g0.structure_constants.items():
+        if coords:
+            brackets[(indices[0][s], indices[0][t])] = {indices[0][u]: x for u, x in coords.items()}
     empty: dict[int, linalg.Rational] = {}
 
     for D in range(1, (2 * kmax if terminated else kmax) + 1):

@@ -243,5 +243,7 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
     layout = map_layout(symbol.dims_by_degree(), 0)
     matrix = RatMatrix._of_rows(len(converted), layout_offsets(layout)[1],
                                 [f.flat_entries(layout) for f in converted])
-    # rows are reduced in order, so the kept rows are the first independent subset
-    return DegreeZeroAlgebra(symbol, [converted[i] for i in linalg.rref(matrix).kept])
+    # rows are reduced in order, so the kept rows are the first independent
+    # subset; errors name each kept map by its place in `maps`
+    kept = linalg.rref(matrix).kept
+    return DegreeZeroAlgebra(symbol, [converted[i] for i in kept], [f"map {i + 1}" for i in kept])

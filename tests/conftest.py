@@ -78,11 +78,10 @@ def corpus_dir():
     return CORPUS
 
 
-@pytest.fixture(scope="session")
-def corpus_results(corpus_dir):
-    """name -> (spec, symbol, g0, prolongation result) for every corpus file."""
+def spec_results(directory):
+    """name -> (spec, symbol, g0, prolongation result) for every spec file in `directory`."""
     out = {}
-    for path in sorted(corpus_dir.glob("*.json")):
+    for path in sorted(directory.glob("*.json")):
         spec = specfile.parse_spec(specfile.load_document(path.read_text()))
         symbol = specfile.build_symbol(spec)
         g0 = specfile.build_g0(spec, symbol)
@@ -92,14 +91,20 @@ def corpus_results(corpus_dir):
 
 
 @pytest.fixture(scope="session")
-def terminated_algebras(corpus_results):
+def corpus_results(corpus_dir):
+    """name -> (spec, symbol, g0, prolongation result) for every corpus file."""
+    return spec_results(corpus_dir)
+
+
+@pytest.fixture(scope="session")
+def perfbench_results():
+    """name -> (spec, symbol, g0, prolongation result) for every perfbench spec."""
+    return spec_results(SPECS)
+
+
+@pytest.fixture(scope="session")
+def terminated_algebras(corpus_results, perfbench_results):
     """name -> assembled algebra of every corpus file and perfbench spec
     whose prolongation terminates."""
-    out = {name: result.algebra for name, (*_, result) in corpus_results.items() if result.terminated}
-    for path in sorted(SPECS.glob("*.json")):
-        spec = specfile.parse_spec(specfile.load_document(path.read_text()))
-        symbol = specfile.build_symbol(spec)
-        result = universal_prolongation(symbol, specfile.build_g0(spec, symbol), max_degree=spec.max_degree)
-        if result.terminated:
-            out[spec.name] = result.algebra
-    return out
+    runs = {**corpus_results, **perfbench_results}
+    return {name: result.algebra for name, (*_, result) in runs.items() if result.terminated}

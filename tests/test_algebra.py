@@ -70,6 +70,17 @@ def test_grading_violation_reported():
     assert report.grading_witness == ("X1", "X2")
     # [X1, X2] = X1 also makes the lower central series stabilize
     assert not report.nilpotent_ok
+    assert report.describe() == "grading violated at pair ('X1', 'X2'); negative part is not nilpotent"
+
+
+def test_ungraded_series_reaches_zero_after_its_rank_stalls():
+    # [e0, e1] = e2 of degree 1 and [e0, e2] = e3: the series of the negative
+    # part has ranks 3, 1, 1, 0, its spans <e2> and <e3> differ
+    table = GradedLieAlgebra([BasisElement("e0", -1), BasisElement("e1", -1), BasisElement("e2", 1),
+                              BasisElement("e3", -1)], {(0, 1): {2: 1}, (0, 2): {3: 1}})
+    report = check_validity(table)
+    assert report.nilpotent_ok and reference_nilpotent(table)
+    assert report.describe() == "grading violated at pair ('e0', 'e1')"
 
 
 def test_graded_algebra_skips_the_lower_central_series(example5_result, monkeypatch):
@@ -151,10 +162,8 @@ def test_public_constructor_checks_every_bracket():
     (lambda m, g: DegreeZeroAlgebra(adjoin_g0(m, DegreeZeroAlgebra(m, [g])), []), "negative degrees only"),
     (lambda m, g: DegreeZeroAlgebra(m, [GradedLinearMap(1, {})]), "generator 1 does not have degree 0"),
     (lambda m, g: DegreeZeroAlgebra(m, [g, g]), "linearly dependent"),
-    (lambda m, g: adjoin_g0(m, DegreeZeroAlgebra(m, [g]), names=[]), "one name per generator"),
-    (lambda m, g: adjoin_g0(m, DegreeZeroAlgebra(m, [g]), names=["X2"]), "'X2' collides"),
 ], ids=["duplicate-names", "missing-block", "block-height", "g0-of-graded",
-        "generator-degree", "dependent-generators", "name-count", "name-collision"])
+        "generator-degree", "dependent-generators"])
 def test_constructors_reject_invalid_arguments(eta3, build, message):
     grading = GradedLinearMap(0, {-1: [[1, 0], [0, 1]], -2: [[2]]})
     with pytest.raises((ValueError, KeyError), match=message):
@@ -466,14 +475,16 @@ def dense_row_basis(rows):
 
 
 def reference_nilpotent(algebra):
-    """Reference: the lower central series C^1 = span of the negative basis,
-    C^(k+1) = span of [e_a, C^k] over the negative e_a, from dense copied
-    brackets, reaches 0 before its dimension stops falling (a Lie
-    algebra's series is descending, so it is constant from there on)."""
+    """Reference: the series C^1 = span of the negative basis, C^(k+1) =
+    span of [e_a, C^k] over the negative e_a, from dense copied brackets,
+    reaches 0 within dim steps and before a step repeats its span (the
+    series is constant from there on)."""
     n = algebra.dim
     negative = [a for a in range(n) if algebra.degree_of(a) < 0]
     current = [unit_vector(algebra, a) for a in negative]
-    while current:
+    for _ in range(n):
+        if not current:
+            return True
         image = []
         for a in negative:
             for v in current:
@@ -484,10 +495,10 @@ def reference_nilpotent(algebra):
                             w[t] += x * y
                 image.append(w)
         spanned = dense_row_basis(image)
-        if len(spanned) >= len(current):
+        if len(spanned) == len(current) == len(dense_row_basis(current + spanned)):
             return False
         current = spanned
-    return True
+    return not current
 
 
 @st.composite

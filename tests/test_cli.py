@@ -163,6 +163,21 @@ def test_check_rejects_non_derivation_span(tmp_path, capsys):
     assert "X1" in err and "X2" in err
 
 
+def test_check_names_the_span_map_as_given(tmp_path, capsys):
+    # the second map repeats the first and is dropped; the third is no derivation
+    doc = {
+        "schema_version": 1,
+        "name": "span-numbering",
+        "algebra": {"preset": "heisenberg:1"},
+        "g0": {"mode": "span", "maps": [[[1, 0, 0], [0, 1, 0], [0, 0, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+                                         [[1, 0, 0], [0, 0, 0], [0, 0, 0]]]},
+    }
+    path = tmp_path / "span-numbering.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", str(path)]) == 1
+    assert "validation failure: map 3 is not a derivation" in capsys.readouterr().err
+
+
 def test_check_rejects_non_fundamental_symbol(tmp_path, capsys):
     doc = {
         "schema_version": 1,

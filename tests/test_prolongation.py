@@ -2,7 +2,6 @@ import dataclasses
 import functools
 from fractions import Fraction
 from math import comb
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,8 +25,8 @@ from gradedlie import (
     prolong_step,
     universal_prolongation,
 )
-from gradedlie import linalg, prolongation, specfile
-from gradedlie.algebra import DegreeZeroAlgebra, layout_offsets, map_layout, seed_brackets, tower_dims
+from gradedlie import linalg, prolongation
+from gradedlie.algebra import DegreeZeroAlgebra, layout_offsets, map_layout, tower_dims
 from gradedlie.prolongation import (
     InternalConsistencyError,
     _assemble,
@@ -245,8 +244,19 @@ def test_g0_given_as_a_list_of_maps(eta3, lambda_g0, example5_result):
 def test_assembled_names_step_around_symbol_names():
     m = GradedLieAlgebra([BasisElement("X1", -1), BasisElement("X2", -1), BasisElement("g0_1", -2)],
                          {(0, 1): {2: 1}})
-    result = universal_prolongation(m, custom_g0(m, [LAMBDA_1, LAMBDA_2]))
+    g0 = custom_g0(m, [LAMBDA_1, LAMBDA_2])
+    result = universal_prolongation(m, g0)
     assert [e.name for e in result.algebra.basis] == ["X1", "X2", "g0_1", "g0_1_", "g0_2", "g1_1", "g1_2", "g2_1"]
+    assert [e.name for e in adjoin_g0(m, g0).basis] == ["X1", "X2", "g0_1", "g0_1_", "g0_2"]
+
+
+def test_adjoin_g0_is_the_degree_zero_part_of_the_prolongation(corpus_results, perfbench_results):
+    # the same names, degrees and brackets as the assembled algebra below
+    # the first element of degree 1
+    for name, (_, symbol, g0, result) in {**corpus_results, **perfbench_results}.items():
+        extended, n = adjoin_g0(symbol, g0), symbol.dim + g0.dim
+        assert extended.basis == result.algebra.basis[:n], name
+        assert extended._table == {(a, b): terms for (a, b), terms in result.algebra._table.items() if b < n}, name
 
 
 def test_determinism(eta3, lambda_g0):
@@ -387,7 +397,16 @@ def reference_table(symbol, g_bases, g0, terminated):
         indices[k] = range(start, start + len(base))
         start += len(base)
     position = {g: pos for idx in indices.values() for pos, g in enumerate(idx)}
-    brackets = seed_brackets(symbol, g_bases, g0, indices)
+    brackets = {pair: symbol.bracket_basis(*pair) for pair in symbol.bracket_pairs()}
+    for k, base in enumerate(g_bases):
+        for f, x in zip(base, indices[k]):
+            for v in range(symbol.dim):
+                i = symbol.degree_of(v)
+                if i in f.columns:  # [v, f] = -f(v), from the dense image
+                    image = f.image_of_basis(i, symbol.position_in_degree(v))
+                    brackets[(v, x)] = {indices[i + k][t]: -value for t, value in enumerate(image) if value}
+    for (s, t), coords in g0.structure_constants.items():
+        brackets[(indices[0][s], indices[0][t])] = {indices[0][u]: value for u, value in coords.items()}
 
     def bracket(a, b):
         if a < b:
@@ -452,13 +471,8 @@ def seed_scale(algebra):
     return linalg._integral(seeded)[1]
 
 
-def test_assemble_matches_the_fraction_reference(corpus_results):
-    results = {name: result for name, (*_, result) in corpus_results.items()}
-    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench" / "specs").glob("*.json")):
-        spec = specfile.parse_spec(specfile.load_document(path.read_text()))
-        symbol = specfile.build_symbol(spec)
-        g0 = specfile.build_g0(spec, symbol)
-        results[spec.name] = universal_prolongation(symbol, g0, max_degree=spec.max_degree)
+def test_assemble_matches_the_fraction_reference(corpus_results, perfbench_results):
+    results = {name: result for name, (*_, result) in {**corpus_results, **perfbench_results}.items()}
     results["contact-n1-rescaled"] = contact_rescaled()
     scales = {}
     for name, result in results.items():

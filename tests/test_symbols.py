@@ -252,6 +252,20 @@ def test_custom_g0_rejects_non_derivation(eta3):
         custom_g0(eta3, [[[1, 0, 0], [0, 0, 0], [0, 0, 0]]])
 
 
+def test_custom_g0_errors_number_the_maps_as_given(eta3):
+    # the second map repeats the first and is dropped; the errors still
+    # name the third map by its place in the list, not in the kept subset
+    not_derivation = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    with pytest.raises(ValueError, match=r"^map 3 is not a derivation: Leibniz fails on pair \('X1', 'X2'\)$"):
+        custom_g0(eta3, [LAMBDA_1, LAMBDA_1, not_derivation])
+    degree_one = GradedLinearMap(1, {-1: [[1, 0], [0, -1]], -2: [[0]]})
+    with pytest.raises(ValueError, match="^map 3 does not have degree 0$"):
+        custom_g0(eta3, [LAMBDA_1, LAMBDA_1, degree_one])
+    raising, lowering = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+    with pytest.raises(ValueError, match=r"\[map 1, map 3\] lies outside the span"):
+        custom_g0(eta3, [raising, raising, lowering])
+
+
 def test_custom_g0_rejects_non_grading_preserving(eta3):
     skew = [[0, 0, 0], [0, 0, 0], [1, 0, 0]]  # sends X1 into degree -2
     with pytest.raises(ValueError, match="grading"):

@@ -90,6 +90,16 @@ MUTANTS = (
     ("spencer-restriction-sign", "normalization.py",
      "restricted[a1 * dv + u][t] = -value", "restricted[a1 * dv + u][t] = value",
      ["tests/test_normalization.py::test_split_elimination_matches_the_whole_matrix[abelian-gl-1]"]),
+    ("spencer-restriction-rows-copy-major", "normalization.py",
+     "            for v1 in range(self.restriction.rows // dv):\n"
+     "                for copy in range(first, first + count):\n",
+     "            for copy in range(first, first + count):\n"
+     "                for v1 in range(self.restriction.rows // dv):\n",
+     ["tests/test_normalization.py::test_split_elimination_matches_the_whole_matrix",
+      "tests/test_cli.py::test_reports_match_benchmark_golden_digests"]),
+    ("spencer-kernel-without-check", "prolongation.py",
+     "if system.copies and system.restriction_echelon.rank < system.restriction.cols:", "if False:",
+     ["tests/test_prolongation.py::test_spencer_kernel_rejects_a_restriction_without_full_column_rank"]),
     ("extension-rhs-sign", "symbols.py",
      "{r: -sum(", "{r: sum(",
      ["tests/test_symbols.py::test_custom_g0_grading_element_from_top_block"]),

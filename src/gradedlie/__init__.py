@@ -16,7 +16,6 @@ from .diagnostics import (
     KillingData,
     center,
     fingerprint,
-    graded_pairing_check,
     is_semisimple,
     killing_form,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "degree_zero_derivations",
     "fingerprint",
     "free_nilpotent",
-    "graded_pairing_check",
     "heisenberg",
     "is_semisimple",
     "killing_form",

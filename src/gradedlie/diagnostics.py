@@ -128,18 +128,6 @@ def is_semisimple(algebra: GradedLieAlgebra) -> bool:
     return killing_form(algebra).nondegenerate
 
 
-def graded_pairing_check(algebra: GradedLieAlgebra) -> bool:
-    """k(g^i, g^j) = 0 whenever i + j != 0; a structure-constant self-test."""
-    return _graded_pairing_ok(algebra, killing_form(algebra))
-
-
-def _graded_pairing_ok(algebra: GradedLieAlgebra, data: KillingData) -> bool:
-    return not any(
-        value and algebra.degree_of(a) + algebra.degree_of(b) != 0
-        for (a, b), value in data.matrix.items()
-    )
-
-
 def center(algebra: GradedLieAlgebra):
     """Basis of the center, from the stacked adjoint conditions."""
     n = algebra.dim
@@ -163,5 +151,7 @@ def fingerprint(algebra: GradedLieAlgebra) -> dict:
         "killing_nondegenerate": data.nondegenerate,
         "semisimple": data.nondegenerate,
         "center_dimension": len(center(algebra)),
-        "graded_pairing_ok": _graded_pairing_ok(algebra, data),
+        # k(g^i, g^j) = 0 whenever i + j != 0: a structure-constant self-test
+        "graded_pairing_ok": not any(value and algebra.degree_of(a) + algebra.degree_of(b)
+                                     for (a, b), value in data.matrix.items()),
     }

@@ -19,10 +19,13 @@ The rest, Hom(g^-1 (x) g^i, g^{k-1}) against Hom(g^i, g^k), has the single
 term [v1, f(v2)] = -f(v2)(v1): it is I (x) R up to a row interleaving (Van
 Loan, "The ubiquitous Kronecker product", 2000), one copy of the restriction
 matrix R (rows (v1, u), columns t, entries -g_k[t](v1)[u]) per basis element
-v2 of degrees 0..k-1, row (v1, v2, u) being row (v1, u) of copy v2.  Each
-block is eliminated once: the kernel is ker N exactly when R has full column
-rank, the image has dimension rank N + copies * rank R, and the complement is
-the rows of N and, in every copy, of R that elimination did not keep.
+v2 of degrees 0..k-1, row (v1, v2, u) being row (v1, u) of copy v2.  A
+system is therefore N with its column layout, R and the copy counts
+d_0, ..., d_{k-1} (d_i = dim g^i), and with c = d_0 + ... + d_{k-1} the
+domain has dimension cols N + c cols R and the target rows N + c rows R.
+Each block is eliminated once: the kernel is ker N exactly when R has full
+column rank, the image has dimension rank N + c rank R, and the complement
+is the rows of N and, in every copy, of R that elimination did not keep.
 """
 
 from __future__ import annotations
@@ -37,36 +40,13 @@ from .linalg import RatMatrix
 
 
 @dataclass(frozen=True)
-class DomainBlock:
-    kind: str       # "neg" or "pos"
-    degree: int     # domain degree i
-    dim_domain: int
-    dim_target: int
-
-    @property
-    def size(self) -> int:
-        return self.dim_domain * self.dim_target
-
-
-@dataclass(frozen=True)
-class TargetBlock:
-    kind: str       # "tensor", "wedge" or "pos"
-    degree: int     # second-argument degree i (wedge uses -1)
-    pairs: int      # number of (v1, v2) argument pairs
-    dim_value: int  # dimension of the value space
-
-    @property
-    def size(self) -> int:
-        return self.pairs * self.dim_value
-
-
-@dataclass(frozen=True)
 class SpencerSystem:
     k: int
-    domain_layout: tuple[DomainBlock, ...]
-    target_layout: tuple[TargetBlock, ...]
-    negative: RatMatrix     # N: tensor and wedge rows against the "neg" columns
-    restriction: RatMatrix  # R: rows (v1, u), columns t, entries -g_k[t](v1)[u]
+    layout: tuple[tuple[int, int, int], ...]  # N's column blocks (i, dim g^i, dim g^(i+k+1))
+    copies: tuple[int, ...]  # copies of R on each degree i = 0..k-1 (dim g^i); () when R has no rows
+    value_dim: int           # dim g^(k-1): row (v1, u) of R is row v1 * value_dim + u
+    negative: RatMatrix      # N: the tensor and wedge rows against the i < 0 columns
+    restriction: RatMatrix   # R: rows (v1, u), columns t, entries -g_k[t](v1)[u]
 
     @cached_property
     def negative_echelon(self) -> linalg.Echelon:
@@ -80,30 +60,23 @@ class SpencerSystem:
 
     @property
     def domain_dim(self) -> int:
-        return sum(b.size for b in self.domain_layout)
+        return self.negative.cols + sum(self.copies) * self.restriction.cols
 
     @property
     def target_dim(self) -> int:
-        return sum(b.size for b in self.target_layout)
-
-    @property
-    def copies(self) -> int:
-        """Number of copies of R in the non-negative part."""
-        return sum(b.size // self.restriction.rows for b in self.target_layout if b.kind == "pos")
+        return self.negative.rows + sum(self.copies) * self.restriction.rows
 
     def restriction_rows(self):
-        """(target row, copy, row of R) for every non-negative target row, ascending."""
-        rows = self.restriction.rows
-        row, copy = self.negative.rows, 0
-        for block in self.target_layout:
-            if block.kind == "pos":
-                copies, dv = block.size // rows, block.dim_value
-                for a1 in range(rows // dv):
-                    for t2 in range(copies):
-                        for u in range(dv):
-                            yield row, copy + t2, a1 * dv + u
-                            row += 1
-                copy += copies
+        """(target row, copy, row of R) for every non-negative target row,
+        ascending: row (v1, v2, u) of each degree's block, v1 outer."""
+        row, first, dv = self.negative.rows, 0, self.value_dim
+        for count in self.copies:
+            for v1 in range(self.restriction.rows // dv):
+                for copy in range(first, first + count):
+                    for u in range(dv):
+                        yield row, copy, v1 * dv + u
+                        row += 1
+            first += count
 
     @property
     def matrix(self) -> RatMatrix:
@@ -113,10 +86,6 @@ class SpencerSystem:
             offset = self.negative.cols + copy * self.restriction.cols
             rows[row] = {offset + t: value for t, value in self.restriction._rows.get(r, {}).items()}
         return RatMatrix._of_rows(self.target_dim, self.domain_dim, rows)
-
-    def negative_map_layout(self) -> list[tuple[int, int, int]]:
-        """The map_layout of N's columns."""
-        return [(b.degree, b.dim_domain, b.dim_target) for b in self.domain_layout if b.kind == "neg"]
 
 
 def build_spencer(symbol: GradedLieAlgebra, g_bases, k: int) -> SpencerSystem:
@@ -131,24 +100,17 @@ def build_spencer(symbol: GradedLieAlgebra, g_bases, k: int) -> SpencerSystem:
     n1, dv, dk = dims.get(-1, 0), dims.get(k - 1, 0), dims.get(k, 0)
     neg_degrees = sorted(d for d in dims if d < 0)
 
-    domain, offsets, ncols = [], {}, 0  # offsets[i]: first column of the block on g^i
+    layout, offsets, ncols = [], {}, 0  # offsets[i]: first column of the block on g^i
     for i in neg_degrees:
         if dims[i] and dims.get(i + k + 1, 0):
-            domain.append(DomainBlock("neg", i, dims[i], dims[i + k + 1]))
-            offsets[i], ncols = ncols, ncols + domain[-1].size
-    domain += [DomainBlock("pos", i, dims[i], dk) for i in range(k) if dims.get(i, 0) and dk]
-
-    target = [TargetBlock("tensor", i, n1 * dims[i], dims[i + k])
-              for i in neg_degrees if i != -1 and n1 and dims[i] and dims.get(i + k, 0)]
-    if n1 > 1 and dv:
-        target.append(TargetBlock("wedge", -1, n1 * (n1 - 1) // 2, dv))
-    target += [TargetBlock("pos", i, n1 * dims[i], dv) for i in range(k) if n1 and dims.get(i, 0) and dv]
+            layout.append((i, dims[i], dims[i + k + 1]))
+            offsets[i], ncols = ncols, ncols + dims[i] * dims[i + k + 1]
 
     top = symbol.indices_of_degree(-1)
-    pairs = [(a1, a2) for b in target if b.kind == "tensor"
-             for a1 in top for a2 in symbol.indices_of_degree(b.degree)]
-    pairs += [(top[p], top[q]) for b in target if b.kind == "wedge"
-              for p in range(n1) for q in range(p + 1, n1)]
+    pairs = [(a1, a2) for i in neg_degrees if i != -1 and dims.get(i + k, 0)
+             for a1 in top for a2 in symbol.indices_of_degree(i)]
+    if dv:
+        pairs += [(top[p], top[q]) for p in range(n1) for q in range(p + 1, n1)]
 
     def col(i, a, t):  # entry t of f(e) for e the a-th basis element of g^i
         return offsets[i] + a * dims[i + k + 1] + t
@@ -191,7 +153,8 @@ def build_spencer(symbol: GradedLieAlgebra, g_bases, k: int) -> SpencerSystem:
             for u, value in column.items():
                 restricted[a1 * dv + u][t] = -value
     restriction = RatMatrix._of_rows(n1 * dv, dk, restricted) if k else RatMatrix(0, 0)
-    return SpencerSystem(k, tuple(domain), tuple(target), negative, restriction)
+    copies = tuple(dims[i] for i in range(k)) if n1 and dv else ()
+    return SpencerSystem(k, tuple(layout), copies, dv, negative, restriction)
 
 
 @dataclass(frozen=True)
@@ -217,7 +180,7 @@ def normalization_report(system: SpencerSystem) -> NormalizationReport:
     complement = tuple(negative.complement()) + tuple(
         row for row, _, r in system.restriction_rows() if r not in kept
     )
-    image = negative.rank + system.copies * restriction.rank
+    image = negative.rank + sum(system.copies) * restriction.rank
     report = NormalizationReport(
         k=system.k,
         dim_target=system.target_dim,

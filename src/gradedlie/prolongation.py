@@ -136,12 +136,11 @@ def spencer_kernel_from_system(system: SpencerSystem):
     is, R has full column rank; this is checked rather than assumed.  The
     kernel is then the kernel of the negative block N.
     """
-    if system.domain_dim > system.negative.cols and system.restriction_echelon.rank < system.restriction.cols:
+    if system.copies and system.restriction_echelon.rank < system.restriction.cols:
         raise InternalConsistencyError(
             f"Spencer kernel element at k={system.k} has a nonzero non-negative block"
         )
-    layout = system.negative_map_layout()
-    return _normalize_map_basis(system.negative_echelon.nullspace(), system.k + 1, layout)
+    return _normalize_map_basis(system.negative_echelon.nullspace(), system.k + 1, system.layout)
 
 
 def _disagreement(degree, leibniz, spencer, layout) -> str:
@@ -213,7 +212,7 @@ def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = 10) -
         system = build_spencer(symbol, g_bases, d - 1)
         kernel = spencer_kernel_from_system(system)
         if kernel != new_basis:
-            raise InternalConsistencyError(_disagreement(d, new_basis, kernel, system.negative_map_layout()))
+            raise InternalConsistencyError(_disagreement(d, new_basis, kernel, system.layout))
         reports.append(normalization_report(system))
         if not new_basis:
             terminated = True

@@ -210,6 +210,8 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
     for idx, item in enumerate(maps):
         try:
             if isinstance(item, GradedLinearMap):
+                if item.degree != 0:
+                    raise ValueError(f"map {idx + 1} does not have degree 0")
                 if item.shapes != shapes:
                     raise ValueError(f"map {idx + 1} does not match the graded dimensions of the symbol")
                 converted.append(item)

@@ -13,7 +13,6 @@ from gradedlie import (
     degree_zero_derivations,
     fingerprint,
     free_nilpotent,
-    graded_pairing_check,
     is_semisimple,
     killing_form,
     universal_prolongation,
@@ -45,7 +44,7 @@ def test_nilpotent_killing_form_vanishes(eta3):
     assert data.rank == 0
     assert not data.nondegenerate
     assert not is_semisimple(eta3)
-    assert graded_pairing_check(eta3)
+    assert fingerprint(eta3)["graded_pairing_ok"]
 
 
 def test_center_of_eta3(eta3):
@@ -202,14 +201,14 @@ def test_m25_prolongation_matches_split_octonion_derivations(m25):
 
 
 def test_graded_pairing_on_terminated_runs(example5_result):
-    assert graded_pairing_check(example5_result.algebra)
+    assert fingerprint(example5_result.algebra)["graded_pairing_ok"]
 
 
 def test_graded_pairing_across_corpus(corpus_results):
     checked = []
     for name, (_, _, _, result) in sorted(corpus_results.items()):
         if result.terminated:
-            assert graded_pairing_check(result.algebra), name
+            assert fingerprint(result.algebra)["graded_pairing_ok"], name
             checked.append(name)
     assert checked
 

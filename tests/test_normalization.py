@@ -13,7 +13,7 @@ from gradedlie import (
     universal_prolongation,
 )
 from gradedlie.linalg import RatMatrix
-from gradedlie.normalization import DomainBlock, SpencerSystem, TargetBlock
+from gradedlie.normalization import SpencerSystem
 from gradedlie.prolongation import _normalize_map_basis, spencer_kernel_from_system
 from gradedlie.symbols import EuclideanForm
 from test_linalg import transpose
@@ -32,8 +32,9 @@ def test_example5_degree_zero_system(eta3, lambda_g0):
     system = build_spencer(eta3, [list(lambda_g0.generators)], 0)
     assert system.domain_dim == 6   # Hom(g^-1, g^0) + Hom(g^-2, g^-1)
     assert system.target_dim == 4   # Hom(g^-1 (x) g^-2, g^-2) + Hom(/\^2 g^-1, g^-1)
-    kinds = [(b.kind, b.degree) for b in system.target_layout]
-    assert kinds == [("tensor", -2), ("wedge", -1)]
+    # N's columns on g^-2 and g^-1; no copies of R at k = 0
+    assert system.layout == ((-2, 1, 2), (-1, 2, 2))
+    assert system.copies == ()
     report = normalization_report(system)
     assert (report.dim_image, report.dim_kernel, report.dim_complement) == (4, 2, 0)
     assert report.complement_indices == ()
@@ -58,7 +59,7 @@ def test_trivial_g0_leaves_only_lower_blocks(eta3):
         with pytest.raises(ValueError, match="outside the computed range"):
             build_spencer(eta3, [[]], k)
     system = build_spencer(eta3, [[]], 0)
-    assert [b.degree for b in system.domain_layout] == [-2]
+    assert [i for i, _, _ in system.layout] == [-2]
     assert system.domain_dim == 2
     assert system.target_dim == 4
     report = normalization_report(system)
@@ -68,8 +69,9 @@ def test_trivial_g0_leaves_only_lower_blocks(eta3):
 def test_zero_matrix_system_complement_is_everything():
     system = SpencerSystem(
         k=0,
-        domain_layout=(DomainBlock("neg", -1, 1, 2),),
-        target_layout=(TargetBlock("wedge", -1, 1, 3),),
+        layout=((-1, 1, 2),),
+        copies=(),
+        value_dim=3,
         negative=RatMatrix(3, 2),
         restriction=RatMatrix(0, 0),
     )
@@ -77,6 +79,25 @@ def test_zero_matrix_system_complement_is_everything():
     assert report.dim_complement == report.dim_target == 3
     assert report.complement_indices == (0, 1, 2)
     assert report.dim_kernel == 2
+
+
+@pytest.mark.parametrize("path", INSTANCES, ids=lambda path: path.stem)
+def test_spencer_dimensions_match_the_closed_forms(path):
+    # the sums of the module docstring, d_i = dim g^i, n1 = d_-1
+    spec = specfile.parse_spec(specfile.load_document(path.read_text()))
+    symbol = specfile.build_symbol(spec)
+    result = universal_prolongation(symbol, specfile.build_g0(spec, symbol), max_degree=spec.max_degree)
+    bases = [list(b) for b in result.bases]
+    d = result.dims.get
+    n1, negative = d(-1, 0), [i for i in result.dims if i < 0]
+    for report in result.normalization:
+        k = report.k
+        domain = sum(d(i) * d(i + k + 1, 0) for i in negative) + sum(d(i) * d(k) for i in range(k))
+        target = (sum(n1 * d(i) * d(i + k, 0) for i in negative if i <= -2)
+                  + n1 * (n1 - 1) // 2 * d(k - 1, 0) + sum(n1 * d(i) * d(k - 1) for i in range(k)))
+        system = build_spencer(symbol, bases[: k + 1], k)
+        assert (system.domain_dim, system.target_dim) == (domain, target), f"k={k}"
+        assert (report.dim_image + report.dim_kernel, report.dim_target) == (domain, target), f"k={k}"
 
 
 def test_degree_zero_operator_matches_classical_spencer():
@@ -147,22 +168,17 @@ def whole_operator(symbol, bases, system):
     [v1, f(v2)] = -f(v2)(v1) written block by block, pair by pair."""
     k, n1 = system.k, symbol.dim_of_degree(-1)
     entries = dict(system.negative.items())
-    offsets, col = {}, system.negative.cols
-    for block in system.domain_layout:
-        if block.kind == "pos":
-            offsets[block.degree], col = col, col + block.size
-    row = system.negative.rows
-    for block in system.target_layout:
-        if block.kind != "pos":
-            continue
+    row, col = system.negative.rows, system.negative.cols
+    for i in range(k):
         for a1 in range(n1):
-            for t2 in range(len(bases[block.degree])):
+            for t2 in range(len(bases[i])):
                 for t, f in enumerate(bases[k]):
                     for u, value in enumerate(f.image_of_basis(-1, a1)):
                         if value:
-                            entries[(row + u, offsets[block.degree] + t2 * len(bases[k]) + t)] = -value
-                row += block.dim_value
-    return RatMatrix(system.target_dim, system.domain_dim, entries)
+                            entries[(row + u, col + t2 * len(bases[k]) + t)] = -value
+                row += len(bases[k - 1])
+        col += len(bases[i]) * len(bases[k])
+    return RatMatrix(row, col, entries)
 
 
 @pytest.mark.parametrize("path", INSTANCES, ids=lambda path: path.stem)
@@ -183,5 +199,5 @@ def test_split_elimination_matches_the_whole_matrix(path):
         kernel = whole.nullspace()
         width = system.negative.cols
         assert not any(c >= width for v in kernel for c in v), f"k={k}"
-        maps = _normalize_map_basis(kernel, k + 1, system.negative_map_layout())
+        maps = _normalize_map_basis(kernel, k + 1, system.layout)
         assert maps == spencer_kernel_from_system(system), f"k={k}"

@@ -112,7 +112,7 @@ def test_spencer_kernel_nonnegative_blocks_vanish_raw():
     g_bases = [list(b) for b in result.bases]
     for k in (1, 2):
         system = build_spencer(m, g_bases[: k + 1], k)
-        assert any(block.kind == "pos" for block in system.domain_layout)
+        assert system.copies and system.restriction.cols  # the domain has non-negative blocks
         for vector in linalg.nullspace(system.matrix):
             positive = vector[system.negative.cols:]  # the non-negative blocks come last
             assert not any(positive)

@@ -266,6 +266,16 @@ def test_custom_g0_errors_number_the_maps_as_given(eta3):
         custom_g0(eta3, [raising, raising, lowering])
 
 
+def test_custom_g0_rejects_a_map_of_nonzero_degree_that_repeats_an_earlier_map():
+    # the degree-1 map has the block shapes of a degree-0 map on heisenberg(1)
+    # and flattens to the entries of the first map, so it would be dropped as
+    # dependent before DegreeZeroAlgebra saw its degree
+    grading = [[1, 0, 0], [0, 0, 0], [0, 0, 1]]
+    degree_one = GradedLinearMap(1, {-1: [[1, 0], [0, 0]], -2: [[1]]})
+    with pytest.raises(ValueError, match="^map 2 does not have degree 0$"):
+        custom_g0(heisenberg(1), [grading, degree_one])
+
+
 def test_custom_g0_rejects_non_grading_preserving(eta3):
     skew = [[0, 0, 0], [0, 0, 0], [1, 0, 0]]  # sends X1 into degree -2
     with pytest.raises(ValueError, match="grading"):

@@ -10,7 +10,9 @@ seconds, the seconds spent building and checking g0 (``specfile.build_g0``)
 and assembling the bracket table (``prolongation._assemble``), the child's
 own peak RSS, the byte length and
 sha256 of the report and its graded dimensions; it also records the line
-count of src/gradedlie/*.py.  The report goes to a file and is hashed in
+count of src/gradedlie/*.py and the median wall seconds of 15 fresh
+interpreters that only import gradedlie.cli, the start-up every command
+pays.  The report goes to a file and is hashed in
 chunks, so this script never holds it in memory.  --root measures the src/
 of another checkout, so two versions can be compared on the same machine.
 
@@ -32,6 +34,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -43,6 +46,7 @@ INSTANCES = (("heisenberg:2", 3), ("heisenberg:3", 2), ("heisenberg:3", 3),
              ("heisenberg:3", 4), ("heisenberg:4", 4), ("heisenberg:5", 3),
              ("heisenberg:5", 4))
 TIMEOUT_S = 900
+STARTS = 15
 
 # Runs the CLI with specfile.build_g0 and prolongation._assemble timed and
 # prints, as the last stderr line, a JSON object with their seconds, the
@@ -81,6 +85,17 @@ def contact_dimensions(n: int, max_degree: int) -> dict[str, int]:
     to max_degree, keyed as the report's dimensions are."""
     return {str(k): sum(math.comb(2 * n + k + 1 - 2 * j, 2 * n - 1) for j in range((k + 2) // 2 + 1))
             for k in range(-2, max_degree + 1)}
+
+
+def startup_seconds(src: Path) -> float:
+    """Median wall seconds from a fresh interpreter to gradedlie.cli imported."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    times = []
+    for _ in range(STARTS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import gradedlie.cli"], env=env, check=True, timeout=60)
+        times.append(time.perf_counter() - start)
+    return round(statistics.median(times), 4)
 
 
 def run_instance(src: Path, workdir: Path, algebra: str, max_degree: int) -> dict:
@@ -136,6 +151,7 @@ def main() -> int:
     document = {
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version()},
         "src_lines": sum(len(f.read_text().splitlines()) for f in files),
+        "startup_s": startup_seconds(src),
         "timeout_s": TIMEOUT_S,
         "instances": [],
     }

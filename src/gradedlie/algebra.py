@@ -24,14 +24,13 @@ in sparse generator coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .linalg import RatMatrix, Rational
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     name: str
     degree: int
 
@@ -124,8 +123,7 @@ class GradedLieAlgebra:
         return {c: -v for c, v in flipped.items()}
 
 
-@dataclass
-class ValidityReport:
+class ValidityReport(NamedTuple):
     grading_ok: bool
     grading_witness: tuple[str, str] | None
     jacobi_ok: bool

@@ -154,7 +154,7 @@ def _report_document(name, g0, result, diag) -> dict:
         "total_dimension": result.total_dimension,
         "basis": [{"name": e.name, "degree": e.degree} for e in algebra.basis],
         "structure_constants": specfile.bracket_entries(algebra),
-        "normalization": [vars(rep) for rep in result.normalization],  # fields in order, no copies
+        "normalization": [rep._asdict() for rep in result.normalization],  # fields in order
         "diagnostics": diag,
     }
 

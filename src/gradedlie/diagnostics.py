@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import GradedLieAlgebra
 from .linalg import RatMatrix
 
 
-@dataclass(frozen=True)
-class KillingData:
+class KillingData(NamedTuple):
     matrix: RatMatrix
     rank: int
     signature: tuple[int, int]

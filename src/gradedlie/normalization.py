@@ -31,15 +31,14 @@ is the rows of N and, in every copy, of R that elimination did not keep.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import GradedLieAlgebra, tower_dims
 from .linalg import RatMatrix
 
 
-@dataclass(frozen=True)
 class SpencerSystem:
     k: int
     layout: tuple[tuple[int, int, int], ...]  # N's column blocks (i, dim g^i, dim g^(i+k+1))
@@ -47,6 +46,10 @@ class SpencerSystem:
     value_dim: int           # dim g^(k-1): row (v1, u) of R is row v1 * value_dim + u
     negative: RatMatrix      # N: the tensor and wedge rows against the i < 0 columns
     restriction: RatMatrix   # R: rows (v1, u), columns t, entries -g_k[t](v1)[u]
+
+    def __init__(self, k, layout, copies, value_dim, negative, restriction):
+        self.k, self.layout, self.copies, self.value_dim = k, layout, copies, value_dim
+        self.negative, self.restriction = negative, restriction
 
     @cached_property
     def negative_echelon(self) -> linalg.Echelon:
@@ -157,8 +160,7 @@ def build_spencer(symbol: GradedLieAlgebra, g_bases, k: int) -> SpencerSystem:
     return SpencerSystem(k, tuple(layout), copies, dv, negative, restriction)
 
 
-@dataclass(frozen=True)
-class NormalizationReport:
+class NormalizationReport(NamedTuple):
     k: int
     dim_target: int
     dim_image: int

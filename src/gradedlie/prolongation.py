@@ -32,7 +32,7 @@ prolongation terminates.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import (
@@ -157,15 +157,13 @@ def _disagreement(degree, leibniz, spencer, layout) -> str:
     return message
 
 
-@dataclass
-class TransitivityReport:
+class TransitivityReport(NamedTuple):
     ok: bool
     degree: int | None
     witness: tuple[linalg.Rational, ...] | None
 
 
-@dataclass
-class ProlongationResult:
+class ProlongationResult(NamedTuple):
     symbol: GradedLieAlgebra
     g0: DegreeZeroAlgebra
     bases: tuple[tuple[GradedLinearMap, ...], ...]

@@ -34,8 +34,8 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import symbols
 from .algebra import BasisElement, DegreeZeroAlgebra, GradedLieAlgebra
@@ -46,7 +46,6 @@ SCHEMA_VERSION = 1
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?", re.ASCII)
 _SHORT = 10**600  # under the lowest digit limit Python can be set to (640)
-_TOO_LONG = f"a number has more than {sys.get_int_max_str_digits()} digits"
 
 
 class SpecError(ValueError):
@@ -55,6 +54,11 @@ class SpecError(ValueError):
     def __init__(self, message: str, where: str | None = None):
         self.where = where
         super().__init__(f"{where}: {message}" if where else message)
+
+
+def _too_long() -> str:
+    """Built when raised, so it names the digit limit in force then."""
+    return f"a number has more than {sys.get_int_max_str_digits()} digits"
 
 
 def parse_rational(value, where: str) -> Rational:
@@ -66,7 +70,7 @@ def parse_rational(value, where: str) -> Rational:
         try:
             return _frac(Fraction(value))
         except ValueError:  # Python's limit on the digits of an int string
-            raise SpecError(_TOO_LONG, where) from None
+            raise SpecError(_too_long(), where) from None
     if isinstance(value, float):
         raise SpecError("floats are not allowed; use integers or 'p/q' strings", where)
     raise SpecError(f"not a rational: {value!r}", where)
@@ -106,14 +110,13 @@ def _expect(doc, key, kind, where, optional=False, default=None):
     return value
 
 
-@dataclass
-class AlgebraSpec:
+class AlgebraSpec(NamedTuple):
     name: str
     preset: str | None
     basis: list[tuple[str, int]] | None
     brackets: list[tuple[str, str, list[tuple[str, Rational]]]] | None
     g0_mode: str
-    g0_payload: dict = field(default_factory=dict)
+    g0_payload: dict
     max_degree: int = 10
 
 
@@ -123,7 +126,7 @@ def load_document(text: str) -> dict:
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON: {exc.msg}", f"line {exc.lineno} column {exc.colno}") from exc
     except ValueError:  # an integer beyond Python's limit on the digits of an int string
-        raise SpecError(f"invalid JSON: {_TOO_LONG}") from None
+        raise SpecError(f"invalid JSON: {_too_long()}") from None
     except RecursionError:
         raise SpecError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):

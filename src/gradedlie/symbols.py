@@ -6,7 +6,6 @@ form, derivations preserving a pair of transversal lines, and explicit spans.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 from . import diagnostics, linalg, prolongation
 from .algebra import (
@@ -42,7 +41,6 @@ def heisenberg(n: int) -> GradedLieAlgebra:
     return GradedLieAlgebra(basis, brackets)
 
 
-@dataclass(frozen=True)
 class EuclideanForm:
     """Symmetric positive-definite form on the degree -1 component."""
 
@@ -59,14 +57,13 @@ class EuclideanForm:
                     raise ValueError("the form must be symmetric")
         if diagnostics.symmetric_signature(entries) != (n, 0):
             raise ValueError("the form must be positive definite")
-        object.__setattr__(self, "entries", entries)
+        self.entries = entries
 
     @property
     def dim(self) -> int:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
 class LinePair:
     """Two transversal lines in the degree -1 component, given by spanning vectors."""
 
@@ -79,8 +76,7 @@ class LinePair:
             raise ValueError("line vectors must have equal length")
         if linalg.vectors_rank([list(first), list(second)]) != 2:
             raise ValueError("line vectors must be linearly independent")
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
+        self.first, self.second = first, second
 
 
 def _require_fundamental_symbol(symbol: GradedLieAlgebra) -> None:

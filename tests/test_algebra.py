@@ -52,6 +52,11 @@ def test_bracket_eta3(eta3):
 def test_bracket_m25():
     m = make_m25_like()
     assert bracket(m, unit_vector(m, 1), unit_vector(m, 2)) == unit_vector(m, 4)
+    # basis elements are immutable values, equal and hashed by name and degree
+    assert m.basis[0] == BasisElement("X1", -1) != BasisElement("X1", -2)
+    assert len({*m.basis, BasisElement("X1", -1)}) == 5
+    with pytest.raises(AttributeError):
+        m.basis[0].degree = 0
 
 
 def test_validity_eta3(eta3):

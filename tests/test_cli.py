@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -345,6 +347,30 @@ def test_over_long_numbers_are_parse_errors(corpus_dir, tmp_path, capsys, comman
     assert cli.main([command, str(spec)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"parse error: {where}: a number has more than 4300 digits"]
+
+
+def test_over_long_message_names_the_limit_in_force():
+    digits = "7" * 1500
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(1000)
+        with pytest.raises(SpecError, match="^g0: a number has more than 1000 digits$"):
+            parse_rational(f"{digits}/3", "g0")
+        with pytest.raises(SpecError, match="^invalid JSON: a number has more than 1000 digits$"):
+            specfile.load_document(f'{{"max_degree": {digits}}}')
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_import_leaves_the_dataclasses_machinery_unloaded():
+    # dataclasses and what it imports (inspect, ast, dis, tokenize) lengthen every command's start-up
+    code = "import sys, gradedlie.cli; print(*sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    loaded = set(done.stdout.split())
+    crept = [name for name in ("dataclasses", "inspect", "ast") if name in loaded]
+    assert crept == [], f"importing gradedlie.cli loads {', '.join(crept)}"
 
 
 CORPUS_DOCS = {

@@ -79,6 +79,9 @@ def test_zero_matrix_system_complement_is_everything():
     assert report.dim_complement == report.dim_target == 3
     assert report.complement_indices == (0, 1, 2)
     assert report.dim_kernel == 2
+    # the report writes these keys in this order
+    assert list(report._asdict()) == [
+        "k", "dim_target", "dim_image", "dim_kernel", "dim_complement", "complement_indices"]
 
 
 @pytest.mark.parametrize("path", INSTANCES, ids=lambda path: path.stem)

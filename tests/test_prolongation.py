@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 from fractions import Fraction
 from math import comb
@@ -217,7 +216,7 @@ def test_transitivity_holds_and_detects_corruption(example5_result):
     )
     bases = list(example5_result.bases)
     bases[1] = tuple(list(bases[1]) + [bad_map])
-    corrupted = dataclasses.replace(example5_result, bases=tuple(bases))
+    corrupted = example5_result._replace(bases=tuple(bases))
     report = check_transitivity(corrupted)
     assert not report.ok
     assert report.degree == 1
@@ -533,7 +532,7 @@ def test_transitivity_failure_names_the_witness(eta3, lambda_g0, monkeypatch):
         half = GradedLinearMap(1, {i: [[F(x) / 2 for x in first.image_of_basis(i, a)] for a in range(dom)]
                                    for i, (dom, _) in first.shapes.items()})
         bases = (*result.bases[:1], (*result.bases[1], half), *result.bases[2:])
-        return real(dataclasses.replace(result, bases=bases))
+        return real(result._replace(bases=bases))
 
     monkeypatch.setattr(prolongation, "check_transitivity", corrupted)
     with pytest.raises(InternalConsistencyError) as failure:

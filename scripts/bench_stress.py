@@ -6,14 +6,14 @@
 Each stress instance, the contact symbol heisenberg:n with full g0 to a
 cutoff, runs through ``gradedlie prolong`` in its own child process, one at
 a time, with a 900 s timeout.  For each instance the JSON records the wall
-seconds, the seconds spent building and checking g0 (``specfile.build_g0``)
-and assembling the bracket table (``prolongation._assemble``), the child's
-own peak RSS, the byte length and
-sha256 of the report and its graded dimensions; it also records the line
-count of src/gradedlie/*.py and the median wall seconds of 15 fresh
-interpreters that only import gradedlie.cli, the start-up every command
-pays.  The report goes to a file and is hashed in
-chunks, so this script never holds it in memory.  --root measures the src/
+seconds, the seconds spent building and checking g0 (``specfile.build_g0``),
+assembling the bracket table (``prolongation._assemble``) and writing the
+report (``specfile.dump_document``), the child's own peak RSS, the byte
+length and sha256 of the report and its graded dimensions; it also records
+the line count of src/gradedlie/*.py and the median wall seconds of 15
+fresh interpreters that only import gradedlie.cli, the start-up every
+command pays.  The report goes to a file and is hashed in chunks, so this
+script never holds it in memory.  --root measures the src/
 of another checkout, so two versions can be compared on the same machine.
 
 heisenberg:n with full g0 prolongs to the contact algebra in 2n + 1
@@ -48,14 +48,15 @@ INSTANCES = (("heisenberg:2", 3), ("heisenberg:3", 2), ("heisenberg:3", 3),
 TIMEOUT_S = 900
 STARTS = 15
 
-# Runs the CLI with specfile.build_g0 and prolongation._assemble timed and
-# prints, as the last stderr line, a JSON object with their seconds, the
-# process's own peak RSS (KiB) and the graded dimensions of the result.
+# Runs the CLI with specfile.build_g0, prolongation._assemble and
+# specfile.dump_document timed and prints, as the last stderr line, a JSON
+# object with their seconds, the process's own peak RSS (KiB) and the graded
+# dimensions of the result.
 CHILD = """
 import json, resource, sys, time
 from gradedlie import prolongation, specfile
 from gradedlie.cli import main
-spent, dims = {"g0_s": 0.0, "assemble_s": 0.0}, {}
+spent, dims = {"g0_s": 0.0, "assemble_s": 0.0, "dump_s": 0.0}, {}
 def timed(key, function):
     def wrapper(*args):
         start = time.perf_counter()
@@ -71,6 +72,7 @@ def recorded(*args, **kwargs):
     return result
 specfile.build_g0 = timed("g0_s", specfile.build_g0)
 prolongation._assemble = timed("assemble_s", prolongation._assemble)
+specfile.dump_document = timed("dump_s", specfile.dump_document)
 prolongation.universal_prolongation = recorded
 code = main(sys.argv[1:])
 sys.stdout.flush()
@@ -122,7 +124,7 @@ def run_instance(src: Path, workdir: Path, algebra: str, max_degree: int) -> dic
         measured = json.loads(err[-1])
     except (IndexError, ValueError):
         measured = {}
-    for key in ("g0_s", "assemble_s"):
+    for key in ("g0_s", "assemble_s", "dump_s"):
         record[key] = round(measured[key], 4) if measured else None
     record["peak_rss_mb"] = round(measured["peak_kib"] / 1024, 1) if measured else None
     if done.returncode != 0:

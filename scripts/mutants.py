@@ -140,6 +140,18 @@ MUTANTS = (
     ("writer-item-separator", "specfile.py",
      'sep, comma = "[" + inner, "," + inner', 'sep, comma = "[" + inner, ", " + inner',
      ["tests/test_cli.py::test_dump_document_writes_the_bytes_of_json_dumps"]),
+    ("writer-table-term-separator", "specfile.py",
+     'between = f"{term}],{term}[{item}"', 'between = f"{term}], {term}[{item}"',
+     ["tests/test_cli.py::test_dump_document_writes_algebras_as_their_bracket_entries",
+      "tests/test_cli.py::test_dump_document_writes_every_engine_table_as_its_bracket_entries"]),
+    ("writer-coefficient-cache-unquoted", "specfile.py",
+     "text = self[value] = _encode(format_rational(value))",
+     "text = _encode(format_rational(value))\n        self[value] = format_rational(value)",
+     ["tests/test_cli.py::test_dump_document_writes_algebras_as_their_bracket_entries",
+      "tests/test_cli.py::test_dump_document_writes_every_engine_table_as_its_bracket_entries"]),
+    ("writer-int-list-separator", "specfile.py",
+     'joint = "," + inner', 'joint = ", " + inner',
+     ["tests/test_cli.py::test_dump_document_writes_algebras_as_their_bracket_entries"]),
 )
 
 

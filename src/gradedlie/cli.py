@@ -6,7 +6,8 @@ consistency failure.
 
 A structured report (and a `free` document) is the exact bytes of
 ``json.dumps(doc, indent=2)`` plus a newline, streamed by
-``specfile.dump_document``; an --out file is opened only once the engine is done.
+``specfile.dump_document``, which writes the algebra in the document as its
+bracket entries; an --out file is opened only once the engine is done.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def _report_document(name, g0, result, diag) -> dict:
         "max_degree": result.max_degree,
         "total_dimension": result.total_dimension,
         "basis": [{"name": e.name, "degree": e.degree} for e in algebra.basis],
-        "structure_constants": specfile.bracket_entries(algebra),
+        "structure_constants": algebra,  # written as its bracket entries
         "normalization": [rep._asdict() for rep in result.normalization],  # fields in order
         "diagnostics": diag,
     }

@@ -283,15 +283,6 @@ def build_g0(spec: AlgebraSpec, symbol: GradedLieAlgebra) -> DegreeZeroAlgebra:
     return symbols.custom_g0(symbol, spec.g0_payload["maps"])
 
 
-def bracket_entries(algebra: GradedLieAlgebra):
-    """The {"left", "right", "terms"} entry of each bracket pair of the table,
-    made one at a time, so a report can stream them as they are written."""
-    names = [e.name for e in algebra.basis]
-    for a, b in algebra.bracket_pairs():
-        terms = [[names[c], format_rational(v)] for c, v in sorted(algebra._table[(a, b)].items())]
-        yield {"left": names[a], "right": names[b], "terms": terms}
-
-
 def free_spec_document(r: int, mu: int) -> dict:
     """The specification document of the free nilpotent symbol, with full g0."""
     symbol = free_nilpotent(r, mu)
@@ -300,7 +291,7 @@ def free_spec_document(r: int, mu: int) -> dict:
         "name": f"free-{r}-{mu}",
         "algebra": {
             "basis": [{"name": e.name, "degree": e.degree} for e in symbol.basis],
-            "brackets": list(bracket_entries(symbol)),
+            "brackets": symbol,  # written as its bracket entries
         },
         "g0": {"mode": "full"},
         "options": {"max_degree": 10},
@@ -310,18 +301,54 @@ def free_spec_document(r: int, mu: int) -> dict:
 _encode = json.encoder.encode_basestring_ascii
 
 
+class _Quoted(dict):
+    """value -> the JSON string of format_rational(value), each made once."""
+
+    def __missing__(self, value):
+        text = self[value] = _encode(format_rational(value))
+        return text
+
+
 def dump_document(doc, stream) -> None:
-    """Write exactly ``json.dumps(doc, indent=2) + "\\n"`` to the text stream.
+    """Write exactly ``json.dumps(doc', indent=2) + "\\n"`` to the text stream,
+    where doc' is doc with each GradedLieAlgebra replaced by its bracket
+    entries, {"left": name, "right": name, "terms": [[name, "p/q"], ...]} for
+    each table pair a < b in order, terms by basis index.
 
     The text is streamed: fragments are joined and written in batches at
-    list-item boundaries, so a report is never held whole in memory.  Values
-    are str, int, bool, None, dicts with str keys, lists and tuples; any
-    other iterable, a generator say, is written as the list of its items.
-    Anything else, a float included, raises TypeError rather than giving
-    other bytes than ``json.dumps``.
+    list-item boundaries, so a report is never held whole in memory.  A
+    bracket entry is one template fill, each name encoded and each distinct
+    coefficient formatted once; a list or tuple of plain ints is joined a
+    slice at a time.  Other values are str, int, bool, None, dicts with str
+    keys, lists and tuples; any other iterable, a generator say, is written
+    as the list of its items.  Anything else, a float included, raises
+    TypeError rather than giving other bytes than ``json.dumps``.
     """
     parts: list[str] = []
     append = parts.append
+
+    def flush() -> None:
+        stream.write("".join(parts))
+        parts.clear()
+
+    def write_table(algebra: GradedLieAlgebra, indent: str) -> None:
+        # the indents of an entry, of its fields, of its terms and of their items
+        at, field, term, item = indent + "  ", indent + "    ", indent + "      ", indent + "        "
+        entry = (f'%s{{{field}"left": %s,{field}"right": %s,'
+                 f'{field}"terms": [{term}[{item}%s{term}]{field}]{at}}}')
+        between = f"{term}],{term}[{item}"
+        names = [_encode(e.name) for e in algebra.basis]
+        named = [name + "," + item for name in names]
+        quoted = _Quoted()
+        table = algebra._table
+        sep, comma = "[" + at, "," + at
+        for a, b in algebra.bracket_pairs():
+            if len(parts) > 1024:  # entries held before a write, 100-200 bytes each
+                flush()
+            terms = between.join([named[c] + quoted[v] for c, v in sorted(table[a, b].items())])
+            append(entry % (sep, names[a], names[b], terms))
+            sep = comma
+        append("[]" if sep is not comma else indent + "]")
 
     def write(o, indent: str) -> None:
         if isinstance(o, str):
@@ -340,13 +367,24 @@ def dump_document(doc, stream) -> None:
                 write(value, inner)
                 sep = comma
             append("{}" if sep is not comma else indent + "}")
+        elif isinstance(o, GradedLieAlgebra):
+            write_table(o, indent)
+        elif type(o) in (list, tuple) and o and all(type(i) is int for i in o):
+            inner = indent + "  "
+            joint = "," + inner
+            append("[" + inner)
+            for start in range(0, len(o), 4096):  # a write per slice past the first
+                if start:
+                    append(joint)
+                    flush()
+                append(joint.join(map(int.__repr__, o[start:start + 4096])))
+            append(indent + "]")
         else:  # a value that is not iterable raises TypeError here
             inner = indent + "  "
             sep, comma = "[" + inner, "," + inner
             for item in o:
                 if len(parts) > 8192:  # fragments held before a write
-                    stream.write("".join(parts))
-                    parts.clear()
+                    flush()
                 append(sep)
                 write(item, inner)
                 sep = comma

@@ -12,10 +12,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradedlie import cli, linalg, prolongation, specfile
+from gradedlie import BasisElement, GradedLieAlgebra, cli, free_nilpotent, linalg, prolongation, specfile
 from gradedlie.specfile import SpecError, format_rational, parse_rational
 
 F = Fraction
@@ -646,8 +646,11 @@ def test_dump_document_streams_any_iterable_as_a_list():
 
 
 def test_dump_document_flushes_a_large_document_in_batches():
-    doc = {"entries": [{"left": f"e{i}", "terms": [[f"e{i + 1}", "-1/2"], [f"e{i}", i]]}
-                       for i in range(20000)]}
+    # the entries and the table are each over a fifth of the output
+    basis = [BasisElement(f"e{i}", -1) for i in range(300)]
+    table = {(a, b): {(a + b) % 300: F(a - b, 7), a: 2} for a in range(300) for b in range(a + 1, min(a + 70, 300))}
+    doc = {"entries": [{"left": f"e{i}", "terms": [[f"e{i + 1}", "-1/2"], [f"e{i}", i]]} for i in range(20000)],
+           "table": GradedLieAlgebra(basis, table), "indices": list(range(20000))}
     writes = []
 
     class Stream(io.StringIO):
@@ -657,8 +660,91 @@ def test_dump_document_flushes_a_large_document_in_batches():
 
     stream = Stream()
     specfile.dump_document(doc, stream)
-    assert stream.getvalue() == json.dumps(doc, indent=2) + "\n"
+    assert stream.getvalue() == json.dumps(_plain(doc), indent=2) + "\n"
     assert len(writes) > 10 and max(writes) < len(stream.getvalue()) / 5
+
+
+def bracket_entries(algebra):
+    """The {"left", "right", "terms"} entry of each bracket pair of the table,
+    built the slow way: what dump_document writes for an algebra."""
+    names = [e.name for e in algebra.basis]
+    return [{"left": names[a], "right": names[b],
+             "terms": [[names[c], format_rational(v)] for c, v in sorted(algebra.bracket_basis(a, b).items())]}
+            for a, b in algebra.bracket_pairs()]
+
+
+def _plain(doc):
+    """doc with each algebra replaced by its bracket entries, for json.dumps."""
+    if isinstance(doc, GradedLieAlgebra):
+        return bracket_entries(doc)
+    if isinstance(doc, dict):
+        return {key: _plain(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_plain(value) for value in doc]
+    return doc
+
+
+_ints = st.one_of(st.integers(), st.integers(2**64, 2**200), st.integers(2**64, 2**200).map(lambda n: -n))
+_coefficients = st.one_of(st.integers(-3, 3), _ints, st.fractions(max_denominator=10**30))
+
+
+@st.composite
+def _algebras(draw):
+    """Random tables on random names; the writer does not read the grading,
+    so the degrees and brackets need not make a Lie algebra."""
+    names = draw(st.lists(_texts, min_size=1, max_size=5, unique=True))
+    n = len(names)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    table = {pair: draw(st.dictionaries(st.integers(0, n - 1), _coefficients, max_size=3)) for pair in chosen}
+    degrees = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return GradedLieAlgebra([BasisElement(*e) for e in zip(names, degrees)], table)
+
+
+_int_lists = st.one_of(st.lists(_ints, max_size=6), st.lists(st.one_of(_ints, st.booleans()), max_size=6))
+
+
+def _fast_documents(depth):
+    leaves = st.one_of(_scalars, _algebras(), _int_lists, _int_lists.map(tuple))
+    if depth == 0:
+        return leaves
+    inner = _fast_documents(depth - 1)
+    return st.one_of(leaves, st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+                     st.dictionaries(_texts, inner, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_texts, _fast_documents(2), max_size=4))
+@example({"empty": GradedLieAlgebra([BasisElement("x", -1), BasisElement("y", -1)], {})})
+@example({"one": GradedLieAlgebra([BasisElement('"x"', -1), BasisElement("\u00e9\n", -1), BasisElement("z", -2)],
+                                  {(0, 1): {2: F(-1, 2)}}),
+          "ints": [3, -(2**70), True, 0], "more": (1, 2**65, -7)})
+def test_dump_document_writes_algebras_as_their_bracket_entries(doc):
+    assert _dumped(doc) == json.dumps(_plain(doc), indent=2) + "\n"
+
+
+def test_dump_document_writes_every_engine_table_as_its_bracket_entries(corpus_results, perfbench_results):
+    for name, (_, symbol, _, result) in {**corpus_results, **perfbench_results}.items():
+        doc = {"symbol": symbol, "structure_constants": result.algebra,
+               "normalization": [rep._asdict() for rep in result.normalization]}
+        assert _dumped(doc) == json.dumps(_plain(doc), indent=2) + "\n", name
+
+
+@pytest.mark.parametrize("r, mu", [(2, 3), (3, 2), (2, 5)])
+def test_free_writes_the_bytes_of_json_dumps(capsys, r, mu):
+    symbol = free_nilpotent(r, mu)
+    reference = {
+        "schema_version": 1,
+        "name": f"free-{r}-{mu}",
+        "algebra": {
+            "basis": [{"name": e.name, "degree": e.degree} for e in symbol.basis],
+            "brackets": bracket_entries(symbol),
+        },
+        "g0": {"mode": "full"},
+        "options": {"max_degree": 10},
+    }
+    assert cli.main(["free", str(r), str(mu)]) == 0
+    assert capsys.readouterr().out == json.dumps(reference, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("value", [1.5, 0.0, F(1, 2), {1: "x"}, object()])

@@ -100,6 +100,21 @@ MUTANTS = (
     ("spencer-kernel-without-check", "prolongation.py",
      "if system.copies and system.restriction_echelon.rank < system.restriction.cols:", "if False:",
      ["tests/test_prolongation.py::test_spencer_kernel_rejects_a_restriction_without_full_column_rank"]),
+    ("orthogonal-rows-unfiltered", "symbols.py",
+     "row[p * n1 + s] += q[s][r]\n            rows.append({c: _frac(x) for c, x in row.items() if x})",
+     "row[p * n1 + s] += q[s][r]\n            rows.append(row)",
+     ["tests/test_linalg.py::test_engine_built_matrices_hold_nonzero_exact_rationals_in_range"]),
+    ("line-rows-unfiltered", "symbols.py",
+     "row[a * 2 + 1] -= v[a] * v[0]\n        rows.append({c: _frac(x) for c, x in row.items() if x})",
+     "row[a * 2 + 1] -= v[a] * v[0]\n        rows.append(row)",
+     ["tests/test_linalg.py::test_engine_built_matrices_hold_nonzero_exact_rationals_in_range"]),
+    ("nilpotent-series-uncast", "algebra.py",
+     "produced.append({c: linalg._frac(x) for c, x in w.items()})", "produced.append(w)",
+     ["tests/test_linalg.py::test_engine_built_matrices_hold_nonzero_exact_rationals_in_range"]),
+    ("solve-shares-the-rows-of-a", "linalg.py",
+     "rows = {r: dict(row) for r, row in matrix._rows.items()}", "rows = dict(matrix._rows)",
+     ["tests/test_linalg.py::test_solve_round_trips_consistent_systems",
+      "tests/test_linalg.py::test_hilbert_matrix_exactness"]),
     ("extension-rhs-sign", "symbols.py",
      "{r: -sum(", "{r: sum(",
      ["tests/test_symbols.py::test_custom_g0_grading_element_from_top_block"]),

@@ -221,8 +221,8 @@ def _negative_part_nilpotent(algebra: GradedLieAlgebra) -> bool:
                 w: dict[int, Rational] = {}
                 for c, x in v.items():
                     linalg.axpy(w, x, algebra.bracket_basis(a, c))
-                if w:
-                    produced.append(w)
+                if w:  # a sum of products of Fractions may be integral
+                    produced.append({c: linalg._frac(x) for c, x in w.items()})
         if not produced:
             return True
         spanned = linalg.rref(RatMatrix._of_rows(len(produced), algebra.dim, produced)).pivot_rows

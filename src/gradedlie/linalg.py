@@ -13,17 +13,20 @@ reduced row echelon form is unique, which makes every returned basis
 deterministic (bit-exact across runs).  The certificates
 (``_certify``) multiply out A x directly, independent of that kernel.
 
-A ``RatMatrix`` stores the sparse rows that ``rref`` and ``_certify`` read;
-engine code hands the rows it built to ``RatMatrix._of_rows``, and only the
-public edge checks entries.  Vectors are sparse ``{index: rational}`` dicts
-of their nonzero entries throughout; dense lists appear only at the public
-edge (``nullspace``, ``solve``, ``Echelon.rows`` and the basis vectors
-``express_in_basis`` takes).  ``rref`` returns an ``Echelon``: the pivots,
-the reduced pivot rows and ``kept``: rows are reduced in input order, so a
-row is kept exactly when it is not in the span of the rows before it.  The
-rank, the kernel and a coordinate complement of the column space (the rows
-not kept) all come from one ``Echelon``, so a matrix that needs all three
-is eliminated once.  Kernel vectors and solutions are certified exactly.
+A ``RatMatrix`` stores the sparse rows that ``rref`` and ``_certify`` read.
+Only the public edge checks entries: engine code hands the rows it built to
+``RatMatrix._of_rows``, which adopts them uncopied, so each builder keeps
+its entries nonzero and canonical, and ``rref``'s ``_integral`` is the one
+per-entry copy before elimination.  Vectors are sparse ``{index:
+rational}`` dicts of their nonzero entries throughout; dense lists appear
+only at the public edge (``nullspace``, ``solve``, ``Echelon.rows`` and the
+basis vectors ``express_in_basis`` takes).  ``rref`` returns an
+``Echelon``: the pivots, the reduced pivot rows and ``kept``: rows are
+reduced in input order, so a row is kept exactly when it is not in the span
+of the rows before it.  The rank, the kernel and a coordinate complement of
+the column space (the rows not kept) all come from one ``Echelon``, so a
+matrix that needs all three is eliminated once.  Kernel vectors and
+solutions are certified exactly.
 
 There is one solver: ``solve_many`` eliminates a matrix beside all its
 right-hand sides at once.  ``express_in_basis``, coordinates over a basis,
@@ -60,8 +63,8 @@ def _ratio(n: int, d: int) -> Rational:
 class RatMatrix:
     """A rows x cols matrix of rationals, ``_rows`` = {row: {column: value}}
     of its nonzero entries, ints or Fractions with a denominator above 1,
-    with no empty row.  The public constructors check every entry: a float
-    raises TypeError, an index outside the shape IndexError."""
+    with no empty row: the public constructors check every entry (a float
+    raises TypeError, an index outside the shape IndexError), _of_rows none."""
 
     __slots__ = ("rows", "cols", "_rows")
 
@@ -87,14 +90,11 @@ class RatMatrix:
 
     @classmethod
     def _of_rows(cls, rows: int, cols: int, data) -> "RatMatrix":
-        """Engine-built rows in range, a {row: {column: value}} dict or a
-        list of rows, copied as they are but for zero entries, empty rows and
-        integral Fractions, which become ints."""
+        """Engine-built rows in range, nonzero and canonical, a {row: {column:
+        value}} dict or a list of rows, adopted uncopied; empty rows are dropped."""
         mat = cls(rows, cols)
         pairs = data.items() if isinstance(data, dict) else enumerate(data)
-        mat._rows = {r: kept for r, row in pairs
-                     if (kept := {c: v if type(v) is int or v.denominator != 1 else v.numerator
-                                  for c, v in row.items() if v})}
+        mat._rows = {r: row for r, row in pairs if row}
         return mat
 
     def _check(self, r: int, c: int) -> None:
@@ -312,12 +312,13 @@ def solve_many(matrix: RatMatrix, rhs: Sequence[dict]) -> list[dict[int, Rationa
     """
     n = matrix.cols
     rhs = [{r: x for r, value in b.items() if (x := _frac(value))} for b in rhs]
-    augmented = RatMatrix._of_rows(matrix.rows, n + len(rhs), matrix._rows)  # copies A's rows
+    rows = {r: dict(row) for r, row in matrix._rows.items()}  # copies of A's rows, to hold the b_j
     for j, b in enumerate(rhs):
         for r, value in b.items():
-            augmented._check(r, n + j)
-            augmented._rows.setdefault(r, {})[n + j] = value
-    echelon = rref(augmented)
+            if not 0 <= r < matrix.rows:
+                raise IndexError(f"entry ({r}, {n + j}) outside {matrix.rows}x{n + len(rhs)} matrix")
+            rows.setdefault(r, {})[n + j] = value
+    echelon = rref(RatMatrix._of_rows(matrix.rows, n + len(rhs), rows))
     solutions = []
     for j in range(n, n + len(rhs)):
         column = [(p, row[j]) for p, row in zip(echelon.pivots, echelon.pivot_rows) if j in row]

@@ -103,9 +103,8 @@ def _expect(doc, key, kind, where, optional=False, default=None):
             return default
         raise SpecError(f"missing required field {key!r}", where)
     value = doc[key]
-    wrong = kind is not None and not isinstance(value, kind)
     # JSON true/false arrive as bool, which Python counts as an int
-    if wrong or (kind is int and isinstance(value, bool)):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise SpecError(f"field {key!r} has the wrong type", where)
     return value
 

@@ -86,8 +86,8 @@ def _require_fundamental_symbol(symbol: GradedLieAlgebra) -> None:
 
 def _derivations_with_rows(symbol: GradedLieAlgebra, top_rows) -> DegreeZeroAlgebra:
     """The derivations whose degree -1 block A also satisfies `top_rows`,
-    sparse rows over its entries (column a * n1 + s holds A[s][a]) appended
-    to the degree-0 Leibniz system."""
+    sparse rows of nonzero canonical entries over A's entries (column
+    a * n1 + s holds A[s][a]) appended to the degree-0 Leibniz system."""
     layout, matrix = prolongation.leibniz_system(symbol, [], 0)
     off = layout_offsets(layout)[0].get(-1, 0)
     rows = dict(matrix._rows)
@@ -121,7 +121,7 @@ def orthogonal_derivations(symbol: GradedLieAlgebra, form: EuclideanForm) -> Deg
             for s in range(n1):
                 row[r * n1 + s] += q[p][s]
                 row[p * n1 + s] += q[s][r]
-            rows.append(row)
+            rows.append({c: _frac(x) for c, x in row.items() if x})
     return _derivations_with_rows(symbol, rows)
 
 
@@ -145,7 +145,7 @@ def line_preserving_derivations(symbol: GradedLieAlgebra, lines: LinePair) -> De
             # (D v)_0 v_1 - (D v)_1 v_0 = 0
             row[a * 2] += v[a] * v[1]
             row[a * 2 + 1] -= v[a] * v[0]
-        rows.append(row)
+        rows.append({c: _frac(x) for c, x in row.items() if x})
     return _derivations_with_rows(symbol, rows)
 
 

@@ -226,12 +226,14 @@ def test_public_indices_outside_the_shape_raise_index_error(build):
 def test_engine_built_matrices_hold_nonzero_exact_rationals_in_range(monkeypatch):
     # every matrix the engine builds from its own rows, the assembled bracket
     # table and the columns of every tower map, over the corpus and the
-    # benchmark specs, and the constraint rows of two g0 builders whose sums
-    # and products of Fractions come out integral: no empty row, no zero, no
-    # value out of canonical form, no index outside the shape; the algebra
-    # adopts the assembled table unchecked, so its keys must also be ordered
-    # pairs in range, its dicts nonempty and its degree index the one the
-    # public constructor builds
+    # benchmark specs, and the rows of the builders whose sums and products
+    # of Fractions come out integral (two g0 builders, the lower central
+    # series of an ungraded table, degree -1 blocks extended in one solve):
+    # no empty row, no zero, no value out of canonical form, no index outside
+    # the shape; `_of_rows` adopts the rows unchecked, as the algebra adopts
+    # the assembled table, so the table's keys must also be ordered pairs in
+    # range, its dicts nonempty and its degree index the one the public
+    # constructor builds
     of_rows = RatMatrix._of_rows.__func__
     prolong = prolongation.universal_prolongation
     built, results, faults = [], [], []
@@ -260,6 +262,13 @@ def test_engine_built_matrices_hold_nonzero_exact_rationals_in_range(monkeypatch
     m = gradedlie.heisenberg(1)
     gradedlie.orthogonal_derivations(m, gradedlie.EuclideanForm([[F(1, 2), 0], [0, F(1, 2)]]))
     gradedlie.line_preserving_derivations(m, gradedlie.LinePair([F(1, 2), F(1, 3)], [F(2, 3), F(3, 2)]))
+    # all of degree -1, so ungraded; the series meets [e0, e1 + e3] = (1/2 + 1/2) e4
+    ungraded = gradedlie.GradedLieAlgebra([gradedlie.BasisElement(f"e{i}", -1) for i in range(5)],
+                                          {(0, 1): {4: F(1, 2)}, (0, 2): {1: 1, 3: 1}, (0, 3): {4: F(1, 2)}})
+    report = gradedlie.check_validity(ungraded)
+    assert not report.grading_ok and report.nilpotent_ok
+    g0 = gradedlie.custom_g0(m, [[[F(1, 2), 0], [0, F(3, 2)]], [[F(1, 3), 0], [0, F(2, 3)]]])
+    assert len(g0.generators) == 2
     assert len(built) > 100 and len(results) == 14
     for result in results:
         algebra, n = result.algebra, result.algebra.dim

@@ -9,7 +9,12 @@ a time, with a 900 s timeout.  For each instance the JSON records the wall
 seconds, the seconds spent building and checking g0 (``specfile.build_g0``),
 assembling the bracket table (``prolongation._assemble``) and writing the
 report (``specfile.dump_document``), the child's own peak RSS, the byte
-length and sha256 of the report and its graded dimensions; it also records
+length and sha256 of the report and its graded dimensions.  Beside the
+wall seconds it records the median time of the fixed reference elimination
+``probe()`` of perfbench/speed.py, taken just before and just after the
+child, and the wall seconds scaled to a machine on which that probe takes
+its nominal time (reference seconds), so that two runs made while the
+machine ran at different speeds can be compared.  It also records
 the line count of src/gradedlie/*.py and the median wall seconds of 15
 fresh interpreters that only import gradedlie.cli, the start-up every
 command pays.  The report goes to a file and is hashed in chunks, so this
@@ -42,11 +47,14 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from speed import PROBE_NOMINAL_S, probe  # noqa: E402
 INSTANCES = (("heisenberg:2", 3), ("heisenberg:3", 2), ("heisenberg:3", 3),
              ("heisenberg:3", 4), ("heisenberg:4", 4), ("heisenberg:5", 3),
              ("heisenberg:5", 4))
 TIMEOUT_S = 900
 STARTS = 15
+PROBES = 25  # probe() runs before and after each child
 
 # Runs the CLI with specfile.build_g0, prolongation._assemble and
 # specfile.dump_document timed and prints, as the last stderr line, a JSON
@@ -100,6 +108,11 @@ def startup_seconds(src: Path) -> float:
     return round(statistics.median(times), 4)
 
 
+def probe_seconds() -> float:
+    """Median seconds of PROBES runs of the reference elimination."""
+    return statistics.median(probe() for _ in range(PROBES))
+
+
 def run_instance(src: Path, workdir: Path, algebra: str, max_degree: int) -> dict:
     spec = workdir / "spec.json"
     spec.write_text(json.dumps({
@@ -109,6 +122,7 @@ def run_instance(src: Path, workdir: Path, algebra: str, max_degree: int) -> dic
     env = dict(os.environ, PYTHONPATH=str(src))
     record = {"algebra": algebra, "g0": "full", "max_degree": max_degree}
     report = workdir / "report.json"
+    before = probe_seconds()
     start = time.perf_counter()
     try:
         with report.open("wb") as out:
@@ -117,8 +131,11 @@ def run_instance(src: Path, workdir: Path, algebra: str, max_degree: int) -> dic
     except subprocess.TimeoutExpired:
         record.update(exit_code=None, timed_out=True, wall_s=TIMEOUT_S)
         return record
-    record.update(exit_code=done.returncode, timed_out=False,
-                  wall_s=round(time.perf_counter() - start, 3))
+    wall = time.perf_counter() - start
+    after = probe_seconds()
+    record.update(exit_code=done.returncode, timed_out=False, wall_s=round(wall, 3),
+                  probe_before_s=round(before, 6), probe_after_s=round(after, 6),
+                  wall_ref_s=round(wall * PROBE_NOMINAL_S / statistics.mean((before, after)), 3))
     err = done.stderr.splitlines()
     try:
         measured = json.loads(err[-1])
@@ -154,6 +171,7 @@ def main() -> int:
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version()},
         "src_lines": sum(len(f.read_text().splitlines()) for f in files),
         "startup_s": startup_seconds(src),
+        "probe_nominal_s": PROBE_NOMINAL_S,
         "timeout_s": TIMEOUT_S,
         "instances": [],
     }

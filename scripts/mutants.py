@@ -123,6 +123,14 @@ MUTANTS = (
      "    (matrix, [(x, b) for x, b in zip(solutions, rhs) if x is not None],",
      ["tests/test_linalg.py::test_self_checks_raise_on_corrupted_elimination",
       "tests/test_linalg.py::test_certificate_sees_a_right_hand_side_in_a_zero_row"]),
+    ("rref-stops-one-pivot-early", "linalg.py",
+     "if len(reduced) == matrix.cols:", "if len(reduced) == matrix.cols - 1:",
+     ["tests/test_linalg.py::test_rref_stop_at_full_column_rank_changes_nothing",
+      "tests/test_linalg.py::test_rref_matches_dense_and_sympy_oracles"]),
+    ("certify-skips-a-single-pair", "linalg.py",
+     "if not pairs:", "if len(pairs) < 2:",
+     ["tests/test_linalg.py::test_self_checks_raise_on_corrupted_elimination",
+      "tests/test_linalg.py::test_certificate_sees_a_right_hand_side_in_a_zero_row"]),
     ("express-without-certificate", "linalg.py",
      "if image == {c: scale * value for c, value in t.items()}:", "if True:",
      ["tests/test_linalg.py::test_self_checks_raise_on_corrupted_elimination"]),

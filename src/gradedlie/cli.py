@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from pathlib import Path
 
@@ -34,7 +35,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on a process's first `main` call and reused; it
+    holds no state between calls and names no command function."""
     parser = argparse.ArgumentParser(
         prog="gradedlie",
         description="Exact universal prolongation of fundamental graded nilpotent Lie algebras.",
@@ -43,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="validate a specification file")
     check.add_argument("file", help="specification document (JSON)")
-    check.set_defaults(func=cmd_check)
 
     prolong = sub.add_parser("prolong", help="compute the universal prolongation")
     prolong.add_argument("file", help="specification document (JSON)")
@@ -51,20 +54,20 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="cutoff degree (default: the file's option, else 10)")
     prolong.add_argument("--out", default=None, help="write the report to this path")
     prolong.add_argument("--format", choices=("structured", "table"), default="structured")
-    prolong.set_defaults(func=cmd_prolong)
 
     free = sub.add_parser("free", help="emit a free nilpotent symbol specification")
     free.add_argument("r", type=_positive_int, help="number of generators")
     free.add_argument("mu", type=_positive_int, help="nilpotency step")
     free.add_argument("--out", default=None, help="write the document to this path")
-    free.set_defaults(func=cmd_free)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # looked up per call, so a rebound cmd_* takes effect
+    command = {"check": cmd_check, "prolong": cmd_prolong, "free": cmd_free}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except SpecError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

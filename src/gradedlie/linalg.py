@@ -181,7 +181,10 @@ class Echelon:
 def _certify(matrix: RatMatrix, pairs, message: str) -> None:
     """Raise InternalConsistencyError unless A x == b exactly for every sparse
     pair (x, b); one pass over the rows of A, where an entry costs the number
-    of x nonzero at its column, forms row r of every image."""
+    of x nonzero at its column, forms row r of every image.  Without pairs
+    there is nothing to check, and it returns at once."""
+    if not pairs:
+        return
     by_coordinate, expected = {}, {}  # c -> [(pair j, x_j[c])], r -> {pair j: b_j[r]}
     for j, (x, b) in enumerate(pairs):
         for c, value in x.items():
@@ -219,11 +222,15 @@ def rref(matrix: RatMatrix) -> Echelon:
     and is eliminated from the earlier pivot rows, which are divided by
     their content again; so every pivot row stays fully reduced and
     primitive, and is divided by its pivot entry once, at return: a row
-    whose pivot entry is 1 is returned as it is.
+    whose pivot entry is 1 is returned as it is.  Once every column holds a
+    pivot the remaining rows are not read: each would reduce to nothing,
+    so the pivots, the pivot rows and ``kept`` are already final.
     """
     reduced: dict[int, dict[int, int]] = {}
     kept = []
     for r, row in sorted(_integral(matrix._rows)[0].items()):
+        if len(reduced) == matrix.cols:
+            break
         # pivot rows vanish at each other's pivots, so one pass suffices
         for c in [c for c in row if c in reduced]:
             _eliminate(row, c, reduced[c])

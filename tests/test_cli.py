@@ -373,6 +373,69 @@ def test_import_leaves_the_dataclasses_machinery_unloaded():
     assert crept == [], f"importing gradedlie.cli loads {', '.join(crept)}"
 
 
+
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), COLUMNS="80")
+FRESH_MAIN = "import sys; from gradedlie.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _in_process(argv):
+    """(exit code, stdout, stderr) of cli.main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_calls_in_one_process_match_fresh_interpreters(corpus_dir, tmp_path, monkeypatch):
+    # the parser is reused across calls: no option, error or exit code may
+    # carry over from one call to the next
+    monkeypatch.setenv("COLUMNS", "80")  # usage text is wrapped to the terminal width
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps({
+        "schema_version": 1, "name": "bad",
+        "algebra": {"basis": [{"name": "A", "degree": -1}, {"name": "B", "degree": -1}],
+                    "brackets": [{"left": "A", "right": "B", "terms": [["A", 1]]}]},
+        "g0": {"mode": "full"},
+    }))
+    files = [str(path) for path in sorted(corpus_dir.glob("*.json"))]
+    calls = []
+    for i, path in enumerate(files):
+        calls.append(["prolong", path, "--format", "table", "--max-degree", "2"])
+        calls.append(["prolong", path])
+        calls.append([["prolong", path, "--format", "xml"], ["check", str(broken)],
+                      ["prolong", str(invalid)], ["check", path], ["free", "2", "2"],
+                      ["prolong", "--help"], ["prolong"], ["prolong", path, "--max-degree", "0"]][i])
+    codes = set()
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-c", FRESH_MAIN, *argv], env=SRC_ENV,
+                               capture_output=True, text=True, timeout=120)
+        ours = _in_process(argv)
+        assert ours == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.add(ours[0])
+    assert codes == {0, 1, 2}
+
+
+def test_a_rebound_command_function_is_called(corpus_dir, monkeypatch, capsys):
+    assert cli.main(["check", str(corpus_dir / "ode2-point.json")]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_prolong", lambda args: seen.append(args.file) or 7)
+    assert cli.main(["prolong", "elsewhere.json"]) == 7
+    assert seen == ["elsewhere.json"]
+    assert cli._build_parser.cache_info().currsize == 1
+
+
+def test_import_leaves_the_parser_unbuilt():
+    # setup time is import time: the parser is built by the first main call
+    code = "import gradedlie.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout == "0\n"
+
 CORPUS_DOCS = {
     path.stem: json.loads(path.read_text())
     for path in sorted((Path(__file__).resolve().parents[1] / "corpus").glob("*.json"))

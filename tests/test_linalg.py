@@ -471,6 +471,75 @@ def test_rref_is_unchanged_by_row_scaling(mat, data):
         assert (ours.pivots, ours.rows) == sympy_rref(scaled)
 
 
+def rref_reading_every_row(matrix):
+    """linalg.rref as it was before it stopped at a pivot in every column:
+    it reduces every row, the reference for that stop."""
+    reduced, kept = {}, []
+    for r, row in sorted(linalg._integral(matrix._rows)[0].items()):
+        for c in [c for c in row if c in reduced]:
+            linalg._eliminate(row, c, reduced[c])
+        if not row:
+            continue
+        kept.append(r)
+        p = min(row)
+        linalg._make_primitive(row, row[p])
+        for q, other in reduced.items():
+            if p in other:
+                linalg._eliminate(other, p, row)
+                linalg._make_primitive(other, other[q])
+        reduced[p] = row
+    rows = tuple(row if (d := row[p]) == 1 else {c: linalg._ratio(v, d) for c, v in row.items()}
+                 for p, row in sorted(reduced.items()))
+    return Echelon(tuple(sorted(reduced)), rows, tuple(kept), matrix)
+
+
+@st.composite
+def tall_matrices(draw):
+    """(kind, matrix) with more rows than columns: 'random' entries, 'full'
+    column rank reached somewhere in the rows, or 'last' row completing a
+    rank that the rows before it leave one short."""
+    kind = draw(st.sampled_from(["random", "full", "last"]))
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    nrows = draw(st.integers(min_value=ncols + 1, max_value=ncols + 6))
+    entry = st.one_of(st.just(F(0)), fractions_st)
+    if kind == "random":
+        rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+        return kind, RatMatrix.from_rows(rows, ncols)
+    # the rows of an invertible U P, U unitriangular and P a permutation
+    order = draw(st.permutations(range(ncols)))
+    basis = []
+    for i in range(ncols):
+        row = [F(0)] * ncols
+        row[order[i]] = draw(st.sampled_from([F(1), F(-2), F(3, 5)]))
+        for j in range(i + 1, ncols):
+            row[order[j]] = draw(entry)
+        basis.append(row)
+
+    def combination(vectors):
+        coeffs = draw(st.lists(entry, min_size=len(vectors), max_size=len(vectors)))
+        return [sum((a * v[c] for a, v in zip(coeffs, vectors)), F(0)) for c in range(ncols)]
+
+    if kind == "full":
+        rows = [combination(basis) for _ in range(nrows - ncols)] + basis
+        rows = draw(st.permutations(rows))
+    else:
+        head = basis[:-1] + [combination(basis[:-1]) for _ in range(nrows - ncols)]
+        rows = [*draw(st.permutations(head)), basis[-1]]
+    return kind, RatMatrix.from_rows(rows, ncols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tall_matrices())
+def test_rref_stop_at_full_column_rank_changes_nothing(case):
+    kind, mat = case
+    ours, reference = rref(mat), rref_reading_every_row(mat)
+    assert (ours.pivots, ours.pivot_rows, ours.kept) == (reference.pivots, reference.pivot_rows, reference.kept)
+    if kind != "random":
+        assert ours.rank == mat.cols
+    if kind == "last":
+        assert ours.kept[-1] == mat.rows - 1
+
+
 def test_integral_scales_a_table_by_the_lcm_of_its_denominators():
     assert linalg._integral({}) == ({}, 1)
     assert linalg._integral({"a": {}}) == ({"a": {}}, 1)

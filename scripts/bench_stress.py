@@ -7,19 +7,28 @@ Each stress instance, the contact symbol heisenberg:n with full g0 to a
 cutoff, runs through ``gradedlie prolong`` in its own child process, one at
 a time, with a 900 s timeout.  For each instance the JSON records the wall
 seconds, the seconds spent building and checking g0 (``specfile.build_g0``),
-assembling the bracket table (``prolongation._assemble``) and writing the
-report (``specfile.dump_document``), the child's own peak RSS, the byte
-length and sha256 of the report and its graded dimensions.  Beside the
-wall seconds it records the median time of the fixed reference elimination
-``probe()`` of perfbench/speed.py, taken just before and just after the
-child, and the wall seconds scaled to a machine on which that probe takes
-its nominal time (reference seconds), so that two runs made while the
-machine ran at different speeds can be compared.  It also records
+building the Leibniz constraint systems (``prolongation.leibniz_system``),
+eliminating (``linalg.rref``, every call), assembling the bracket table
+(``prolongation._assemble``) and writing the report
+(``specfile.dump_document``), the child's own peak RSS, the byte length and
+sha256 of the report and its graded dimensions.  The Leibniz and rref
+seconds include the calls made while building g0.  Beside the wall seconds
+it records the median time of the fixed reference elimination ``probe()``
+of perfbench/speed.py, taken just before and just after the child, and the
+wall seconds scaled to a machine on which that probe takes its nominal time
+(reference seconds), so that two runs made while the machine ran at
+different speeds can be compared.  The scale comes from inside the child:
+it runs the command under speed.py's ``SpeedProbe``, which also probes every
+0.1 s during the run, and ``wall_ref_s`` is the wall seconds less the
+child's probing, times that in-child factor; ``probe_child_s`` is the mean
+probe time it implies.  The per-phase seconds include the probes that fell
+inside them, about 2% of a phase.  It also records
 the line count of src/gradedlie/*.py and the median wall seconds of 15
 fresh interpreters that only import gradedlie.cli, the start-up every
 command pays.  The report goes to a file and is hashed in chunks, so this
 script never holds it in memory.  --root measures the src/
-of another checkout, so two versions can be compared on the same machine.
+of another checkout, so two versions can be compared on the same machine;
+the probe is always this checkout's.
 
 heisenberg:n with full g0 prolongs to the contact algebra in 2n + 1
 variables (Tanaka 1970), whose degree-k part has the dimension of the
@@ -56,15 +65,18 @@ TIMEOUT_S = 900
 STARTS = 15
 PROBES = 25  # probe() runs before and after each child
 
-# Runs the CLI with specfile.build_g0, prolongation._assemble and
+# Runs the CLI under a SpeedProbe with specfile.build_g0,
+# prolongation.leibniz_system, linalg.rref, prolongation._assemble and
 # specfile.dump_document timed and prints, as the last stderr line, a JSON
-# object with their seconds, the process's own peak RSS (KiB) and the graded
+# object with their seconds, the seconds the probes took, the in-child factor
+# to reference seconds, the process's own peak RSS (KiB) and the graded
 # dimensions of the result.
 CHILD = """
 import json, resource, sys, time
-from gradedlie import prolongation, specfile
+from gradedlie import linalg, prolongation, specfile
 from gradedlie.cli import main
-spent, dims = {"g0_s": 0.0, "assemble_s": 0.0, "dump_s": 0.0}, {}
+from speed import SpeedProbe
+spent, dims = {"g0_s": 0.0, "leibniz_s": 0.0, "rref_s": 0.0, "assemble_s": 0.0, "dump_s": 0.0}, {}
 def timed(key, function):
     def wrapper(*args):
         start = time.perf_counter()
@@ -79,13 +91,19 @@ def recorded(*args, **kwargs):
     dims.update((str(d), result.dims[d]) for d in sorted(result.dims))
     return result
 specfile.build_g0 = timed("g0_s", specfile.build_g0)
+prolongation.leibniz_system = timed("leibniz_s", prolongation.leibniz_system)
+linalg.rref = timed("rref_s", linalg.rref)
 prolongation._assemble = timed("assemble_s", prolongation._assemble)
 specfile.dump_document = timed("dump_s", specfile.dump_document)
 prolongation.universal_prolongation = recorded
-code = main(sys.argv[1:])
+probe = SpeedProbe()
+start = time.perf_counter()
+code, net, factor = probe.around(lambda: main(sys.argv[1:]))
+probes = time.perf_counter() - start - net
 sys.stdout.flush()
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({**spent, "peak_kib": peak, "dimensions": dims}), file=sys.stderr)
+print(json.dumps({**spent, "probes_s": probes, "factor": factor, "peak_kib": peak, "dimensions": dims}),
+      file=sys.stderr)
 sys.exit(code)
 """
 
@@ -119,7 +137,7 @@ def run_instance(src: Path, workdir: Path, algebra: str, max_degree: int) -> dic
         "schema_version": 1, "name": algebra.replace(":", "-"), "algebra": {"preset": algebra},
         "g0": {"mode": "full"}, "options": {"max_degree": max_degree},
     }))
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(ROOT / "perfbench"))))
     record = {"algebra": algebra, "g0": "full", "max_degree": max_degree}
     report = workdir / "report.json"
     before = probe_seconds()
@@ -134,14 +152,18 @@ def run_instance(src: Path, workdir: Path, algebra: str, max_degree: int) -> dic
     wall = time.perf_counter() - start
     after = probe_seconds()
     record.update(exit_code=done.returncode, timed_out=False, wall_s=round(wall, 3),
-                  probe_before_s=round(before, 6), probe_after_s=round(after, 6),
-                  wall_ref_s=round(wall * PROBE_NOMINAL_S / statistics.mean((before, after)), 3))
+                  probe_before_s=round(before, 6), probe_after_s=round(after, 6))
     err = done.stderr.splitlines()
     try:
         measured = json.loads(err[-1])
     except (IndexError, ValueError):
         measured = {}
-    for key in ("g0_s", "assemble_s", "dump_s"):
+    if measured:
+        record.update(probe_child_s=round(PROBE_NOMINAL_S / measured["factor"], 6),
+                      wall_ref_s=round((wall - measured["probes_s"]) * measured["factor"], 3))
+    else:
+        record.update(probe_child_s=None, wall_ref_s=None)
+    for key in ("g0_s", "leibniz_s", "rref_s", "assemble_s", "dump_s"):
         record[key] = round(measured[key], 4) if measured else None
     record["peak_rss_mb"] = round(measured["peak_kib"] / 1024, 1) if measured else None
     if done.returncode != 0:

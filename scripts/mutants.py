@@ -61,18 +61,23 @@ MUTANTS = (
      "', '.join(map(str, trans.witness))", "', '.join(map(repr, trans.witness))",
      ["tests/test_prolongation.py::test_transitivity_failure_names_the_witness"]),
     ("leibniz-emitter-sign", "prolongation.py",
-     "emit_side(block, a, b, -1)", "emit_side(block, a, b, 1)",
+     "for dom, dom_deg, other, sign in ((a, i, b, -1), (b, j, a, 1)):",
+     "for dom, dom_deg, other, sign in ((a, i, b, 1), (b, j, a, 1)):",
      ["tests/test_prolongation.py::test_example5_first_prolongation"]),
     ("leibniz-image-sign", "prolongation.py",
-     "block[t][col(i + j, pos_c, t)] += value", "block[t][col(i + j, pos_c, t)] -= value",
+     "rows[r][first + r] = value", "rows[r][first + r] = -value",
      ["tests/test_prolongation.py::test_example5_first_prolongation"]),
     ("leibniz-symbol-side-sign", "prolongation.py",
-     "block[symbol.position_in_degree(c)][first + t] += sign * value",
-     "block[symbol.position_in_degree(c)][first + t] -= sign * value",
+     "acts += [(t, positions[c], -value) for c, value in table.get((other, g), {}).items()]",
+     "acts += [(t, positions[c], value) for c, value in table.get((other, g), {}).items()]",
      ["tests/test_prolongation.py::test_example5_first_prolongation"]),
     ("leibniz-tower-side-sign", "prolongation.py",
-     "block[u][first + t] += sign * value", "block[u][first + t] -= sign * value",
+     "acts += [(t, u, value) for u, value", "acts += [(t, u, -value) for u, value",
      ["tests/test_prolongation.py::test_example5_first_prolongation"]),
+    ("leibniz-action-stored-a-degree-down", "prolongation.py",
+     "actions[(mid, other)] = acts", "actions[(mid - 1, other)] = acts",
+     ["tests/test_leibniz.py::test_leibniz_system_matches_the_copying_emitter_on_corpus_and_perfbench",
+      "tests/test_prolongation.py::test_example5_first_prolongation"]),
     ("spencer-emitter-sign", "normalization.py",
      "pair_rows[u][col(-1, a1_pos, t)] += value", "pair_rows[u][col(-1, a1_pos, t)] -= value",
      ["tests/test_prolongation.py::test_route_equivalence_example5"]),
@@ -127,6 +132,15 @@ MUTANTS = (
      "if len(reduced) == matrix.cols:", "if len(reduced) == matrix.cols - 1:",
      ["tests/test_linalg.py::test_rref_stop_at_full_column_rank_changes_nothing",
       "tests/test_linalg.py::test_rref_matches_dense_and_sympy_oracles"]),
+    ("rref-index-misses-gained-entries", "linalg.py",
+     "holders[c].add(q)", "holders[c]",
+     ["tests/test_linalg.py::test_rref_column_index_matches_testing_every_reduced_row"]),
+    ("rref-index-keeps-cancelled-entries", "linalg.py",
+     "holders[c].remove(q)", "holders[c]",
+     ["tests/test_linalg.py::test_rref_column_index_matches_testing_every_reduced_row"]),
+    ("rref-index-skips-the-new-row", "linalg.py",
+     "holders[c].add(p)", "holders[c]",
+     ["tests/test_linalg.py::test_rref_column_index_matches_testing_every_reduced_row"]),
     ("certify-skips-a-single-pair", "linalg.py",
      "if not pairs:", "if len(pairs) < 2:",
      ["tests/test_linalg.py::test_self_checks_raise_on_corrupted_elimination",

@@ -6,11 +6,12 @@ a plain ``int``, and a ``fractions.Fraction`` always has a denominator above
 C ints throughout.  Elimination is one sparse Gauss-Jordan reduction,
 ``rref``, that works on the nonzero entries only, fraction-free: it clears
 the denominators of the matrix (``_integral``) and runs on primitive integer
-rows, divided by their pivot entries once at the end (``_ratio``); the
-Jacobi check and the Killing form run on tables scaled by ``_integral`` as
-well.  Pivots are always the first nonzero entry in column order; the
-reduced row echelon form is unique, which makes every returned basis
-deterministic (bit-exact across runs).  The certificates
+rows, divided by their pivot entries once at the end (``_ratio``), and
+eliminates each new pivot only from the reduced rows that a column index
+names as holding it; the Jacobi check and the Killing form run on tables
+scaled by ``_integral`` as well.  Pivots are always the first nonzero entry
+in column order; the reduced row echelon form is unique, which makes every
+returned basis deterministic (bit-exact across runs).  The certificates
 (``_certify``) multiply out A x directly, independent of that kernel.
 
 A ``RatMatrix`` stores the sparse rows that ``rref`` and ``_certify`` read.
@@ -38,6 +39,7 @@ target's coordinates x are returned only when x B == t exactly.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -225,8 +227,15 @@ def rref(matrix: RatMatrix) -> Echelon:
     whose pivot entry is 1 is returned as it is.  Once every column holds a
     pivot the remaining rows are not read: each would reduce to nothing,
     so the pivots, the pivot rows and ``kept`` are already final.
+
+    ``holders`` maps each column to the pivots of the pivot rows with an
+    entry there, their own pivot column aside, so a new pivot row is
+    eliminated only from the rows that hold its pivot.  An elimination
+    changes a row only at the new row's columns: it gains those it lacked
+    and loses those that cancel, the new pivot among them.
     """
     reduced: dict[int, dict[int, int]] = {}
+    holders: defaultdict[int, set[int]] = defaultdict(set)
     kept = []
     for r, row in sorted(_integral(matrix._rows)[0].items()):
         if len(reduced) == matrix.cols:
@@ -239,10 +248,19 @@ def rref(matrix: RatMatrix) -> Echelon:
         kept.append(r)
         p = min(row)
         _make_primitive(row, row[p])
-        for q, other in reduced.items():
-            if p in other:
-                _eliminate(other, p, row)
-                _make_primitive(other, other[q])
+        for q in holders.pop(p, ()):
+            other = reduced[q]
+            gained = [c for c in row if c not in other]
+            _eliminate(other, p, row)
+            _make_primitive(other, other[q])
+            for c in gained:
+                holders[c].add(q)
+            for c in row:
+                if c not in other and c != p:
+                    holders[c].remove(q)
+        for c in row:
+            if c != p:
+                holders[c].add(p)
         reduced[p] = row
     pivots = tuple(sorted(reduced))
     rows = tuple(row if (d := row[p]) == 1 else {c: _ratio(v, d) for c, v in row.items()}

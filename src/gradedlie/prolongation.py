@@ -62,51 +62,64 @@ def leibniz_system(symbol: GradedLieAlgebra, g_bases, degree: int):
 
     Columns follow map_layout (blocks ascending in i, domain index outer,
     target coordinate inner); rows are emitted pair by pair over all basis
-    pairs (a, b) with a < b of the symbol.  Returns (layout, matrix).
+    pairs (a, b) with a < b of the symbol whose target degree is not empty,
+    each entry written once, and a row is made on its first entry.  The
+    side terms [f(e), e'] walk the nonzero action on e' of the degree
+    mid = i + degree basis x_t, listed once per (mid, e') on first use as
+    (t, u, value) triples, [x_t, e'] = sum of value y_u, read straight from
+    the symbol's table (mid < 0) or the tower's columns.  Returns (layout,
+    matrix).
     """
     dims = tower_dims(symbol, g_bases)
     layout = map_layout(dims, degree)
     offsets, ncols = layout_offsets(layout)
     block_target = {i: tgt for i, _, tgt in layout}
+    table, positions = symbol._table, symbol._positions
+    degrees = [e.degree for e in symbol.basis]
+    actions: dict[tuple[int, int], list] = {}  # (mid, e') -> its (t, u, value) triples
 
-    def col(i, pos, t):
-        return offsets[i] + pos * block_target[i] + t
-
-    def emit_side(block, dom, other, sign):
-        # sign * [f(e_dom), e_other], added into the {column: value} rows of the pair
-        dom_deg = symbol.degree_of(dom)
-        if dom_deg not in block_target:
-            return
-        mid, first = dom_deg + degree, col(dom_deg, symbol.position_in_degree(dom), 0)
+    def action(mid, other):
+        acts = []
         if mid < 0:
             for t, g in enumerate(symbol.indices_of_degree(mid)):
-                for c, value in symbol.bracket_basis(g, other).items():
-                    block[symbol.position_in_degree(c)][first + t] += sign * value
+                if g < other:
+                    acts += [(t, positions[c], value) for c, value in table.get((g, other), {}).items()]
+                elif g > other:
+                    acts += [(t, positions[c], -value) for c, value in table.get((other, g), {}).items()]
         else:
-            other_deg, other_pos = symbol.degree_of(other), symbol.position_in_degree(other)
+            column = positions[other]
             for t, f in enumerate(g_bases[mid]):
-                for u, value in f.columns[other_deg][other_pos].items():
-                    block[u][first + t] += sign * value
+                acts += [(t, u, value) for u, value in f.columns[degrees[other]][column].items()]
+        actions[(mid, other)] = acts
+        return acts
 
-    rows = []  # {column: value}, pair by pair
+    rows = defaultdict(dict)  # row -> {column: value}
+    nrows = 0
     for a in range(symbol.dim):
+        i = degrees[a]
         for b in range(a + 1, symbol.dim):
-            i, j = symbol.degree_of(a), symbol.degree_of(b)
-            block = [defaultdict(int) for _ in range(dims.get(i + j + degree, 0))]
-            if not block:
+            j = degrees[b]
+            size = dims.get(i + j + degree, 0)
+            if not size:
                 continue
-            rows += block
+            base, nrows = nrows, nrows + size
             # + f([e_a, e_b])
             if i + j in block_target:
-                for c, value in symbol.bracket_basis(a, b).items():
-                    pos_c = symbol.position_in_degree(c)
-                    for t in range(block_target[i + j]):
-                        block[t][col(i + j, pos_c, t)] += value
-            # - [f(e_a), e_b], with f(e_a) expanded over the degree i+degree basis
-            emit_side(block, a, b, -1)
-            # - [e_a, f(e_b)] = + [f(e_b), e_a]
-            emit_side(block, b, a, 1)
-    return layout, RatMatrix._of_rows(len(rows), ncols, rows)
+                for c, value in table.get((a, b), {}).items():
+                    first = offsets[i + j] + positions[c] * size - base
+                    for r in range(base, nrows):
+                        rows[r][first + r] = value
+            # - [f(e_a), e_b], with f(e_a) expanded over the degree i+degree basis,
+            # then - [e_a, f(e_b)] = + [f(e_b), e_a]
+            for dom, dom_deg, other, sign in ((a, i, b, -1), (b, j, a, 1)):
+                if dom_deg in block_target:
+                    first, mid = offsets[dom_deg] + positions[dom] * block_target[dom_deg], dom_deg + degree
+                    acts = actions.get((mid, other))
+                    if acts is None:
+                        acts = action(mid, other)
+                    for t, u, value in acts:
+                        rows[base + u][first + t] = sign * value
+    return layout, RatMatrix._of_rows(nrows, ncols, rows)
 
 
 def _normalize_map_basis(vectors, degree, layout):

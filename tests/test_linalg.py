@@ -471,11 +471,16 @@ def test_rref_is_unchanged_by_row_scaling(mat, data):
         assert (ours.pivots, ours.rows) == sympy_rref(scaled)
 
 
-def rref_reading_every_row(matrix):
-    """linalg.rref as it was before it stopped at a pivot in every column:
-    it reduces every row, the reference for that stop."""
+def rref_testing_every_reduced_row(matrix, stop_at_full_rank=True):
+    """linalg.rref as it was before its column index of the pivot rows: a
+    new pivot is eliminated from every reduced row that holds it, found by
+    testing each one, the reference for that index.  With stop_at_full_rank
+    False it also reduces every row, as rref did before it stopped once
+    every column held a pivot, the reference for that stop."""
     reduced, kept = {}, []
     for r, row in sorted(linalg._integral(matrix._rows)[0].items()):
+        if stop_at_full_rank and len(reduced) == matrix.cols:
+            break
         for c in [c for c in row if c in reduced]:
             linalg._eliminate(row, c, reduced[c])
         if not row:
@@ -532,12 +537,64 @@ def tall_matrices(draw):
 @given(tall_matrices())
 def test_rref_stop_at_full_column_rank_changes_nothing(case):
     kind, mat = case
-    ours, reference = rref(mat), rref_reading_every_row(mat)
+    ours, reference = rref(mat), rref_testing_every_reduced_row(mat, stop_at_full_rank=False)
     assert (ours.pivots, ours.pivot_rows, ours.kept) == (reference.pivots, reference.pivot_rows, reference.kept)
     if kind != "random":
         assert ours.rank == mat.cols
     if kind == "last":
         assert ours.kept[-1] == mat.rows - 1
+
+
+@st.composite
+def indexed_elimination_cases(draw):
+    """(shape, matrix), mostly zero with Fraction entries: 'tall' and 'wide'
+    ones combine their rows from at most min(rows, cols) sparse vectors, so
+    most are rank-deficient; 'full' ones are tall and of full column rank, so
+    the elimination stops at the row that completes it, often before the
+    last.  Some rows repeat an earlier row exactly."""
+    shape = draw(st.sampled_from(["tall", "wide", "full"]))
+    ncols = draw(st.integers(min_value=1 if shape != "wide" else 2, max_value=10))
+    if shape == "wide":
+        nrows = draw(st.integers(min_value=1, max_value=ncols - 1))
+    else:
+        nrows = draw(st.integers(min_value=ncols + 1, max_value=ncols + 8))
+    zero = st.just(F(0))
+    entry = st.one_of(zero, zero, zero, fractions_st)
+    if shape == "full":
+        # the rows of a sparse U P, U unitriangular up to its diagonal and P a permutation
+        order = draw(st.permutations(range(ncols)))
+        vectors = []
+        for i in range(ncols):
+            row = [F(0)] * ncols
+            row[order[i]] = draw(st.sampled_from([F(1), F(-2), F(3, 5)]))
+            for j in range(i + 1, ncols):
+                row[order[j]] = draw(entry)
+            vectors.append(row)
+    else:
+        vectors = [draw(st.lists(entry, min_size=ncols, max_size=ncols))
+                   for _ in range(draw(st.integers(min_value=0, max_value=min(nrows, ncols))))]
+    rows = list(vectors) if shape == "full" else []
+    while len(rows) < nrows:
+        if rows and draw(st.booleans()):
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            coeffs = draw(st.lists(entry, min_size=len(vectors), max_size=len(vectors)))
+            rows.append([sum((a * v[c] for a, v in zip(coeffs, vectors)), F(0)) for c in range(ncols)])
+    return shape, RatMatrix.from_rows(draw(st.permutations(rows)), ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(indexed_elimination_cases())
+# the first row gains the third pivot's column when the second pivot is
+# eliminated from it; then a first row that loses that column instead
+@example(("full", RatMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])))
+@example(("full", RatMatrix.from_rows([[1, 1, 1], [0, 1, 1], [0, 0, 1]])))
+def test_rref_column_index_matches_testing_every_reduced_row(case):
+    shape, mat = case
+    ours, reference = rref(mat), rref_testing_every_reduced_row(mat)
+    assert (ours.pivots, ours.pivot_rows, ours.kept) == (reference.pivots, reference.pivot_rows, reference.kept)
+    if shape == "full":
+        assert ours.rank == mat.cols
 
 
 def test_integral_scales_a_table_by_the_lcm_of_its_denominators():

@@ -15,6 +15,7 @@ algebra on n generators prolongs to so(n, n + 1) in the same way; n = 3 is
 Bryant's (3, 6) case.  None of this theory shares code with the engine.
 """
 
+import functools
 from collections import Counter
 from itertools import combinations
 
@@ -80,6 +81,18 @@ def prolong(symbol, cutoff):
     return universal_prolongation(symbol, degree_zero_derivations(symbol), cutoff)
 
 
+@functools.cache
+def prolonged_grading(n, marked):
+    """The grading's negative part prolonged to cutoff |S| + 1, once per test session."""
+    return prolong(sl_negative_part(n, marked), len(marked) + 1)
+
+
+@functools.cache
+def prolonged_free(n):
+    """free:n:2 prolonged to cutoff 3, once per test session."""
+    return prolong(free_nilpotent(n, 2), 3)
+
+
 def test_gradings_are_every_nonempty_set_of_marked_roots():
     assert len(GRADINGS) == 2 ** 2 + 2 ** 3 + 2 ** 4 + 2 ** 5 - 4
     assert sum(yamaguchi_exception(*case) for case in GRADINGS) == 3 + 6 + 9 + 12
@@ -87,7 +100,7 @@ def test_gradings_are_every_nonempty_set_of_marked_roots():
 
 @pytest.mark.parametrize("n, marked", gradings(False))
 def test_parabolic_grading_prolongs_to_sl_n(n, marked):
-    result = prolong(sl_negative_part(n, marked), len(marked) + 1)
+    result = prolonged_grading(n, marked)
     assert result.terminated and result.vanishing_degree == len(marked) + 1
     assert result.dims == sl_dimensions(n, marked) and result.total_dimension == n * n - 1
     assert check_validity(result.algebra).ok
@@ -97,13 +110,13 @@ def test_parabolic_grading_prolongs_to_sl_n(n, marked):
 
 @pytest.mark.parametrize("n, marked", gradings(True))
 def test_yamaguchi_exception_prolongs_beyond_sl_n(n, marked):
-    result = prolong(sl_negative_part(n, marked), len(marked) + 1)
+    result = prolonged_grading(n, marked)
     assert not result.terminated or result.dims != sl_dimensions(n, marked)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_free_two_step_algebra_prolongs_to_split_so(n):
-    result = prolong(free_nilpotent(n, 2), 3)
+    result = prolonged_free(n)
     pairs = n * (n - 1) // 2
     assert result.terminated and result.vanishing_degree == 3
     assert result.dims == {-2: pairs, -1: n, 0: n * n, 1: n, 2: pairs}

@@ -39,7 +39,7 @@ MUTANTS = (
      ["tests/test_linalg.py::test_frac_keeps_integral_rationals_as_ints",
       "tests/test_symbols.py::test_floats_are_rejected_at_every_entry_point"]),
     ("assemble-without-reconstruction", "prolongation.py",
-     "if rebuilt != flat:", "if False:",
+     "if any(flat.values()):", "if False:",
      ["tests/test_prolongation.py::test_assemble_rejects_brackets_beyond_the_vanishing_degree",
       "tests/test_prolongation.py::test_assemble_rejects_brackets_that_escape_the_basis"]),
     ("assemble-action-sign", "prolongation.py",
@@ -51,9 +51,20 @@ MUTANTS = (
      ["tests/test_algebra.py::test_adjoin_g0_example5",
       "tests/test_cli.py::test_reports_match_benchmark_golden_digests"]),
     ("assemble-lookup-sign-swapped", "prolongation.py",
-     "((c, left), -sign * q) if c < left else ((left, c), sign * q)",
-     "((c, left), sign * q) if c < left else ((left, c), -sign * q)",
+     "terms, q = brackets.get((c, x)), -q\n                        else:\n"
+     "                            terms = brackets.get((x, c))\n",
+     "terms = brackets.get((c, x))\n                        else:\n"
+     "                            terms, q = brackets.get((x, c)), -q\n",
      ["tests/test_prolongation.py::test_assemble_matches_the_fraction_reference"]),
+    ("assemble-left-fold-dropped", "prolongation.py",
+     "terms, q = brackets.get((c, x)), -q", "terms = brackets.get((c, x))",
+     ["tests/test_prolongation.py::test_assemble_matches_the_fraction_reference"]),
+    ("assemble-right-fold-negated", "prolongation.py",
+     "terms = brackets.get((c, y))", "terms, q = brackets.get((c, y)), -q",
+     ["tests/test_prolongation.py::test_assemble_matches_the_fraction_reference"]),
+    ("assemble-missing-column-read-by-key", "prolongation.py",
+     "flat[col] = flat.get(col, 0) - value * r", "flat[col] -= value * r",
+     ["tests/test_prolongation.py::test_assemble_reads_a_column_the_bracket_lacks_as_zero"]),
     ("assemble-keeps-empty-brackets", "prolongation.py",
      "                    if coords:\n", "                    if True:\n",
      ["tests/test_linalg.py::test_engine_built_matrices_hold_nonzero_exact_rationals_in_range"]),

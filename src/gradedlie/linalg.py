@@ -93,10 +93,14 @@ class RatMatrix:
     @classmethod
     def _of_rows(cls, rows: int, cols: int, data) -> "RatMatrix":
         """Engine-built rows in range, nonzero and canonical, a {row: {column:
-        value}} dict or a list of rows, adopted uncopied; empty rows are dropped."""
+        value}} dict or a list of rows, adopted uncopied into a plain dict;
+        empty rows are dropped."""
         mat = cls(rows, cols)
-        pairs = data.items() if isinstance(data, dict) else enumerate(data)
-        mat._rows = {r: row for r, row in pairs if row}
+        if isinstance(data, dict) and all(data.values()):
+            mat._rows = dict(data)
+        else:
+            pairs = data.items() if isinstance(data, dict) else enumerate(data)
+            mat._rows = {r: row for r, row in pairs if row}
         return mat
 
     def _check(self, r: int, c: int) -> None:

@@ -23,10 +23,10 @@ total degree below D, so it is composed exactly over the one bracket table
 as that table grows: each element's action v -> [w, v] on the symbol is
 listed once per degree D, and a pair walks the two lists of its elements.
 The degree-D basis is in reduced echelon form, so a bracket's coordinates
-are its entries at the basis pivots, confirmed by an exact reconstruction
-of the whole map.  The structure constants are adopted, without a copy, as
-a single graded Lie algebra, checked for the Jacobi identity whenever the
-prolongation terminates.
+are its entries at the basis pivots, certified exactly on every entry: the
+map minus its expansion over the basis rows vanishes.  The structure
+constants are adopted, without a copy, as a single graded Lie algebra,
+checked for the Jacobi identity whenever the prolongation terminates.
 """
 
 from __future__ import annotations
@@ -300,9 +300,12 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
     appended while the name is taken.  The brackets go into one sparse dict
     of exact rationals, seeded and then filled degree by degree as the
     module docstring describes: actions[w] lists [w, v] = -[v, w] for the
-    symbol elements v as (column base of v, c, coefficient) triples.  When
-    the prolongation terminated, pairs whose total degree exceeds the top
-    computed degree (no basis) must vanish.
+    symbol elements v as (column base of v, c, coefficient) triples.  A
+    pair's coordinates are the entries of its composed map at the pivots,
+    and the certificate is that the map minus its expansion over the basis
+    rows vanishes, a column the map lacks read as 0; otherwise
+    InternalConsistencyError.  When the prolongation terminated, pairs whose
+    total degree exceeds the top computed degree (no basis) must vanish.
     """
     dims = tower_dims(symbol, g_bases)
     kmax = len(g_bases) - 1
@@ -329,14 +332,16 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
         if coords:
             brackets[(indices[0][s], indices[0][t])] = {indices[0][u]: x for u, x in coords.items()}
     empty: dict[int, linalg.Rational] = {}
+    frac = linalg._frac
 
     for D in range(1, (2 * kmax if terminated else kmax) + 1):
         layout = map_layout(dims, D)
         offsets, _ = layout_offsets(layout)
         # the degree-D basis maps are reduced echelon rows (_normalize_map_basis),
-        # so a bracket's coordinates are its entries at their unit pivots
-        rows = [f.flat_entries(layout) for f in g_bases[D]] if D <= kmax else []
-        pivots = {min(row): u for u, row in enumerate(rows)}
+        # so a bracket's coordinates are its entries at their unit pivots:
+        # pivot column -> (index of the basis element, items of its row)
+        pivots = ({min(row): (g, tuple(row.items())) for g, row in
+                   zip(indices[D], (f.flat_entries(layout) for f in g_bases[D]))} if D <= kmax else {})
         low = max(0, D - kmax)
         actions = {w: [(offsets[i] + pos * tgt, c, -p) for i, _, tgt in layout
                        for pos, v in enumerate(indices[i])
@@ -344,28 +349,42 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
                    for m in range(low, D - low + 1) for w in indices[m]}
         for k in range(low, D // 2 + 1):
             for x in indices[k]:
+                acts_x = actions[x]
                 for y in indices[D - k]:
                     if x >= y:
                         continue
-                    # [[x, y], v] = [x, [y, v]] - [y, [x, v]]; [left, c] is -brackets[(c, left)]
-                    # for c below left, every symbol c included, else brackets[(left, c)]
+                    # [[x, y], v] = [x, [y, v]] - [y, [x, v]], with [a, c] = brackets[(a, c)]
+                    # for a below c, else -brackets[(c, a)]; the sign rides on q
                     flat = {}
-                    for left, acts, sign in ((x, actions[y], 1), (y, actions[x], -1)):
-                        for base, c, q in acts:
-                            key, factor = ((c, left), -sign * q) if c < left else ((left, c), sign * q)
-                            for e, value in brackets.get(key, empty).items():
+                    for base, c, q in actions[y]:
+                        if c < x:
+                            terms, q = brackets.get((c, x)), -q
+                        else:
+                            terms = brackets.get((x, c))
+                        if terms:
+                            for e, value in terms.items():
                                 col = base + position[e]
-                                flat[col] = flat.get(col, 0) + factor * value
-                    flat = {col: value for col, value in flat.items() if value}
-                    coords = {pivots[c]: value for c, value in flat.items() if c in pivots}
-                    rebuilt: dict[int, linalg.Rational] = {}
-                    for u, value in coords.items():
-                        linalg.axpy(rebuilt, value, rows[u])
-                    if rebuilt != flat:
+                                flat[col] = flat.get(col, 0) + q * value
+                    # deg c < deg x <= deg y, so c is below y and -[y, c] = brackets[(c, y)]
+                    for base, c, q in acts_x:
+                        terms = brackets.get((c, y))
+                        if terms:
+                            for e, value in terms.items():
+                                col = base + position[e]
+                                flat[col] = flat.get(col, 0) + q * value
+                    if not flat:
+                        continue
+                    coords = [(hit, value) for col, value in flat.items() if value and (hit := pivots.get(col))]
+                    # the certificate: the map minus its expansion over the basis rows vanishes
+                    for (_, items), value in coords:
+                        for col, r in items:
+                            flat[col] = flat.get(col, 0) - value * r
+                    if any(flat.values()):
                         fault = ("is nonzero beyond the vanishing degree" if D > kmax
                                  else f"escaped the degree-{D} basis")
                         raise InternalConsistencyError(f"bracket of degrees ({k}, {D - k}) {fault}")
                     # pairs of degree D read only brackets below D
                     if coords:
-                        brackets[(x, y)] = {indices[D][u]: linalg._frac(value) for u, value in coords.items()}
+                        brackets[(x, y)] = {g: value if type(value) is int else frac(value)
+                                            for (g, _), value in coords}
     return GradedLieAlgebra._of_table(elements, brackets)

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -283,6 +284,23 @@ def test_engine_built_matrices_hold_nonzero_exact_rationals_in_range(monkeypatch
                       for i, cols in f.columns.items() for col in cols for t, value in col.items()
                       if not canonical(value) or not value or not 0 <= t < f.shapes[i][1])
     assert faults == []
+
+
+def test_of_rows_adopts_rows_into_a_plain_dict():
+    # a defaultdict handed over whole, every row nonempty, must not keep
+    # its factory: a read of a missing row would then insert an empty one
+    rows = defaultdict(dict)
+    rows[0][1] = 2
+    rows[2][0] = F(1, 2)
+    for data in (rows, {0: {1: 2}, 1: {}, 2: {0: F(1, 2)}}):
+        matrix = RatMatrix._of_rows(3, 2, data)
+        assert type(matrix._rows) is dict
+        assert matrix._rows == {0: {1: 2}, 2: {0: F(1, 2)}}
+        assert matrix.get(1, 0) == 0 and 1 not in matrix._rows
+    assert RatMatrix._of_rows(3, 2, [{1: 2}, {}, {0: 3}])._rows == {0: {1: 2}, 2: {0: 3}}
+    symbol = gradedlie.heisenberg(1)
+    _, leibniz = prolongation.leibniz_system(symbol, [list(gradedlie.degree_zero_derivations(symbol).generators)], 1)
+    assert type(leibniz._rows) is dict and leibniz.nnz
 
 
 def test_frac_keeps_integral_rationals_as_ints():

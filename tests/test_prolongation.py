@@ -24,8 +24,8 @@ from gradedlie import (
     prolong_step,
     universal_prolongation,
 )
-from gradedlie import linalg, prolongation
-from gradedlie.algebra import DegreeZeroAlgebra, layout_offsets, map_layout, tower_dims
+from gradedlie import cli, linalg, prolongation
+from gradedlie.algebra import DegreeZeroAlgebra, layout_offsets, map_layout, maps_from_rows, tower_dims
 from gradedlie.prolongation import (
     InternalConsistencyError,
     _assemble,
@@ -34,7 +34,8 @@ from gradedlie.prolongation import (
 )
 from gradedlie.symbols import EuclideanForm
 
-from conftest import LAMBDA_1, LAMBDA_2, bracket
+from conftest import CORPUS, LAMBDA_1, LAMBDA_2, bracket
+from test_parabolic import prolonged_grading
 
 F = Fraction
 
@@ -366,6 +367,34 @@ def test_assemble_rejects_brackets_that_escape_the_basis(corpus_results):
         _assemble(symbol, cut, g0, False)
 
 
+def with_a_foreign_column(bases, dims):
+    """The tower with its first degree-1 map given the entry 1 at column 2 of
+    the flattened layout, a column that map lacks and no map has as pivot.
+    On contact-n1 a bracket of g0 with an unchanged degree-1 map then has a
+    coordinate on that map, whose row holds a column the bracket lacks."""
+    layout = map_layout(dims, 1)
+    rows = [f.flat_entries(layout) for f in bases[1]]
+    assert 2 not in rows[0] and 2 not in {min(row) for row in rows}
+    rows[0][2] = 1
+    return [bases[0], maps_from_rows(1, layout, rows), *bases[2:]]
+
+
+def test_assemble_reads_a_column_the_bracket_lacks_as_zero(corpus_results, monkeypatch, capsys):
+    _, symbol, g0, result = corpus_results["contact-n1"]
+    bases = with_a_foreign_column([list(b) for b in result.bases], result.dims)
+    with pytest.raises(InternalConsistencyError, match=r"^bracket of degrees \(0, 1\) escaped the degree-1 basis$"):
+        _assemble(symbol, bases, g0, False)
+    # the same tower handed to the assembly of a whole run ends as exit 3, one line
+    real = prolongation._assemble
+    monkeypatch.setattr(prolongation, "_assemble",
+                        lambda symbol, g_bases, g0, terminated:
+                        real(symbol, with_a_foreign_column(g_bases, tower_dims(symbol, g_bases)), g0, terminated))
+    assert cli.main(["prolong", str(CORPUS / "contact-n1.json")]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal consistency failure: bracket of degrees (0, 1) escaped the degree-1 basis\n"
+
+
 def test_assemble_reads_echelon_bases_without_eliminating(corpus_results, monkeypatch):
     # every tower basis above degree 0 is its own reduced echelon form, so
     # the bracket table reads coordinates at the pivots and eliminates nothing
@@ -473,12 +502,19 @@ def seed_scale(algebra):
 def test_assemble_matches_the_fraction_reference(corpus_results, perfbench_results):
     results = {name: result for name, (*_, result) in {**corpus_results, **perfbench_results}.items()}
     results["contact-n1-rescaled"] = contact_rescaled()
+    for n, max_degree in ((2, 3), (3, 2)):
+        m = heisenberg(n)
+        results[f"heisenberg-{n}"] = universal_prolongation(m, degree_zero_derivations(m), max_degree)
+    # terminated runs, so the pairs above the top degree must vanish
+    for n in (4, 5):
+        results[f"sl{n}-all-roots"] = prolonged_grading(n, tuple(range(1, n)))
+        assert results[f"sl{n}-all-roots"].terminated
     scales = {}
     for name, result in results.items():
         bases = [list(b) for b in result.bases]
         assert result.algebra._table == reference_table(result.symbol, bases, result.g0, result.terminated), name
         scales[name] = (seed_scale(result.algebra), linalg._integral(result.algebra._table)[1])
-    assert len(scales) == 15
+    assert len(scales) == 19
     # the inputs cover a seeded denominator (cartan-25, 6) and a degree that
     # brings a new one (the rescaled contact algebra, from 2 to 4)
     assert scales["cartan-25"] == (6, 6)

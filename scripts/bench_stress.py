@@ -21,7 +21,10 @@ different speeds can be compared.  The scale comes from inside the child:
 it runs the command under speed.py's ``SpeedProbe``, which also probes every
 0.1 s during the run, and ``wall_ref_s`` is the wall seconds less the
 child's probing, times that in-child factor; ``probe_child_s`` is the mean
-probe time it implies.  The per-phase seconds include the probes that fell
+probe time it implies.  Each phase is also recorded in reference seconds
+(``g0_ref_s``, ``leibniz_ref_s``, ``rref_ref_s``, ``assemble_ref_s``,
+``dump_ref_s``), its raw seconds times its child's ``wall_ref_s / wall_s``,
+beside the raw ones.  The per-phase seconds include the probes that fell
 inside them, about 2% of a phase.  It also records
 the line count of src/gradedlie/*.py and the median wall seconds of 15
 fresh interpreters that only import gradedlie.cli, the start-up every
@@ -159,12 +162,15 @@ def run_instance(src: Path, workdir: Path, algebra: str, max_degree: int) -> dic
     except (IndexError, ValueError):
         measured = {}
     if measured:
+        wall_ref = (wall - measured["probes_s"]) * measured["factor"]
         record.update(probe_child_s=round(PROBE_NOMINAL_S / measured["factor"], 6),
-                      wall_ref_s=round((wall - measured["probes_s"]) * measured["factor"], 3))
+                      wall_ref_s=round(wall_ref, 3))
     else:
         record.update(probe_child_s=None, wall_ref_s=None)
     for key in ("g0_s", "leibniz_s", "rref_s", "assemble_s", "dump_s"):
         record[key] = round(measured[key], 4) if measured else None
+        # in reference seconds too, scaled by this child's wall_ref_s / wall_s
+        record[key[:-2] + "_ref_s"] = round(measured[key] * wall_ref / wall, 4) if measured else None
     record["peak_rss_mb"] = round(measured["peak_kib"] / 1024, 1) if measured else None
     if done.returncode != 0:
         record["error"] = "\n".join(err[:-1] if measured else err)

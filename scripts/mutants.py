@@ -140,7 +140,7 @@ MUTANTS = (
      ["tests/test_linalg.py::test_self_checks_raise_on_corrupted_elimination",
       "tests/test_linalg.py::test_certificate_sees_a_right_hand_side_in_a_zero_row"]),
     ("rref-stops-one-pivot-early", "linalg.py",
-     "if len(reduced) == matrix.cols:", "if len(reduced) == matrix.cols - 1:",
+     "if len(reduced) == cols:", "if len(reduced) == cols - 1:",
      ["tests/test_linalg.py::test_rref_stop_at_full_column_rank_changes_nothing",
       "tests/test_linalg.py::test_rref_matches_dense_and_sympy_oracles"]),
     ("rref-index-misses-gained-entries", "linalg.py",
@@ -152,6 +152,10 @@ MUTANTS = (
     ("rref-index-skips-the-new-row", "linalg.py",
      "holders[c].add(p)", "holders[c]",
      ["tests/test_linalg.py::test_rref_column_index_matches_testing_every_reduced_row"]),
+    ("rref-int-rows-shared", "linalg.py",
+     "row = table[r].copy()", "row = table[r]",
+     ["tests/test_linalg.py::test_rref_matches_the_rref_with_helper_calls",
+      "tests/test_linalg.py::test_integral_callers_leave_an_all_int_table_unchanged"]),
     ("certify-skips-a-single-pair", "linalg.py",
      "if not pairs:", "if len(pairs) < 2:",
      ["tests/test_linalg.py::test_self_checks_raise_on_corrupted_elimination",
@@ -182,6 +186,13 @@ MUTANTS = (
     ("killing-partner-orientation", "diagnostics.py",
      "partner = groups.get((y, x))", "partner = groups.get((x, y))",
      ["tests/test_diagnostics.py::test_killing_form_matches_fraction_traces_on_terminated_runs"]),
+    ("center-drops-a-distinct-row", "diagnostics.py",
+     "list(distinct.values())", "list(distinct.values())[1:]",
+     ["tests/test_diagnostics.py::test_center_matches_the_full_stack_on_random_tables",
+      "tests/test_diagnostics.py::test_center_matches_the_full_stack_on_corpus_and_perfbench"]),
+    ("center-rows-keyed-unsorted", "diagnostics.py",
+     "for (a, b), terms in sorted(algebra._table.items()):", "for (a, b), terms in algebra._table.items():",
+     ["tests/test_diagnostics.py::test_center_matches_the_full_stack_on_random_tables"]),
     ("signature-component-stops-growing", "diagnostics.py",
      "stack.append(j)", "block.append(j)",
      ["tests/test_diagnostics.py::test_signature_of_permuted_direct_sums"]),

@@ -416,54 +416,67 @@ def _flat_commutators(maps, layout, pairs) -> list[dict[int, Rational]]:
 
 
 def derivation_violation(symbol: GradedLieAlgebra, f: GradedLinearMap):
-    """First basis pair (a, b), a < b, where the Leibniz rule fails, or None.
+    """First basis pair (a, b), a < b, where the Leibniz rule fails for f,
+    or None: the one-map case of derivation_violations."""
+    return next(derivation_violations(symbol, (f,)))
+
+
+def derivation_violations(symbol: GradedLieAlgebra, maps):
+    """For each map f of `maps` in turn, the first basis pair (a, b), a < b,
+    where the Leibniz rule fails, or None; a generator, so a caller that
+    stops at the first failing map checks no further.
 
     L(a, b) = f([e_a, e_b]) - [f(e_a), e_b] - [e_a, f(e_b)] is summed over
     the nonzero brackets only: partners[c] lists (b, sign, terms) with
     [e_c, e_b] = sign * terms for every nonzero bracket of e_c, in both
-    orientations.  A term [f(e_s), e_o] of the ordered pair (s, o) goes into
-    L(s, o) when s < o and, with its sign changed, into L(o, s) = -L(s, o)
-    otherwise; at s == o the two terms cancel.  The sums run on integer
-    copies, the images of f and the table each scaled by the lcm of its
-    denominators: every term is one structure constant times one entry of
-    f, so L(a, b) is scaled by one factor and vanishes exactly when it
-    does.  The witness is the least pair left nonzero, the pair the
-    lexicographic loop over all pairs reports.
+    orientations, built once for all the maps.  A term [f(e_s), e_o] of the
+    ordered pair (s, o) goes into L(s, o) when s < o and, with its sign
+    changed, into L(o, s) = -L(s, o) otherwise; at s == o the two terms
+    cancel.  The sums run on integer copies, the table scaled by the lcm of
+    its denominators once and the images of each f by the lcm of theirs:
+    every term is one structure constant times one entry of f, so L(a, b)
+    is scaled by one factor and vanishes exactly when it does.  The witness
+    is the least pair left nonzero, the pair the lexicographic loop over
+    all pairs reports.
     """
     n = symbol.dim
-    images = []  # f(e_a) as a sparse coordinate dictionary
-    for a in range(n):
-        i = symbol.degree_of(a)
-        if i not in f.columns:
-            raise KeyError(f"map has no block on degree {i}")
-        targets = symbol.indices_of_degree(i)
-        if f.shapes[i][1] != len(targets):
-            raise ValueError("coordinate count does not match degree dimension")
-        col = f.columns[i][symbol.position_in_degree(a)]
-        images.append({targets[t]: value for t, value in col.items()})
-    images = linalg._integral(dict(enumerate(images)))[0]
+    table = linalg._integral(symbol._table)[0]
     partners: list[list[tuple[int, int, dict[int, int]]]] = [[] for _ in range(n)]
-    acc: dict[int, int] = {}  # L(a, b) at coordinate e under key (a * n + b) * n + e
-    for (a, b), terms in linalg._integral(symbol._table)[0].items():
+    for (a, b), terms in table.items():
         partners[a].append((b, 1, terms))
         partners[b].append((a, -1, terms))
-        key = (a * n + b) * n
-        for c, v in terms.items():  # f([e_a, e_b])
-            for e, w in images[c].items():
-                acc[key + e] = acc.get(key + e, 0) + v * w
-    for s in range(n):
-        for c, x in images[s].items():
-            for o, sign, terms in partners[c]:
-                if o == s:
-                    continue
-                key, factor = ((s * n + o) * n, -sign * x) if s < o else ((o * n + s) * n, sign * x)
-                for e, v in terms.items():
-                    acc[key + e] = acc.get(key + e, 0) + factor * v
-    failing = [key for key, value in acc.items() if value]
-    if not failing:
-        return None
-    a, b = divmod(min(failing) // n, n)
-    return (symbol.basis[a].name, symbol.basis[b].name)
+    # (degree, position in it, basis indices of that degree) of each e_a
+    slots = [(i, symbol.position_in_degree(a), symbol.indices_of_degree(i))
+             for a, i in enumerate(e.degree for e in symbol.basis)]
+    for f in maps:
+        images = []  # f(e_a) as a sparse coordinate dictionary
+        for i, position, targets in slots:
+            if i not in f.columns:
+                raise KeyError(f"map has no block on degree {i}")
+            if f.shapes[i][1] != len(targets):
+                raise ValueError("coordinate count does not match degree dimension")
+            images.append({targets[t]: value for t, value in f.columns[i][position].items()})
+        images = linalg._integral(dict(enumerate(images)))[0]
+        acc: dict[int, int] = {}  # L(a, b) at coordinate e under key (a * n + b) * n + e
+        for (a, b), terms in table.items():
+            key = (a * n + b) * n
+            for c, v in terms.items():  # f([e_a, e_b])
+                for e, w in images[c].items():
+                    acc[key + e] = acc.get(key + e, 0) + v * w
+        for s in range(n):
+            for c, x in images[s].items():
+                for o, sign, terms in partners[c]:
+                    if o == s:
+                        continue
+                    key, factor = ((s * n + o) * n, -sign * x) if s < o else ((o * n + s) * n, sign * x)
+                    for e, v in terms.items():
+                        acc[key + e] = acc.get(key + e, 0) + factor * v
+        failing = [key for key, value in acc.items() if value]
+        if not failing:
+            yield None
+            continue
+        a, b = divmod(min(failing) // n, n)
+        yield (symbol.basis[a].name, symbol.basis[b].name)
 
 
 class DegreeZeroAlgebra:
@@ -499,10 +512,9 @@ class DegreeZeroAlgebra:
             coordinates = linalg.express_in_basis(flats, comms)
         except ValueError:
             raise ValueError("degree-zero generators are linearly dependent") from None
-        for idx, gen in enumerate(self.generators):
-            witness = derivation_violation(symbol, gen)
+        for label, witness in zip(labels, derivation_violations(symbol, self.generators)):
             if witness is not None:
-                raise ValueError(f"{labels[idx]} is not a derivation: Leibniz fails on pair {witness}")
+                raise ValueError(f"{label} is not a derivation: Leibniz fails on pair {witness}")
         for (s, t), coords in zip(pairs, coordinates):
             if coords is None:
                 raise ValueError(f"span not closed under commutator: [{labels[s]}, {labels[t]}] "

@@ -128,13 +128,20 @@ def is_semisimple(algebra: GradedLieAlgebra) -> bool:
 
 
 def center(algebra: GradedLieAlgebra):
-    """Basis of the center, from the stacked adjoint conditions."""
+    """Basis of the center, from the stacked adjoint conditions: the
+    condition (b, c) on z = sum z_a e_a is that [z, e_b] has no e_c
+    coordinate.  Each distinct condition, keyed by its sorted items, is
+    stacked once, since a repeated row adds nothing to the kernel.  The
+    pairs are read in ascending order, so every row gets its columns in
+    ascending order (those below b from pairs (a, b), then those above b
+    from pairs (b, a)) and its items are already sorted."""
     n = algebra.dim
     rows: dict[int, dict[int, linalg.Rational]] = defaultdict(dict)  # row (b, c), column a: [e_a, e_b]_c
-    for (a, b), terms in algebra._table.items():
+    for (a, b), terms in sorted(algebra._table.items()):
         for c, value in terms.items():
             rows[b * n + c][a], rows[a * n + c][b] = value, -value
-    return linalg.nullspace(RatMatrix._of_rows(n * n, n, rows))
+    distinct = {tuple(row.items()): row for row in rows.values()}
+    return linalg.nullspace(RatMatrix._of_rows(len(distinct), n, list(distinct.values())))
 
 
 def fingerprint(algebra: GradedLieAlgebra) -> dict:

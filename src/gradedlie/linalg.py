@@ -8,26 +8,28 @@ C ints throughout.  Elimination is one sparse Gauss-Jordan reduction,
 the denominators of the matrix (``_integral``) and runs on primitive integer
 rows, divided by their pivot entries once at the end (``_ratio``), and
 eliminates each new pivot only from the reduced rows that a column index
-names as holding it; the Jacobi check and the Killing form run on tables
-scaled by ``_integral`` as well.  Pivots are always the first nonzero entry
-in column order; the reduced row echelon form is unique, which makes every
-returned basis deterministic (bit-exact across runs).  The certificates
-(``_certify``) multiply out A x directly, independent of that kernel.
+names as holding it; the Jacobi check, the Leibniz check and the Killing
+form run on tables scaled by ``_integral`` as well.  Pivots are always the
+first nonzero entry in column order; the reduced row echelon form is
+unique, which makes every returned basis deterministic (bit-exact across
+runs).  The certificates (``_certify``) multiply out A x directly,
+independent of that kernel.
 
 A ``RatMatrix`` stores the sparse rows that ``rref`` and ``_certify`` read.
 Only the public edge checks entries: engine code hands the rows it built to
 ``RatMatrix._of_rows``, which adopts them uncopied, so each builder keeps
-its entries nonzero and canonical, and ``rref``'s ``_integral`` is the one
-per-entry copy before elimination.  Vectors are sparse ``{index:
-rational}`` dicts of their nonzero entries throughout; dense lists appear
-only at the public edge (``nullspace``, ``solve``, ``Echelon.rows`` and the
-basis vectors ``express_in_basis`` takes).  ``rref`` returns an
-``Echelon``: the pivots, the reduced pivot rows and ``kept``: rows are
-reduced in input order, so a row is kept exactly when it is not in the span
-of the rows before it.  The rank, the kernel and a coordinate complement of
-the column space (the rows not kept) all come from one ``Echelon``, so a
-matrix that needs all three is eliminated once.  Kernel vectors and
-solutions are certified exactly.
+its entries nonzero and canonical.  ``_integral`` hands back a table of
+ints as it is, its own dicts, so its callers only read what it returns,
+and ``rref`` copies each row as it takes it.  Vectors are sparse
+``{index: rational}`` dicts of their nonzero entries throughout; dense
+lists appear only at the public edge (``nullspace``, ``solve``,
+``Echelon.rows`` and the basis vectors ``express_in_basis`` takes).
+``rref`` returns an ``Echelon``: the pivots, the reduced pivot rows and
+``kept``: rows are reduced in input order, so a row is kept exactly when
+it is not in the span of the rows before it.  The rank, the kernel and a
+coordinate complement of the column space (the rows not kept) all come
+from one ``Echelon``, so a matrix that needs all three is eliminated once.
+Kernel vectors and solutions are certified exactly.
 
 There is one solver: ``solve_many`` eliminates a matrix beside all its
 right-hand sides at once.  ``express_in_basis``, coordinates over a basis,
@@ -41,6 +43,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 Rational = int | Fraction
@@ -220,17 +223,20 @@ def rref(matrix: RatMatrix) -> Echelon:
     """Reduced row echelon form of `matrix`, with the rows that were kept.
 
     Sparse fraction-free Gauss-Jordan on column -> int dictionaries: the
-    matrix is scaled to integers, and rows are taken in order and reduced
-    against the pivot rows found so far, r := d r - a P for the pivot row P
-    with pivot entry d > 0 and r's entry a at that pivot, a and d first
-    divided by their gcd.  A row that keeps an entry becomes a pivot row at
-    its leading column, divided by its content with a positive pivot entry,
-    and is eliminated from the earlier pivot rows, which are divided by
-    their content again; so every pivot row stays fully reduced and
-    primitive, and is divided by its pivot entry once, at return: a row
-    whose pivot entry is 1 is returned as it is.  Once every column holds a
-    pivot the remaining rows are not read: each would reduce to nothing,
-    so the pivots, the pivot rows and ``kept`` are already final.
+    matrix is scaled to integers, and rows are copied as they are taken, in
+    order, and reduced against the pivot rows found so far, r := d r - a P
+    for the pivot row P with pivot entry d > 0 and r's entry a at that
+    pivot, a and d first divided by their gcd.  A row that keeps an entry
+    becomes a pivot row at its leading column, divided by its content with
+    a positive pivot entry, and is eliminated from the earlier pivot rows,
+    which are divided by their content again (a row of one entry becomes
+    {p: 1} without a gcd, and eliminating it deletes their column p); so
+    every pivot row stays fully reduced and primitive, and is divided by
+    its pivot entry once, at return: a row whose pivot entry is 1 is
+    returned as it is.  Once every column holds a pivot the remaining rows
+    are not read: each would reduce to nothing, so the pivots, the pivot
+    rows and ``kept`` are already final.  Eliminations and content
+    divisions are written inline, not called as helpers.
 
     ``holders`` maps each column to the pivots of the pivot rows with an
     entry there, their own pivot column aside, so a new pivot row is
@@ -238,25 +244,75 @@ def rref(matrix: RatMatrix) -> Echelon:
     changes a row only at the new row's columns: it gains those it lacked
     and loses those that cancel, the new pivot among them.
     """
+    gcd = math.gcd
     reduced: dict[int, dict[int, int]] = {}
     holders: defaultdict[int, set[int]] = defaultdict(set)
     kept = []
-    for r, row in sorted(_integral(matrix._rows)[0].items()):
-        if len(reduced) == matrix.cols:
+    cols = matrix.cols
+    table = _integral(matrix._rows)[0]
+    for r in sorted(table):
+        if len(reduced) == cols:
             break
+        row = table[r].copy()
         # pivot rows vanish at each other's pivots, so one pass suffices
         for c in [c for c in row if c in reduced]:
-            _eliminate(row, c, reduced[c])
+            pivot_row = reduced[c]
+            a, d = row[c], pivot_row[c]
+            if d != 1:
+                g = gcd(a, d)
+                a, d = a // g, d // g
+                if d != 1:
+                    for k in row:
+                        row[k] *= d
+            for k, v in pivot_row.items():
+                x = row.get(k, 0) - a * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
         if not row:
             continue
         kept.append(r)
         p = min(row)
-        _make_primitive(row, row[p])
+        if len(row) == 1:
+            # eliminating {p: 1} deletes column p and adds no column
+            for q in holders.pop(p, ()):
+                other = reduced[q]
+                del other[p]
+                g = gcd(*other.values())
+                if g != 1:
+                    for k in other:
+                        other[k] //= g
+            reduced[p] = {p: 1}
+            continue
+        g = gcd(*row.values())
+        if row[p] < 0:
+            g = -g
+        if g != 1:
+            for k in row:
+                row[k] //= g
+        d = row[p]
         for q in holders.pop(p, ()):
             other = reduced[q]
             gained = [c for c in row if c not in other]
-            _eliminate(other, p, row)
-            _make_primitive(other, other[q])
+            a = other[p]
+            if d != 1:
+                g = gcd(a, d)
+                a, e = a // g, d // g
+                if e != 1:
+                    for k in other:
+                        other[k] *= e
+            for k, v in row.items():
+                x = other.get(k, 0) - a * v
+                if x:
+                    other[k] = x
+                else:
+                    del other[k]
+            # other[q] stays positive, as the new row vanishes at pivot q
+            g = gcd(*other.values())
+            if g != 1:
+                for k in other:
+                    other[k] //= g
             for c in gained:
                 holders[c].add(q)
             for c in row:
@@ -274,33 +330,15 @@ def rref(matrix: RatMatrix) -> Echelon:
 
 def _integral(rows: dict) -> tuple[dict, int]:
     """(L * rows, L) for a {key: {index: rational}} table of sparse rows, L
-    the lcm of its denominators: the ints of rref, the Jacobi check and the
-    Killing form."""
+    the lcm of its denominators: the ints of rref, the Jacobi check, the
+    Leibniz check and the Killing form.  A table whose values are all ints
+    is returned as it is, its own dicts, so no caller may change the rows it
+    gets; any other table is copied."""
+    if set(map(type, chain.from_iterable(map(dict.values, rows.values())))) <= {int}:
+        return rows, 1
     scale = math.lcm(*{v.denominator for row in rows.values() for v in row.values()})
-    return {k: {c: v.numerator if scale == 1 else v.numerator * (scale // v.denominator)
-                for c, v in row.items()} for k, row in rows.items()}, scale
-
-
-def _eliminate(row: dict[int, int], c: int, pivot_row: dict[int, int]) -> None:
-    """row := d * row - a * pivot_row in place, a/d = row[c]/pivot_row[c] in
-    lowest terms with d > 0, which clears column c."""
-    a, d = row[c], pivot_row[c]
-    g = math.gcd(a, d)
-    a, d = a // g, d // g
-    if d != 1:
-        for k in row:
-            row[k] *= d
-    axpy(row, -a, pivot_row)
-
-
-def _make_primitive(row: dict[int, int], lead: int) -> None:
-    """Divide the int row in place by its content, signed like `lead`."""
-    g = math.gcd(*row.values())
-    if lead < 0:
-        g = -g
-    if g != 1:
-        for k in row:
-            row[k] //= g
+    return {k: {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+            for k, row in rows.items()}, scale
 
 
 def axpy(row: dict, factor, other: dict) -> None:

@@ -20,7 +20,13 @@ from gradedlie import (
 )
 from gradedlie import algebra as algebra_module
 from gradedlie import linalg, specfile
-from gradedlie.algebra import _flat_commutators, derivation_violation, map_layout, maps_from_rows
+from gradedlie.algebra import (
+    _flat_commutators,
+    derivation_violation,
+    derivation_violations,
+    map_layout,
+    maps_from_rows,
+)
 
 from conftest import bracket, canonical, make_eta3, unit_vector
 
@@ -226,6 +232,22 @@ def test_derivation_violation_witness(eta3):
     assert derivation_violation(eta3, good) is None
 
 
+def test_degree_zero_algebra_names_the_first_failing_generator(eta3):
+    grading = GradedLinearMap(0, {-1: [[1, 0], [0, 1]], -2: [[2]]})
+    first = GradedLinearMap(0, {-1: [[1, 0], [0, 0]], -2: [[0]]})  # fails on (X1, X2)
+    second = GradedLinearMap(0, {-1: [[0, 0], [0, 0]], -2: [[1]]})  # fails on (X1, X2) as well
+    assert derivation_violation(eta3, first) == derivation_violation(eta3, second) == ("X1", "X2")
+    for maps, label in (([grading, first, second], "generator 2"), ([second, grading, first], "generator 1"),
+                        ([grading, second, first], "generator 2")):
+        with pytest.raises(ValueError, match=f"^{label} is not a derivation: Leibniz fails on pair "
+                                             r"\('X1', 'X2'\)$"):
+            DegreeZeroAlgebra(eta3, maps)
+    with pytest.raises(ValueError, match="^map 3 is not a derivation"):
+        DegreeZeroAlgebra(eta3, [grading, second, first], ["map 1", "map 3", "map 4"])
+    assert list(derivation_violations(eta3, [grading, first, grading, second])) == [
+        None, ("X1", "X2"), None, ("X1", "X2")]
+
+
 def dense_derivation_violation(symbol, f):
     """Reference: the Leibniz rule checked with dense brackets of full vectors."""
     n = symbol.dim
@@ -368,6 +390,14 @@ def test_sparse_leibniz_witness_matches_dense_reference_on_perturbed_maps(make_s
     witnesses = [derivation_violation(symbol, f) for f in maps]
     assert witnesses == [dense_derivation_violation(symbol, f) for f in maps]
     assert witnesses[::5] == [None] * len(witnesses[::5])
+    # batches of maps in a shuffled order share one index of the table
+    # and carry nothing from one map to the next
+    order = list(range(len(maps)))
+    rng.shuffle(order)
+    while order:
+        size = rng.randint(1, 7)
+        batch, order = order[:size], order[size:]
+        assert list(derivation_violations(symbol, [maps[k] for k in batch])) == [witnesses[k] for k in batch]
     if symbol.bracket_pairs():
         assert len(set(witnesses) - {None}) > 3
     else:  # on an abelian symbol every grading-preserving map is a derivation

@@ -57,6 +57,73 @@ def test_center_of_abelian():
     assert not is_semisimple(abelian(3))
 
 
+def full_stack_rows(algebra):
+    """The nonempty rows of all n^2 adjoint conditions, row (b, c) holding
+    [e_a, e_b]_c in column a, repeated rows and all."""
+    n = algebra.dim
+    rows = {}
+    for (a, b), terms in algebra._table.items():
+        for c, value in terms.items():
+            rows.setdefault(b * n + c, {})[a] = value
+            rows.setdefault(a * n + c, {})[b] = -value
+    return rows
+
+
+def center_of_the_full_stack(algebra):
+    """Reference: the kernel of the full n^2 x n stack."""
+    n = algebra.dim
+    return linalg.nullspace(RatMatrix._of_rows(n * n, n, full_stack_rows(algebra)))
+
+
+@st.composite
+def graded_tables(draw):
+    """Algebras over a random sparse graded antisymmetric table, Lie or not:
+    every bracket lands in the degree of its pair, often repeating the
+    coefficient pattern of another bracket; the pairs are stored in a
+    shuffled order."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    degrees = [draw(st.integers(min_value=-3, max_value=1)) for _ in range(n)]
+    basis = [BasisElement(f"e{i}", d) for i, d in enumerate(degrees)]
+    brackets = {}
+    for a, b in draw(st.permutations([(a, b) for a in range(n) for b in range(a + 1, n)])):
+        targets = [c for c in range(n) if degrees[c] == degrees[a] + degrees[b]]
+        if targets and draw(st.integers(min_value=0, max_value=2)):
+            brackets[(a, b)] = draw(st.dictionaries(st.sampled_from(targets), st.sampled_from([-1, 1, 2, F(1, 2)]),
+                                                    min_size=1, max_size=2))
+    return GradedLieAlgebra(basis, brackets)
+
+
+def distinct_conditions(algebra):
+    """The number of distinct rows of the full stack, compared by their sorted items."""
+    return len({tuple(sorted(row.items())) for row in full_stack_rows(algebra).values()})
+
+
+def test_center_matches_the_full_stack_on_corpus_and_perfbench(corpus_results, perfbench_results, monkeypatch):
+    runs = {**corpus_results, **perfbench_results}
+    assert len(runs) == 14
+    stacked = []
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda matrix: stacked.append(matrix) or nullspace(matrix))
+    for name, (*_, result) in runs.items():
+        assert center(result.algebra) == center_of_the_full_stack(result.algebra), name
+        # each distinct condition once: the first stack is center's, the second the reference's
+        ours = stacked[-2]
+        assert ours.rows == len(ours._rows) == distinct_conditions(result.algebra), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graded_tables(), antisymmetric_tables(coefficients=coeffs_st)))
+def test_center_matches_the_full_stack_on_random_tables(algebra):
+    stacked = []
+    nullspace = linalg.nullspace
+    try:
+        linalg.nullspace = lambda matrix: stacked.append(matrix) or nullspace(matrix)
+        assert center(algebra) == center_of_the_full_stack(algebra)
+    finally:
+        linalg.nullspace = nullspace
+    assert stacked[0].rows == len(stacked[0]._rows) == distinct_conditions(algebra)
+
+
 def test_adjoined_algebra_is_not_semisimple(eta3, lambda_g0):
     assert not is_semisimple(adjoin_g0(eta3, lambda_g0))
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 import gradedlie
 from gradedlie import cli, linalg, prolongation
-from gradedlie.diagnostics import symmetric_signature
+from gradedlie.algebra import check_validity
+from gradedlie.diagnostics import killing_form, symmetric_signature
 from gradedlie.linalg import (
     Echelon,
     InternalConsistencyError,
@@ -489,6 +491,71 @@ def test_rref_is_unchanged_by_row_scaling(mat, data):
         assert (ours.pivots, ours.rows) == sympy_rref(scaled)
 
 
+def integral_copy(rows):
+    """(L * rows, L) as linalg._integral computed it before it returned an
+    all-int table as it is: every row copied, whatever its entries."""
+    scale = math.lcm(*{v.denominator for row in rows.values() for v in row.values()})
+    return {k: {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+            for k, row in rows.items()}, scale
+
+
+def eliminate(row, c, pivot_row):
+    """row := d * row - a * pivot_row in place, a/d = row[c]/pivot_row[c] in
+    lowest terms with d > 0, which clears column c."""
+    a, d = row[c], pivot_row[c]
+    g = math.gcd(a, d)
+    a, d = a // g, d // g
+    if d != 1:
+        for k in row:
+            row[k] *= d
+    linalg.axpy(row, -a, pivot_row)
+
+
+def make_primitive(row, lead):
+    """Divide the int row in place by its content, signed like `lead`."""
+    g = math.gcd(*row.values())
+    if lead < 0:
+        g = -g
+    if g != 1:
+        for k in row:
+            row[k] //= g
+
+
+def rref_with_helper_calls(matrix):
+    """linalg.rref as it was before its elimination and content division
+    were written inline: every row copied to integers up front, one
+    function call per elimination and per division, a row of one entry
+    divided by its gcd like any other; the reference for that rewrite."""
+    reduced, holders, kept = {}, defaultdict(set), []
+    for r, row in sorted(integral_copy(matrix._rows)[0].items()):
+        if len(reduced) == matrix.cols:
+            break
+        for c in [c for c in row if c in reduced]:
+            eliminate(row, c, reduced[c])
+        if not row:
+            continue
+        kept.append(r)
+        p = min(row)
+        make_primitive(row, row[p])
+        for q in holders.pop(p, ()):
+            other = reduced[q]
+            gained = [c for c in row if c not in other]
+            eliminate(other, p, row)
+            make_primitive(other, other[q])
+            for c in gained:
+                holders[c].add(q)
+            for c in row:
+                if c not in other and c != p:
+                    holders[c].remove(q)
+        for c in row:
+            if c != p:
+                holders[c].add(p)
+        reduced[p] = row
+    rows = tuple(row if (d := row[p]) == 1 else {c: linalg._ratio(v, d) for c, v in row.items()}
+                 for p, row in sorted(reduced.items()))
+    return Echelon(tuple(sorted(reduced)), rows, tuple(kept), matrix)
+
+
 def rref_testing_every_reduced_row(matrix, stop_at_full_rank=True):
     """linalg.rref as it was before its column index of the pivot rows: a
     new pivot is eliminated from every reduced row that holds it, found by
@@ -496,20 +563,20 @@ def rref_testing_every_reduced_row(matrix, stop_at_full_rank=True):
     False it also reduces every row, as rref did before it stopped once
     every column held a pivot, the reference for that stop."""
     reduced, kept = {}, []
-    for r, row in sorted(linalg._integral(matrix._rows)[0].items()):
+    for r, row in sorted(integral_copy(matrix._rows)[0].items()):
         if stop_at_full_rank and len(reduced) == matrix.cols:
             break
         for c in [c for c in row if c in reduced]:
-            linalg._eliminate(row, c, reduced[c])
+            eliminate(row, c, reduced[c])
         if not row:
             continue
         kept.append(r)
         p = min(row)
-        linalg._make_primitive(row, row[p])
+        make_primitive(row, row[p])
         for q, other in reduced.items():
             if p in other:
-                linalg._eliminate(other, p, row)
-                linalg._make_primitive(other, other[q])
+                eliminate(other, p, row)
+                make_primitive(other, other[q])
         reduced[p] = row
     rows = tuple(row if (d := row[p]) == 1 else {c: linalg._ratio(v, d) for c, v in row.items()}
                  for p, row in sorted(reduced.items()))
@@ -613,6 +680,81 @@ def test_rref_column_index_matches_testing_every_reduced_row(case):
     assert (ours.pivots, ours.pivot_rows, ours.kept) == (reference.pivots, reference.pivot_rows, reference.kept)
     if shape == "full":
         assert ours.rank == mat.cols
+
+
+@st.composite
+def inline_elimination_cases(draw):
+    """(kind, full, matrix): sparse rows whose entries are all 'int', all
+    'fraction' (denominators above 1) or 'mixed', some rows of one entry
+    and some repeating an earlier row; with full, the rows of a scaled
+    permutation matrix are inserted among them, so the elimination reaches
+    full column rank and stops there, often before the last row."""
+    kind = draw(st.sampled_from(["int", "fraction", "mixed"]))
+    full = draw(st.booleans())
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    ints = st.integers(min_value=-6, max_value=6).filter(bool)
+    fractions = st.builds(F, st.integers(min_value=-20, max_value=20), st.sampled_from([2, 3, 4, 9]))
+    fractions = fractions.filter(lambda x: x.denominator > 1)
+    value = {"int": ints, "fraction": fractions, "mixed": st.one_of(ints, fractions)}[kind]
+    column = st.integers(min_value=0, max_value=ncols - 1)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        shape = draw(st.sampled_from(["sparse", "single", "repeat"]))
+        if shape == "repeat" and rows:
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif shape == "single":
+            rows.append({draw(column): draw(value)})
+        else:
+            rows.append({c: draw(value) for c in draw(st.sets(column))})
+    if full:
+        at = draw(st.integers(min_value=0, max_value=len(rows)))
+        rows[at:at] = [{c: draw(value)} for c in draw(st.permutations(range(ncols)))]
+    entries = [((r, c), x) for r, row in enumerate(rows) for c, x in row.items()]
+    return kind, full, RatMatrix(len(rows), ncols, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inline_elimination_cases())
+# a singleton row eliminated from a row holding its pivot; a full column
+# rank reached before the last row
+@example(("int", False, RatMatrix.from_rows([[2, 4, 6], [0, 3, 0], [5, 0, 1]])))
+@example(("int", True, RatMatrix.from_rows([[0, -3], [7, 0], [1, 1]])))
+def test_rref_matches_the_rref_with_helper_calls(case):
+    kind, full, mat = case
+    before = {r: dict(row) for r, row in mat._rows.items()}
+    if kind == "int":  # an all-int matrix hands rref its own rows
+        assert linalg._integral(mat._rows)[0] is mat._rows
+    ours, reference = rref(mat), rref_with_helper_calls(mat)
+    assert (ours.pivots, ours.pivot_rows, ours.kept) == (reference.pivots, reference.pivot_rows, reference.kept)
+    assert mat._rows == before
+    assert all(canonical(x) for row in ours.pivot_rows for x in row.values())
+    if full:
+        assert ours.rank == mat.cols
+
+
+def test_integral_callers_leave_an_all_int_table_unchanged():
+    symbol = gradedlie.heisenberg(1)
+    symbol_table = {pair: dict(terms) for pair, terms in symbol._table.items()}
+    g0 = gradedlie.degree_zero_derivations(symbol)  # the Leibniz check reads the symbol's table
+    assert symbol._table == symbol_table
+    algebra = prolongation.universal_prolongation(symbol, g0, max_degree=2).algebra
+    before = {pair: dict(terms) for pair, terms in algebra._table.items()}
+    assert all(type(v) is int for terms in before.values() for v in terms.values())
+    assert linalg._integral(algebra._table)[0] is algebra._table
+    check_validity(algebra)
+    killing_form(algebra)
+    assert algebra._table == before
+    symmetric = [[2, 1, 0], [1, 0, 3], [0, 3, -1]]
+    symmetric_signature(symmetric)
+    assert symmetric == [[2, 1, 0], [1, 0, 3], [0, 3, -1]]
+    vectors, targets = [[1, 2, 0], [0, 1, 3]], [{0: 1, 1: 3, 2: 3}, {2: 1}]
+    assert express_in_basis(vectors, targets) == [{0: 1, 1: 1}, None]
+    assert (vectors, targets) == ([[1, 2, 0], [0, 1, 3]], [{0: 1, 1: 3, 2: 3}, {2: 1}])
+    matrix = RatMatrix.from_rows([[2, 4, 6], [1, 0, 5]])
+    rows = {r: dict(row) for r, row in matrix._rows.items()}
+    rref(matrix)
+    solve_many(matrix, [{0: 1}])
+    assert matrix._rows == rows
 
 
 def test_integral_scales_a_table_by_the_lcm_of_its_denominators():

@@ -127,6 +127,11 @@ MUTANTS = (
     ("nilpotent-series-uncast", "algebra.py",
      "produced.append({c: linalg._frac(x) for c, x in w.items()})", "produced.append(w)",
      ["tests/test_linalg.py::test_engine_built_matrices_hold_nonzero_exact_rationals_in_range"]),
+    ("symbol-guard-skips-validity", "algebra.py",
+     "    if not report.ok:\n", "    if False:\n",
+     ["tests/test_symbols.py::test_every_builder_rejects_an_ungraded_symbol",
+      "tests/test_cli.py::test_check_rejects_an_ungraded_symbol_on_one_line",
+      "tests/test_prolongation.py::test_rejects_invalid_inputs"]),
     ("solve-shares-the-rows-of-a", "linalg.py",
      "rows = {r: dict(row) for r, row in matrix._rows.items()}", "rows = dict(matrix._rows)",
      ["tests/test_linalg.py::test_solve_round_trips_consistent_systems",

@@ -257,6 +257,17 @@ def check_fundamental(symbol: GradedLieAlgebra) -> bool:
     return True
 
 
+def require_valid_symbol(symbol: GradedLieAlgebra) -> None:
+    """Raise ValueError unless the symbol is valid (check_validity) and
+    fundamental (check_fundamental), the domain of the prolongation and of
+    every g0 builder; the one place the engine decides this."""
+    report = check_validity(symbol)
+    if not report.ok:
+        raise ValueError(f"symbol is not a valid graded Lie algebra: {report.describe()}")
+    if not check_fundamental(symbol):
+        raise ValueError("symbol is not fundamental: degree -1 does not generate it")
+
+
 # ---------------------------------------------------------------------------
 # Degree-homogeneous linear maps.
 
@@ -413,12 +424,6 @@ def _flat_commutators(maps, layout, pairs) -> list[dict[int, Rational]]:
                 flat[base + e] = flat.get(base + e, 0) - x * y
         out.append({c: linalg._ratio(v, square) for c, v in flat.items() if v})
     return out
-
-
-def derivation_violation(symbol: GradedLieAlgebra, f: GradedLinearMap):
-    """First basis pair (a, b), a < b, where the Leibniz rule fails for f,
-    or None: the one-map case of derivation_violations."""
-    return next(derivation_violations(symbol, (f,)))
 
 
 def derivation_violations(symbol: GradedLieAlgebra, maps):

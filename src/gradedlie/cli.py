@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from . import diagnostics, prolongation, specfile
-from .algebra import check_fundamental, check_validity
 from .specfile import SpecError
 
 EXIT_OK = 0
@@ -51,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     prolong = sub.add_parser("prolong", help="compute the universal prolongation")
     prolong.add_argument("file", help="specification document (JSON)")
     prolong.add_argument("--max-degree", type=_positive_int, default=None,
-                         help="cutoff degree (default: the file's option, else 10)")
+                         help=f"cutoff degree (default: the file's option, else {prolongation.DEFAULT_MAX_DEGREE})")
     prolong.add_argument("--out", default=None, help="write the report to this path")
     prolong.add_argument("--format", choices=("structured", "table"), default="structured")
 
@@ -83,18 +82,16 @@ def main(argv=None) -> int:
 
 
 def _load_validated(path: str):
-    """Parse, build and validate (symbol, g0); ValueError on math failures."""
+    """Parse and build (symbol, g0); ValueError on math failures.  The
+    symbol is validated by the g0 builder that build_g0 reaches in every
+    mode (algebra.require_valid_symbol), after build_g0's own payload
+    checks."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SpecError(f"not UTF-8 text ({exc.reason} at byte {exc.start})", path) from None
     spec = specfile.parse_spec(specfile.load_document(text))
     symbol = specfile.build_symbol(spec)
-    report = check_validity(symbol)
-    if not report.ok:
-        raise ValueError(report.describe())
-    if not check_fundamental(symbol):
-        raise ValueError("symbol is not fundamental: degree -1 does not generate it")
     g0 = specfile.build_g0(spec, symbol)
     return spec, symbol, g0
 

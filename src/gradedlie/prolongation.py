@@ -40,12 +40,12 @@ from .algebra import (
     DegreeZeroAlgebra,
     GradedLieAlgebra,
     GradedLinearMap,
-    check_fundamental,
     check_validity,
     layout_offsets,
     map_layout,
     maps_from_rows,
     require_same_symbol,
+    require_valid_symbol,
     tower_dims,
 )
 from .linalg import InternalConsistencyError, RatMatrix
@@ -55,6 +55,8 @@ from .normalization import (
     build_spencer,
     normalization_report,
 )
+
+DEFAULT_MAX_DEGREE = 10  # the cutoff of a run, spec or document that names none
 
 
 def leibniz_system(symbol: GradedLieAlgebra, g_bases, degree: int):
@@ -192,7 +194,7 @@ class ProlongationResult(NamedTuple):
         return [(d, self.dims[d]) for d in sorted(self.dims)]
 
 
-def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = 10) -> ProlongationResult:
+def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = DEFAULT_MAX_DEGREE) -> ProlongationResult:
     """Compute the full prolongation of (symbol, g0) up to max_degree.
 
     Stops at the first empty degree (terminated, with the vanishing degree
@@ -205,11 +207,7 @@ def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = 10) -
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    report = check_validity(symbol)
-    if not report.ok:
-        raise ValueError(f"symbol is not a valid graded Lie algebra: {report.describe()}")
-    if not check_fundamental(symbol):
-        raise ValueError("symbol is not fundamental: degree -1 does not generate it")
+    require_valid_symbol(symbol)
     if not isinstance(g0, DegreeZeroAlgebra):
         g0 = DegreeZeroAlgebra(symbol, g0)
     require_same_symbol(symbol, g0)

@@ -41,6 +41,7 @@ from . import symbols
 from .algebra import BasisElement, DegreeZeroAlgebra, GradedLieAlgebra
 from .freenil import free_nilpotent
 from .linalg import Rational, _frac
+from .prolongation import DEFAULT_MAX_DEGREE
 
 SCHEMA_VERSION = 1
 
@@ -116,7 +117,7 @@ class AlgebraSpec(NamedTuple):
     brackets: list[tuple[str, str, list[tuple[str, Rational]]]] | None
     g0_mode: str
     g0_payload: dict
-    max_degree: int = 10
+    max_degree: int = DEFAULT_MAX_DEGREE
 
 
 def load_document(text: str) -> dict:
@@ -194,7 +195,7 @@ def parse_spec(doc: dict) -> AlgebraSpec:
         payload["maps"] = [_parse_matrix(mat, f"g0.maps[{i}]") for i, mat in enumerate(raw)]
 
     options = _expect(doc, "options", dict, "document", optional=True, default={})
-    max_degree = _expect(options, "max_degree", int, "options", optional=True, default=10)
+    max_degree = _expect(options, "max_degree", int, "options", optional=True, default=DEFAULT_MAX_DEGREE)
     if max_degree < 1:
         raise SpecError("max_degree must be at least 1", "options")
     return AlgebraSpec(name, preset, basis, brackets, mode, payload, max_degree)
@@ -293,7 +294,7 @@ def free_spec_document(r: int, mu: int) -> dict:
             "brackets": symbol,  # written as its bracket entries
         },
         "g0": {"mode": "full"},
-        "options": {"max_degree": 10},
+        "options": {"max_degree": DEFAULT_MAX_DEGREE},
     }
 
 

@@ -1,6 +1,8 @@
 """Standard symbols and the four ways of building a degree-zero subalgebra:
 all grading-preserving derivations, derivations skew-adjoint for a Euclidean
 form, derivations preserving a pair of transversal lines, and explicit spans.
+Each builder first requires a valid, fundamental symbol
+(algebra.require_valid_symbol), so the CLI relies on it too.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from .algebra import (
     DegreeZeroAlgebra,
     GradedLieAlgebra,
     GradedLinearMap,
-    check_fundamental,
     layout_offsets,
     map_layout,
     maps_from_rows,
+    require_valid_symbol,
 )
 from .linalg import RatMatrix, Rational, _frac
 
@@ -79,11 +81,6 @@ class LinePair:
         self.first, self.second = first, second
 
 
-def _require_fundamental_symbol(symbol: GradedLieAlgebra) -> None:
-    if not check_fundamental(symbol):
-        raise ValueError("the symbol must be fundamental")
-
-
 def _derivations_with_rows(symbol: GradedLieAlgebra, top_rows) -> DegreeZeroAlgebra:
     """The derivations whose degree -1 block A also satisfies `top_rows`,
     sparse rows of nonzero canonical entries over A's entries (column
@@ -98,7 +95,7 @@ def _derivations_with_rows(symbol: GradedLieAlgebra, top_rows) -> DegreeZeroAlge
 
 def degree_zero_derivations(symbol: GradedLieAlgebra) -> DegreeZeroAlgebra:
     """All grading-preserving derivations of the symbol."""
-    _require_fundamental_symbol(symbol)
+    require_valid_symbol(symbol)
     return _derivations_with_rows(symbol, [])
 
 
@@ -109,7 +106,7 @@ def orthogonal_derivations(symbol: GradedLieAlgebra, form: EuclideanForm) -> Deg
     Q A + A^T Q = 0 on the degree -1 block (upper triangle suffices since
     the expression is symmetric).
     """
-    _require_fundamental_symbol(symbol)
+    require_valid_symbol(symbol)
     n1 = symbol.dim_of_degree(-1)
     if form.dim != n1:
         raise ValueError("the form does not match the degree -1 dimension")
@@ -132,7 +129,7 @@ def line_preserving_derivations(symbol: GradedLieAlgebra, lines: LinePair) -> De
     span{v} is preserved exactly when (D v) wedge v = 0, one linear
     condition per line in this dimension.
     """
-    _require_fundamental_symbol(symbol)
+    require_valid_symbol(symbol)
     dims = symbol.dims_by_degree()
     if dims != {-1: 2, -2: 1}:
         raise ValueError("line-preserving mode needs a symbol with graded dimensions (2, 1)")
@@ -188,10 +185,10 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
     subset wins) so the returned basis stays in the user's coordinates.  A
     block that extends to no derivation raises ValueError naming its map,
     before the error of any later malformed entry; derivation and closure
-    failures raise ValueError naming the witness.  The symbol must be
-    fundamental, so that each block has at most one extension.
+    failures raise ValueError naming the witness.  The symbol must be valid
+    and fundamental, so that each block has at most one extension.
     """
-    _require_fundamental_symbol(symbol)
+    require_valid_symbol(symbol)
     n = symbol.dim
     n1 = symbol.dim_of_degree(-1)
     shapes = {d: (symbol.dim_of_degree(d),) * 2 for d in symbol.degrees}

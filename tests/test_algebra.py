@@ -22,7 +22,6 @@ from gradedlie import algebra as algebra_module
 from gradedlie import linalg, specfile
 from gradedlie.algebra import (
     _flat_commutators,
-    derivation_violation,
     derivation_violations,
     map_layout,
     maps_from_rows,
@@ -167,8 +166,9 @@ def test_public_constructor_checks_every_bracket():
 
 @pytest.mark.parametrize("build, message", [
     (lambda m, g: GradedLieAlgebra([BasisElement("X", -1), BasisElement("X", -2)], {}), "names must be unique"),
-    (lambda m, g: derivation_violation(m, GradedLinearMap(0, {-1: [[1, 0], [0, 1]]})), "no block on degree -2"),
-    (lambda m, g: derivation_violation(m, GradedLinearMap(0, {-1: [[1, 0], [0, 1]], -2: [[1, 0]]})),
+    (lambda m, g: next(derivation_violations(m, (GradedLinearMap(0, {-1: [[1, 0], [0, 1]]}),))),
+     "no block on degree -2"),
+    (lambda m, g: next(derivation_violations(m, (GradedLinearMap(0, {-1: [[1, 0], [0, 1]], -2: [[1, 0]]}),))),
      "coordinate count"),
     (lambda m, g: DegreeZeroAlgebra(adjoin_g0(m, DegreeZeroAlgebra(m, [g])), []), "negative degrees only"),
     (lambda m, g: DegreeZeroAlgebra(m, [GradedLinearMap(1, {})]), "generator 1 does not have degree 0"),
@@ -227,16 +227,16 @@ def test_adjoin_gl2_commutator():
 
 def test_derivation_violation_witness(eta3):
     bad = GradedLinearMap(0, {-1: [[F(1), F(0)], [F(0), F(0)]], -2: [[F(0)]]})
-    assert derivation_violation(eta3, bad) == ("X1", "X2")
+    assert next(derivation_violations(eta3, (bad,))) == ("X1", "X2")
     good = GradedLinearMap(0, {-1: [[F(1), F(0)], [F(0), F(1)]], -2: [[F(2)]]})
-    assert derivation_violation(eta3, good) is None
+    assert next(derivation_violations(eta3, (good,))) is None
 
 
 def test_degree_zero_algebra_names_the_first_failing_generator(eta3):
     grading = GradedLinearMap(0, {-1: [[1, 0], [0, 1]], -2: [[2]]})
     first = GradedLinearMap(0, {-1: [[1, 0], [0, 0]], -2: [[0]]})  # fails on (X1, X2)
     second = GradedLinearMap(0, {-1: [[0, 0], [0, 0]], -2: [[1]]})  # fails on (X1, X2) as well
-    assert derivation_violation(eta3, first) == derivation_violation(eta3, second) == ("X1", "X2")
+    assert next(derivation_violations(eta3, (first,))) == next(derivation_violations(eta3, (second,))) == ("X1", "X2")
     for maps, label in (([grading, first, second], "generator 2"), ([second, grading, first], "generator 1"),
                         ([grading, second, first], "generator 2")):
         with pytest.raises(ValueError, match=f"^{label} is not a derivation: Leibniz fails on pair "
@@ -285,7 +285,7 @@ def test_derivation_violation_matches_dense_reference():
                 col = cols[rng.randrange(len(cols))]
                 col[rng.randrange(len(col))] += F(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
             maps.append(GradedLinearMap(0, blocks))
-    witnesses = [derivation_violation(symbol, f) for f in maps]
+    witnesses = [next(derivation_violations(symbol, (f,))) for f in maps]
     assert witnesses == [dense_derivation_violation(symbol, f) for f in maps]
     assert witnesses[:count] == [None] * count
     assert None not in witnesses[count:] and len(set(witnesses[count:])) > 5
@@ -387,7 +387,7 @@ def test_sparse_leibniz_witness_matches_dense_reference_on_perturbed_maps(make_s
                 col = cols[rng.randrange(len(cols))]
                 col[rng.randrange(len(col))] += F(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
             maps.append(GradedLinearMap(0, perturbed))
-    witnesses = [derivation_violation(symbol, f) for f in maps]
+    witnesses = [next(derivation_violations(symbol, (f,))) for f in maps]
     assert witnesses == [dense_derivation_violation(symbol, f) for f in maps]
     assert witnesses[::5] == [None] * len(witnesses[::5])
     # batches of maps in a shuffled order share one index of the table

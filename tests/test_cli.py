@@ -196,6 +196,38 @@ def test_check_rejects_non_fundamental_symbol(tmp_path, capsys):
     assert "fundamental" in capsys.readouterr().err
 
 
+def ungraded_spec(g0):
+    """A spec whose symbol is fundamental but ungraded: [X1, X2] = 2 X2."""
+    return {
+        "schema_version": 1,
+        "name": "ungraded",
+        "algebra": {
+            "basis": [{"name": "X1", "degree": -1}, {"name": "X2", "degree": -1}, {"name": "Z", "degree": -2}],
+            "brackets": [{"left": "X1", "right": "X2", "terms": [["X2", 2]]}],
+        },
+        "g0": g0,
+    }
+
+
+def test_check_rejects_an_ungraded_symbol_on_one_line(tmp_path, capsys):
+    path = tmp_path / "ungraded.json"
+    path.write_text(json.dumps(ungraded_spec({"mode": "full"})))
+    assert cli.main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "validation failure: symbol is not a valid graded Lie algebra: grading violated at pair ('X1', 'X2'); "
+        "negative part is not nilpotent"]
+
+
+def test_check_reports_a_malformed_g0_payload_before_an_invalid_symbol(tmp_path, capsys):
+    # build_g0 checks the payload against the symbol's shape before the
+    # builder it reaches validates the symbol
+    path = tmp_path / "ungraded-q.json"
+    path.write_text(json.dumps(ungraded_spec({"mode": "orthogonal", "q": [[1]]})))
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "parse error: g0.q: q must be square of the degree -1 dimension"]
+
+
 def test_malformed_json_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"schema_version": 1,')

@@ -21,7 +21,7 @@ from gradedlie import (
     universal_prolongation,
 )
 from gradedlie import diagnostics, linalg
-from gradedlie.algebra import map_layout
+from gradedlie.algebra import map_layout, require_valid_symbol
 from gradedlie.symbols import extend_top_blocks
 
 from conftest import LAMBDA_1, LAMBDA_2, bracket, make_eta3, unit_vector
@@ -29,8 +29,12 @@ from conftest import LAMBDA_1, LAMBDA_2, bracket, make_eta3, unit_vector
 F = Fraction
 
 
+def identity_rows(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 def identity_form(n):
-    return EuclideanForm([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    return EuclideanForm(identity_rows(n))
 
 
 def flats(g0):
@@ -294,27 +298,37 @@ def test_top_block_without_extension(eta3):
         custom_g0(heisenberg(2), [identity, p1_to_q2])
 
 
-def test_degree_zero_derivations_requires_fundamental():
-    from gradedlie import BasisElement, GradedLieAlgebra
+# every g0 builder, called on a symbol whose degree -1 component has dimension n1
+BUILDER_FORMS = [
+    pytest.param(lambda m, n1: degree_zero_derivations(m), id="full"),
+    pytest.param(lambda m, n1: orthogonal_derivations(m, identity_form(n1)), id="orthogonal"),
+    pytest.param(lambda m, n1: line_preserving_derivations(m, LinePair([1, 0], [0, 1])), id="lines"),
+    pytest.param(lambda m, n1: custom_g0(m, [identity_rows(n1)]), id="span-of-top-blocks"),
+    pytest.param(lambda m, n1: custom_g0(m, [identity_rows(m.dim)]), id="span-of-full-matrices"),
+]
 
-    split = GradedLieAlgebra(
-        [BasisElement("X1", -1), BasisElement("X2", -2)], {}
-    )
-    with pytest.raises(ValueError, match="fundamental"):
-        degree_zero_derivations(split)
+
+@pytest.mark.parametrize("build", BUILDER_FORMS)
+def test_every_builder_rejects_an_ungraded_symbol(build):
+    # fundamental, but [X1, X2] = 2 X2 lands in degree -1: without the
+    # validity check, lines mode returns a g0, span mode indexes past a
+    # block and the other modes blame their own generators
+    ungraded = GradedLieAlgebra([BasisElement("X1", -1), BasisElement("X2", -1), BasisElement("Z", -2)],
+                                {(0, 1): {1: 2}})
+    assert check_fundamental(ungraded)
+    with pytest.raises(ValueError, match=r"^symbol is not a valid graded Lie algebra: grading violated at pair "
+                                         r"\('X1', 'X2'\); negative part is not nilpotent$"):
+        build(ungraded, 2)
 
 
-def test_custom_g0_requires_fundamental():
-    from gradedlie import BasisElement, GradedLieAlgebra
-
+@pytest.mark.parametrize("build", BUILDER_FORMS)
+def test_every_builder_rejects_a_symbol_that_is_not_fundamental(build):
     # X2 is not generated by X1: the derivations extending a degree -1
     # block form a whole line, so no span-mode extension is the one
-    split = GradedLieAlgebra(
-        [BasisElement("X1", -1), BasisElement("X2", -2)], {}
-    )
-    for maps in ([[[1]]], [[[1, 0], [0, 2]]]):
-        with pytest.raises(ValueError, match="fundamental"):
-            custom_g0(split, maps)
+    split = GradedLieAlgebra([BasisElement("X1", -1), BasisElement("X2", -2)], {})
+    assert check_validity(split).ok
+    with pytest.raises(ValueError, match="^symbol is not fundamental: degree -1 does not generate it$"):
+        build(split, 1)
 
 
 def test_custom_g0_eliminates_each_degree_once(monkeypatch):
@@ -329,14 +343,14 @@ def test_custom_g0_eliminates_each_degree_once(monkeypatch):
         return real_rref(matrix)
 
     monkeypatch.setattr(linalg, "rref", recording_rref)
-    check_fundamental(symbol)
-    fundamentality = len(eliminated)
+    require_valid_symbol(symbol)
+    guard = len(eliminated)
     eliminated.clear()
     g0 = custom_g0(symbol, tops)
-    # the fundamentality check, then the degree-0 Leibniz system once for
+    # the symbol guard, then the degree-0 Leibniz system once for
     # all four blocks, the independent subset and the commutator table;
     # block by block took 12 after the check
-    assert len(eliminated) == fundamentality + 3
+    assert len(eliminated) == guard + 3
     assert list(g0.generators) == one_by_one
     for top, f in zip(tops, g0.generators):
         assert [list(f.image_of_basis(-1, a)) for a in range(2)] == [[top[s][a] for s in range(2)] for a in range(2)]

@@ -137,11 +137,19 @@ MUTANTS = (
      ["tests/test_linalg.py::test_solve_round_trips_consistent_systems",
       "tests/test_linalg.py::test_hilbert_matrix_exactness"]),
     ("extension-rhs-sign", "symbols.py",
-     "{r: -sum(", "{r: sum(",
-     ["tests/test_symbols.py::test_custom_g0_grading_element_from_top_block"]),
+     "linalg.axpy(flat, x, kernel[f])", "linalg.axpy(flat, -x, kernel[f])",
+     ["tests/test_symbols.py::test_custom_g0_grading_element_from_top_block",
+      "tests/test_symbols.py::test_custom_g0_round_trips_the_top_blocks_of_every_derivation"]),
+    ("extension-reads-the-least-column", "symbols.py",
+     "max(v)", "min(v)",
+     ["tests/test_symbols.py::test_custom_g0_grading_element_from_top_block",
+      "tests/test_symbols.py::test_custom_g0_round_trips_the_top_blocks_of_every_derivation"]),
+    ("extension-without-reconstruction", "symbols.py",
+     "if {c: x for c, x in flat.items() if c >= off} != top:", "if False:",
+     ["tests/test_symbols.py::test_top_block_without_extension",
+      "tests/test_symbols.py::test_first_block_that_does_not_extend_is_reported_first"]),
     ("solve-without-certificate", "linalg.py",
-     "    _certify(matrix, [(x, b) for x, b in zip(solutions, rhs) if x is not None],",
-     "    (matrix, [(x, b) for x, b in zip(solutions, rhs) if x is not None],",
+     "    _certify(matrix, [(x, b)], ", "    (matrix, [(x, b)], ",
      ["tests/test_linalg.py::test_self_checks_raise_on_corrupted_elimination",
       "tests/test_linalg.py::test_certificate_sees_a_right_hand_side_in_a_zero_row"]),
     ("rref-stops-one-pivot-early", "linalg.py",

@@ -31,11 +31,11 @@ coordinate complement of the column space (the rows not kept) all come
 from one ``Echelon``, so a matrix that needs all three is eliminated once.
 Kernel vectors and solutions are certified exactly.
 
-There is one solver: ``solve_many`` eliminates a matrix beside all its
-right-hand sides at once.  ``express_in_basis``, coordinates over a basis,
-eliminates [B | I] once, independent of its targets, and reads each
-target's coordinates at B's pivots through the recorded combinations; a
-target's coordinates x are returned only when x B == t exactly.
+``solve`` eliminates a matrix beside its one right-hand side.
+``express_in_basis``, coordinates over a basis, eliminates [B | I] once,
+independent of its targets, and reads each target's coordinates at B's
+pivots through the recorded combinations; a target's coordinates x are
+returned only when x B == t exactly.
 """
 
 from __future__ import annotations
@@ -362,38 +362,23 @@ def nullspace(matrix: RatMatrix) -> list[Vector]:
 
 
 def solve(matrix: RatMatrix, rhs: Sequence) -> Vector | None:
-    """Solve A x = b exactly, dense; None when inconsistent (see solve_many)."""
+    """Solve A x = b exactly, dense, eliminating [A | b] once; None when
+    inconsistent, that is, when a reduced row has its pivot in b's column.
+    With free variables the solution with zero free coordinates is returned,
+    so the result is deterministic."""
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    x = solve_many(matrix, [dict(enumerate(rhs))])[0]
-    return None if x is None else dense(x, matrix.cols)
-
-
-def solve_many(matrix: RatMatrix, rhs: Sequence[dict]) -> list[dict[int, Rational] | None]:
-    """Sparse solutions of A x = b for each sparse {row: value} right-hand
-    side, eliminating [A | b_1 ... b_m] once; None for an inconsistent b.
-
-    With free variables the solution with zero free coordinates is returned,
-    so the result is deterministic.  A right-hand side is inconsistent
-    exactly when a reduced row without an entry in A has one in its column.
-    """
     n = matrix.cols
-    rhs = [{r: x for r, value in b.items() if (x := _frac(value))} for b in rhs]
-    rows = {r: dict(row) for r, row in matrix._rows.items()}  # copies of A's rows, to hold the b_j
-    for j, b in enumerate(rhs):
-        for r, value in b.items():
-            if not 0 <= r < matrix.rows:
-                raise IndexError(f"entry ({r}, {n + j}) outside {matrix.rows}x{n + len(rhs)} matrix")
-            rows.setdefault(r, {})[n + j] = value
-    echelon = rref(RatMatrix._of_rows(matrix.rows, n + len(rhs), rows))
-    solutions = []
-    for j in range(n, n + len(rhs)):
-        column = [(p, row[j]) for p, row in zip(echelon.pivots, echelon.pivot_rows) if j in row]
-        # pivots ascend, so a pivot beyond A with an entry here comes last
-        solutions.append(None if column and column[-1][0] >= n else dict(column))
-    _certify(matrix, [(x, b) for x, b in zip(solutions, rhs) if x is not None],
-             "solve: solution does not satisfy the system")
-    return solutions
+    b = {r: x for r, value in enumerate(rhs) if (x := _frac(value))}
+    rows = {r: dict(row) for r, row in matrix._rows.items()}  # copies of A's rows, to hold b
+    for r, value in b.items():
+        rows.setdefault(r, {})[n] = value
+    echelon = rref(RatMatrix._of_rows(matrix.rows, n + 1, rows))
+    x = {p: row[n] for p, row in zip(echelon.pivots, echelon.pivot_rows) if n in row}
+    if n in x:
+        return None
+    _certify(matrix, [(x, b)], "solve: solution does not satisfy the system")
+    return dense(x, n)
 
 
 def column_complement(matrix: RatMatrix) -> list[int]:

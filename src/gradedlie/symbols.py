@@ -2,7 +2,10 @@
 all grading-preserving derivations, derivations skew-adjoint for a Euclidean
 form, derivations preserving a pair of transversal lines, and explicit spans.
 Each builder first requires a valid, fundamental symbol
-(algebra.require_valid_symbol), so the CLI relies on it too.
+(algebra.require_valid_symbol), so the CLI relies on it too.  On such a
+symbol a degree-zero derivation is fixed by its degree -1 block, so span
+mode reads each given block's extension off the kernel of the degree-0
+Leibniz system, eliminated once.
 """
 
 from __future__ import annotations
@@ -146,59 +149,46 @@ def line_preserving_derivations(symbol: GradedLieAlgebra, lines: LinePair) -> De
     return _derivations_with_rows(symbol, rows)
 
 
-def extend_top_blocks(symbol: GradedLieAlgebra, top_blocks) -> list[GradedLinearMap | None]:
-    """Extend degree -1 blocks to grading-preserving derivations.
-
-    The degree-0 Leibniz system is solved for the deeper blocks with each
-    block A fixed: A's columns (the last block of the layout, column
-    a * n1 + s holding A[s][a]) move to the right-hand side, and one
-    elimination serves every block.  Blocks are lists of rows of exact
-    rationals.  A fundamental symbol admits at most one extension; the map is
-    None for a block that admits none, because a Leibniz equation of some
-    basis pair fails whatever the deeper blocks are.
-    """
-    n1 = symbol.dim_of_degree(-1)
-    for rows in top_blocks:
-        if len(rows) != n1 or any(len(row) != n1 for row in rows):
-            raise ValueError("the block must be square of the degree -1 dimension")
-    if not top_blocks:
-        return []
-    layout, matrix = prolongation.leibniz_system(symbol, [], 0)
-    off = matrix.cols - n1 * n1  # the degree -1 block comes last
-    tops = [{off + a * n1 + s: x for s, row in enumerate(rows) for a, x in enumerate(row) if x}
-            for rows in top_blocks]
-    lower = {r: {c: x for c, x in row.items() if c < off} for r, row in matrix._rows.items()}
-    # M_lower x = -M_top A, row by row
-    rhs = [{r: -sum(x * top.get(c, 0) for c, x in row.items() if c >= off) for r, row in matrix._rows.items()}
-           for top in tops]
-    solutions = linalg.solve_many(RatMatrix._of_rows(matrix.rows, off, lower), rhs)
-    return [None if x is None else maps_from_rows(0, layout, [x | top])[0] for x, top in zip(solutions, tops)]
-
-
 def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
     """A user-given span of degree-zero derivations.
 
     Accepts GradedLinearMap instances, full square matrices over the whole
     symbol basis (must be block-diagonal in the grading), or square degree -1
-    blocks which are extended through the degree-0 Leibniz system, all of
-    them in one solve.  Dependent entries are dropped (first independent
-    subset wins) so the returned basis stays in the user's coordinates.  A
-    block that extends to no derivation raises ValueError naming its map,
-    before the error of any later malformed entry; derivation and closure
-    failures raise ValueError naming the witness.  The symbol must be valid
-    and fundamental, so that each block has at most one extension.
+    blocks, each extended to the derivation it fixes.  The symbol must be
+    valid and fundamental, so a derivation that vanishes on degree -1
+    vanishes: the free column of each kernel vector of the degree-0 Leibniz
+    system, its largest column, lies in the degree -1 block and holds a 1
+    there.  A block A extends to the sum of A[f] times the kernel vector of
+    free column f, and does exactly when that sum's degree -1 block is A;
+    one elimination serves every block.  Dependent entries are dropped
+    (first independent subset wins) so the returned basis stays in the
+    user's coordinates.  A block that extends to no derivation raises
+    ValueError naming its map, before the error of any later malformed
+    entry; derivation and closure failures raise ValueError naming the
+    witness.
     """
     require_valid_symbol(symbol)
     n = symbol.dim
     n1 = symbol.dim_of_degree(-1)
     shapes = {d: (symbol.dim_of_degree(d),) * 2 for d in symbol.degrees}
+    layout = map_layout(symbol.dims_by_degree(), 0)
     converted, tops = [], []  # tops: (slot in converted, degree -1 block)
 
     def extend():
-        for (slot, _), f in zip(tops, extend_top_blocks(symbol, [rows for _, rows in tops])):
-            if f is None:
+        if not tops:
+            return
+        kernel = {max(v): v for v in linalg.rref(prolongation.leibniz_system(symbol, [], 0)[1]).nullspace()}
+        off = layout_offsets(layout)[0].get(-1, 0)  # column off + a * n1 + s holds A[s][a]
+        for slot, rows in tops:
+            top = {off + a * n1 + s: x for s, row in enumerate(rows) for a, x in enumerate(row) if x}
+            flat = {}
+            for f, x in top.items():
+                if f in kernel:
+                    linalg.axpy(flat, x, kernel[f])
+            flat = {c: _frac(flat[c]) for c in sorted(flat)}  # each column's entries in target order
+            if {c: x for c, x in flat.items() if c >= off} != top:
                 raise ValueError(f"map {slot + 1}: the degree -1 block does not extend to a derivation")
-            converted[slot] = f
+            converted[slot] = maps_from_rows(0, layout, [flat])[0]
 
     for idx, item in enumerate(maps):
         try:
@@ -211,11 +201,6 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
                 continue
             rows = [list(map(_frac, row)) for row in item]
             if len(rows) == n and all(len(row) == n for row in rows):
-                columns = {}  # column b of a block: the entries rows[c][b] of its degree
-                for degree in symbol.degrees:
-                    members = symbol.indices_of_degree(degree)
-                    columns[degree] = tuple({t: rows[c][b] for t, c in enumerate(members) if rows[c][b]}
-                                            for b in members)
                 for c in range(n):
                     for b in range(n):
                         if rows[c][b] and symbol.degree_of(c) != symbol.degree_of(b):
@@ -223,7 +208,10 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
                                 f"map {idx + 1} is not grading-preserving: entry ({c}, {b}) "
                                 "links different degrees"
                             )
-                converted.append(GradedLinearMap.from_columns(0, columns, shapes))
+                # column b of a block: the entries rows[c][b] of its degree
+                members = {d: symbol.indices_of_degree(d) for d in symbol.degrees}
+                converted.append(GradedLinearMap(0, {d: [[rows[c][b] for c in ids] for b in ids]
+                                                     for d, ids in members.items()}))
             elif len(rows) == n1 and all(len(row) == n1 for row in rows):
                 tops.append((len(converted), rows))
                 converted.append(None)
@@ -235,7 +223,6 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
             extend()  # a block before the bad entry that does not extend fails first
             raise
     extend()
-    layout = map_layout(symbol.dims_by_degree(), 0)
     matrix = RatMatrix._of_rows(len(converted), layout_offsets(layout)[1],
                                 [f.flat_entries(layout) for f in converted])
     # rows are reduced in order, so the kept rows are the first independent

@@ -584,6 +584,27 @@ def test_reports_match_benchmark_golden_digests(corpus_dir):
         assert digest == golden[path.stem], path.name
 
 
+# sha256 of the `gradedlie prolong` report of free:2:3 with the four gl(2)
+# unit blocks in span mode, each degree -1 block extended to a derivation;
+# made with the column-split solve span mode used before it read extensions
+# off the derivation kernel, so this pins that both give every report byte
+SPAN_REPORT_SHA256 = "fe9cc1e14fa6448a4e936d2a72331e5c220c514405131191f40d5e9b7bac0ab1"
+
+
+def test_span_mode_report_matches_its_golden_digest(tmp_path):
+    units = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]]]
+    doc = {"schema_version": 1, "name": "free23-span", "algebra": {"preset": "free:2:3"},
+           "g0": {"mode": "span", "maps": units}, "options": {"max_degree": 10}}
+    path = tmp_path / "free23-span.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["prolong", str(path)]) == 0
+    report = json.loads(out.getvalue())
+    assert report["terminated"] and report["total_dimension"] == 14
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == SPAN_REPORT_SHA256
+
+
 def _tracer(corpus_dir):
     path = corpus_dir.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)

@@ -26,7 +26,6 @@ from gradedlie.linalg import (
     rank,
     rref,
     solve,
-    solve_many,
     vectors_rank,
 )
 
@@ -131,13 +130,6 @@ def test_solve_inconsistent_returns_none():
     assert solve(RatMatrix.from_rows([[1], [2]]), [1, 1]) is None
 
 
-def test_solve_many_returns_sparse_solutions():
-    mat = RatMatrix.from_rows([[1, 1, 0], [0, 0, 2]])
-    # zero free coordinates, zero right-hand side entries ignored, None when inconsistent
-    assert solve_many(mat, [{0: F(2), 1: F(4)}, {}, {1: F(0)}]) == [{0: F(2), 2: F(2)}, {}, {}]
-    assert solve_many(RatMatrix.from_rows([[1], [2]]), [{0: 1, 1: 2}, {0: 1, 1: 1}]) == [{0: F(1)}, None]
-
-
 def test_column_complement_identity():
     eye = RatMatrix.from_rows([[1, 0], [0, 1]])
     assert column_complement(eye) == []
@@ -217,10 +209,8 @@ def test_public_constructors_keep_their_checks():
 @pytest.mark.parametrize("build", [
     lambda: RatMatrix(1, 1, {(0, 1): 1}),
     lambda: RatMatrix(1, 1, {(-1, 0): 1}),
-    lambda: solve_many(RatMatrix(1, 1), [{1: 1}]),
-    lambda: solve_many(RatMatrix(1, 1), [{-1: 1}]),
     lambda: express_in_basis([[F(1)]], [{-1: 1}]),
-], ids=["matrix-column", "matrix-row", "rhs-beyond", "rhs-negative", "target-negative"])
+], ids=["matrix-column", "matrix-row", "target-negative"])
 def test_public_indices_outside_the_shape_raise_index_error(build):
     with pytest.raises(IndexError):
         build()
@@ -231,7 +221,7 @@ def test_engine_built_matrices_hold_nonzero_exact_rationals_in_range(monkeypatch
     # table and the columns of every tower map, over the corpus and the
     # benchmark specs, and the rows of the builders whose sums and products
     # of Fractions come out integral (two g0 builders, the lower central
-    # series of an ungraded table, degree -1 blocks extended in one solve):
+    # series of an ungraded table, degree -1 blocks extended off the kernel):
     # no empty row, no zero, no value out of canonical form, no index outside
     # the shape; `_of_rows` adopts the rows unchecked, as the algebra adopts
     # the assembled table, so the table's keys must also be ordered pairs in
@@ -753,7 +743,7 @@ def test_integral_callers_leave_an_all_int_table_unchanged():
     matrix = RatMatrix.from_rows([[2, 4, 6], [1, 0, 5]])
     rows = {r: dict(row) for r, row in matrix._rows.items()}
     rref(matrix)
-    solve_many(matrix, [{0: 1}])
+    solve(matrix, [1, 0])
     assert matrix._rows == rows
 
 

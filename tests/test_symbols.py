@@ -20,11 +20,11 @@ from gradedlie import (
     orthogonal_derivations,
     universal_prolongation,
 )
-from gradedlie import diagnostics, linalg
-from gradedlie.algebra import map_layout, require_valid_symbol
-from gradedlie.symbols import extend_top_blocks
+from gradedlie import diagnostics, linalg, prolongation
+from gradedlie.algebra import layout_offsets, map_layout, require_valid_symbol
 
-from conftest import LAMBDA_1, LAMBDA_2, bracket, make_eta3, unit_vector
+from conftest import LAMBDA_1, LAMBDA_2, bracket, canonical, make_eta3, unit_vector
+from test_parabolic import GRADINGS, sl_negative_part
 
 F = Fraction
 
@@ -137,8 +137,7 @@ def test_line_pair_validation():
     (lambda: abelian(0), "at least 1"),
     (lambda: orthogonal_derivations(heisenberg(1), identity_form(3)), "does not match the degree -1 dimension"),
     (lambda: line_preserving_derivations(heisenberg(1), LinePair([1, 0, 0], [0, 1, 0])), "2-dimensional"),
-    (lambda: extend_top_blocks(heisenberg(1), [[[1, 0]]]), "square of the degree -1 dimension"),
-], ids=["heisenberg-0", "abelian-0", "form-size", "line-length", "block-shape"])
+], ids=["heisenberg-0", "abelian-0", "form-size", "line-length"])
 def test_builders_reject_invalid_arguments(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -356,6 +355,56 @@ def test_custom_g0_eliminates_each_degree_once(monkeypatch):
         assert [list(f.image_of_basis(-1, a)) for a in range(2)] == [[top[s][a] for s in range(2)] for a in range(2)]
 
 
+# the preset symbols the suite builds a full g0 for
+PRESETS = [
+    *(pytest.param(lambda n=n: heisenberg(n), id=f"heisenberg-{n}") for n in (1, 2, 3)),
+    *(pytest.param(lambda r=r, mu=mu: free_nilpotent(r, mu), id=f"free-{r}-{mu}")
+      for r, mu in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2), (6, 2)]),
+    *(pytest.param(lambda n=n: abelian(n), id=f"abelian-{n}") for n in (2, 3)),
+]
+
+
+def assert_free_columns_in_the_top_block(symbol, name=""):
+    # span mode reads each block's extension at these columns
+    layout, matrix = prolongation.leibniz_system(symbol, [], 0)
+    off = layout_offsets(layout)[0][-1]
+    kernel = linalg.rref(matrix).nullspace()
+    assert kernel, name
+    for v in kernel:
+        assert max(v) >= off and v[max(v)] == 1, name
+
+
+@pytest.mark.parametrize("build", PRESETS)
+def test_derivation_kernel_is_free_only_on_the_top_block_of_presets(build):
+    assert_free_columns_in_the_top_block(build())
+
+
+def test_derivation_kernel_is_free_only_on_the_top_block_of_specs_and_gradings(corpus_results, perfbench_results):
+    for name, (_, symbol, *_) in {**corpus_results, **perfbench_results}.items():
+        assert_free_columns_in_the_top_block(symbol, name)
+    for n, marked in GRADINGS:
+        assert_free_columns_in_the_top_block(sl_negative_part(n, marked), (n, marked))
+
+
+def top_block(f):
+    """f's degree -1 block as rows: entry [s][a] is coordinate s of the image of basis vector a."""
+    n1 = f.shapes[-1][0]
+    return [[f.image_of_basis(-1, a)[s] for a in range(n1)] for s in range(n1)]
+
+
+@pytest.mark.parametrize("build", PRESETS)
+def test_custom_g0_round_trips_the_top_blocks_of_every_derivation(build):
+    symbol = build()
+    for g in degree_zero_derivations(symbol).generators:
+        # 3/2 g has Fraction entries, and ints where an entry of g is even
+        half = GradedLinearMap(0, {i: [[F(3, 2) * x for x in g.image_of_basis(i, a)] for a in range(dom)]
+                                   for i, (dom, _) in g.shapes.items()})
+        for f in (g, half):
+            extended = custom_g0(symbol, [top_block(f)]).generators[0]
+            assert extended == f
+            assert all(canonical(x) for cols in extended.columns.values() for col in cols for x in col.values())
+
+
 def test_custom_g0_rejects_maps_of_the_wrong_shape(eta3):
     # a 3x3 block on the 2-dimensional degree -1 part
     wide = GradedLinearMap(0, {-1: [[1, 0, 0], [0, 1, 0], [0, 0, 1]], -2: [[2]]})
@@ -400,11 +449,10 @@ def test_first_block_that_does_not_extend_is_reported_first():
     lambda: linalg.RatMatrix(1, 1, {(0, 0): 0.5}),
     lambda: linalg.RatMatrix.from_rows([[0.5]]),
     lambda: linalg.solve(linalg.RatMatrix.from_rows([[1]]), [0.5]),
-    lambda: linalg.solve_many(linalg.RatMatrix.from_rows([[1]]), [{0: 0.5}]),
     lambda: linalg.express_in_basis([[0.5, 1]], [{0: 1}]),
     lambda: linalg.express_in_basis([[1, 0]], [{0: 0.5}]),
 ], ids=["bracket-value", "graded-map", "euclidean-form", "line-pair", "custom-g0", "signature",
-        "matrix-entries", "matrix-rows", "solve-rhs", "solve-many-rhs", "basis-vectors", "basis-targets"])
+        "matrix-entries", "matrix-rows", "solve-rhs", "basis-vectors", "basis-targets"])
 def test_floats_are_rejected_at_every_entry_point(build):
     # 0.1 would otherwise become 3602879701896397/36028797018963968
     with pytest.raises(TypeError, match="floats"):

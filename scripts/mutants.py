@@ -90,19 +90,32 @@ MUTANTS = (
      ["tests/test_leibniz.py::test_leibniz_system_matches_the_copying_emitter_on_corpus_and_perfbench",
       "tests/test_prolongation.py::test_example5_first_prolongation"]),
     ("spencer-emitter-sign", "normalization.py",
-     "pair_rows[u][col(-1, a1_pos, t)] += value", "pair_rows[u][col(-1, a1_pos, t)] -= value",
-     ["tests/test_prolongation.py::test_route_equivalence_example5"]),
+     "rows[base + u][first + t] = value", "rows[base + u][first + t] = -value",
+     ["tests/test_prolongation.py::test_route_equivalence_example5",
+      "tests/test_normalization.py::test_build_spencer_matches_the_copying_builder_on_heisenberg"]),
     ("spencer-symbol-side-sign", "normalization.py",
-     "pair_rows[symbol.position_in_degree(c)][col(i2, a2_pos, t)] -= value",
-     "pair_rows[symbol.position_in_degree(c)][col(i2, a2_pos, t)] += value",
-     ["tests/test_prolongation.py::test_route_equivalence_example5"]),
+     "sign, key = (1, (g, a1)) if g < a1 else (-1, (a1, g))",
+     "sign, key = (-1, (g, a1)) if g < a1 else (1, (a1, g))",
+     ["tests/test_prolongation.py::test_route_equivalence_example5",
+      "tests/test_normalization.py::test_build_spencer_matches_the_copying_builder_on_heisenberg"]),
     ("spencer-tower-side-sign", "normalization.py",
-     "pair_rows[u][col(i2, a2_pos, t)] -= value", "pair_rows[u][col(i2, a2_pos, t)] += value",
-     ["tests/test_prolongation.py::test_route_equivalence_example5"]),
+     "return [(u, t, value) for t, f in enumerate(g_bases[mid])",
+     "return [(u, t, -value) for t, f in enumerate(g_bases[mid])",
+     ["tests/test_prolongation.py::test_route_equivalence_example5",
+      "tests/test_normalization.py::test_build_spencer_matches_the_copying_builder_on_heisenberg"]),
     ("spencer-image-sign", "normalization.py",
-     "pair_rows[t][col(i2 - 1, symbol.position_in_degree(c), t)] -= value",
-     "pair_rows[t][col(i2 - 1, symbol.position_in_degree(c), t)] += value",
-     ["tests/test_prolongation.py::test_route_equivalence_example5"]),
+     "sign, key = (-1, (a1, a2)) if a1 < a2 else (1, (a2, a1))",
+     "sign, key = (1, (a1, a2)) if a1 < a2 else (-1, (a2, a1))",
+     ["tests/test_prolongation.py::test_route_equivalence_example5",
+      "tests/test_normalization.py::test_build_spencer_matches_the_copying_builder_on_heisenberg"]),
+    ("spencer-right-list-keyed-by-v2", "normalization.py",
+     "acts = right.get((mid, a1))\n"
+     "            if acts is None:\n"
+     "                acts = right[(mid, a1)] = right_action(mid, a1)\n",
+     "acts = right.get((mid, a2))\n"
+     "            if acts is None:\n"
+     "                acts = right[(mid, a2)] = right_action(mid, a1)\n",
+     ["tests/test_normalization.py::test_build_spencer_matches_the_copying_builder_on_heisenberg"]),
     ("spencer-restriction-sign", "normalization.py",
      "restricted[a1 * dv + u][t] = -value", "restricted[a1 * dv + u][t] = value",
      ["tests/test_normalization.py::test_split_elimination_matches_the_whole_matrix[abelian-gl-1]"]),
@@ -113,6 +126,12 @@ MUTANTS = (
      "                for v1 in range(self.restriction.rows // dv):\n",
      ["tests/test_normalization.py::test_split_elimination_matches_the_whole_matrix",
       "tests/test_cli.py::test_reports_match_benchmark_golden_digests"]),
+    ("complement-copy-major", "normalization.py",
+     "            for v1, us in enumerate(dropped):\n"
+     "                for copy in range(count):\n",
+     "            for copy in range(count):\n"
+     "                for v1, us in enumerate(dropped):\n",
+     ["tests/test_normalization.py::test_build_spencer_matches_the_copying_builder_on_heisenberg"]),
     ("spencer-kernel-without-check", "prolongation.py",
      "if system.copies and system.restriction_echelon.rank < system.restriction.cols:", "if False:",
      ["tests/test_prolongation.py::test_spencer_kernel_rejects_a_restriction_without_full_column_rank"]),

@@ -25,7 +25,10 @@ d_0, ..., d_{k-1} (d_i = dim g^i), and with c = d_0 + ... + d_{k-1} the
 domain has dimension cols N + c cols R and the target rows N + c rows R.
 Each block is eliminated once: the kernel is ker N exactly when R has full
 column rank, the image has dimension rank N + c rank R, and the complement
-is the rows of N and, in every copy, of R that elimination did not keep.
+is the rows of N and, in every copy, of R that elimination did not keep,
+written by offset.  N is built over the Spencer side's own action lists,
+which share nothing with the Leibniz build, so the two routes stay
+independent.
 """
 
 from __future__ import annotations
@@ -71,7 +74,9 @@ class SpencerSystem:
 
     def restriction_rows(self):
         """(target row, copy, row of R) for every non-negative target row,
-        ascending: row (v1, v2, u) of each degree's block, v1 outer."""
+        ascending: row (v1, v2, u) of each degree's block, v1 outer.  In the
+        package only matrix reads it; normalization_report writes the
+        complement by offset instead of walking every row."""
         row, first, dv = self.negative.rows, 0, self.value_dim
         for count in self.copies:
             for v1 in range(self.restriction.rows // dv):
@@ -95,7 +100,14 @@ def build_spencer(symbol: GradedLieAlgebra, g_bases, k: int) -> SpencerSystem:
     """The degree-k Spencer operator over the computed tower, as N and R.
 
     g_bases[l] is the computed basis of the degree-l part (g_bases[0] the
-    degree-zero generators); levels up to k must be present.
+    degree-zero generators); levels up to k must be present.  The rows of N
+    are emitted pair by pair, each entry written once, and a row is made on
+    its first entry.  Each term of a pair's rows depends on less than the
+    pair, so its nonzero action is listed once, on first use, as (u, t,
+    value) triples: [f(v1), v2] once per v2, read off the degree-k basis
+    maps x_t as [x_t, v2] = sum of value y_u; [v1, f(v2)] = -[f(v2), v1]
+    once per (mid, v1), mid the degree of f(v2), read straight from the
+    symbol's table (mid < 0) or the tower's degree -1 columns.
     """
     if k < 0 or k >= len(g_bases):
         raise ValueError("Spencer degree outside the computed range")
@@ -115,39 +127,59 @@ def build_spencer(symbol: GradedLieAlgebra, g_bases, k: int) -> SpencerSystem:
     if dv:
         pairs += [(top[p], top[q]) for p in range(n1) for q in range(p + 1, n1)]
 
-    def col(i, a, t):  # entry t of f(e) for e the a-th basis element of g^i
-        return offsets[i] + a * dims[i + k + 1] + t
+    table, positions = symbol._table, symbol._positions
+    degrees = [e.degree for e in symbol.basis]
+    left: dict[int, list] = {}                # v2 -> the triples of [x_t, v2], x_t of degree k
+    right: dict[tuple[int, int], list] = {}   # (mid, v1) -> the triples of [x_t, v1], x_t of degree mid
 
-    rows = []  # of N, pair by pair
+    def right_action(mid, a1):
+        if mid >= 0:
+            pos = positions[a1]
+            return [(u, t, value) for t, f in enumerate(g_bases[mid])
+                    for u, value in f.columns[-1][pos].items()]
+        acts = []
+        for t, g in enumerate(symbol.indices_of_degree(mid)):
+            sign, key = (1, (g, a1)) if g < a1 else (-1, (a1, g))
+            acts += [(positions[c], t, sign * value) for c, value in table.get(key, {}).items()]
+        return acts
+
+    rows = defaultdict(dict)  # row -> {column: value}
+    nrows = 0
     for a1, a2 in pairs:
         # the rows of [f(v1), v2] + [v1, f(v2)] - f([v1, v2]) for v1 = e_a1 of
         # degree -1 and v2 = e_a2 of degree i2, one per coordinate of the value
         # in degree i2 + k; every term is linear in the unknown blocks of f
-        i2 = symbol.degree_of(a2)
-        pair_rows = [defaultdict(int) for _ in range(dims[i2 + k])]
-        rows += pair_rows
-        a1_pos, a2_pos = symbol.position_in_degree(a1), symbol.position_in_degree(a2)
-        # [f(v1), v2]: f(v1) has degree k, expand over the degree-k basis.
+        i2 = degrees[a2]
+        size = dims[i2 + k]
+        base, nrows = nrows, nrows + size
+        # [f(v1), v2]: f(v1) has degree k, expanded over the degree-k basis.
         if -1 in offsets:
-            for t, f in enumerate(g_bases[k]):
-                for u, value in f.columns[i2][a2_pos].items():
-                    pair_rows[u][col(-1, a1_pos, t)] += value
-        # [v1, f(v2)] = -[f(v2), v1]: f(v2) has degree i2 + k + 1.
-        mid = i2 + k + 1
-        if i2 in offsets and mid < 0:
-            for t, g in enumerate(symbol.indices_of_degree(mid)):
-                for c, value in symbol.bracket_basis(g, a1).items():
-                    pair_rows[symbol.position_in_degree(c)][col(i2, a2_pos, t)] -= value
-        elif i2 in offsets:
-            for t, f in enumerate(g_bases[mid]):
-                for u, value in f.columns[-1][a1_pos].items():
-                    pair_rows[u][col(i2, a2_pos, t)] -= value
-        # -f([v1, v2]): the bracket has degree i2 - 1.
+            acts = left.get(a2)
+            if acts is None:
+                pos = positions[a2]
+                acts = left[a2] = [(u, t, value) for t, f in enumerate(g_bases[k])
+                                   for u, value in f.columns[i2][pos].items()]
+            first = offsets[-1] + positions[a1] * dk
+            for u, t, value in acts:
+                rows[base + u][first + t] = value
+        # [v1, f(v2)] = -[f(v2), v1]: f(v2) has degree mid = i2 + k + 1.
+        if i2 in offsets:
+            mid = i2 + k + 1
+            acts = right.get((mid, a1))
+            if acts is None:
+                acts = right[(mid, a1)] = right_action(mid, a1)
+            first = offsets[i2] + positions[a2] * dims[mid]
+            for u, t, value in acts:
+                rows[base + u][first + t] = -value
+        # -f([v1, v2]): the bracket has degree i2 - 1; row base + u meets
+        # entry u of f(e_c), column offsets[i2 - 1] + positions[c] * size + u.
         if i2 - 1 in offsets:
-            for c, value in symbol.bracket_basis(a1, a2).items():
-                for t in range(dims[i2 + k]):
-                    pair_rows[t][col(i2 - 1, symbol.position_in_degree(c), t)] -= value
-    negative = RatMatrix._of_rows(len(rows), ncols, rows)
+            sign, key = (-1, (a1, a2)) if a1 < a2 else (1, (a2, a1))
+            for c, value in table.get(key, {}).items():
+                first = offsets[i2 - 1] + positions[c] * size - base
+                for r in range(base, nrows):
+                    rows[r][first + r] = sign * value
+    negative = RatMatrix._of_rows(nrows, ncols, rows)
 
     # R: the value [v1, f(v2)] = -f(v2)(v1) of the non-negative rows
     restricted = defaultdict(dict)
@@ -174,14 +206,26 @@ def normalization_report(system: SpencerSystem) -> NormalizationReport:
 
     The complement is the target coordinates of the rows that elimination
     did not keep: N's (Echelon.complement) and, in every copy, R's.  The
-    kept rows span the row space, so the splitting dim target = dim image
-    + dim complement is exact.
+    positions u whose row v1 * dv + u of R was not kept are listed once per
+    v1; copy j of the block of `count` copies that starts at target row
+    `start` then holds them at start + (v1 * count + j) * dv + u, in the
+    order of restriction_rows (v1 outer, copy, then u).  The kept rows span
+    the row space, so the splitting dim target = dim image + dim complement
+    is exact.
     """
     negative, restriction = system.negative_echelon, system.restriction_echelon
-    kept = set(restriction.kept)
-    complement = tuple(negative.complement()) + tuple(
-        row for row, _, r in system.restriction_rows() if r not in kept
-    )
+    complement, start, dv = negative.complement(), system.negative.rows, system.value_dim
+    if system.copies:
+        kept = set(restriction.kept)
+        dropped = [[u for u in range(dv) if v1 * dv + u not in kept]  # per v1, the u not kept
+                   for v1 in range(system.restriction.rows // dv)]
+        for count in system.copies:
+            for v1, us in enumerate(dropped):
+                for copy in range(count):
+                    first = start + (v1 * count + copy) * dv
+                    complement += [first + u for u in us]
+            start += count * system.restriction.rows
+    complement = tuple(complement)
     image = negative.rank + sum(system.copies) * restriction.rank
     report = NormalizationReport(
         k=system.k,

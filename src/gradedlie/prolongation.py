@@ -149,11 +149,15 @@ def spencer_kernel_from_system(system: SpencerSystem):
 
     Kernel elements provably vanish on the non-negative domain blocks, that
     is, R has full column rank; this is checked rather than assumed.  The
-    kernel is then the kernel of the negative block N.
+    kernel is then the kernel of the negative block N.  A failure names a
+    combination of the degree-k basis that vanishes on g^-1, R's first
+    kernel vector.
     """
     if system.copies and system.restriction_echelon.rank < system.restriction.cols:
+        witness = linalg.dense(system.restriction_echelon.nullspace()[0], system.restriction.cols)
         raise InternalConsistencyError(
-            f"Spencer kernel element at k={system.k} has a nonzero non-negative block"
+            f"Spencer kernel element at k={system.k} has a nonzero non-negative block: "
+            f"witness [{', '.join(map(str, witness))}]"
         )
     return _normalize_map_basis(system.negative_echelon.nullspace(), system.k + 1, system.layout)
 

@@ -1,3 +1,5 @@
+import functools
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,17 +8,21 @@ import pytest
 from gradedlie import (
     abelian,
     build_spencer,
+    degree_zero_derivations,
+    heisenberg,
     linalg,
     normalization_report,
     orthogonal_derivations,
     specfile,
     universal_prolongation,
 )
+from gradedlie.algebra import tower_dims
 from gradedlie.linalg import RatMatrix
 from gradedlie.normalization import SpencerSystem
 from gradedlie.prolongation import _normalize_map_basis, spencer_kernel_from_system
 from gradedlie.symbols import EuclideanForm
 from test_linalg import transpose
+from test_parabolic import GRADINGS, prolonged_free, prolonged_grading
 
 F = Fraction
 
@@ -204,3 +210,120 @@ def test_split_elimination_matches_the_whole_matrix(path):
         assert not any(c >= width for v in kernel for c in v), f"k={k}"
         maps = _normalize_map_basis(kernel, k + 1, system.layout)
         assert maps == spencer_kernel_from_system(system), f"k={k}"
+
+
+def build_spencer_copying_brackets(symbol, g_bases, k):
+    """build_spencer as it was before it listed each action once: for every
+    (v1, v2) pair it walks every degree-k basis map, copies each bracket with
+    bracket_basis and adds the terms into defaultdict rows."""
+    dims = tower_dims(symbol, g_bases)
+    n1, dv, dk = dims.get(-1, 0), dims.get(k - 1, 0), dims.get(k, 0)
+    neg_degrees = sorted(d for d in dims if d < 0)
+
+    layout, offsets, ncols = [], {}, 0
+    for i in neg_degrees:
+        if dims[i] and dims.get(i + k + 1, 0):
+            layout.append((i, dims[i], dims[i + k + 1]))
+            offsets[i], ncols = ncols, ncols + dims[i] * dims[i + k + 1]
+
+    top = symbol.indices_of_degree(-1)
+    pairs = [(a1, a2) for i in neg_degrees if i != -1 and dims.get(i + k, 0)
+             for a1 in top for a2 in symbol.indices_of_degree(i)]
+    if dv:
+        pairs += [(top[p], top[q]) for p in range(n1) for q in range(p + 1, n1)]
+
+    def col(i, a, t):
+        return offsets[i] + a * dims[i + k + 1] + t
+
+    rows = []
+    for a1, a2 in pairs:
+        i2 = symbol.degree_of(a2)
+        pair_rows = [defaultdict(int) for _ in range(dims[i2 + k])]
+        rows += pair_rows
+        a1_pos, a2_pos = symbol.position_in_degree(a1), symbol.position_in_degree(a2)
+        if -1 in offsets:
+            for t, f in enumerate(g_bases[k]):
+                for u, value in f.columns[i2][a2_pos].items():
+                    pair_rows[u][col(-1, a1_pos, t)] += value
+        mid = i2 + k + 1
+        if i2 in offsets and mid < 0:
+            for t, g in enumerate(symbol.indices_of_degree(mid)):
+                for c, value in symbol.bracket_basis(g, a1).items():
+                    pair_rows[symbol.position_in_degree(c)][col(i2, a2_pos, t)] -= value
+        elif i2 in offsets:
+            for t, f in enumerate(g_bases[mid]):
+                for u, value in f.columns[-1][a1_pos].items():
+                    pair_rows[u][col(i2, a2_pos, t)] -= value
+        if i2 - 1 in offsets:
+            for c, value in symbol.bracket_basis(a1, a2).items():
+                for t in range(dims[i2 + k]):
+                    pair_rows[t][col(i2 - 1, symbol.position_in_degree(c), t)] -= value
+    negative = RatMatrix._of_rows(len(rows), ncols, rows)
+
+    restricted = defaultdict(dict)
+    for t, f in enumerate(g_bases[k] if k and dv else ()):
+        for a1, column in enumerate(f.columns[-1]):
+            for u, value in column.items():
+                restricted[a1 * dv + u][t] = -value
+    restriction = RatMatrix._of_rows(n1 * dv, dk, restricted) if k else RatMatrix(0, 0)
+    copies = tuple(dims[i] for i in range(k)) if n1 and dv else ()
+    return SpencerSystem(k, tuple(layout), copies, dv, negative, restriction)
+
+
+def walked_complement(system):
+    """The complement as the rows of N, then of every copy of R, that
+    elimination did not keep, read off the restriction_rows walk."""
+    kept = set(system.restriction_echelon.kept)
+    return tuple(system.negative_echelon.complement()) + tuple(
+        row for row, _, r in system.restriction_rows() if r not in kept)
+
+
+@functools.cache
+def prolonged_heisenberg(n):
+    """heisenberg(n) with full g0 prolonged to cutoff 3, once per test session."""
+    m = heisenberg(n)
+    return universal_prolongation(m, degree_zero_derivations(m), 3)
+
+
+def assert_every_spencer_degree_matches(result, name=""):
+    """At each Spencer degree of the run, build_spencer and the copying
+    builder give the same system, and the report's complement is the walk's.
+    Returns how many of these systems (k >= 2, so R has copies on several
+    degrees) drop a row of R whose value space has dimension above 1, the
+    case the complement's offsets must get right."""
+    bases = [list(b) for b in result.bases]
+    several = 0
+    for report in result.normalization:
+        k = report.k
+        system = build_spencer(result.symbol, bases[: k + 1], k)
+        reference = build_spencer_copying_brackets(result.symbol, bases[: k + 1], k)
+        assert system.negative == reference.negative, (name, k)
+        assert system.restriction == reference.restriction, (name, k)
+        assert (system.layout, system.copies, system.value_dim) == (
+            reference.layout, reference.copies, reference.value_dim), (name, k)
+        assert normalization_report(system).complement_indices == walked_complement(system), (name, k)
+        several += (len(system.copies) > 1 and system.value_dim > 1
+                    and system.restriction_echelon.rank < system.restriction.rows)
+    return several
+
+
+def test_build_spencer_matches_the_copying_builder_on_corpus_and_perfbench(corpus_results, perfbench_results):
+    several = sum(assert_every_spencer_degree_matches(result, name)
+                  for name, (*_, result) in {**corpus_results, **perfbench_results}.items())
+    assert several  # cartan-25, contact-n1, ode2-point and free-3-2 at k = 2
+
+
+@pytest.mark.parametrize("n, marked", [pytest.param(n, marked, id=f"sl{n}-" + "".join(map(str, marked)))
+                                       for n, marked in GRADINGS])
+def test_build_spencer_matches_the_copying_builder_on_parabolic_gradings(n, marked):
+    assert_every_spencer_degree_matches(prolonged_grading(n, marked))
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_build_spencer_matches_the_copying_builder_on_free_two_step(n):
+    assert assert_every_spencer_degree_matches(prolonged_free(n))
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_build_spencer_matches_the_copying_builder_on_heisenberg(n):
+    assert assert_every_spencer_degree_matches(prolonged_heisenberg(n))

@@ -587,8 +587,12 @@ def test_spencer_kernel_rejects_a_restriction_without_full_column_rank():
     system = build_spencer(m, bases, 1)
     # the whole operator then has a kernel element with a nonzero non-negative block
     assert any(any(v[system.negative.cols:]) for v in linalg.nullspace(system.matrix))
-    with pytest.raises(InternalConsistencyError, match="nonzero non-negative block"):
+    with pytest.raises(InternalConsistencyError) as failure:
         spencer_kernel_from_system(system)
+    # the witness: the repeated map minus the first one vanishes on g^-1
+    witness = ["-1"] + ["0"] * (len(bases[1]) - 2) + ["1"]
+    assert str(failure.value) == (
+        f"Spencer kernel element at k=1 has a nonzero non-negative block: witness [{', '.join(witness)}]")
 
 
 def quotient_by_top(symbol, rows):

@@ -46,21 +46,24 @@ MUTANTS = (
      "c, -p) for i, _, tgt in layout", "c, p) for i, _, tgt in layout",
      ["tests/test_prolongation.py::test_assemble_matches_the_fraction_reference"]),
     ("seed-map-action-sign", "prolongation.py",
-     "brackets[(v, x)] = {indices[i + k][t]: -value for t, value in col.items()}",
-     "brackets[(v, x)] = {indices[i + k][t]: value for t, value in col.items()}",
+     "rows[v][x] = {indices[i + k][t]: -value for t, value in col.items()}",
+     "rows[v][x] = {indices[i + k][t]: value for t, value in col.items()}",
      ["tests/test_algebra.py::test_adjoin_g0_example5",
       "tests/test_cli.py::test_reports_match_benchmark_golden_digests"]),
     ("assemble-lookup-sign-swapped", "prolongation.py",
-     "terms, q = brackets.get((c, x)), -q\n                        else:\n"
-     "                            terms = brackets.get((x, c))\n",
-     "terms = brackets.get((c, x))\n                        else:\n"
-     "                            terms, q = brackets.get((x, c)), -q\n",
+     "terms, q = rows[c].get(x), -q\n                        else:\n"
+     "                            terms = row_x.get(c)\n",
+     "terms = rows[c].get(x)\n                        else:\n"
+     "                            terms, q = row_x.get(c), -q\n",
      ["tests/test_prolongation.py::test_assemble_matches_the_fraction_reference"]),
     ("assemble-left-fold-dropped", "prolongation.py",
-     "terms, q = brackets.get((c, x)), -q", "terms = brackets.get((c, x))",
+     "terms, q = rows[c].get(x), -q", "terms = rows[c].get(x)",
      ["tests/test_prolongation.py::test_assemble_matches_the_fraction_reference"]),
     ("assemble-right-fold-negated", "prolongation.py",
-     "terms = brackets.get((c, y))", "terms, q = brackets.get((c, y)), -q",
+     "terms = rows[c].get(y)", "terms, q = rows[c].get(y), -q",
+     ["tests/test_prolongation.py::test_assemble_matches_the_fraction_reference"]),
+    ("assemble-reads-c-x-from-the-row-of-x", "prolongation.py",
+     "terms, q = rows[c].get(x), -q", "terms, q = rows[x].get(c), -q",
      ["tests/test_prolongation.py::test_assemble_matches_the_fraction_reference"]),
     ("assemble-missing-column-read-by-key", "prolongation.py",
      "flat[col] = flat.get(col, 0) - value * r", "flat[col] -= value * r",
@@ -79,8 +82,8 @@ MUTANTS = (
      "rows[r][first + r] = value", "rows[r][first + r] = -value",
      ["tests/test_prolongation.py::test_example5_first_prolongation"]),
     ("leibniz-symbol-side-sign", "prolongation.py",
-     "acts += [(t, positions[c], -value) for c, value in table.get((other, g), {}).items()]",
-     "acts += [(t, positions[c], value) for c, value in table.get((other, g), {}).items()]",
+     "acts += [(t, positions[c], -value) for c, value in brackets[other].get(g, {}).items()]",
+     "acts += [(t, positions[c], value) for c, value in brackets[other].get(g, {}).items()]",
      ["tests/test_prolongation.py::test_example5_first_prolongation"]),
     ("leibniz-tower-side-sign", "prolongation.py",
      "acts += [(t, u, value) for u, value", "acts += [(t, u, -value) for u, value",
@@ -94,8 +97,8 @@ MUTANTS = (
      ["tests/test_prolongation.py::test_route_equivalence_example5",
       "tests/test_normalization.py::test_build_spencer_matches_the_copying_builder_on_heisenberg"]),
     ("spencer-symbol-side-sign", "normalization.py",
-     "sign, key = (1, (g, a1)) if g < a1 else (-1, (a1, g))",
-     "sign, key = (-1, (g, a1)) if g < a1 else (1, (a1, g))",
+     "sign, low, high = (1, g, a1) if g < a1 else (-1, a1, g)",
+     "sign, low, high = (-1, g, a1) if g < a1 else (1, a1, g)",
      ["tests/test_prolongation.py::test_route_equivalence_example5",
       "tests/test_normalization.py::test_build_spencer_matches_the_copying_builder_on_heisenberg"]),
     ("spencer-tower-side-sign", "normalization.py",
@@ -104,8 +107,8 @@ MUTANTS = (
      ["tests/test_prolongation.py::test_route_equivalence_example5",
       "tests/test_normalization.py::test_build_spencer_matches_the_copying_builder_on_heisenberg"]),
     ("spencer-image-sign", "normalization.py",
-     "sign, key = (-1, (a1, a2)) if a1 < a2 else (1, (a2, a1))",
-     "sign, key = (1, (a1, a2)) if a1 < a2 else (-1, (a2, a1))",
+     "sign, low, high = (-1, a1, a2) if a1 < a2 else (1, a2, a1)",
+     "sign, low, high = (1, a1, a2) if a1 < a2 else (-1, a2, a1)",
      ["tests/test_prolongation.py::test_route_equivalence_example5",
       "tests/test_normalization.py::test_build_spencer_matches_the_copying_builder_on_heisenberg"]),
     ("spencer-right-list-keyed-by-v2", "normalization.py",
@@ -223,7 +226,8 @@ MUTANTS = (
      ["tests/test_diagnostics.py::test_center_matches_the_full_stack_on_random_tables",
       "tests/test_diagnostics.py::test_center_matches_the_full_stack_on_corpus_and_perfbench"]),
     ("center-rows-keyed-unsorted", "diagnostics.py",
-     "for (a, b), terms in sorted(algebra._table.items()):", "for (a, b), terms in algebra._table.items():",
+     "        for b in sorted(row):\n            for c, value in row[b].items():",
+     "        for b in row:\n            for c, value in row[b].items():",
      ["tests/test_diagnostics.py::test_center_matches_the_full_stack_on_random_tables"]),
     ("signature-component-stops-growing", "diagnostics.py",
      "stack.append(j)", "block.append(j)",
@@ -235,6 +239,11 @@ MUTANTS = (
      'between = f"{term}],{term}[{item}"', 'between = f"{term}], {term}[{item}"',
      ["tests/test_cli.py::test_dump_document_writes_algebras_as_their_bracket_entries",
       "tests/test_cli.py::test_dump_document_writes_every_engine_table_as_its_bracket_entries"]),
+    ("writer-rows-walked-unsorted", "specfile.py",
+     "            for b in sorted(row):\n                if len(parts) > 1024:",
+     "            for b in row:\n                if len(parts) > 1024:",
+     ["tests/test_cli.py::test_reports_match_benchmark_golden_digests",
+      "tests/test_cli.py::test_dump_document_writes_the_bytes_of_the_tuple_sorted_writer"]),
     ("writer-coefficient-cache-unquoted", "specfile.py",
      "text = self[value] = _encode(format_rational(value))",
      "text = _encode(format_rational(value))\n        self[value] = format_rational(value)",

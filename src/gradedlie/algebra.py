@@ -3,12 +3,14 @@
 The same type houses the nilpotent symbol (negative degrees only), the
 algebra m + g0 that prolongation.adjoin_g0 assembles, and the fully
 assembled prolongation with positive degrees.  Brackets are
-stored once per index pair a < b as sparse coordinate dicts, and
-bracket_basis reads either orientation, applying antisymmetry as a sign; the
-grading and Jacobi checks read one integer copy, scaled by the lcm of
-its denominators, indexed by pair in both orientations and by the basis
-elements each bracket contains, so the Jacobi sums are taken over the
-nonzero products of the table instead of over every basis triple.
+stored once per index pair a < b, as rows: rows[a] = {b: terms}, terms the
+sparse coordinate dict of [e_a, e_b], so every consumer walks a row or
+reads one bracket with rows[a].get(b) and builds no key per lookup;
+bracket_basis reads either orientation, applying antisymmetry as a sign.
+The grading and Jacobi checks read one integer copy of the rows, scaled by
+the lcm of their denominators, indexed by pair in both orientations and by
+the basis elements each bracket contains, so the Jacobi sums are taken over
+the nonzero products of the table instead of over every basis triple.
 
 Every structure constant and map entry is an exact rational in the form of
 ``linalg``: an int when integral, a Fraction only with a denominator above 1.
@@ -24,6 +26,7 @@ in sparse generator coordinates.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import NamedTuple
 
 from . import linalg
@@ -38,13 +41,16 @@ class BasisElement(NamedTuple):
 class GradedLieAlgebra:
     """Finite-dimensional graded Lie algebra with exact structure constants.
 
-    Structure constants are stored only for index pairs (a, b) with a < b;
-    the opposite orientation is recovered by antisymmetry.  Construction
-    checks shapes and name uniqueness; _of_table adopts a table the engine
-    built as it is.  Mathematical soundness (grading
-    compatibility, the Jacobi identity, nilpotency of the negative part) is
-    the job of check_validity, which reports witnesses instead of raising,
-    so invalid tables can be represented and diagnosed.
+    Structure constants are stored once per index pair a < b, in rows:
+    rows[a] is the dict {b: terms} of the nonzero brackets [e_a, e_b] with
+    b > a, terms a dict of nonzero exact rationals; the opposite orientation
+    is recovered by antisymmetry.  The constructor takes a {(a, b): terms}
+    dict, checks shapes, ranges and name uniqueness and cleans the values;
+    _of_rows adopts rows the engine built as they are.  Mathematical
+    soundness (grading compatibility, the Jacobi identity, nilpotency of
+    the negative part) is the job of check_validity, which reports
+    witnesses instead of raising, so invalid tables can be represented and
+    diagnosed.
     """
 
     def __init__(self, basis, brackets):
@@ -54,7 +60,7 @@ class GradedLieAlgebra:
             raise ValueError("basis names must be unique")
         self.basis = basis
         n = len(basis)
-        table: dict[tuple[int, int], dict[int, Rational]] = {}
+        rows: list[dict[int, dict[int, Rational]]] = [{} for _ in range(n)]
         for (a, b), terms in brackets.items():
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"bracket pair ({a}, {b}) out of range")
@@ -68,8 +74,8 @@ class GradedLieAlgebra:
                 if value:
                     clean[c] = value
             if clean:
-                table[(a, b)] = clean
-        self._table = table
+                rows[a][b] = clean
+        self.rows = rows
         by_degree: dict[int, list[int]] = {}
         for i, e in enumerate(basis):
             by_degree.setdefault(e.degree, []).append(i)
@@ -77,11 +83,12 @@ class GradedLieAlgebra:
         self._positions = {i: pos for idx in by_degree.values() for pos, i in enumerate(idx)}
 
     @classmethod
-    def _of_table(cls, basis, table) -> "GradedLieAlgebra":
-        """Engine-built brackets, keys (a, b) in range with a < b and nonempty
-        dicts of nonzero exact rationals, adopted without a check or a copy."""
+    def _of_rows(cls, basis, rows) -> "GradedLieAlgebra":
+        """Engine-built brackets, one row per basis element, rows[a] keyed by
+        b in range with b > a and holding nonempty dicts of nonzero exact
+        rationals, adopted without a check or a copy."""
         algebra = cls(basis, {})
-        algebra._table = table
+        algebra.rows = rows
         return algebra
 
     @property
@@ -110,17 +117,26 @@ class GradedLieAlgebra:
     def has_only_negative_degrees(self) -> bool:
         return all(d < 0 for d in self._by_degree)
 
-    def bracket_pairs(self):
-        return sorted(self._table)
-
     def bracket_basis(self, a: int, b: int) -> dict[int, Rational]:
-        """[e_a, e_b] as a sparse coordinate dictionary."""
-        if a == b:
-            return {}
+        """[e_a, e_b] as a sparse coordinate dictionary, a copy."""
         if a < b:
-            return dict(self._table.get((a, b), {}))
-        flipped = self._table.get((b, a), {})
-        return {c: -v for c, v in flipped.items()}
+            return dict(self.rows[a].get(b, ()))
+        if a > b:
+            return {c: -v for c, v in self.rows[b].get(a, {}).items()}
+        return {}
+
+
+def _integral_rows(rows) -> tuple[list, int]:
+    """(L * rows, L) for a bracket table held as rows, L the lcm of its
+    denominators, as linalg._integral scales a table of sparse rows: an
+    all-int table is returned as it is, its own dicts, so no caller may
+    change what it gets; any other table is copied."""
+    values = [terms.values() for row in rows for terms in row.values()]
+    if set(map(type, chain.from_iterable(values))) <= {int}:
+        return rows, 1
+    scale = math.lcm(*{v.denominator for terms in values for v in terms})
+    return [{b: {c: v.numerator * (scale // v.denominator) for c, v in terms.items()}
+             for b, terms in row.items()} for row in rows], scale
 
 
 class ValidityReport(NamedTuple):
@@ -162,16 +178,19 @@ def check_validity(algebra: GradedLieAlgebra) -> ValidityReport:
     n = algebra.dim
     degree = [e.degree for e in algebra.basis]
     grading_witness = jacobi_witness = None
-    table, _ = linalg._integral(algebra._table)
+    rows, _ = _integral_rows(algebra.rows)
     signed: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]  # signed[x][y] = [e_x, e_y]
     containing: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # (q, r, v): v e_t in [e_q, e_r]
-    for (q, r), terms in sorted(table.items(), reverse=True):
-        signed[q][r] = terms
-        signed[r][q] = {t: -v for t, v in terms.items()}
-        for t, v in terms.items():
-            containing[t].append((q, r, v))
-            if degree[t] != degree[q] + degree[r]:
-                grading_witness = (algebra.basis[q].name, algebra.basis[r].name)
+    for q in range(n - 1, -1, -1):
+        row = rows[q]
+        for r in sorted(row, reverse=True):
+            terms = row[r]
+            signed[q][r] = terms
+            signed[r][q] = {t: -v for t, v in terms.items()}
+            for t, v in terms.items():
+                containing[t].append((q, r, v))
+                if degree[t] != degree[q] + degree[r]:
+                    grading_witness = (algebra.basis[q].name, algebra.basis[r].name)
     for p in range(n):
         # J(p, q, r) = [[p, q], r] - [[p, r], q] + [[q, r], p] for p < q < r,
         # coordinate e of it at key (q * n + r) * n + e; [[p, x], y] is the
@@ -445,11 +464,12 @@ def derivation_violations(symbol: GradedLieAlgebra, maps):
     all pairs reports.
     """
     n = symbol.dim
-    table = linalg._integral(symbol._table)[0]
+    rows = _integral_rows(symbol.rows)[0]
     partners: list[list[tuple[int, int, dict[int, int]]]] = [[] for _ in range(n)]
-    for (a, b), terms in table.items():
-        partners[a].append((b, 1, terms))
-        partners[b].append((a, -1, terms))
+    for a, row in enumerate(rows):
+        for b, terms in row.items():
+            partners[a].append((b, 1, terms))
+            partners[b].append((a, -1, terms))
     # (degree, position in it, basis indices of that degree) of each e_a
     slots = [(i, symbol.position_in_degree(a), symbol.indices_of_degree(i))
              for a, i in enumerate(e.degree for e in symbol.basis)]
@@ -463,11 +483,12 @@ def derivation_violations(symbol: GradedLieAlgebra, maps):
             images.append({targets[t]: value for t, value in f.columns[i][position].items()})
         images = linalg._integral(dict(enumerate(images)))[0]
         acc: dict[int, int] = {}  # L(a, b) at coordinate e under key (a * n + b) * n + e
-        for (a, b), terms in table.items():
-            key = (a * n + b) * n
-            for c, v in terms.items():  # f([e_a, e_b])
-                for e, w in images[c].items():
-                    acc[key + e] = acc.get(key + e, 0) + v * w
+        for a, row in enumerate(rows):
+            for b, terms in row.items():
+                key = (a * n + b) * n
+                for c, v in terms.items():  # f([e_a, e_b])
+                    for e, w in images[c].items():
+                        acc[key + e] = acc.get(key + e, 0) + v * w
         for s in range(n):
             for c, x in images[s].items():
                 for o, sign, terms in partners[c]:
@@ -534,6 +555,6 @@ class DegreeZeroAlgebra:
 def require_same_symbol(symbol: GradedLieAlgebra, g0: DegreeZeroAlgebra) -> None:
     """Raise ValueError unless g0 acts on this symbol: the same object, or
     one with the same basis and brackets."""
-    if g0.symbol is not symbol and (g0.symbol.basis, g0.symbol._table) != (symbol.basis, symbol._table):
+    if g0.symbol is not symbol and (g0.symbol.basis, g0.symbol.rows) != (symbol.basis, symbol.rows):
         raise ValueError("g0 was built for a different symbol")
 

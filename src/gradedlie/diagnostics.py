@@ -15,7 +15,7 @@ from collections import defaultdict
 from typing import NamedTuple
 
 from . import linalg
-from .algebra import GradedLieAlgebra
+from .algebra import GradedLieAlgebra, _integral_rows
 from .linalg import RatMatrix
 
 
@@ -34,13 +34,14 @@ def killing_form(algebra: GradedLieAlgebra) -> KillingData:
     and the signature is read off that integer matrix.
     """
     n = algebra.dim
-    table, scale = linalg._integral(algebra._table)
+    rows, scale = _integral_rows(algebra.rows)
     # groups[(x, y)]: the (a, v) with v = ad(e_a)[x][y] nonzero
     groups: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
-    for (a, b), terms in table.items():
-        for c, value in terms.items():
-            groups[(c, b)].append((a, value))
-            groups[(c, a)].append((b, -value))
+    for a, row in enumerate(rows):
+        for b, terms in row.items():
+            for c, value in terms.items():
+                groups[(c, b)].append((a, value))
+                groups[(c, a)].append((b, -value))
     traces: list[dict[int, int]] = [{} for _ in range(n)]
     for (x, y), group in groups.items():
         partner = groups.get((y, x))
@@ -132,14 +133,16 @@ def center(algebra: GradedLieAlgebra):
     condition (b, c) on z = sum z_a e_a is that [z, e_b] has no e_c
     coordinate.  Each distinct condition, keyed by its sorted items, is
     stacked once, since a repeated row adds nothing to the kernel.  The
-    pairs are read in ascending order, so every row gets its columns in
-    ascending order (those below b from pairs (a, b), then those above b
-    from pairs (b, a)) and its items are already sorted."""
+    pairs are read in ascending order, rows in turn and each row's keys
+    sorted, so every row gets its columns in ascending order (those below b
+    from pairs (a, b), then those above b from pairs (b, a)) and its items
+    are already sorted."""
     n = algebra.dim
     rows: dict[int, dict[int, linalg.Rational]] = defaultdict(dict)  # row (b, c), column a: [e_a, e_b]_c
-    for (a, b), terms in sorted(algebra._table.items()):
-        for c, value in terms.items():
-            rows[b * n + c][a], rows[a * n + c][b] = value, -value
+    for a, row in enumerate(algebra.rows):
+        for b in sorted(row):
+            for c, value in row[b].items():
+                rows[b * n + c][a], rows[a * n + c][b] = value, -value
     distinct = {tuple(row.items()): row for row in rows.values()}
     return linalg.nullspace(RatMatrix._of_rows(len(distinct), n, list(distinct.values())))
 

@@ -127,7 +127,7 @@ def build_spencer(symbol: GradedLieAlgebra, g_bases, k: int) -> SpencerSystem:
     if dv:
         pairs += [(top[p], top[q]) for p in range(n1) for q in range(p + 1, n1)]
 
-    table, positions = symbol._table, symbol._positions
+    brackets, positions = symbol.rows, symbol._positions
     degrees = [e.degree for e in symbol.basis]
     left: dict[int, list] = {}                # v2 -> the triples of [x_t, v2], x_t of degree k
     right: dict[tuple[int, int], list] = {}   # (mid, v1) -> the triples of [x_t, v1], x_t of degree mid
@@ -139,8 +139,8 @@ def build_spencer(symbol: GradedLieAlgebra, g_bases, k: int) -> SpencerSystem:
                     for u, value in f.columns[-1][pos].items()]
         acts = []
         for t, g in enumerate(symbol.indices_of_degree(mid)):
-            sign, key = (1, (g, a1)) if g < a1 else (-1, (a1, g))
-            acts += [(positions[c], t, sign * value) for c, value in table.get(key, {}).items()]
+            sign, low, high = (1, g, a1) if g < a1 else (-1, a1, g)
+            acts += [(positions[c], t, sign * value) for c, value in brackets[low].get(high, {}).items()]
         return acts
 
     rows = defaultdict(dict)  # row -> {column: value}
@@ -174,8 +174,8 @@ def build_spencer(symbol: GradedLieAlgebra, g_bases, k: int) -> SpencerSystem:
         # -f([v1, v2]): the bracket has degree i2 - 1; row base + u meets
         # entry u of f(e_c), column offsets[i2 - 1] + positions[c] * size + u.
         if i2 - 1 in offsets:
-            sign, key = (-1, (a1, a2)) if a1 < a2 else (1, (a2, a1))
-            for c, value in table.get(key, {}).items():
+            sign, low, high = (-1, a1, a2) if a1 < a2 else (1, a2, a1)
+            for c, value in brackets[low].get(high, {}).items():
                 first = offsets[i2 - 1] + positions[c] * size - base
                 for r in range(base, nrows):
                     rows[r][first + r] = sign * value

@@ -19,13 +19,13 @@ non-negative elements of total degree D is the map
     v -> [[x, y], v] = [x, [y, v]] - [y, [x, v]]
 
 on the symbol (the Jacobi identity), whose right side only meets brackets of
-total degree below D, so it is composed exactly over the one bracket table
-as that table grows: each element's action v -> [w, v] on the symbol is
+total degree below D, so it is composed exactly over the rows of the one
+bracket table as they grow: each element's action v -> [w, v] on the symbol is
 listed once per degree D, and a pair walks the two lists of its elements.
 The degree-D basis is in reduced echelon form, so a bracket's coordinates
 are its entries at the basis pivots, certified exactly on every entry: the
-map minus its expansion over the basis rows vanishes.  The structure
-constants are adopted, without a copy, as a single graded Lie algebra,
+map minus its expansion over the basis rows vanishes.  The rows are
+adopted, without a copy, as a single graded Lie algebra,
 checked for the Jacobi identity whenever the prolongation terminates.
 """
 
@@ -76,7 +76,7 @@ def leibniz_system(symbol: GradedLieAlgebra, g_bases, degree: int):
     layout = map_layout(dims, degree)
     offsets, ncols = layout_offsets(layout)
     block_target = {i: tgt for i, _, tgt in layout}
-    table, positions = symbol._table, symbol._positions
+    brackets, positions = symbol.rows, symbol._positions
     degrees = [e.degree for e in symbol.basis]
     actions: dict[tuple[int, int], list] = {}  # (mid, e') -> its (t, u, value) triples
 
@@ -85,9 +85,9 @@ def leibniz_system(symbol: GradedLieAlgebra, g_bases, degree: int):
         if mid < 0:
             for t, g in enumerate(symbol.indices_of_degree(mid)):
                 if g < other:
-                    acts += [(t, positions[c], value) for c, value in table.get((g, other), {}).items()]
+                    acts += [(t, positions[c], value) for c, value in brackets[g].get(other, {}).items()]
                 elif g > other:
-                    acts += [(t, positions[c], -value) for c, value in table.get((other, g), {}).items()]
+                    acts += [(t, positions[c], -value) for c, value in brackets[other].get(g, {}).items()]
         else:
             column = positions[other]
             for t, f in enumerate(g_bases[mid]):
@@ -98,7 +98,7 @@ def leibniz_system(symbol: GradedLieAlgebra, g_bases, degree: int):
     rows = defaultdict(dict)  # row -> {column: value}
     nrows = 0
     for a in range(symbol.dim):
-        i = degrees[a]
+        i, row = degrees[a], brackets[a]
         for b in range(a + 1, symbol.dim):
             j = degrees[b]
             size = dims.get(i + j + degree, 0)
@@ -107,7 +107,7 @@ def leibniz_system(symbol: GradedLieAlgebra, g_bases, degree: int):
             base, nrows = nrows, nrows + size
             # + f([e_a, e_b])
             if i + j in block_target:
-                for c, value in table.get((a, b), {}).items():
+                for c, value in row.get(b, {}).items():
                     first = offsets[i + j] + positions[c] * size - base
                     for r in range(base, nrows):
                         rows[r][first + r] = value
@@ -299,15 +299,18 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
     """The symbol plus the computed tower as one graded Lie algebra.
 
     Tower element j + 1 of degree k is named g{k}_{j + 1}, with "_"
-    appended while the name is taken.  The brackets go into one sparse dict
-    of exact rationals, seeded and then filled degree by degree as the
-    module docstring describes: actions[w] lists [w, v] = -[v, w] for the
-    symbol elements v as (column base of v, c, coefficient) triples.  A
-    pair's coordinates are the entries of its composed map at the pivots,
-    and the certificate is that the map minus its expansion over the basis
-    rows vanishes, a column the map lacks read as 0; otherwise
-    InternalConsistencyError.  When the prolongation terminated, pairs whose
-    total degree exceeds the top computed degree (no basis) must vanish.
+    appended while the name is taken.  The brackets go straight into the
+    rows of the result, rows[a] = {b: terms} for a < b, seeded and then
+    filled degree by degree as the module docstring describes: actions[w]
+    lists [w, v] = -[v, w] for the symbol elements v as (column base of v,
+    c, coefficient) triples, and [a, c] is read as rows[a].get(c) when a is
+    below c, else as -rows[c].get(a).  A pair's coordinates are the entries
+    of its composed map at the pivots, and the certificate is that the map
+    minus its expansion over the basis rows vanishes, a column the map lacks
+    read as 0; otherwise InternalConsistencyError, naming the pair, its
+    degrees and the least column left nonzero.  When the prolongation
+    terminated, pairs whose total degree exceeds the top computed degree (no
+    basis) must vanish.
     """
     dims = tower_dims(symbol, g_bases)
     kmax = len(g_bases) - 1
@@ -322,17 +325,21 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
                 name += "_"
             used.add(name)
             elements.append(BasisElement(name, k))
-    position = {g: pos for idx in indices.values() for pos, g in enumerate(idx)}
-    brackets = {pair: symbol.bracket_basis(*pair) for pair in symbol.bracket_pairs()}
+    # position[g]: the place of e_g in its degree
+    position = [symbol.position_in_degree(g) for g in range(symbol.dim)]
+    position += [j for base in g_bases for j in range(len(base))]
+    rows = [{b: dict(terms) for b, terms in row.items()} for row in symbol.rows]
+    rows += [{} for _ in range(len(elements) - symbol.dim)]
     for k, base in enumerate(g_bases):
         for f, x in zip(base, indices[k]):
             for i in symbol.degrees:
                 for v, col in zip(indices[i], f.columns.get(i, ())):
                     if col:  # [v, f] = -f(v)
-                        brackets[(v, x)] = {indices[i + k][t]: -value for t, value in col.items()}
+                        rows[v][x] = {indices[i + k][t]: -value for t, value in col.items()}
+    zero = indices[0]
     for (s, t), coords in g0.structure_constants.items():
         if coords:
-            brackets[(indices[0][s], indices[0][t])] = {indices[0][u]: x for u, x in coords.items()}
+            rows[zero[s]][zero[t]] = {zero[u]: x for u, x in coords.items()}
     empty: dict[int, linalg.Rational] = {}
     frac = linalg._frac
 
@@ -347,29 +354,29 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
         low = max(0, D - kmax)
         actions = {w: [(offsets[i] + pos * tgt, c, -p) for i, _, tgt in layout
                        for pos, v in enumerate(indices[i])
-                       for c, p in brackets.get((v, w), empty).items()]
+                       for c, p in rows[v].get(w, empty).items()]
                    for m in range(low, D - low + 1) for w in indices[m]}
         for k in range(low, D // 2 + 1):
             for x in indices[k]:
-                acts_x = actions[x]
+                acts_x, row_x = actions[x], rows[x]
                 for y in indices[D - k]:
                     if x >= y:
                         continue
-                    # [[x, y], v] = [x, [y, v]] - [y, [x, v]], with [a, c] = brackets[(a, c)]
-                    # for a below c, else -brackets[(c, a)]; the sign rides on q
+                    # [[x, y], v] = [x, [y, v]] - [y, [x, v]], with [a, c] = rows[a][c]
+                    # for a below c, else -rows[c][a]; the sign rides on q
                     flat = {}
                     for base, c, q in actions[y]:
                         if c < x:
-                            terms, q = brackets.get((c, x)), -q
+                            terms, q = rows[c].get(x), -q
                         else:
-                            terms = brackets.get((x, c))
+                            terms = row_x.get(c)
                         if terms:
                             for e, value in terms.items():
                                 col = base + position[e]
                                 flat[col] = flat.get(col, 0) + q * value
-                    # deg c < deg x <= deg y, so c is below y and -[y, c] = brackets[(c, y)]
+                    # deg c < deg x <= deg y, so c is below y and -[y, c] = rows[c][y]
                     for base, c, q in acts_x:
-                        terms = brackets.get((c, y))
+                        terms = rows[c].get(y)
                         if terms:
                             for e, value in terms.items():
                                 col = base + position[e]
@@ -384,9 +391,12 @@ def _assemble(symbol, g_bases, g0, terminated) -> GradedLieAlgebra:
                     if any(flat.values()):
                         fault = ("is nonzero beyond the vanishing degree" if D > kmax
                                  else f"escaped the degree-{D} basis")
-                        raise InternalConsistencyError(f"bracket of degrees ({k}, {D - k}) {fault}")
+                        col = min(col for col, value in flat.items() if value)
+                        raise InternalConsistencyError(
+                            f"bracket [{elements[x].name}, {elements[y].name}] of degrees ({k}, {D - k}) "
+                            f"{fault}: column {col} of its map is {flat[col]} after reconstruction")
                     # pairs of degree D read only brackets below D
                     if coords:
-                        brackets[(x, y)] = {g: value if type(value) is int else frac(value)
-                                            for (g, _), value in coords}
-    return GradedLieAlgebra._of_table(elements, brackets)
+                        row_x[y] = {g: value if type(value) is int else frac(value)
+                                    for (g, _), value in coords}
+    return GradedLieAlgebra._of_rows(elements, rows)

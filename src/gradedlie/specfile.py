@@ -316,13 +316,17 @@ def dump_document(doc, stream) -> None:
     each table pair a < b in order, terms by basis index.
 
     The text is streamed: fragments are joined and written in batches at
-    list-item boundaries, so a report is never held whole in memory.  A
-    bracket entry is one template fill, each name encoded and each distinct
-    coefficient formatted once; a list or tuple of plain ints is joined a
-    slice at a time.  Other values are str, int, bool, None, dicts with str
-    keys, lists and tuples; any other iterable, a generator say, is written
-    as the list of its items.  Anything else, a float included, raises
-    TypeError rather than giving other bytes than ``json.dumps``.
+    list-item boundaries, so a report is never held whole in memory.  The
+    bracket entries are written by walking the algebra's rows in order, each
+    row's keys sorted; an entry is one join of a prefix made once per row
+    (its left name), a prefix made once per basis element (its right name)
+    and the terms, sorted unless there is only one, each name encoded and
+    each distinct coefficient formatted once.  A list or tuple of plain ints
+    is joined a slice at a time.  Other values are str, int, bool, None,
+    dicts with str keys, lists and tuples; any other iterable, a generator
+    say, is written as the list of its items.  Anything else, a float
+    included, raises TypeError rather than giving other bytes than
+    ``json.dumps``.
     """
     parts: list[str] = []
     append = parts.append
@@ -331,23 +335,32 @@ def dump_document(doc, stream) -> None:
         stream.write("".join(parts))
         parts.clear()
 
-    def write_table(algebra: GradedLieAlgebra, indent: str) -> None:
+    def write_rows(algebra: GradedLieAlgebra, indent: str) -> None:
         # the indents of an entry, of its fields, of its terms and of their items
         at, field, term, item = indent + "  ", indent + "    ", indent + "      ", indent + "        "
-        entry = (f'%s{{{field}"left": %s,{field}"right": %s,'
-                 f'{field}"terms": [{term}[{item}%s{term}]{field}]{at}}}')
-        between = f"{term}],{term}[{item}"
         names = [_encode(e.name) for e in algebra.basis]
+        # an entry is sep + left + rights[b] + its terms + tail
+        rights = [f'{name},{field}"terms": [{term}[{item}' for name in names]
+        tail = f"{term}]{field}]{at}}}"
+        between = f"{term}],{term}[{item}"
         named = [name + "," + item for name in names]
         quoted = _Quoted()
-        table = algebra._table
         sep, comma = "[" + at, "," + at
-        for a, b in algebra.bracket_pairs():
-            if len(parts) > 1024:  # entries held before a write, 100-200 bytes each
-                flush()
-            terms = between.join([named[c] + quoted[v] for c, v in sorted(table[a, b].items())])
-            append(entry % (sep, names[a], names[b], terms))
-            sep = comma
+        for a, row in enumerate(algebra.rows):
+            if not row:
+                continue
+            left = f'{{{field}"left": {names[a]},{field}"right": '
+            for b in sorted(row):
+                if len(parts) > 1024:  # entries held before a write, 100-200 bytes each
+                    flush()
+                terms = row[b]
+                if len(terms) == 1:
+                    (c, v), = terms.items()
+                    text = named[c] + quoted[v]
+                else:
+                    text = between.join([named[c] + quoted[v] for c, v in sorted(terms.items())])
+                append(f"{sep}{left}{rights[b]}{text}{tail}")
+                sep = comma
         append("[]" if sep is not comma else indent + "]")
 
     def write(o, indent: str) -> None:
@@ -368,7 +381,7 @@ def dump_document(doc, stream) -> None:
                 sep = comma
             append("{}" if sep is not comma else indent + "}")
         elif isinstance(o, GradedLieAlgebra):
-            write_table(o, indent)
+            write_rows(o, indent)
         elif type(o) in (list, tuple) and o and all(type(i) is int for i in o):
             inner = indent + "  "
             joint = "," + inner

@@ -26,12 +26,23 @@ def bracket(algebra, x, y):
     if len(x) != n or len(y) != n:
         raise ValueError("coordinate vectors must match the basis dimension")
     out = [Fraction(0)] * n
-    for a, b in algebra.bracket_pairs():
+    for a, b in pairs(algebra):
         coeff = x[a] * y[b] - x[b] * y[a]
         if coeff:
             for c, value in algebra.bracket_basis(a, b).items():
                 out[c] += coeff * value
     return out
+
+
+def pairs(algebra):
+    """The index pairs (a, b), a < b, of the nonzero brackets, ascending."""
+    return [(a, b) for a, row in enumerate(algebra.rows) for b in sorted(row)]
+
+
+def table_of(algebra):
+    """The brackets of `algebra` as a {(a, b): terms} dict, the form of the
+    public constructor's input; the terms are the algebra's own dicts."""
+    return {(a, b): terms for a, row in enumerate(algebra.rows) for b, terms in row.items()}
 
 
 def unit_vector(algebra, index):

@@ -22,12 +22,13 @@ from gradedlie import algebra as algebra_module
 from gradedlie import linalg, specfile
 from gradedlie.algebra import (
     _flat_commutators,
+    _integral_rows,
     derivation_violations,
     map_layout,
     maps_from_rows,
 )
 
-from conftest import bracket, canonical, make_eta3, unit_vector
+from conftest import bracket, canonical, make_eta3, pairs, table_of, unit_vector
 
 F = Fraction
 
@@ -150,7 +151,7 @@ def test_fundamental(eta3, m25):
 
 
 def test_public_constructor_checks_every_bracket():
-    # only the engine's own tables skip these checks (GradedLieAlgebra._of_table)
+    # only the engine's own tables skip these checks (GradedLieAlgebra._of_rows)
     basis = [BasisElement("X1", -1), BasisElement("X2", -1), BasisElement("Y", -2)]
     for brackets, error, message in (({(0, 3): {2: 1}}, ValueError, r"pair \(0, 3\) out of range"),
                                      ({(-1, 1): {2: 1}}, ValueError, "out of range"),
@@ -161,7 +162,36 @@ def test_public_constructor_checks_every_bracket():
         with pytest.raises(error, match=message):
             GradedLieAlgebra(basis, brackets)
     algebra = GradedLieAlgebra(basis, {(0, 1): {2: Fraction(4, 2)}, (0, 2): {2: 0}})
-    assert algebra._table == {(0, 1): {2: 2}} and type(algebra._table[(0, 1)][2]) is int
+    assert algebra.rows == [{1: {2: 2}}, {}, {}] and type(algebra.rows[0][1][2]) is int
+
+
+def test_public_constructor_rows_hold_each_bracket_once_and_bracket_basis_reads_both_orientations():
+    basis = [BasisElement(f"e{i}", -1) for i in range(4)]
+    # pairs given out of order, a zero dropped, an integral Fraction made an int
+    algebra = GradedLieAlgebra(basis, {(2, 3): {0: F(1, 2)}, (0, 3): {1: 0, 2: -1}, (0, 1): {3: F(6, 3), 2: 1}})
+    assert algebra.rows == [{3: {2: -1}, 1: {3: 2, 2: 1}}, {}, {3: {0: F(1, 2)}}, {}]
+    assert all(b > a and terms for a, row in enumerate(algebra.rows) for b, terms in row.items())
+    for a in range(4):
+        for b in range(4):
+            direct = algebra.rows[min(a, b)].get(max(a, b), {})
+            expected = direct if a < b else {c: -v for c, v in direct.items()} if a > b else {}
+            assert algebra.bracket_basis(a, b) == expected
+    assert algebra.bracket_basis(1, 0) == {3: -2, 2: -1} and algebra.bracket_basis(3, 2) == {0: F(-1, 2)}
+    # a copy in either orientation
+    algebra.bracket_basis(0, 1)[3] = 5
+    algebra.bracket_basis(1, 0)[3] = 5
+    assert algebra.rows[0][1] == {3: 2, 2: 1}
+
+
+def test_public_constructor_rows_equal_the_engine_rows_of_the_same_table(corpus_results, perfbench_results):
+    for name, (_, symbol, g0, result) in {**corpus_results, **perfbench_results}.items():
+        for algebra in (symbol, result.algebra, adjoin_g0(symbol, g0)):
+            rebuilt = GradedLieAlgebra(algebra.basis, table_of(algebra))
+            assert rebuilt.rows == algebra.rows, name
+            for a, b in pairs(algebra):
+                terms = algebra.rows[a][b]
+                assert rebuilt.bracket_basis(a, b) == terms, name
+                assert rebuilt.bracket_basis(b, a) == {c: -v for c, v in terms.items()}, name
 
 
 @pytest.mark.parametrize("build, message", [
@@ -196,7 +226,7 @@ def test_adjoin_g0_example5(eta3, lambda_g0):
     x3 = unit_vector(extended, 2)
     assert bracket(extended, lam1, x3) == [F(0), F(0), F(2), F(0), F(0)]
     # the restriction to the symbol is unchanged
-    for a, b in eta3.bracket_pairs():
+    for a, b in pairs(eta3):
         assert extended.bracket_basis(a, b) == eta3.bracket_basis(a, b)
     assert check_validity(extended).ok
 
@@ -204,7 +234,7 @@ def test_adjoin_g0_example5(eta3, lambda_g0):
 def test_adjoin_trivial_g0(eta3):
     extended = adjoin_g0(eta3, DegreeZeroAlgebra(eta3, []))
     assert extended.dim == eta3.dim
-    for a, b in eta3.bracket_pairs():
+    for a, b in pairs(eta3):
         assert extended.bracket_basis(a, b) == eta3.bracket_basis(a, b)
 
 
@@ -398,7 +428,7 @@ def test_sparse_leibniz_witness_matches_dense_reference_on_perturbed_maps(make_s
         size = rng.randint(1, 7)
         batch, order = order[:size], order[size:]
         assert list(derivation_violations(symbol, [maps[k] for k in batch])) == [witnesses[k] for k in batch]
-    if symbol.bracket_pairs():
+    if any(symbol.rows):
         assert len(set(witnesses) - {None}) > 3
     else:  # on an abelian symbol every grading-preserving map is a derivation
         assert set(witnesses) == {None}
@@ -565,18 +595,18 @@ def test_jacobi_witness_matches_copying_reference_on_random_tables(algebra):
 def test_jacobi_check_matches_copying_reference(example5_result, terminated_algebras):
     rng = random.Random(3)
     base = example5_result.algebra
-    base_scale = linalg._integral(base._table)[1]
+    base_scale = _integral_rows(base.rows)[1]
     # integer corruptions, then fractional ones, which give the check a
     # table scaled to integers by a larger lcm of denominators
     for shifts, grows in (([-2, -1, 1, 3], False), ([F(1, 2), F(-2, 3), F(5, 6)], True)):
         seen, scales = set(), set()
         for _ in range(12):
-            brackets = {pair: base.bracket_basis(*pair) for pair in base.bracket_pairs()}
+            brackets = {pair: base.bracket_basis(*pair) for pair in pairs(base)}
             for _ in range(rng.randint(1, 2)):
                 terms = brackets[rng.choice(sorted(brackets))]
                 terms[rng.choice(sorted(terms))] += F(rng.choice(shifts))
             corrupted = GradedLieAlgebra(base.basis, brackets)
-            scales.add(linalg._integral(corrupted._table)[1])
+            scales.add(_integral_rows(corrupted.rows)[1])
             witness = check_validity(corrupted).jacobi_witness
             assert witness == reference_jacobi_witness(corrupted)
             seen.add(witness)
@@ -592,7 +622,7 @@ def test_jacobi_check_matches_copying_reference(example5_result, terminated_alge
         assert check_validity(base).jacobi_witness is None
         n = base.dim
         for kind in ("shift", "add", "delete") * 8:
-            brackets = {pair: base.bracket_basis(*pair) for pair in base.bracket_pairs()}
+            brackets = {pair: base.bracket_basis(*pair) for pair in pairs(base)}
             pair = rng.choice(sorted(brackets))
             if kind == "shift":
                 terms = brackets[pair]

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from gradedlie import BasisElement, GradedLieAlgebra, cli, free_nilpotent, linalg, prolongation, specfile
 from gradedlie.specfile import SpecError, format_rational, parse_rational
 
+from conftest import pairs
+
 F = Fraction
 
 
@@ -786,7 +788,7 @@ def bracket_entries(algebra):
     names = [e.name for e in algebra.basis]
     return [{"left": names[a], "right": names[b],
              "terms": [[names[c], format_rational(v)] for c, v in sorted(algebra.bracket_basis(a, b).items())]}
-            for a, b in algebra.bracket_pairs()]
+            for a, b in pairs(algebra)]
 
 
 def _plain(doc):
@@ -837,6 +839,50 @@ def _fast_documents(depth):
           "ints": [3, -(2**70), True, 0], "more": (1, 2**65, -7)})
 def test_dump_document_writes_algebras_as_their_bracket_entries(doc):
     assert _dumped(doc) == json.dumps(_plain(doc), indent=2) + "\n"
+
+
+def tuple_sorted_entries(algebra, indent):
+    """The bracket entries of `algebra` as the writer wrote them from a table
+    keyed by (a, b) tuples: the keys sorted, each entry one fill of a
+    four-argument template, the terms sorted by basis index."""
+    n = algebra.dim
+    table = {(a, b): terms for a in range(n) for b in range(a + 1, n) if (terms := algebra.bracket_basis(a, b))}
+    at, field, term, item = indent + "  ", indent + "    ", indent + "      ", indent + "        "
+    entry = (f'%s{{{field}"left": %s,{field}"right": %s,'
+             f'{field}"terms": [{term}[{item}%s{term}]{field}]{at}}}')
+    between = f"{term}],{term}[{item}"
+    names = [json.dumps(e.name) for e in algebra.basis]
+    out, sep, comma = [], "[" + at, "," + at
+    for a, b in sorted(table):
+        terms = between.join(f"{names[c]},{item}{json.dumps(format_rational(v))}"
+                             for c, v in sorted(table[a, b].items()))
+        out.append(entry % (sep, names[a], names[b], terms))
+        sep = comma
+    out.append("[]" if sep is not comma else indent + "]")
+    return "".join(out)
+
+
+@st.composite
+def _shuffled_tables(draw):
+    """Random tables given in a random pair order, so a row's keys are
+    inserted out of order, with multi-term brackets, Fractions and names
+    that need JSON escapes."""
+    names = draw(st.lists(_texts, min_size=1, max_size=6, unique=True))
+    n = len(names)
+    chosen = draw(st.permutations([(a, b) for a in range(n) for b in range(a + 1, n)]))
+    chosen = chosen[:draw(st.integers(0, len(chosen)))]
+    table = {pair: draw(st.dictionaries(st.integers(0, n - 1), _coefficients, min_size=1, max_size=4))
+             for pair in chosen}
+    return GradedLieAlgebra([BasisElement(name, -1) for name in names], table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shuffled_tables())
+@example(GradedLieAlgebra([BasisElement(name, -1) for name in ('"a"', "b\\", "\u00e9\n", "d")],
+                          {(1, 3): {0: F(1, 2), 2: -1}, (0, 3): {1: 3}, (0, 2): {3: F(-7, 3), 0: 2, 1: 1}}))
+def test_dump_document_writes_the_bytes_of_the_tuple_sorted_writer(algebra):
+    expected = '{\n  "structure_constants": ' + tuple_sorted_entries(algebra, "\n  ") + "\n}\n"
+    assert _dumped({"structure_constants": algebra}) == expected
 
 
 def test_dump_document_writes_every_engine_table_as_its_bracket_entries(corpus_results, perfbench_results):

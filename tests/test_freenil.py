@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from gradedlie import check_fundamental, check_validity, free_nilpotent
 
+from conftest import pairs
+
 
 def mobius(n):
     # independent of the library: trial division
@@ -51,7 +53,7 @@ def test_two_generator_step_three_relations():
         (m.basis[a].name, m.basis[b].name): {
             m.basis[c].name: v for c, v in m.bracket_basis(a, b).items()
         }
-        for a, b in m.bracket_pairs()
+        for a, b in pairs(m)
     }
     assert table == {
         ("X1", "X2"): {"X3": 1},
@@ -82,8 +84,8 @@ def test_determinism():
     a = free_nilpotent(2, 4)
     b = free_nilpotent(2, 4)
     assert [e.name for e in a.basis] == [e.name for e in b.basis]
-    assert all(a.bracket_basis(*p) == b.bracket_basis(*p) for p in a.bracket_pairs())
-    assert a.bracket_pairs() == b.bracket_pairs()
+    assert all(a.bracket_basis(*p) == b.bracket_basis(*p) for p in pairs(a))
+    assert a.rows == b.rows
 
 
 def test_rejects_bad_parameters():

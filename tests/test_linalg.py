@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import gradedlie
 from gradedlie import cli, linalg, prolongation
-from gradedlie.algebra import check_validity
+from gradedlie.algebra import _integral_rows, check_validity
 from gradedlie.diagnostics import killing_form, symmetric_signature
 from gradedlie.linalg import (
     Echelon,
@@ -265,10 +265,13 @@ def test_engine_built_matrices_hold_nonzero_exact_rationals_in_range(monkeypatch
     assert len(built) > 100 and len(results) == 14
     for result in results:
         algebra, n = result.algebra, result.algebra.dim
-        faults.extend((result.symbol, pair, c, value) for pair, terms in algebra._table.items()
-                      for c, value in terms.items() if not canonical(value) or not value or not 0 <= c < n)
-        faults.extend((result.symbol, (a, b), terms) for (a, b), terms in algebra._table.items()
-                      if not terms or not 0 <= a < b < n)
+        if type(algebra.rows) is not list or len(algebra.rows) != n:
+            faults.append((result.symbol, "rows"))
+        faults.extend((result.symbol, (a, b), c, value) for a, row in enumerate(algebra.rows)
+                      for b, terms in row.items() for c, value in terms.items()
+                      if not canonical(value) or not value or not 0 <= c < n)
+        faults.extend((result.symbol, (a, b), terms) for a, row in enumerate(algebra.rows)
+                      for b, terms in row.items() if not terms or not a < b < n)
         checked_copy = gradedlie.GradedLieAlgebra(algebra.basis, {})
         if (algebra._by_degree, algebra._positions) != (checked_copy._by_degree, checked_copy._positions):
             faults.append((result.symbol, "degree index"))
@@ -724,16 +727,16 @@ def test_rref_matches_the_rref_with_helper_calls(case):
 
 def test_integral_callers_leave_an_all_int_table_unchanged():
     symbol = gradedlie.heisenberg(1)
-    symbol_table = {pair: dict(terms) for pair, terms in symbol._table.items()}
+    symbol_rows = [{b: dict(terms) for b, terms in row.items()} for row in symbol.rows]
     g0 = gradedlie.degree_zero_derivations(symbol)  # the Leibniz check reads the symbol's table
-    assert symbol._table == symbol_table
+    assert symbol.rows == symbol_rows
     algebra = prolongation.universal_prolongation(symbol, g0, max_degree=2).algebra
-    before = {pair: dict(terms) for pair, terms in algebra._table.items()}
-    assert all(type(v) is int for terms in before.values() for v in terms.values())
-    assert linalg._integral(algebra._table)[0] is algebra._table
+    before = [{b: dict(terms) for b, terms in row.items()} for row in algebra.rows]
+    assert all(type(v) is int for row in before for terms in row.values() for v in terms.values())
+    assert _integral_rows(algebra.rows)[0] is algebra.rows
     check_validity(algebra)
     killing_form(algebra)
-    assert algebra._table == before
+    assert algebra.rows == before
     symmetric = [[2, 1, 0], [1, 0, 3], [0, 3, -1]]
     symmetric_signature(symmetric)
     assert symmetric == [[2, 1, 0], [1, 0, 3], [0, 3, -1]]
@@ -758,6 +761,12 @@ def test_integral_scales_a_table_by_the_lcm_of_its_denominators():
     assert scale == 1
     assert ints == {"a": {0: -7, 1: 3}, "b": {2: 1}}
     assert all(type(v) is int for row in ints.values() for v in row.values())
+    # a bracket table held as rows, scaled the same way
+    assert _integral_rows([{}, {}]) == ([{}, {}], 1)
+    ints, scale = _integral_rows([{1: {0: F(-1, 2), 2: 3}, 2: {1: F(2, 3)}}, {2: {0: -5}}, {}])
+    assert scale == 6
+    assert ints == [{1: {0: -3, 2: 18}, 2: {1: 4}}, {2: {0: -30}}, {}]
+    assert all(type(v) is int for row in ints for terms in row.values() for v in terms.values())
 
 
 def transpose(mat):

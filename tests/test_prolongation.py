@@ -1,4 +1,5 @@
 import functools
+import re
 from fractions import Fraction
 from math import comb
 
@@ -34,7 +35,7 @@ from gradedlie.prolongation import (
 )
 from gradedlie.symbols import EuclideanForm
 
-from conftest import CORPUS, LAMBDA_1, LAMBDA_2, bracket
+from conftest import CORPUS, LAMBDA_1, LAMBDA_2, bracket, pairs, table_of, unit_vector
 from test_parabolic import prolonged_grading
 
 F = Fraction
@@ -238,7 +239,7 @@ def test_g0_given_as_a_list_of_maps(eta3, lambda_g0, example5_result):
     result = universal_prolongation(eta3, list(lambda_g0.generators))
     assert result.g0.generators == lambda_g0.generators
     assert result.graded_dimensions() == example5_result.graded_dimensions()
-    assert result.algebra._table == example5_result.algebra._table
+    assert result.algebra.rows == example5_result.algebra.rows
 
 
 def test_assembled_names_step_around_symbol_names():
@@ -256,7 +257,8 @@ def test_adjoin_g0_is_the_degree_zero_part_of_the_prolongation(corpus_results, p
     for name, (_, symbol, g0, result) in {**corpus_results, **perfbench_results}.items():
         extended, n = adjoin_g0(symbol, g0), symbol.dim + g0.dim
         assert extended.basis == result.algebra.basis[:n], name
-        assert extended._table == {(a, b): terms for (a, b), terms in result.algebra._table.items() if b < n}, name
+        assert extended.rows == [{b: terms for b, terms in row.items() if b < n}
+                                 for row in result.algebra.rows[:n]], name
 
 
 def test_determinism(eta3, lambda_g0):
@@ -266,7 +268,7 @@ def test_determinism(eta3, lambda_g0):
     assert a.dims == b.dims
     assert all(
         a.algebra.bracket_basis(*p) == b.algebra.bracket_basis(*p)
-        for p in a.algebra.bracket_pairs()
+        for p in pairs(a.algebra)
     )
 
 
@@ -355,16 +357,43 @@ def test_assemble_rejects_brackets_beyond_the_vanishing_degree(corpus_results):
     # has its rescaled twin, whose brackets have denominators
     for result in (corpus_results["contact-n1"][-1], contact_rescaled()):
         assert not result.terminated
-        with pytest.raises(InternalConsistencyError, match=r"\(1, 3\) is nonzero beyond the vanishing degree"):
+        algebra = result.algebra
+        names = [e.name for e in algebra.basis]
+        with pytest.raises(InternalConsistencyError, match=r"\(1, 3\) is nonzero beyond the vanishing degree") as info:
             _assemble(result.symbol, [list(b) for b in result.bases], result.g0, True)
+        # the witness: column 0 of the degree-4 layout is the coordinate on
+        # the first degree-2 element of [[x, y], v], v the degree -2 element,
+        # composed here as [x, [y, v]] - [y, [x, v]] over the truncated table
+        x, y = unit_vector(algebra, names.index("g1_1")), unit_vector(algebra, names.index("g3_2"))
+        v = unit_vector(algebra, algebra.indices_of_degree(-2)[0])
+        image = [p - q for p, q in zip(bracket(algebra, x, bracket(algebra, y, v)),
+                                       bracket(algebra, y, bracket(algebra, x, v)))]
+        value = image[algebra.indices_of_degree(2)[0]]
+        assert value
+        assert str(info.value) == ("bracket [g1_1, g3_2] of degrees (1, 3) is nonzero beyond the vanishing degree: "
+                                   f"column 0 of its map is {value} after reconstruction")
 
 
 def test_assemble_rejects_brackets_that_escape_the_basis(corpus_results):
     # with one degree-1 map of cartan-25 kept, g0 does not preserve its span
     _, symbol, g0, result = corpus_results["cartan-25"]
     cut = [list(result.bases[0]), list(result.bases[1][:1])]
-    with pytest.raises(InternalConsistencyError, match="escaped the degree-1 basis"):
+    with pytest.raises(InternalConsistencyError, match="escaped the degree-1 basis") as info:
         _assemble(symbol, cut, g0, False)
+    # the witness: [g0_3, g1_1] of the whole run, a combination of the
+    # degree-1 maps, less its coordinate at the kept map's pivot times that map
+    names = [e.name for e in result.algebra.basis]
+    layout = map_layout(result.dims, 1)
+    flats = [f.flat_entries(layout) for f in result.bases[1]]
+    first = names.index("g1_1")
+    image = {}
+    for g, c in result.algebra.bracket_basis(names.index("g0_3"), first).items():
+        linalg.axpy(image, c, flats[g - first])
+    if image.get(min(flats[0])):
+        linalg.axpy(image, -image[min(flats[0])], flats[0])
+    column = min(image)
+    assert str(info.value) == ("bracket [g0_3, g1_1] of degrees (0, 1) escaped the degree-1 basis: "
+                               f"column {column} of its map is {image[column]} after reconstruction")
 
 
 def with_a_foreign_column(bases, dims):
@@ -382,7 +411,10 @@ def with_a_foreign_column(bases, dims):
 def test_assemble_reads_a_column_the_bracket_lacks_as_zero(corpus_results, monkeypatch, capsys):
     _, symbol, g0, result = corpus_results["contact-n1"]
     bases = with_a_foreign_column([list(b) for b in result.bases], result.dims)
-    with pytest.raises(InternalConsistencyError, match=r"^bracket of degrees \(0, 1\) escaped the degree-1 basis$"):
+    # the foreign column is the witness
+    message = ("bracket [g0_1, g1_1] of degrees (0, 1) escaped the degree-1 basis: "
+               "column 2 of its map is 1 after reconstruction")
+    with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$"):
         _assemble(symbol, bases, g0, False)
     # the same tower handed to the assembly of a whole run ends as exit 3, one line
     real = prolongation._assemble
@@ -392,7 +424,7 @@ def test_assemble_reads_a_column_the_bracket_lacks_as_zero(corpus_results, monke
     assert cli.main(["prolong", str(CORPUS / "contact-n1.json")]) == cli.EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "internal consistency failure: bracket of degrees (0, 1) escaped the degree-1 basis\n"
+    assert captured.err == f"internal consistency failure: {message}\n"
 
 
 def test_assemble_reads_echelon_bases_without_eliminating(corpus_results, monkeypatch):
@@ -409,7 +441,7 @@ def test_assemble_reads_echelon_bases_without_eliminating(corpus_results, monkey
     monkeypatch.setattr(linalg, "rref", lambda matrix: calls.append(matrix) or rref(matrix))
     for _, symbol, g0, result in corpus_results.values():
         algebra = _assemble(symbol, [list(b) for b in result.bases], g0, result.terminated)
-        assert algebra._table == result.algebra._table
+        assert algebra.rows == result.algebra.rows
     assert calls == []
 
 
@@ -425,7 +457,7 @@ def reference_table(symbol, g_bases, g0, terminated):
         indices[k] = range(start, start + len(base))
         start += len(base)
     position = {g: pos for idx in indices.values() for pos, g in enumerate(idx)}
-    brackets = {pair: symbol.bracket_basis(*pair) for pair in symbol.bracket_pairs()}
+    brackets = {pair: symbol.bracket_basis(*pair) for pair in pairs(symbol)}
     for k, base in enumerate(g_bases):
         for f, x in zip(base, indices[k]):
             for v in range(symbol.dim):
@@ -495,7 +527,7 @@ def seed_scale(algebra):
     """The lcm of the denominators of the brackets _assemble is seeded with:
     those with a negative argument and those of g0."""
     deg = [e.degree for e in algebra.basis]
-    seeded = {(a, b): terms for (a, b), terms in algebra._table.items() if min(deg[a], deg[b]) < 0 or deg[b] == 0}
+    seeded = {(a, b): terms for (a, b), terms in table_of(algebra).items() if min(deg[a], deg[b]) < 0 or deg[b] == 0}
     return linalg._integral(seeded)[1]
 
 
@@ -512,8 +544,8 @@ def test_assemble_matches_the_fraction_reference(corpus_results, perfbench_resul
     scales = {}
     for name, result in results.items():
         bases = [list(b) for b in result.bases]
-        assert result.algebra._table == reference_table(result.symbol, bases, result.g0, result.terminated), name
-        scales[name] = (seed_scale(result.algebra), linalg._integral(result.algebra._table)[1])
+        assert table_of(result.algebra) == reference_table(result.symbol, bases, result.g0, result.terminated), name
+        scales[name] = (seed_scale(result.algebra), linalg._integral(table_of(result.algebra))[1])
     assert len(scales) == 19
     # the inputs cover a seeded denominator (cartan-25, 6) and a degree that
     # brings a new one (the rescaled contact algebra, from 2 to 4)
@@ -608,7 +640,7 @@ def quotient_by_top(symbol, rows):
     keep = [i for i in range(symbol.dim) if i not in gone]
     new = {i: k for k, i in enumerate(keep)}
     brackets = {}
-    for a, b in symbol.bracket_pairs():
+    for a, b in pairs(symbol):
         image = {}
         for c, x in symbol.bracket_basis(a, b).items():
             linalg.axpy(image, x, gone.get(c, {c: F(1)}))
@@ -653,4 +685,4 @@ def test_random_fundamental_symbols_assemble_like_the_fraction_reference(symbol,
         g0 = scaled_g0(g0, data.draw(st.lists(factor, min_size=g0.dim, max_size=g0.dim), label="factors"))
     result = universal_prolongation(symbol, g0, max_degree=2)
     bases = [list(base) for base in result.bases]
-    assert result.algebra._table == reference_table(symbol, bases, result.g0, result.terminated)
+    assert table_of(result.algebra) == reference_table(symbol, bases, result.g0, result.terminated)

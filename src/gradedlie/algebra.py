@@ -515,7 +515,12 @@ class DegreeZeroAlgebra:
     commutator table is recorded as structure_constants[(s, t)], the sparse
     {generator index: value} coordinates of [generator s, generator t].
     Errors name generator s as labels[s], by default "generator {s + 1}".
+    The g0 builders of symbols.py set ``_symbol_guarded`` on the algebra
+    they return, whose symbol passed require_valid_symbol, so the
+    prolongation of that symbol need not ask again.
     """
+
+    _symbol_guarded = False
 
     def __init__(self, symbol: GradedLieAlgebra, generators, labels=None):
         if not symbol.has_only_negative_degrees():

@@ -3,24 +3,24 @@
 Every value is exact, with no tolerance anywhere: an integral rational is
 a plain ``int``, and a ``fractions.Fraction`` always has a denominator above
 1 (``_frac`` brings public input into that form), so integral data runs on
-C ints throughout.  Elimination is one sparse Gauss-Jordan reduction,
-``rref``, that works on the nonzero entries only, fraction-free: it clears
-the denominators of the matrix (``_integral``) and runs on primitive integer
-rows, divided by their pivot entries once at the end (``_ratio``), and
-eliminates each new pivot only from the reduced rows that a column index
-names as holding it; the Jacobi check, the Leibniz check and the Killing
-form run on tables scaled by ``_integral`` as well.  Pivots are always the
-first nonzero entry in column order; the reduced row echelon form is
-unique, which makes every returned basis deterministic (bit-exact across
-runs).  The certificates (``_certify``) multiply out A x directly,
-independent of that kernel.
+C ints throughout.  Elimination is one sparse reduction, ``rref``, that
+works on the nonzero entries only, fraction-free: each row is scaled to
+integers as it is taken and reduced forward at its leading column only,
+into primitive integer rows; back substitution runs only when a kernel
+exists (some column holds no pivot), and rows are divided by their pivot
+entries (``_ratio``) only when ``pivot_rows`` is read.  The Jacobi check,
+the Leibniz check and the Killing form run on tables scaled by
+``_integral``.  Pivots are always the first nonzero entry in column order;
+the reduced row echelon form is unique, which makes every returned basis
+deterministic (bit-exact across runs).  The certificates (``_certify``)
+multiply out A x on the rows of A itself, independent of that kernel.
 
 A ``RatMatrix`` stores the sparse rows that ``rref`` and ``_certify`` read.
 Only the public edge checks entries: engine code hands the rows it built to
 ``RatMatrix._of_rows``, which adopts them uncopied, so each builder keeps
 its entries nonzero and canonical.  ``_integral`` hands back a table of
-ints as it is, its own dicts, so its callers only read what it returns,
-and ``rref`` copies each row as it takes it.  Vectors are sparse
+ints as it is, its own dicts, so its callers only read what it returns;
+``rref`` copies each row as it takes it.  Vectors are sparse
 ``{index: rational}`` dicts of their nonzero entries throughout; dense
 lists appear only at the public edge (``nullspace``, ``solve``,
 ``Echelon.rows`` and the basis vectors ``express_in_basis`` takes).
@@ -29,7 +29,10 @@ lists appear only at the public edge (``nullspace``, ``solve``,
 it is not in the span of the rows before it.  The rank, the kernel and a
 coordinate complement of the column space (the rows not kept) all come
 from one ``Echelon``, so a matrix that needs all three is eliminated once.
-Kernel vectors and solutions are certified exactly.
+Kernel vectors come as integers (``Echelon.kernel``), which the
+prolongation hands on to its next elimination as they are, or scaled to a
+1 at their free coordinates (``nullspace``); they and solutions are
+certified exactly.
 
 ``solve`` eliminates a matrix beside its one right-hand side.
 ``express_in_basis``, coordinates over a basis, eliminates [B | I] once,
@@ -41,8 +44,8 @@ returned only when x B == t exactly.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -136,17 +139,26 @@ class InternalConsistencyError(RuntimeError):
 class Echelon:
     """Reduced row echelon form of ``matrix``.
 
-    ``pivots`` ascend; ``pivot_rows`` are the reduced rows in pivot order as
-    sparse ``{column: value}`` dicts; ``kept`` are the input rows (ascending)
-    that produced a pivot; ``nullspace()`` gives sparse kernel vectors.  Dense
-    ``rows`` are built only on demand, for ``pivots, rows = rref(m)``.
+    ``pivots`` ascend; ``kept`` are the input rows (ascending) that produced
+    a pivot; ``reduced`` holds, in pivot order, the pivot rows as primitive
+    integer rows with a positive pivot entry, each a multiple of its reduced
+    row.  ``pivot_rows``, those rows divided by their pivot entries as
+    sparse ``{column: value}`` dicts, are divided out when first read;
+    dense ``rows`` are built only on demand, for ``pivots, rows = rref(m)``.
+    ``kernel()`` gives certified integer kernel vectors and ``nullspace()``
+    the same vectors scaled to a 1 at their free coordinates.
     """
 
-    def __init__(self, pivots, pivot_rows, kept, matrix):
-        self.pivots, self.pivot_rows, self.kept, self.matrix = pivots, pivot_rows, kept, matrix
+    def __init__(self, pivots, reduced, kept, matrix):
+        self.pivots, self.reduced, self.kept, self.matrix = pivots, reduced, kept, matrix
 
     def __iter__(self):
         return iter((self.pivots, self.rows))
+
+    @cached_property
+    def pivot_rows(self) -> tuple[dict[int, Rational], ...]:
+        return tuple(row if (d := row[p]) == 1 else {c: _ratio(v, d) for c, v in row.items()}
+                     for p, row in zip(self.pivots, self.reduced))
 
     @property
     def rows(self) -> list[Vector]:
@@ -156,26 +168,47 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def nullspace(self) -> list[dict[int, Rational]]:
-        """Basis of ker A as sparse vectors, echelon-normalized and ordered by
-        free column.
+    def _free(self) -> list[int]:
+        pivot_set = set(self.pivots)
+        return [c for c in range(self.matrix.cols) if c not in pivot_set]
 
-        Each basis vector carries a 1 at its free coordinate and zeros at the
-        free coordinates of the other vectors; its pivot coordinates are read
-        off a column index of the sparse pivot rows.
+    def kernel(self, where: str = "nullspace") -> list[dict[int, Rational]]:
+        """Basis of ker A as sparse vectors, one per free column f, ascending:
+        D e_f - sum of (D / d_p) R_p[f] e_p over the pivot rows R_p with an
+        entry at f, d_p the pivot entry of R_p and D the lcm of those d_p,
+        so integer vectors from integer rows.
+
+        Each vector is certified against the rows of A itself, not against
+        the rows that elimination scaled; a failure names `where` and the
+        free column of the vector that is not in the kernel.
         """
-        by_column: dict[int, list[tuple[int, Rational]]] = {}
-        for p, row in zip(self.pivots, self.pivot_rows):
+        by_column: dict[int, list[tuple[int, Rational, Rational]]] = {}
+        for p, row in zip(self.pivots, self.reduced):
+            d = row[p]
             for c, value in row.items():
                 if c != p:
-                    by_column.setdefault(c, []).append((p, -value))
-        pivot_set = set(self.pivots)
-        basis = [dict([*by_column.get(fc, ()), (fc, 1)])
-                 for fc in range(self.matrix.cols) if fc not in pivot_set]
+                    by_column.setdefault(c, []).append((p, value, d))
+        free = self._free()
+        basis = []
+        for f in free:
+            entries = by_column.get(f, ())
+            scale = math.lcm(*[d for _, _, d in entries])
+            basis.append({**{p: -(scale // d) * value for p, value, d in entries}, f: scale})
         if len(basis) != self.matrix.cols - len(self.pivots):
-            raise InternalConsistencyError("nullspace: basis size breaks rank-nullity")
-        _certify(self.matrix, [(v, {}) for v in basis], "nullspace: basis vector is not in the kernel")
+            raise InternalConsistencyError(f"{where}: kernel basis size breaks rank-nullity")
+        failed = _certify(self.matrix, [(v, {}) for v in basis])
+        if failed is not None:
+            raise InternalConsistencyError(
+                f"{where}: the kernel vector of free column {free[failed]} is not in the kernel")
         return basis
+
+    def nullspace(self, where: str = "nullspace") -> list[dict[int, Rational]]:
+        """Basis of ker A as sparse vectors, echelon-normalized and ordered by
+        free column: the ``kernel(where)`` vectors divided by their entries
+        at their free coordinates, so each carries a 1 there and zeros at
+        the free coordinates of the others."""
+        return [v if (d := v[f]) == 1 else {c: _ratio(x, d) for c, x in v.items()}
+                for f, v in zip(self._free(), self.kernel(where))]
 
     def complement(self) -> list[int]:
         """Coordinates whose standard basis vectors complete the column space.
@@ -187,13 +220,14 @@ class Echelon:
         return [i for i in range(self.matrix.rows) if i not in kept]
 
 
-def _certify(matrix: RatMatrix, pairs, message: str) -> None:
-    """Raise InternalConsistencyError unless A x == b exactly for every sparse
-    pair (x, b); one pass over the rows of A, where an entry costs the number
-    of x nonzero at its column, forms row r of every image.  Without pairs
-    there is nothing to check, and it returns at once."""
+def _certify(matrix: RatMatrix, pairs) -> int | None:
+    """The index of a sparse pair (x, b) with A x != b, the least among those
+    failing at the first row of A where any fails, or None when A x == b
+    exactly for every pair; one pass over the rows of A, where an entry
+    costs the number of x nonzero at its column, forms row r of every
+    image.  Without pairs there is nothing to check, and it returns at once."""
     if not pairs:
-        return
+        return None
     by_coordinate, expected = {}, {}  # c -> [(pair j, x_j[c])], r -> {pair j: b_j[r]}
     for j, (x, b) in enumerate(pairs):
         for c, value in x.items():
@@ -205,10 +239,13 @@ def _certify(matrix: RatMatrix, pairs, message: str) -> None:
         for c, value in row.items():
             for j, x_c in by_coordinate.get(c, ()):
                 image[j] = image.get(j, 0) + value * x_c
-        if (image or r in expected) and {j: v for j, v in image.items() if v} != expected.pop(r, {}):
-            raise InternalConsistencyError(message)
+        if image or r in expected:
+            want = expected.pop(r, {})
+            if (got := {j: v for j, v in image.items() if v}) != want:
+                return min(j for j in got.keys() | want.keys() if got.get(j) != want.get(j))
     if expected:  # b is nonzero in a row where A is zero
-        raise InternalConsistencyError(message)
+        return min(min(want) for want in expected.values())
+    return None
 
 
 def dense(row: dict[int, Rational], length: int) -> Vector:
@@ -222,40 +259,82 @@ def dense(row: dict[int, Rational], length: int) -> Vector:
 def rref(matrix: RatMatrix) -> Echelon:
     """Reduced row echelon form of `matrix`, with the rows that were kept.
 
-    Sparse fraction-free Gauss-Jordan on column -> int dictionaries: the
-    matrix is scaled to integers, and rows are copied as they are taken, in
-    order, and reduced against the pivot rows found so far, r := d r - a P
-    for the pivot row P with pivot entry d > 0 and r's entry a at that
-    pivot, a and d first divided by their gcd.  A row that keeps an entry
-    becomes a pivot row at its leading column, divided by its content with
-    a positive pivot entry, and is eliminated from the earlier pivot rows,
-    which are divided by their content again (a row of one entry becomes
-    {p: 1} without a gcd, and eliminating it deletes their column p); so
-    every pivot row stays fully reduced and primitive, and is divided by
-    its pivot entry once, at return: a row whose pivot entry is 1 is
-    returned as it is.  Once every column holds a pivot the remaining rows
-    are not read: each would reduce to nothing, so the pivots, the pivot
-    rows and ``kept`` are already final.  Eliminations and content
-    divisions are written inline, not called as helpers.
-
-    ``holders`` maps each column to the pivots of the pivot rows with an
-    entry there, their own pivot column aside, so a new pivot row is
-    eliminated only from the rows that hold its pivot.  An elimination
-    changes a row only at the new row's columns: it gains those it lacked
-    and loses those that cancel, the new pivot among them.
+    Sparse fraction-free forward elimination on column -> int dictionaries.
+    Rows are taken in order, each scaled to integers as it is taken (an
+    all-int row is copied as it is, any other multiplied by the lcm of its
+    own denominators), and reduced at its leading column only, r := d r -
+    a P for the pivot row P with pivot entry d > 0 there and r's entry a,
+    a and d first divided by their gcd, until its leading column holds no
+    pivot; a row that keeps an entry becomes the pivot row of its leading
+    column, divided by its content with a positive pivot entry (a row of
+    one entry becomes {p: 1} without a gcd).  Pivot rows are never
+    eliminated from each other on the way, so no column index is kept.
+    Once every column holds a pivot the remaining rows are not read: each
+    would reduce to nothing, so the pivots and ``kept`` are final, and the
+    reduced rows are {p: 1}.  Otherwise back substitution runs from the
+    largest pivot down, each row reduced at its other pivot columns against
+    the rows above it, which already are fully reduced, and divided by its
+    content again.  Rows are divided by their pivot entries only when
+    ``pivot_rows`` is read.  Eliminations and content divisions are written
+    inline, not called as helpers.
     """
-    gcd = math.gcd
+    gcd, lcm = math.gcd, math.lcm
     reduced: dict[int, dict[int, int]] = {}
-    holders: defaultdict[int, set[int]] = defaultdict(set)
     kept = []
     cols = matrix.cols
-    table = _integral(matrix._rows)[0]
+    table = matrix._rows
     for r in sorted(table):
         if len(reduced) == cols:
             break
-        row = table[r].copy()
-        # pivot rows vanish at each other's pivots, so one pass suffices
-        for c in [c for c in row if c in reduced]:
+        row = table[r]
+        if set(map(type, row.values())) <= {int}:
+            row = row.copy()
+        else:
+            scale = lcm(*[v.denominator for v in row.values() if type(v) is not int])
+            row = {c: v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+                   for c, v in row.items()}
+        p = min(row)
+        while p in reduced:
+            pivot_row = reduced[p]
+            a, d = row[p], pivot_row[p]
+            if d != 1:
+                g = gcd(a, d)
+                a, d = a // g, d // g
+                if d != 1:
+                    for k in row:
+                        row[k] *= d
+            for k, v in pivot_row.items():
+                x = row.get(k, 0) - a * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+            if not row:
+                break
+            p = min(row)
+        if not row:
+            continue
+        kept.append(r)
+        if len(row) == 1:
+            reduced[p] = {p: 1}
+            continue
+        g = gcd(*row.values())
+        if row[p] < 0:
+            g = -g
+        if g != 1:
+            for k in row:
+                row[k] //= g
+        reduced[p] = row
+    pivots = tuple(sorted(reduced))
+    if len(pivots) == cols:
+        return Echelon(pivots, tuple({p: 1} for p in pivots), tuple(kept), matrix)
+    for p in reversed(pivots):
+        row = reduced[p]
+        # the rows above vanish at each other's pivots, so one pass suffices
+        above = [c for c in row if c in reduced and c != p]
+        if not above:
+            continue
+        for c in above:
             pivot_row = reduced[c]
             a, d = row[c], pivot_row[c]
             if d != 1:
@@ -270,68 +349,18 @@ def rref(matrix: RatMatrix) -> Echelon:
                     row[k] = x
                 else:
                     del row[k]
-        if not row:
-            continue
-        kept.append(r)
-        p = min(row)
-        if len(row) == 1:
-            # eliminating {p: 1} deletes column p and adds no column
-            for q in holders.pop(p, ()):
-                other = reduced[q]
-                del other[p]
-                g = gcd(*other.values())
-                if g != 1:
-                    for k in other:
-                        other[k] //= g
-            reduced[p] = {p: 1}
-            continue
+        # row[p] stays positive, as the rows above vanish at p
         g = gcd(*row.values())
-        if row[p] < 0:
-            g = -g
         if g != 1:
             for k in row:
                 row[k] //= g
-        d = row[p]
-        for q in holders.pop(p, ()):
-            other = reduced[q]
-            gained = [c for c in row if c not in other]
-            a = other[p]
-            if d != 1:
-                g = gcd(a, d)
-                a, e = a // g, d // g
-                if e != 1:
-                    for k in other:
-                        other[k] *= e
-            for k, v in row.items():
-                x = other.get(k, 0) - a * v
-                if x:
-                    other[k] = x
-                else:
-                    del other[k]
-            # other[q] stays positive, as the new row vanishes at pivot q
-            g = gcd(*other.values())
-            if g != 1:
-                for k in other:
-                    other[k] //= g
-            for c in gained:
-                holders[c].add(q)
-            for c in row:
-                if c not in other and c != p:
-                    holders[c].remove(q)
-        for c in row:
-            if c != p:
-                holders[c].add(p)
-        reduced[p] = row
-    pivots = tuple(sorted(reduced))
-    rows = tuple(row if (d := row[p]) == 1 else {c: _ratio(v, d) for c, v in row.items()}
-                 for p, row in sorted(reduced.items()))
-    return Echelon(pivots, rows, tuple(kept), matrix)
+    return Echelon(pivots, tuple(reduced[p] for p in pivots), tuple(kept), matrix)
 
 
 def _integral(rows: dict) -> tuple[dict, int]:
     """(L * rows, L) for a {key: {index: rational}} table of sparse rows, L
-    the lcm of its denominators: the ints of rref, the Jacobi check, the
-    Leibniz check and the Killing form.  A table whose values are all ints
+    the lcm of its denominators: the ints of express_in_basis, the Leibniz
+    check and the signature of a form.  A table whose values are all ints
     is returned as it is, its own dicts, so no caller may change the rows it
     gets; any other table is copied."""
     if set(map(type, chain.from_iterable(map(dict.values, rows.values())))) <= {int}:
@@ -377,7 +406,8 @@ def solve(matrix: RatMatrix, rhs: Sequence) -> Vector | None:
     x = {p: row[n] for p, row in zip(echelon.pivots, echelon.pivot_rows) if n in row}
     if n in x:
         return None
-    _certify(matrix, [(x, b)], "solve: solution does not satisfy the system")
+    if _certify(matrix, [(x, b)]) is not None:
+        raise InternalConsistencyError("solve: solution does not satisfy the system")
     return dense(x, n)
 
 

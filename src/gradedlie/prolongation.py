@@ -140,8 +140,10 @@ def prolong_step(symbol: GradedLieAlgebra, g_bases):
     """
     if not g_bases:
         raise ValueError("g_bases must contain at least the degree-zero level")
-    layout, matrix = leibniz_system(symbol, g_bases, len(g_bases))
-    return _normalize_map_basis(linalg.rref(matrix).nullspace(), len(g_bases), layout)
+    degree = len(g_bases)
+    layout, matrix = leibniz_system(symbol, g_bases, degree)
+    kernel = linalg.rref(matrix).kernel(f"Leibniz kernel at degree {degree}")
+    return _normalize_map_basis(kernel, degree, layout)
 
 
 def spencer_kernel_from_system(system: SpencerSystem):
@@ -159,7 +161,8 @@ def spencer_kernel_from_system(system: SpencerSystem):
             f"Spencer kernel element at k={system.k} has a nonzero non-negative block: "
             f"witness [{', '.join(map(str, witness))}]"
         )
-    return _normalize_map_basis(system.negative_echelon.nullspace(), system.k + 1, system.layout)
+    kernel = system.negative_echelon.kernel(f"Spencer kernel at degree {system.k + 1}")
+    return _normalize_map_basis(kernel, system.k + 1, system.layout)
 
 
 def _disagreement(degree, leibniz, spencer, layout) -> str:
@@ -211,7 +214,8 @@ def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = DEFAU
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    require_valid_symbol(symbol)
+    if not (isinstance(g0, DegreeZeroAlgebra) and g0.symbol is symbol and g0._symbol_guarded):
+        require_valid_symbol(symbol)  # else the g0 builder guarded this very symbol
     if not isinstance(g0, DegreeZeroAlgebra):
         g0 = DegreeZeroAlgebra(symbol, g0)
     require_same_symbol(symbol, g0)

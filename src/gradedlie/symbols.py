@@ -2,10 +2,12 @@
 all grading-preserving derivations, derivations skew-adjoint for a Euclidean
 form, derivations preserving a pair of transversal lines, and explicit spans.
 Each builder first requires a valid, fundamental symbol
-(algebra.require_valid_symbol), so the CLI relies on it too.  On such a
-symbol a degree-zero derivation is fixed by its degree -1 block, so span
-mode reads each given block's extension off the kernel of the degree-0
-Leibniz system, eliminated once.
+(algebra.require_valid_symbol), so the CLI relies on it too, and marks the
+algebra it returns as built on a guarded symbol, so the prolongation of
+that same symbol does not run the guard again.  On such a symbol a
+degree-zero derivation is fixed by its degree -1 block, so span mode reads
+each given block's extension off the kernel of the degree-0 Leibniz
+system, eliminated once.
 """
 
 from __future__ import annotations
@@ -84,6 +86,12 @@ class LinePair:
         self.first, self.second = first, second
 
 
+def _guarded(g0: DegreeZeroAlgebra) -> DegreeZeroAlgebra:
+    """`g0`, marked as built on a symbol that passed require_valid_symbol."""
+    g0._symbol_guarded = True
+    return g0
+
+
 def _derivations_with_rows(symbol: GradedLieAlgebra, top_rows) -> DegreeZeroAlgebra:
     """The derivations whose degree -1 block A also satisfies `top_rows`,
     sparse rows of nonzero canonical entries over A's entries (column
@@ -93,13 +101,14 @@ def _derivations_with_rows(symbol: GradedLieAlgebra, top_rows) -> DegreeZeroAlge
     rows = dict(matrix._rows)
     rows.update((matrix.rows + k, {off + c: x for c, x in row.items()}) for k, row in enumerate(top_rows))
     full = RatMatrix._of_rows(matrix.rows + len(top_rows), matrix.cols, rows)
-    return DegreeZeroAlgebra(symbol, prolongation._normalize_map_basis(linalg.rref(full).nullspace(), 0, layout))
+    kernel = linalg.rref(full).kernel("degree-0 derivations kernel at degree 0")
+    return DegreeZeroAlgebra(symbol, prolongation._normalize_map_basis(kernel, 0, layout))
 
 
 def degree_zero_derivations(symbol: GradedLieAlgebra) -> DegreeZeroAlgebra:
     """All grading-preserving derivations of the symbol."""
     require_valid_symbol(symbol)
-    return _derivations_with_rows(symbol, [])
+    return _guarded(_derivations_with_rows(symbol, []))
 
 
 def orthogonal_derivations(symbol: GradedLieAlgebra, form: EuclideanForm) -> DegreeZeroAlgebra:
@@ -122,7 +131,7 @@ def orthogonal_derivations(symbol: GradedLieAlgebra, form: EuclideanForm) -> Deg
                 row[r * n1 + s] += q[p][s]
                 row[p * n1 + s] += q[s][r]
             rows.append({c: _frac(x) for c, x in row.items() if x})
-    return _derivations_with_rows(symbol, rows)
+    return _guarded(_derivations_with_rows(symbol, rows))
 
 
 def line_preserving_derivations(symbol: GradedLieAlgebra, lines: LinePair) -> DegreeZeroAlgebra:
@@ -146,7 +155,7 @@ def line_preserving_derivations(symbol: GradedLieAlgebra, lines: LinePair) -> De
             row[a * 2] += v[a] * v[1]
             row[a * 2 + 1] -= v[a] * v[0]
         rows.append({c: _frac(x) for c, x in row.items() if x})
-    return _derivations_with_rows(symbol, rows)
+    return _guarded(_derivations_with_rows(symbol, rows))
 
 
 def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
@@ -177,7 +186,8 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
     def extend():
         if not tops:
             return
-        kernel = {max(v): v for v in linalg.rref(prolongation.leibniz_system(symbol, [], 0)[1]).nullspace()}
+        echelon = linalg.rref(prolongation.leibniz_system(symbol, [], 0)[1])
+        kernel = {max(v): v for v in echelon.nullspace("degree-0 derivations kernel at degree 0")}
         off = layout_offsets(layout)[0].get(-1, 0)  # column off + a * n1 + s holds A[s][a]
         for slot, rows in tops:
             top = {off + a * n1 + s: x for s, row in enumerate(rows) for a, x in enumerate(row) if x}
@@ -228,4 +238,4 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
     # rows are reduced in order, so the kept rows are the first independent
     # subset; errors name each kept map by its place in `maps`
     kept = linalg.rref(matrix).kept
-    return DegreeZeroAlgebra(symbol, [converted[i] for i in kept], [f"map {i + 1}" for i in kept])
+    return _guarded(DegreeZeroAlgebra(symbol, [converted[i] for i in kept], [f"map {i + 1}" for i in kept]))

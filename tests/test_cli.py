@@ -607,6 +607,30 @@ def test_span_mode_report_matches_its_golden_digest(tmp_path):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == SPAN_REPORT_SHA256
 
 
+def test_prolong_report_does_not_depend_on_the_order_brackets_are_listed(tmp_path):
+    # free:2:3 spelled out, Y = [X1, X2]: listing [X1, Y] before [X1, X2]
+    # fills the symbol's row of X1 with its keys in descending order
+    def bracket(left, right, target):
+        return {"left": left, "right": right, "terms": [[target, "1"]]}
+
+    basis = [{"name": name, "degree": degree}
+             for name, degree in (("X1", -1), ("X2", -1), ("Y", -2), ("Z1", -3), ("Z2", -3))]
+    ascending = [bracket("X1", "X2", "Y"), bracket("X1", "Y", "Z1"), bracket("X2", "Y", "Z2")]
+    descending = [ascending[1], ascending[0], ascending[2]]
+    reports = []
+    for listed in (ascending, descending):
+        path = tmp_path / "free23-listed.json"
+        path.write_text(json.dumps({"schema_version": 1, "name": "free23-listed",
+                                    "algebra": {"basis": basis, "brackets": listed}, "g0": {"mode": "full"}}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["prolong", str(path)]) == 0
+        reports.append(out.getvalue())
+    assert list(specfile.build_symbol(specfile.parse_spec(json.loads(path.read_text()))).rows[0]) == [2, 1]
+    assert json.loads(reports[0])["total_dimension"] == 14
+    assert reports[1] == reports[0]
+
+
 def _tracer(corpus_dir):
     path = corpus_dir.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)

@@ -21,6 +21,7 @@ from gradedlie.linalg import (
     InternalConsistencyError,
     RatMatrix,
     column_complement,
+    dense,
     express_in_basis,
     nullspace,
     rank,
@@ -29,7 +30,7 @@ from gradedlie.linalg import (
     vectors_rank,
 )
 
-from conftest import canonical
+from conftest import CORPUS, SPECS, canonical, spec_results
 
 F = Fraction
 
@@ -544,9 +545,7 @@ def rref_with_helper_calls(matrix):
             if c != p:
                 holders[c].add(p)
         reduced[p] = row
-    rows = tuple(row if (d := row[p]) == 1 else {c: linalg._ratio(v, d) for c, v in row.items()}
-                 for p, row in sorted(reduced.items()))
-    return Echelon(tuple(sorted(reduced)), rows, tuple(kept), matrix)
+    return Echelon(tuple(sorted(reduced)), tuple(row for _, row in sorted(reduced.items())), tuple(kept), matrix)
 
 
 def rref_testing_every_reduced_row(matrix, stop_at_full_rank=True):
@@ -571,9 +570,98 @@ def rref_testing_every_reduced_row(matrix, stop_at_full_rank=True):
                 eliminate(other, p, row)
                 make_primitive(other, other[q])
         reduced[p] = row
-    rows = tuple(row if (d := row[p]) == 1 else {c: linalg._ratio(v, d) for c, v in row.items()}
-                 for p, row in sorted(reduced.items()))
-    return Echelon(tuple(sorted(reduced)), rows, tuple(kept), matrix)
+    return Echelon(tuple(sorted(reduced)), tuple(row for _, row in sorted(reduced.items())), tuple(kept), matrix)
+
+
+def rref_gauss_jordan(matrix):
+    """linalg.rref as it was before it eliminated forward only, inline as it
+    was: sparse fraction-free Gauss-Jordan on the whole matrix scaled to
+    integers up front (linalg._integral), each new pivot row eliminated
+    from the earlier pivot rows that a column index names as holding its
+    pivot, so every pivot row stays fully reduced; the oracle for that
+    rewrite."""
+    gcd = math.gcd
+    reduced, holders = {}, defaultdict(set)
+    kept = []
+    cols = matrix.cols
+    table = linalg._integral(matrix._rows)[0]
+    for r in sorted(table):
+        if len(reduced) == cols:
+            break
+        row = table[r].copy()
+        # pivot rows vanish at each other's pivots, so one pass suffices
+        for c in [c for c in row if c in reduced]:
+            pivot_row = reduced[c]
+            a, d = row[c], pivot_row[c]
+            if d != 1:
+                g = gcd(a, d)
+                a, d = a // g, d // g
+                if d != 1:
+                    for k in row:
+                        row[k] *= d
+            for k, v in pivot_row.items():
+                x = row.get(k, 0) - a * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+        if not row:
+            continue
+        kept.append(r)
+        p = min(row)
+        if len(row) == 1:
+            # eliminating {p: 1} deletes column p and adds no column
+            for q in holders.pop(p, ()):
+                other = reduced[q]
+                del other[p]
+                g = gcd(*other.values())
+                if g != 1:
+                    for k in other:
+                        other[k] //= g
+            reduced[p] = {p: 1}
+            continue
+        g = gcd(*row.values())
+        if row[p] < 0:
+            g = -g
+        if g != 1:
+            for k in row:
+                row[k] //= g
+        d = row[p]
+        for q in holders.pop(p, ()):
+            other = reduced[q]
+            gained = [c for c in row if c not in other]
+            a = other[p]
+            if d != 1:
+                g = gcd(a, d)
+                a, e = a // g, d // g
+                if e != 1:
+                    for k in other:
+                        other[k] *= e
+            for k, v in row.items():
+                x = other.get(k, 0) - a * v
+                if x:
+                    other[k] = x
+                else:
+                    del other[k]
+            # other[q] stays positive, as the new row vanishes at pivot q
+            g = gcd(*other.values())
+            if g != 1:
+                for k in other:
+                    other[k] //= g
+            for c in gained:
+                holders[c].add(q)
+            for c in row:
+                if c not in other and c != p:
+                    holders[c].remove(q)
+        for c in row:
+            if c != p:
+                holders[c].add(p)
+        reduced[p] = row
+    return Echelon(tuple(sorted(reduced)), tuple(row for _, row in sorted(reduced.items())), tuple(kept), matrix)
+
+
+def same_echelon(ours, reference):
+    return (ours.pivots, ours.pivot_rows, ours.kept) == (reference.pivots, reference.pivot_rows, reference.kept)
 
 
 @st.composite
@@ -661,20 +749,6 @@ def indexed_elimination_cases(draw):
     return shape, RatMatrix.from_rows(draw(st.permutations(rows)), ncols)
 
 
-@settings(max_examples=200, deadline=None)
-@given(indexed_elimination_cases())
-# the first row gains the third pivot's column when the second pivot is
-# eliminated from it; then a first row that loses that column instead
-@example(("full", RatMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])))
-@example(("full", RatMatrix.from_rows([[1, 1, 1], [0, 1, 1], [0, 0, 1]])))
-def test_rref_column_index_matches_testing_every_reduced_row(case):
-    shape, mat = case
-    ours, reference = rref(mat), rref_testing_every_reduced_row(mat)
-    assert (ours.pivots, ours.pivot_rows, ours.kept) == (reference.pivots, reference.pivot_rows, reference.kept)
-    if shape == "full":
-        assert ours.rank == mat.cols
-
-
 @st.composite
 def inline_elimination_cases(draw):
     """(kind, full, matrix): sparse rows whose entries are all 'int', all
@@ -715,7 +789,7 @@ def inline_elimination_cases(draw):
 def test_rref_matches_the_rref_with_helper_calls(case):
     kind, full, mat = case
     before = {r: dict(row) for r, row in mat._rows.items()}
-    if kind == "int":  # an all-int matrix hands rref its own rows
+    if kind == "int":  # _integral hands an all-int table back as it is
         assert linalg._integral(mat._rows)[0] is mat._rows
     ours, reference = rref(mat), rref_with_helper_calls(mat)
     assert (ours.pivots, ours.pivot_rows, ours.kept) == (reference.pivots, reference.pivot_rows, reference.kept)
@@ -723,6 +797,59 @@ def test_rref_matches_the_rref_with_helper_calls(case):
     assert all(canonical(x) for row in ours.pivot_rows for x in row.values())
     if full:
         assert ours.rank == mat.cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices(), sparse_matrices(), tall_matrices().map(lambda case: case[1]),
+                 indexed_elimination_cases().map(lambda case: case[1]),
+                 inline_elimination_cases().map(lambda case: case[2])))
+# back substitution: the first row reduced at the third pivot only after
+# the second, and a first row that loses that column instead; a kernel
+# whose rows above reach the free column only through a later pivot
+@example(RatMatrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
+@example(RatMatrix.from_rows([[1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 2, 1]]))
+@example(RatMatrix.from_rows([[2, 1, 0, 1], [0, 3, 1, 0], [0, 0, 0, 5]]))
+def test_rref_matches_the_gauss_jordan_oracle(mat):
+    ours = rref(mat)
+    assert same_echelon(ours, rref_gauss_jordan(mat))
+    assert same_echelon(ours, rref_testing_every_reduced_row(mat))
+
+
+def test_rref_matches_the_gauss_jordan_oracle_on_corpus_and_perfbench(monkeypatch):
+    eliminated = []
+
+    def recorded(matrix):
+        eliminated.append(matrix)
+        return rref(matrix)
+
+    monkeypatch.setattr(linalg, "rref", recorded)
+    spec_results(CORPUS)
+    spec_results(SPECS)
+    monkeypatch.undo()
+    assert len(eliminated) > 200
+    for matrix in eliminated:
+        ours = rref(matrix)
+        assert same_echelon(ours, rref_gauss_jordan(matrix))
+        assert ours.nullspace() == rref_gauss_jordan(matrix).nullspace()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(sparse_matrices(), indexed_elimination_cases().map(lambda case: case[1])))
+@example(RatMatrix.from_rows([[2, 0, 1, 0], [0, 3, 1, 1]]))  # D = lcm(2, 3) at column 2
+def test_kernel_vectors_are_positive_multiples_of_the_nullspace(mat):
+    echelon = rref(mat)
+    free = [c for c in range(mat.cols) if c not in echelon.pivots]
+    kernel = echelon.kernel()
+    assert len(kernel) == len(free)
+    for f, vector, unit in zip(free, kernel, echelon.nullspace()):
+        scale = vector[f]
+        assert type(scale) is int and scale > 0
+        assert all(type(x) is int for x in vector.values())
+        assert vector == {c: scale * x for c, x in unit.items()}
+        # D is the lcm of the pivot entries that reach column f
+        reach = [row[p] for p, row in zip(echelon.pivots, echelon.reduced) if f in row]
+        assert scale == math.lcm(*reach) if reach else scale == 1
+    assert not any(x for v in kernel for x in matvec(mat, dense(v, mat.cols)))
 
 
 def test_integral_callers_leave_an_all_int_table_unchanged():
@@ -853,6 +980,12 @@ def corrupted_rref(matrix):
 
 
 def test_self_checks_raise_on_corrupted_elimination(monkeypatch):
+    # the integer kernel, certified against the rows of A, with and without
+    # denominators, not against rref's integer copy
+    for matrix in (RatMatrix.from_rows([[1, 2]]), RatMatrix.from_rows([[2, 3, 0], [0, F(1, 2), F(5, 3)]])):
+        with pytest.raises(InternalConsistencyError,
+                           match=rf"^route X at degree 7: the kernel vector of free column {matrix.cols - 1} is"):
+            corrupted_rref(matrix).kernel("route X at degree 7")
     monkeypatch.setattr(linalg, "rref", corrupted_rref)
     with pytest.raises(InternalConsistencyError, match="nullspace"):
         nullspace(RatMatrix.from_rows([[1, 2]]))

@@ -36,6 +36,7 @@ from gradedlie.prolongation import (
 from gradedlie.symbols import EuclideanForm
 
 from conftest import CORPUS, LAMBDA_1, LAMBDA_2, bracket, pairs, table_of, unit_vector
+from test_linalg import corrupted_rref
 from test_parabolic import prolonged_grading
 
 F = Fraction
@@ -625,6 +626,37 @@ def test_spencer_kernel_rejects_a_restriction_without_full_column_rank():
     witness = ["-1"] + ["0"] * (len(bases[1]) - 2) + ["1"]
     assert str(failure.value) == (
         f"Spencer kernel element at k=1 has a nonzero non-negative block: witness [{', '.join(witness)}]")
+
+
+def test_kernel_certificate_failure_names_its_route_degree_and_free_column(eta3, lambda_g0, monkeypatch, capsys):
+    # one entry of the first pivot row changed: the kernel vector of the
+    # last column, a free one, leaves the kernel of the route's own matrix
+    tower = [list(lambda_g0.generators)]
+    system = build_spencer(eta3, tower, 0)
+    routes = [
+        ("Leibniz kernel at degree 1", leibniz_system(eta3, tower, 1)[1], lambda: prolong_step(eta3, tower)),
+        ("Spencer kernel at degree 1", system.negative, lambda: spencer_kernel_from_system(system)),
+        ("degree-0 derivations kernel at degree 0", leibniz_system(eta3, [], 0)[1],
+         lambda: degree_zero_derivations(eta3)),
+        ("degree-0 derivations kernel at degree 0", leibniz_system(eta3, [], 0)[1],
+         lambda: custom_g0(eta3, [[[1, 0], [0, 1]]])),
+    ]
+    for where, matrix, run in routes:
+        last = matrix.cols - 1
+        assert last not in linalg.rref(matrix).pivots
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "rref", corrupted_rref)
+            with pytest.raises(InternalConsistencyError) as failure:
+                run()
+        assert str(failure.value) == f"{where}: the kernel vector of free column {last} is not in the kernel"
+    # the CLI names the first route a report reaches, on one line, with exit 3
+    monkeypatch.setattr(linalg, "rref", corrupted_rref)
+    assert cli.main(["prolong", str(CORPUS / "contact-n1.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal consistency failure: degree-0 derivations kernel at degree 0: the kernel vector of free column")
+    assert len(captured.err.splitlines()) == 1
 
 
 def quotient_by_top(symbol, rows):

@@ -154,6 +154,10 @@ MUTANTS = (
      ["tests/test_symbols.py::test_every_builder_rejects_an_ungraded_symbol",
       "tests/test_cli.py::test_check_rejects_an_ungraded_symbol_on_one_line",
       "tests/test_prolongation.py::test_rejects_invalid_inputs"]),
+    ("guard-marks-before-checking", "algebra.py",
+     "    if symbol._guarded:\n        return\n",
+     "    if symbol._guarded:\n        return\n    symbol._guarded = True\n",
+     ["tests/test_symbols.py::test_a_symbol_that_fails_the_guard_fails_it_again"]),
     ("solve-shares-the-rows-of-a", "linalg.py",
      "rows = {r: dict(row) for r, row in matrix._rows.items()}", "rows = dict(matrix._rows)",
      ["tests/test_linalg.py::test_solve_round_trips_consistent_systems",
@@ -170,6 +174,9 @@ MUTANTS = (
      "if {c: x for c, x in flat.items() if c >= off} != top:", "if False:",
      ["tests/test_symbols.py::test_top_block_without_extension",
       "tests/test_symbols.py::test_first_block_that_does_not_extend_is_reported_first"]),
+    ("extension-eliminates-per-block", "symbols.py",
+     "            if kernel is None:\n", "            if True:\n",
+     ["tests/test_symbols.py::test_custom_g0_eliminates_each_degree_once"]),
     ("solve-without-certificate", "linalg.py",
      "if _certify(matrix, [(x, b)]) is not None:", "if False:",
      ["tests/test_linalg.py::test_self_checks_raise_on_corrupted_elimination",

@@ -50,8 +50,11 @@ class GradedLieAlgebra:
     soundness (grading compatibility, the Jacobi identity, nilpotency of
     the negative part) is the job of check_validity, which reports
     witnesses instead of raising, so invalid tables can be represented and
-    diagnosed.
+    diagnosed.  ``_guarded`` is set once require_valid_symbol has passed
+    the algebra as a symbol, which it then does not check again.
     """
+
+    _guarded = False
 
     def __init__(self, basis, brackets):
         basis = tuple(basis)
@@ -279,12 +282,17 @@ def check_fundamental(symbol: GradedLieAlgebra) -> bool:
 def require_valid_symbol(symbol: GradedLieAlgebra) -> None:
     """Raise ValueError unless the symbol is valid (check_validity) and
     fundamental (check_fundamental), the domain of the prolongation and of
-    every g0 builder; the one place the engine decides this."""
+    every g0 builder; the one place the engine decides this.  A symbol that
+    passed is marked and returns at once afterwards, so a report guards its
+    symbol once; one changed after it passed is not checked again."""
+    if symbol._guarded:
+        return
     report = check_validity(symbol)
     if not report.ok:
         raise ValueError(f"symbol is not a valid graded Lie algebra: {report.describe()}")
     if not check_fundamental(symbol):
         raise ValueError("symbol is not fundamental: degree -1 does not generate it")
+    symbol._guarded = True
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +523,8 @@ class DegreeZeroAlgebra:
     commutator table is recorded as structure_constants[(s, t)], the sparse
     {generator index: value} coordinates of [generator s, generator t].
     Errors name generator s as labels[s], by default "generator {s + 1}".
-    The g0 builders of symbols.py set ``_symbol_guarded`` on the algebra
-    they return, whose symbol passed require_valid_symbol, so the
-    prolongation of that symbol need not ask again.
+    The symbol is not guarded here: require_valid_symbol does that.
     """
-
-    _symbol_guarded = False
 
     def __init__(self, symbol: GradedLieAlgebra, generators, labels=None):
         if not symbol.has_only_negative_degrees():

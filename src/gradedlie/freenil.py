@@ -17,12 +17,6 @@ from .linalg import InternalConsistencyError
 # A Hall tree is an int (generator index) or a pair (left, right).
 
 
-def _degree(tree) -> int:
-    if isinstance(tree, int):
-        return 1
-    return _degree(tree[0]) + _degree(tree[1])
-
-
 def _foliage(tree) -> tuple[int, ...]:
     if isinstance(tree, int):
         return (tree,)
@@ -36,7 +30,8 @@ def _shape(tree):
 
 
 def _tree_key(tree):
-    return (_degree(tree), _foliage(tree), _shape(tree))
+    leaves = _foliage(tree)
+    return (len(leaves), leaves, _shape(tree))
 
 
 def hall_trees(r: int, mu: int) -> dict[int, list]:
@@ -59,12 +54,12 @@ def hall_trees(r: int, mu: int) -> dict[int, list]:
 
 
 def _expand(tree, cache) -> dict[tuple[int, ...], int]:
-    """Expansion of a Hall tree in the free associative algebra (word -> coeff)."""
-    key = _shape(tree)
-    if key not in cache:
-        cache[key] = ({(tree,): 1} if isinstance(tree, int)
-                      else _poly_commutator(_expand(tree[0], cache), _expand(tree[1], cache)))
-    return cache[key]
+    """Expansion of a Hall tree in the free associative algebra (word -> coeff),
+    cached by the tree itself."""
+    if tree not in cache:
+        cache[tree] = ({(tree,): 1} if isinstance(tree, int)
+                       else _poly_commutator(_expand(tree[0], cache), _expand(tree[1], cache)))
+    return cache[tree]
 
 
 def _poly_commutator(p, q) -> dict[tuple[int, ...], int]:

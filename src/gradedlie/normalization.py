@@ -38,7 +38,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import linalg
-from .algebra import GradedLieAlgebra, tower_dims
+from .algebra import GradedLieAlgebra, layout_offsets, map_layout, tower_dims
 from .linalg import RatMatrix
 
 
@@ -113,16 +113,11 @@ def build_spencer(symbol: GradedLieAlgebra, g_bases, k: int) -> SpencerSystem:
         raise ValueError("Spencer degree outside the computed range")
     dims = tower_dims(symbol, g_bases)
     n1, dv, dk = dims.get(-1, 0), dims.get(k - 1, 0), dims.get(k, 0)
-    neg_degrees = sorted(d for d in dims if d < 0)
-
-    layout, offsets, ncols = [], {}, 0  # offsets[i]: first column of the block on g^i
-    for i in neg_degrees:
-        if dims[i] and dims.get(i + k + 1, 0):
-            layout.append((i, dims[i], dims[i + k + 1]))
-            offsets[i], ncols = ncols, ncols + dims[i] * dims[i + k + 1]
+    layout = map_layout(dims, k + 1)
+    offsets, ncols = layout_offsets(layout)  # offsets[i]: first column of the block on g^i
 
     top = symbol.indices_of_degree(-1)
-    pairs = [(a1, a2) for i in neg_degrees if i != -1 and dims.get(i + k, 0)
+    pairs = [(a1, a2) for i in sorted(d for d in dims if d < 0) if i != -1 and dims.get(i + k, 0)
              for a1 in top for a2 in symbol.indices_of_degree(i)]
     if dv:
         pairs += [(top[p], top[q]) for p in range(n1) for q in range(p + 1, n1)]

@@ -214,8 +214,7 @@ def universal_prolongation(symbol: GradedLieAlgebra, g0, max_degree: int = DEFAU
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    if not (isinstance(g0, DegreeZeroAlgebra) and g0.symbol is symbol and g0._symbol_guarded):
-        require_valid_symbol(symbol)  # else the g0 builder guarded this very symbol
+    require_valid_symbol(symbol)  # returns at once when the g0 builder guarded this symbol
     if not isinstance(g0, DegreeZeroAlgebra):
         g0 = DegreeZeroAlgebra(symbol, g0)
     require_same_symbol(symbol, g0)

@@ -2,12 +2,13 @@
 all grading-preserving derivations, derivations skew-adjoint for a Euclidean
 form, derivations preserving a pair of transversal lines, and explicit spans.
 Each builder first requires a valid, fundamental symbol
-(algebra.require_valid_symbol), so the CLI relies on it too, and marks the
-algebra it returns as built on a guarded symbol, so the prolongation of
-that same symbol does not run the guard again.  On such a symbol a
-degree-zero derivation is fixed by its degree -1 block, so span mode reads
-each given block's extension off the kernel of the degree-0 Leibniz
-system, eliminated once.
+(algebra.require_valid_symbol, which remembers a symbol it passed, so the
+prolongation of that same symbol does not run the checks again).  Every
+builder eliminates the degree-0 Leibniz system once, through one helper:
+the full, skew-adjoint and line modes take its kernel, the last two with
+rows on the degree -1 block appended, and span mode, where a degree-zero
+derivation is fixed by its degree -1 block, reads each given block's
+extension off that kernel.
 """
 
 from __future__ import annotations
@@ -86,29 +87,32 @@ class LinePair:
         self.first, self.second = first, second
 
 
-def _guarded(g0: DegreeZeroAlgebra) -> DegreeZeroAlgebra:
-    """`g0`, marked as built on a symbol that passed require_valid_symbol."""
-    g0._symbol_guarded = True
-    return g0
+_KERNEL = "degree-0 derivations kernel at degree 0"
 
 
-def _derivations_with_rows(symbol: GradedLieAlgebra, top_rows) -> DegreeZeroAlgebra:
-    """The derivations whose degree -1 block A also satisfies `top_rows`,
-    sparse rows of nonzero canonical entries over A's entries (column
-    a * n1 + s holds A[s][a]) appended to the degree-0 Leibniz system."""
+def _degree_zero_system(symbol: GradedLieAlgebra, top_rows=()):
+    """The degree-0 Leibniz system with `top_rows`, sparse rows of nonzero
+    canonical entries over the entries of the degree -1 block A (column
+    a * n1 + s holds A[s][a]), appended at that block's offset, eliminated
+    once: (layout, the offset, the Echelon)."""
     layout, matrix = prolongation.leibniz_system(symbol, [], 0)
     off = layout_offsets(layout)[0].get(-1, 0)
     rows = dict(matrix._rows)
     rows.update((matrix.rows + k, {off + c: x for c, x in row.items()}) for k, row in enumerate(top_rows))
     full = RatMatrix._of_rows(matrix.rows + len(top_rows), matrix.cols, rows)
-    kernel = linalg.rref(full).kernel("degree-0 derivations kernel at degree 0")
-    return DegreeZeroAlgebra(symbol, prolongation._normalize_map_basis(kernel, 0, layout))
+    return layout, off, linalg.rref(full)
+
+
+def _derivations_with_rows(symbol: GradedLieAlgebra, top_rows) -> DegreeZeroAlgebra:
+    """The derivations whose degree -1 block also satisfies `top_rows`."""
+    layout, _, echelon = _degree_zero_system(symbol, top_rows)
+    return DegreeZeroAlgebra(symbol, prolongation._normalize_map_basis(echelon.kernel(_KERNEL), 0, layout))
 
 
 def degree_zero_derivations(symbol: GradedLieAlgebra) -> DegreeZeroAlgebra:
     """All grading-preserving derivations of the symbol."""
     require_valid_symbol(symbol)
-    return _guarded(_derivations_with_rows(symbol, []))
+    return _derivations_with_rows(symbol, [])
 
 
 def orthogonal_derivations(symbol: GradedLieAlgebra, form: EuclideanForm) -> DegreeZeroAlgebra:
@@ -131,7 +135,7 @@ def orthogonal_derivations(symbol: GradedLieAlgebra, form: EuclideanForm) -> Deg
                 row[r * n1 + s] += q[p][s]
                 row[p * n1 + s] += q[s][r]
             rows.append({c: _frac(x) for c, x in row.items() if x})
-    return _guarded(_derivations_with_rows(symbol, rows))
+    return _derivations_with_rows(symbol, rows)
 
 
 def line_preserving_derivations(symbol: GradedLieAlgebra, lines: LinePair) -> DegreeZeroAlgebra:
@@ -155,7 +159,7 @@ def line_preserving_derivations(symbol: GradedLieAlgebra, lines: LinePair) -> De
             row[a * 2] += v[a] * v[1]
             row[a * 2 + 1] -= v[a] * v[0]
         rows.append({c: _frac(x) for c, x in row.items() if x})
-    return _guarded(_derivations_with_rows(symbol, rows))
+    return _derivations_with_rows(symbol, rows)
 
 
 def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
@@ -168,28 +172,45 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
     vanishes: the free column of each kernel vector of the degree-0 Leibniz
     system, its largest column, lies in the degree -1 block and holds a 1
     there.  A block A extends to the sum of A[f] times the kernel vector of
-    free column f, and does exactly when that sum's degree -1 block is A;
-    one elimination serves every block.  Dependent entries are dropped
-    (first independent subset wins) so the returned basis stays in the
-    user's coordinates.  A block that extends to no derivation raises
-    ValueError naming its map, before the error of any later malformed
-    entry; derivation and closure failures raise ValueError naming the
-    witness.
+    free column f, and does exactly when that sum's degree -1 block is A.
+    The maps are read once, in order, each block extended where it is read
+    off the one elimination the first block makes, so a ValueError names
+    the first map that is malformed or does not extend.  Then dependent
+    entries are dropped (first independent subset wins), so the basis stays
+    in the user's coordinates, and the commutator table is built; derivation
+    and closure failures raise ValueError naming the witness.
     """
     require_valid_symbol(symbol)
     n = symbol.dim
     n1 = symbol.dim_of_degree(-1)
     shapes = {d: (symbol.dim_of_degree(d),) * 2 for d in symbol.degrees}
     layout = map_layout(symbol.dims_by_degree(), 0)
-    converted, tops = [], []  # tops: (slot in converted, degree -1 block)
-
-    def extend():
-        if not tops:
-            return
-        echelon = linalg.rref(prolongation.leibniz_system(symbol, [], 0)[1])
-        kernel = {max(v): v for v in echelon.nullspace("degree-0 derivations kernel at degree 0")}
-        off = layout_offsets(layout)[0].get(-1, 0)  # column off + a * n1 + s holds A[s][a]
-        for slot, rows in tops:
+    converted, kernel = [], None
+    for idx, item in enumerate(maps):
+        if isinstance(item, GradedLinearMap):
+            if item.degree != 0:
+                raise ValueError(f"map {idx + 1} does not have degree 0")
+            if item.shapes != shapes:
+                raise ValueError(f"map {idx + 1} does not match the graded dimensions of the symbol")
+            converted.append(item)
+            continue
+        rows = [list(map(_frac, row)) for row in item]
+        if len(rows) == n and all(len(row) == n for row in rows):
+            for c in range(n):
+                for b in range(n):
+                    if rows[c][b] and symbol.degree_of(c) != symbol.degree_of(b):
+                        raise ValueError(
+                            f"map {idx + 1} is not grading-preserving: entry ({c}, {b}) "
+                            "links different degrees"
+                        )
+            # column b of a block: the entries rows[c][b] of its degree
+            members = {d: symbol.indices_of_degree(d) for d in symbol.degrees}
+            converted.append(GradedLinearMap(0, {d: [[rows[c][b] for c in ids] for b in ids]
+                                                 for d, ids in members.items()}))
+        elif len(rows) == n1 and all(len(row) == n1 for row in rows):
+            if kernel is None:
+                _, off, echelon = _degree_zero_system(symbol)  # column off + a * n1 + s holds A[s][a]
+                kernel = {max(v): v for v in echelon.nullspace(_KERNEL)}
             top = {off + a * n1 + s: x for s, row in enumerate(rows) for a, x in enumerate(row) if x}
             flat = {}
             for f, x in top.items():
@@ -197,45 +218,15 @@ def custom_g0(symbol: GradedLieAlgebra, maps) -> DegreeZeroAlgebra:
                     linalg.axpy(flat, x, kernel[f])
             flat = {c: _frac(flat[c]) for c in sorted(flat)}  # each column's entries in target order
             if {c: x for c, x in flat.items() if c >= off} != top:
-                raise ValueError(f"map {slot + 1}: the degree -1 block does not extend to a derivation")
-            converted[slot] = maps_from_rows(0, layout, [flat])[0]
-
-    for idx, item in enumerate(maps):
-        try:
-            if isinstance(item, GradedLinearMap):
-                if item.degree != 0:
-                    raise ValueError(f"map {idx + 1} does not have degree 0")
-                if item.shapes != shapes:
-                    raise ValueError(f"map {idx + 1} does not match the graded dimensions of the symbol")
-                converted.append(item)
-                continue
-            rows = [list(map(_frac, row)) for row in item]
-            if len(rows) == n and all(len(row) == n for row in rows):
-                for c in range(n):
-                    for b in range(n):
-                        if rows[c][b] and symbol.degree_of(c) != symbol.degree_of(b):
-                            raise ValueError(
-                                f"map {idx + 1} is not grading-preserving: entry ({c}, {b}) "
-                                "links different degrees"
-                            )
-                # column b of a block: the entries rows[c][b] of its degree
-                members = {d: symbol.indices_of_degree(d) for d in symbol.degrees}
-                converted.append(GradedLinearMap(0, {d: [[rows[c][b] for c in ids] for b in ids]
-                                                     for d, ids in members.items()}))
-            elif len(rows) == n1 and all(len(row) == n1 for row in rows):
-                tops.append((len(converted), rows))
-                converted.append(None)
-            else:
-                raise ValueError(
-                    f"map {idx + 1} must be square over the full basis or over the degree -1 basis"
-                )
-        except ValueError:
-            extend()  # a block before the bad entry that does not extend fails first
-            raise
-    extend()
+                raise ValueError(f"map {idx + 1}: the degree -1 block does not extend to a derivation")
+            converted.append(maps_from_rows(0, layout, [flat])[0])
+        else:
+            raise ValueError(
+                f"map {idx + 1} must be square over the full basis or over the degree -1 basis"
+            )
     matrix = RatMatrix._of_rows(len(converted), layout_offsets(layout)[1],
                                 [f.flat_entries(layout) for f in converted])
     # rows are reduced in order, so the kept rows are the first independent
     # subset; errors name each kept map by its place in `maps`
     kept = linalg.rref(matrix).kept
-    return _guarded(DegreeZeroAlgebra(symbol, [converted[i] for i in kept], [f"map {i + 1}" for i in kept]))
+    return DegreeZeroAlgebra(symbol, [converted[i] for i in kept], [f"map {i + 1}" for i in kept])

@@ -1,4 +1,5 @@
-"""The mutant list of scripts/mutants.py stays applicable to the code it mutates.
+"""Checks on the engine's source: the mutant list of scripts/mutants.py
+stays applicable to the code it mutates, and no self-check is an assert.
 
 Running the mutants takes a pytest run each; this only checks that every
 entry still says something: its old text occurs exactly once in its file,
@@ -36,3 +37,10 @@ def test_mutant_is_not_stale(name, path, old, new, tests):
     for test_id in tests:
         file, function = test_id.split("::")
         assert function.split("[")[0] in _test_functions(ROOT / file), test_id
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "gradedlie").glob("*.py")), ids=lambda p: p.name)
+def test_engine_has_no_assert_statement(path):
+    # python -O removes asserts, so a self-check must raise instead
+    found = [node.lineno for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements at lines {found}"

@@ -20,7 +20,7 @@ from gradedlie import (
     orthogonal_derivations,
     universal_prolongation,
 )
-from gradedlie import diagnostics, linalg, prolongation
+from gradedlie import algebra, diagnostics, linalg, prolongation, specfile
 from gradedlie.algebra import layout_offsets, map_layout, require_valid_symbol
 
 from conftest import LAMBDA_1, LAMBDA_2, bracket, canonical, make_eta3, unit_vector
@@ -331,9 +331,8 @@ def test_every_builder_rejects_a_symbol_that_is_not_fundamental(build):
 
 
 def test_custom_g0_eliminates_each_degree_once(monkeypatch):
-    symbol = free_nilpotent(2, 4)
     tops = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]]]
-    one_by_one = [custom_g0(symbol, [top]).generators[0] for top in tops]
+    one_by_one = [custom_g0(free_nilpotent(2, 4), [top]).generators[0] for top in tops]
     eliminated = []
     real_rref = linalg.rref
 
@@ -342,17 +341,63 @@ def test_custom_g0_eliminates_each_degree_once(monkeypatch):
         return real_rref(matrix)
 
     monkeypatch.setattr(linalg, "rref", recording_rref)
-    require_valid_symbol(symbol)
-    guard = len(eliminated)
+    require_valid_symbol(free_nilpotent(2, 4))
+    guard = list(eliminated)
     eliminated.clear()
+    symbol = free_nilpotent(2, 4)  # not yet guarded, so custom_g0 runs the guard
     g0 = custom_g0(symbol, tops)
-    # the symbol guard, then the degree-0 Leibniz system once for
-    # all four blocks, the independent subset and the commutator table;
-    # block by block took 12 after the check
-    assert len(eliminated) == guard + 3
+    # the symbol guard, then the degree-0 Leibniz system once for all four
+    # blocks, the independent subset and the commutator table; block by
+    # block took 12 after the check
+    assert guard and eliminated[:len(guard)] == guard
+    leibniz, subset = eliminated[len(guard):len(guard) + 2]
+    assert leibniz == prolongation.leibniz_system(symbol, [], 0)[1]
+    layout = map_layout(symbol.dims_by_degree(), 0)
+    assert subset == linalg.RatMatrix._of_rows(4, leibniz.cols, [f.flat_entries(layout) for f in one_by_one])
+    assert len(eliminated) == len(guard) + 3
     assert list(g0.generators) == one_by_one
     for top, f in zip(tops, g0.generators):
         assert [list(f.image_of_basis(-1, a)) for a in range(2)] == [[top[s][a] for s in range(2)] for a in range(2)]
+
+
+GUARDED_SPECS = [
+    pytest.param({"preset": "free:2:3"}, {"mode": "full"}, id="full"),
+    pytest.param({"preset": "heisenberg:2"}, {"mode": "orthogonal", "q": identity_rows(4)}, id="orthogonal"),
+    pytest.param({"preset": "heisenberg:1"}, {"mode": "lines", "lines": [[1, 0], [0, 1]]}, id="lines"),
+    pytest.param({"preset": "free:2:3"}, {"mode": "span", "maps": [identity_rows(2), [[1, 0], [0, 0]]]},
+                 id="span"),
+]
+
+
+@pytest.mark.parametrize("algebra_doc, g0_doc", GUARDED_SPECS)
+def test_a_report_guards_its_symbol_once(algebra_doc, g0_doc, monkeypatch):
+    checked = []
+    real_check = algebra.check_fundamental
+
+    def recording_check(symbol):
+        checked.append(symbol)
+        return real_check(symbol)
+
+    monkeypatch.setattr(algebra, "check_fundamental", recording_check)
+    spec = specfile.parse_spec({"schema_version": 1, "name": "guarded", "algebra": algebra_doc,
+                                "g0": g0_doc, "options": {"max_degree": 3}})
+    symbol = specfile.build_symbol(spec)
+    universal_prolongation(symbol, specfile.build_g0(spec, symbol), max_degree=spec.max_degree)
+    assert checked == [symbol]
+
+
+def test_a_symbol_that_fails_the_guard_fails_it_again():
+    ungraded = GradedLieAlgebra([BasisElement("X1", -1), BasisElement("X2", -1), BasisElement("Z", -2)],
+                                {(0, 1): {1: 2}})
+    split = GradedLieAlgebra([BasisElement("X1", -1), BasisElement("X2", -2)], {})
+    for symbol, message in [(ungraded, "^symbol is not a valid graded Lie algebra"),
+                            (split, "^symbol is not fundamental")]:
+        with pytest.raises(ValueError, match=message):
+            degree_zero_derivations(symbol)
+        with pytest.raises(ValueError, match=message):
+            require_valid_symbol(symbol)
+        with pytest.raises(ValueError, match=message):
+            universal_prolongation(symbol, DegreeZeroAlgebra(symbol, []))
 
 
 # the preset symbols the suite builds a full g0 for
@@ -434,6 +479,8 @@ def test_first_block_that_does_not_extend_is_reported_first():
     # the block comes before a malformed entry, so its failure is reported
     with pytest.raises(ValueError, match="extend"):
         custom_g0(m, [bad, [[1]]])
+    with pytest.raises(ValueError, match="extend"):
+        custom_g0(m, [bad, [[0.5]]])  # a float raises TypeError, but only once it is read
     with pytest.raises(ValueError, match="map 2 must be square"):
         custom_g0(m, [good, [[1]]])
 
